@@ -12,7 +12,7 @@ from .model import (COLLISION_GUARD, AccelVector, GrainProperties, PhaseState,
 from .equilibria import (BRANCHES, EquilibriumPoint, PerturbationTerms,
                          analytic_epsilons, analytic_triangular_point,
                          equilibrium_residual, limiting_case_point,
-                         photogravitational_base, refine_equilibrium)
+                         refine_equilibrium)
 from .dynamics import ESCAPE_RADIUS, Trajectory, integrate, jacobi_audit
 from .zvc import ZeroVelocityCurve, zero_velocity_curve
 
@@ -51,7 +51,6 @@ __all__ = [
     "mass_reduction_from_grain",
     "mean_motion",
     "oblateness_from_radii",
-    "photogravitational_base",
     "refine_equilibrium",
     "zero_velocity_curve",
 ]

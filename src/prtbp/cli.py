@@ -27,13 +27,13 @@ import numpy as np
 
 from .dynamics import ESCAPE_RADIUS, integrate, jacobi_audit
 from .equilibria import (BRANCHES, DegenerateFormulaError, EquilibriumPoint,
-                         METHOD_BASE, analytic_triangular_point,
-                         equilibrium_residual, limiting_case_point,
-                         photogravitational_base, refine_equilibrium)
+                         METHOD_BASE, analytic_epsilons,
+                         analytic_triangular_point, equilibrium_residual,
+                         limiting_case_point, refine_equilibrium)
 from .errors import ConfigError, ConvergenceError, SingularityError
 from .model import (COLLISION_GUARD, GrainProperties, PhaseState,
                     SystemParams, jacobi_drift_rate, mass_reduction_from_grain)
-from .zvc import zero_velocity_curve
+from .zvc import MIN_RESOLUTION, zero_velocity_curve
 
 _REQUIRED = object()
 
@@ -234,16 +234,15 @@ def _validate_job_args(job: str, args: dict) -> None:
             raise ConfigError(
                 f"job.t_end: must exceed job.t0, got t_end={args['t_end']} "
                 f"with t0={args['t0']}")
-        for key in ("sample_dt", "rtol", "atol"):
-            if args[key] <= 0:
-                raise ConfigError(f"job.{key}: must be > 0, got {args[key]}")
-        for key in ("collision_guard", "escape_radius"):
+        for key in ("sample_dt", "rtol", "atol", "collision_guard",
+                    "escape_radius"):
             if args[key] <= 0:
                 raise ConfigError(f"job.{key}: must be > 0, got {args[key]}")
     elif job == "zvc":
-        if args["resolution"] < 16:
+        if args["resolution"] < MIN_RESOLUTION:
             raise ConfigError(
-                f"job.resolution: must be >= 16, got {args['resolution']}")
+                f"job.resolution: must be >= {MIN_RESOLUTION}, "
+                f"got {args['resolution']}")
         if not (args["xmin"] < args["xmax"] and args["ymin"] < args["ymax"]):
             raise ConfigError(
                 "job.xmin/xmax/ymin/ymax: window must satisfy xmin < xmax "
@@ -350,7 +349,7 @@ def run_equilibria(cfg: JobConfig) -> int:
     max_iter = cfg.args["max_iter"]
     rows = []
     for branch in BRANCHES:
-        terms = photogravitational_base(p, branch)
+        terms = analytic_epsilons(p, branch)
         base_rn = math.hypot(*equilibrium_residual(p, terms.x0, terms.y0))
         rows.append((branch, METHOD_BASE, terms.x0, terms.y0, base_rn))
         guess = (terms.x0, terms.y0)
@@ -389,8 +388,8 @@ def run_integrate(cfg: JobConfig) -> int:
                      rtol=a["rtol"], atol=a["atol"],
                      collision_guard=a["collision_guard"],
                      escape_radius=a["escape_radius"])
-    rows = [(s.t, s.x, s.y, s.vx, s.vy, c, jacobi_drift_rate(p, s))
-            for s, c in traj.samples]
+    dcdt = jacobi_drift_rate(p, PhaseState(*traj.arrays()[1:5]))
+    rows = np.column_stack((traj.samples, dcdt)).tolist()
     _write_table(cfg, ("t", "x", "y", "vx", "vy", "C", "dCdt"), rows)
     try:
         audit = jacobi_audit(traj)
@@ -439,15 +438,12 @@ def _sweep_grid(a: dict) -> np.ndarray:
 
 def _sweep_system(base: SystemParams, variable: str,
                   value: float) -> SystemParams:
-    mu, q1, a2 = base.mu, base.q1, base.a2
+    # the base keeps its drag spec, cd or w1, unless w1 is the variable
+    drag = {"cd": base.cd} if base.cd is not None else {"w1": base.w1}
+    fields = {"mu": base.mu, "q1": base.q1, "a2": base.a2, **drag}
     if variable == "w1":
-        return SystemParams(mu=mu, q1=q1, a2=a2, w1=value)
-    kwargs = {"cd": base.cd} if base.cd is not None else {"w1": base.w1}
-    if variable == "a2":
-        return SystemParams(mu=mu, q1=q1, a2=value, **kwargs)
-    if variable == "q1":
-        return SystemParams(mu=mu, q1=value, a2=a2, **kwargs)
-    return SystemParams(mu=value, q1=q1, a2=a2, **kwargs)
+        fields.pop("cd", None)
+    return SystemParams(**{**fields, variable: value})
 
 
 def run_sweep(cfg: JobConfig) -> int:
@@ -485,7 +481,7 @@ def run_sweep(cfg: JobConfig) -> int:
             guess = (xa, ya)
             status = "ok"
         except DegenerateFormulaError:
-            terms = photogravitational_base(p, a["branch"])
+            terms = analytic_epsilons(p, a["branch"])
             guess = (terms.x0, terms.y0)
             status = "degenerate-analytic"
         try:

@@ -5,6 +5,10 @@ output, sampled on a uniform time grid so the Jacobi history can be
 differenced cleanly. Runs terminate on reaching the end time, on closing
 within the collision guard of a primary, on escaping past the escape
 radius from the radiating primary, or on integrator step failure.
+
+A trajectory holds its samples as one read-only (N, 6) float array with
+the columns t, x, y, vx, vy, C, one row per sample; the Jacobi column and
+the audit are each one array evaluation of the model.
 """
 
 from __future__ import annotations
@@ -16,33 +20,30 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .model import (COLLISION_GUARD, PhaseState, SystemParams,
-                    _accelerations, _radii, jacobi_constant,
+                    _accelerations, _check_guard, _radii, jacobi_constant,
                     jacobi_drift_rate)
 
 #: Default escape radius measured from the radiating primary.
 ESCAPE_RADIUS = 50.0
 
-TERMINATIONS = ("completed", "collision", "escape", "step-failure")
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Sampled trajectory with per-sample Jacobi values.
 
-    ``samples`` holds (state, C) pairs on a uniform time grid (a shorter
-    final interval may close the span); ``termination`` is one of
+    ``samples`` is a read-only (N, 6) float array with one row per sample
+    on a uniform time grid (a shorter final interval may close the span)
+    and the columns t, x, y, vx, vy, C; ``termination`` is one of
     ``completed``, ``collision``, ``escape`` or ``step-failure``.
     """
 
     params: SystemParams
-    samples: tuple[tuple[PhaseState, float], ...]
+    samples: np.ndarray
     termination: str
 
     def arrays(self) -> tuple[np.ndarray, ...]:
         """Per-sample columns (t, x, y, vx, vy, C) as float arrays."""
-        cols = np.array([(s.t, s.x, s.y, s.vx, s.vy, c)
-                         for s, c in self.samples], dtype=float)
-        return tuple(cols.T)
+        return tuple(self.samples.T)
 
 
 def integrate(p: SystemParams, s0: PhaseState, t_end: float,
@@ -79,22 +80,21 @@ def integrate(p: SystemParams, s0: PhaseState, t_end: float,
         raise ValueError(f"tolerances must be > 0, got rtol={rtol}, "
                          f"atol={atol}")
     # rejects an initial state already inside the guard
-    _radii(p, s0.x, s0.y, collision_guard)
+    _check_guard(p, s0.x, s0.y, collision_guard)
 
     def rhs(t, v):
-        gx, gy, fx, fy = _accelerations(p, v[0], v[1], v[2], v[3])
-        return (v[2], v[3],
-                2.0 * p.n * v[3] + gx + fx,
-                -2.0 * p.n * v[2] + gy + fy)
+        # Python floats give the bits of NumPy scalars at a third the cost
+        x, y, vx, vy = v.tolist()
+        gx, gy, fx, fy = _accelerations(p, x, y, vx, vy)
+        return (vx, vy,
+                2.0 * p.n * vy + gx + fx,
+                -2.0 * p.n * vx + gy + fy)
 
     def collision(t, v):
-        xm = v[0] + p.mu
-        r1 = math.hypot(xm, v[1])
-        r2 = math.hypot(xm - 1.0, v[1])
-        return min(r1, r2) - collision_guard
+        return min(_radii(p, v[0], v[1])) - collision_guard
 
     def escape(t, v):
-        return math.hypot(v[0] + p.mu, v[1]) - escape_radius
+        return _radii(p, v[0], v[1])[0] - escape_radius
 
     collision.terminal = True
     collision.direction = -1.0
@@ -106,34 +106,30 @@ def integrate(p: SystemParams, s0: PhaseState, t_end: float,
     grid = s0.t + sample_dt * np.arange(nsteps + 1)
     grid[-1] = t_end
 
+    # the initial state alone stands in when no step succeeds
+    t = np.array([s0.t])
+    states = np.array([[s0.x], [s0.y], [s0.vx], [s0.vy]])
     try:
         sol = solve_ivp(rhs, (s0.t, t_end), (s0.x, s0.y, s0.vx, s0.vy),
                         method="RK45", t_eval=grid, rtol=rtol, atol=atol,
                         events=(collision, escape), dense_output=False)
     except (ValueError, FloatingPointError):
-        return Trajectory(params=p, samples=(_sample(p, s0),),
-                          termination="step-failure")
-
-    if sol.status == 0:
-        termination = "completed"
-    elif sol.status == 1:
-        termination = "collision" if len(sol.t_events[0]) else "escape"
-    else:
         termination = "step-failure"
+    else:
+        if sol.status == 0:
+            termination = "completed"
+        elif sol.status == 1:
+            termination = "collision" if len(sol.t_events[0]) else "escape"
+        else:
+            termination = "step-failure"
+        if len(sol.t):
+            t, states = sol.t, sol.y
 
-    samples = []
-    for t, col in zip(sol.t, sol.y.T):
-        s = PhaseState(x=col[0], y=col[1], vx=col[2], vy=col[3], t=t)
-        samples.append(_sample(p, s, collision_guard))
-    if not samples:
-        samples.append(_sample(p, s0, collision_guard))
-    return Trajectory(params=p, samples=tuple(samples),
-                      termination=termination)
-
-
-def _sample(p: SystemParams, s: PhaseState,
-            guard: float = COLLISION_GUARD) -> tuple[PhaseState, float]:
-    return s, jacobi_constant(p, s, guard)
+    # the guard check of jacobi_constant also rejects samples inside it
+    c = jacobi_constant(p, PhaseState(*states), collision_guard)
+    samples = np.column_stack((t, *states, c))
+    samples.flags.writeable = False
+    return Trajectory(params=p, samples=samples, termination=termination)
 
 
 def jacobi_audit(traj: Trajectory) -> float:
@@ -153,11 +149,10 @@ def jacobi_audit(traj: Trajectory) -> float:
     t, _, _, _, _, c = traj.arrays()
     if p.w1 == 0.0:
         return float(np.max(np.abs(c - c[0])))
-    worst = 0.0
-    for i in range(1, len(t) - 1):
-        rate = jacobi_drift_rate(p, traj.samples[i][0])
-        if abs(rate) < 1e-15:
-            continue
-        fd = (c[i + 1] - c[i - 1]) / (t[i + 1] - t[i - 1])
-        worst = max(worst, abs(fd - rate) / abs(rate))
-    return worst
+    rate = jacobi_drift_rate(p, PhaseState(*traj.samples[1:-1, 1:5].T))
+    fd = (c[2:] - c[:-2]) / (t[2:] - t[:-2])
+    kept = np.abs(rate) >= 1e-15
+    rate, fd = rate[kept], fd[kept]
+    # fmax skips a NaN mismatch, as a running max(worst, m) would
+    return float(np.fmax.reduce(np.abs(fd - rate) / np.abs(rate),
+                                initial=0.0))

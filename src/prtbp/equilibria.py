@@ -16,7 +16,8 @@ from typing import Literal
 
 from .errors import (ConvergenceError, DegenerateFormulaError,
                      SingularityError, SingularJacobianError)
-from .model import COLLISION_GUARD, SystemParams, _accelerations, _radii
+from .model import (COLLISION_GUARD, SystemParams, _accelerations,
+                    _check_guard)
 
 Branch = Literal["L4", "L5"]
 BRANCHES: tuple[Branch, Branch] = ("L4", "L5")
@@ -101,17 +102,6 @@ def _base_coords(p: SystemParams, branch: Branch) -> tuple[float, float]:
     return x0, y0
 
 
-def photogravitational_base(p: SystemParams, branch: Branch
-                            ) -> PerturbationTerms:
-    """Base triangular point of the radiation-only problem.
-
-    Returns the point with r1 = delta, r2 = 1, which solves the
-    equilibrium equations exactly when both drag and oblateness vanish,
-    together with the first-order shifts of :func:`analytic_epsilons`.
-    """
-    return analytic_epsilons(p, branch)
-
-
 def analytic_epsilons(p: SystemParams, branch: Branch) -> PerturbationTerms:
     """First-order fractional shifts of the equilibrium distances.
 
@@ -121,7 +111,9 @@ def analytic_epsilons(p: SystemParams, branch: Branch) -> PerturbationTerms:
         eps1 = -n w1 / (6 (1-mu) y0) - A2/2
 
     Both are odd in y0, so the drag contributions flip sign between the
-    L4 and L5 branches.
+    L4 and L5 branches. The returned base point (x0, y0), with r1 = delta
+    and r2 = 1, solves the equilibrium equations exactly when both drag
+    and oblateness vanish.
     """
     x0, y0 = _base_coords(p, branch)
     eps2 = p.n * p.w1 * (1.0 - 2.5 * p.a2) / (3.0 * p.mu * y0)
@@ -137,7 +129,7 @@ def equilibrium_residual(p: SystemParams, x: float, y: float,
     Identical, component by component, to the accelerations of
     ``equations_of_motion`` evaluated with zero velocity.
     """
-    _radii(p, x, y, guard)
+    _check_guard(p, x, y, guard)
     gx, gy, fx, fy = _accelerations(p, x, y, 0.0, 0.0)
     return gx + fx, gy + fy
 

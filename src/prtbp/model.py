@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import SingularityError
 
 #: Default closest allowed approach to either primary, in separation units.
@@ -150,14 +152,17 @@ class SystemParams:
     delta: float = field(init=False)
 
     def __post_init__(self):
+        # cd = inf is the drag-free limit; nothing else may be inf or nan
+        for name in ("mu", "q1", "a2", "cd", "w1"):
+            value = getattr(self, name)
+            if value is not None and (math.isnan(value) or (
+                    math.isinf(value) and name != "cd")):
+                raise ValueError(f"parameter {name} must not be {value}")
         if not 0 < self.mu <= 0.5:
             raise ValueError(f"mass parameter must be in (0, 1/2], got {self.mu}")
         if not 0 < self.q1 <= 1:
             raise ValueError(
                 f"mass reduction factor must be in (0, 1], got {self.q1}")
-        if self.a2 < 0:
-            raise ValueError(
-                f"oblateness coefficient must be >= 0, got {self.a2}")
         if self.cd is not None and self.w1 is not None:
             raise ValueError("specify cd or w1, not both")
         if self.cd is not None:
@@ -175,6 +180,7 @@ class SystemParams:
                     self, "cd", (1.0 - self.mu) * (1.0 - self.q1) / self.w1)
         else:
             object.__setattr__(self, "w1", 0.0)
+        # mean_motion rejects a2 < 0
         object.__setattr__(self, "n", mean_motion(self.a2))
         object.__setattr__(self, "delta", self.q1 ** (1.0 / 3.0))
 
@@ -189,7 +195,12 @@ class SystemParams:
 
 @dataclass(frozen=True)
 class PhaseState:
-    """Planar rotating-frame state (x, y, vx, vy) at time t."""
+    """Planar rotating-frame state (x, y, vx, vy) at time t.
+
+    Equally shaped arrays in the fields make a batch of states, for which
+    :func:`jacobi_constant` and :func:`jacobi_drift_rate` answer with
+    arrays, bitwise equal to their answers state by state.
+    """
 
     x: float
     y: float
@@ -206,27 +217,57 @@ class AccelVector:
     ay: float
 
 
-def _radii(p: SystemParams, x: float, y: float,
-           guard: float) -> tuple[float, float]:
-    # distances to the radiating primary at (-mu, 0) and the oblate one
-    # at (1-mu, 0); evaluations inside the guard radius are rejected
+def _squared_radii(p: SystemParams, x, y):
+    # x + mu and the squared distances to the primaries at (-mu, 0) and
+    # (1-mu, 0); this and the expressions below take floats or arrays
     xm = x + p.mu
-    r1 = math.hypot(xm, y)
-    r2 = math.hypot(xm - 1.0, y)
-    if r1 < guard or r2 < guard:
+    return xm, xm * xm + y * y, (xm - 1.0) * (xm - 1.0) + y * y
+
+
+def _radii(p: SystemParams, x, y):
+    # math.sqrt and np.sqrt are both correctly rounded, so floats and
+    # arrays give the same bits, which ** and hypot do not promise
+    _, r1sq, r2sq = _squared_radii(p, x, y)
+    sqrt = np.sqrt if isinstance(r1sq, np.ndarray) else math.sqrt
+    return sqrt(r1sq), sqrt(r2sq)
+
+
+def _check_guard(p: SystemParams, x, y, guard: float) -> None:
+    r1, r2 = _radii(p, x, y)
+    near = (r1 < guard) | (r2 < guard)
+    if near.any() if isinstance(near, np.ndarray) else near:
+        i = np.argmax(near)  # the first point of a batch inside
+        x, y, r1, r2 = (np.ravel(v)[i] for v in (x, y, r1, r2))
         raise SingularityError(
             f"point ({x}, {y}) is within {guard} of a primary "
             f"(r1={r1}, r2={r2})")
-    return r1, r2
+
+
+def _potential(p: SystemParams, x, y):
+    # amended potential U1, without the guard
+    r1, r2 = _radii(p, x, y)
+    return (0.5 * p.n * p.n * (x * x + y * y)
+            + (1.0 - p.mu) * p.q1 / r1
+            + p.mu / r2
+            + p.mu * p.a2 / (2.0 * (r2 * r2 * r2)))
+
+
+def _drag(p: SystemParams, xm, y, vx, vy, r1sq):
+    # Poynting-Robertson drag from the offset (xm, y) to the radiating
+    # primary and its squared length r1sq
+    if p.w1 == 0.0:
+        return 0.0, 0.0
+    k = p.w1 / r1sq
+    radial = (xm * vx + y * vy) / r1sq
+    return (-k * (xm * radial + vx - p.n * y),
+            -k * (y * radial + vy + p.n * xm))
 
 
 def _accelerations(p: SystemParams, x: float, y: float, vx: float,
                    vy: float) -> tuple[float, float, float, float]:
-    # shared core: conservative gradient (gx, gy) and drag (fx, fy),
+    # shared scalar core: conservative gradient (gx, gy) and drag (fx, fy),
     # without the collision guard so the integrator can probe freely
-    xm = x + p.mu
-    r1sq = xm * xm + y * y
-    r2sq = (xm - 1.0) * (xm - 1.0) + y * y
+    xm, r1sq, r2sq = _squared_radii(p, x, y)
     r1 = math.sqrt(r1sq)
     r2 = math.sqrt(r2sq)
     r13 = r1sq * r1
@@ -240,14 +281,7 @@ def _accelerations(p: SystemParams, x: float, y: float, vx: float,
           - (1.0 - p.mu) * p.q1 * y / r13
           - p.mu * y / r23
           - 1.5 * p.mu * p.a2 * y / r25)
-    if p.w1 != 0.0:
-        k = p.w1 / r1sq
-        radial = (xm * vx + y * vy) / r1sq
-        fx = -k * (xm * radial + vx - p.n * y)
-        fy = -k * (y * radial + vy + p.n * xm)
-    else:
-        fx = 0.0
-        fy = 0.0
+    fx, fy = _drag(p, xm, y, vx, vy, r1sq)
     return gx, gy, fx, fy
 
 
@@ -264,17 +298,14 @@ def amended_potential(p: SystemParams, x: float, y: float,
     SingularityError
         If the point lies within ``guard`` of either primary.
     """
-    r1, r2 = _radii(p, x, y, guard)
-    return (0.5 * p.n * p.n * (x * x + y * y)
-            + (1.0 - p.mu) * p.q1 / r1
-            + p.mu / r2
-            + p.mu * p.a2 / (2.0 * r2**3))
+    _check_guard(p, x, y, guard)
+    return _potential(p, x, y)
 
 
 def conservative_gradient(p: SystemParams, x: float, y: float,
                           guard: float = COLLISION_GUARD) -> AccelVector:
     """Gradient of the amended potential, (dU1/dx, dU1/dy), in closed form."""
-    _radii(p, x, y, guard)
+    _check_guard(p, x, y, guard)
     gx, gy, _, _ = _accelerations(p, x, y, 0.0, 0.0)
     return AccelVector(gx, gy)
 
@@ -287,9 +318,9 @@ def drag_acceleration(p: SystemParams, s: PhaseState,
     identically when w1 = 0. At rest the drag reduces to the purely
     azimuthal pair (+w1 n y / r1^2, -w1 n (x+mu) / r1^2).
     """
-    _radii(p, s.x, s.y, guard)
-    _, _, fx, fy = _accelerations(p, s.x, s.y, s.vx, s.vy)
-    return AccelVector(fx, fy)
+    _check_guard(p, s.x, s.y, guard)
+    xm, r1sq, _ = _squared_radii(p, s.x, s.y)
+    return AccelVector(*_drag(p, xm, s.y, s.vx, s.vy, r1sq))
 
 
 def equations_of_motion(p: SystemParams, s: PhaseState,
@@ -303,7 +334,7 @@ def equations_of_motion(p: SystemParams, s: PhaseState,
         dvx/dt =  2 n vy + dU1/dx + Fx
         dvy/dt = -2 n vx + dU1/dy + Fy
     """
-    _radii(p, s.x, s.y, guard)
+    _check_guard(p, s.x, s.y, guard)
     gx, gy, fx, fy = _accelerations(p, s.x, s.y, s.vx, s.vy)
     ax = 2.0 * p.n * s.vy + gx + fx
     ay = -2.0 * p.n * s.vx + gy + fy
@@ -317,8 +348,8 @@ def jacobi_constant(p: SystemParams, s: PhaseState,
     Conserved exactly when w1 = 0; with drag it evolves at the rate given
     by :func:`jacobi_drift_rate`.
     """
-    return (2.0 * amended_potential(p, s.x, s.y, guard)
-            - s.vx * s.vx - s.vy * s.vy)
+    _check_guard(p, s.x, s.y, guard)
+    return 2.0 * _potential(p, s.x, s.y) - s.vx * s.vx - s.vy * s.vy
 
 
 def jacobi_drift_rate(p: SystemParams, s: PhaseState,

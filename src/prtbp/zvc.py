@@ -1,10 +1,12 @@
 """Zero-velocity curves by marching squares.
 
 The curve 2*U1(x, y) = C bounds the region a particle with Jacobi value C
-can reach. Cells of the sampling grid are classified by corner signs of
-f = 2*U1 - C, crossings are located on cell edges, and ambiguous saddle
-cells are split by the sign of f at the cell centre. Grid cells that
-contain a primary, or touch one within the collision guard, are masked.
+can reach. f = 2*U1 - C is evaluated on the whole sampling grid through
+the model's potential, and NumPy classifies the cells by the corner signs
+of f. Grid cells that contain a primary, or touch one within the
+collision guard, are masked. Only the cells the curve crosses are visited
+in Python: crossings are located on cell edges, and ambiguous saddle
+cells are split by the sign of f at the cell centre.
 
 Each crossing is polished along its grid edge with a bracketed scalar
 root solve, so emitted vertices satisfy f = 0 to near machine precision
@@ -16,9 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.optimize import brentq
 
-from .model import COLLISION_GUARD, SystemParams
+from .errors import SingularityError
+from .model import (COLLISION_GUARD, SystemParams, _potential, _radii,
+                    amended_potential)
 
 Window = tuple[float, float, float, float]
 
@@ -44,22 +49,6 @@ class ZeroVelocityCurve:
 
     level_c: float
     segments: tuple[tuple[tuple[float, float], ...], ...]
-
-
-def _level_function(p: SystemParams, level_c: float, guard: float):
-    n2 = p.n * p.n
-    q1f = (1.0 - p.mu) * p.q1
-
-    def f(x: float, y: float) -> float:
-        xm = x + p.mu
-        r1 = math.hypot(xm, y)
-        r2 = math.hypot(xm - 1.0, y)
-        if r1 < guard or r2 < guard:
-            return math.nan
-        return (n2 * (x * x + y * y) + 2.0 * q1f / r1 + 2.0 * p.mu / r2
-                + p.mu * p.a2 / r2**3 - level_c)
-
-    return f
 
 
 def _edge_vertex(f, pa, pb, fa, fb) -> tuple[float, float]:
@@ -111,13 +100,30 @@ def zero_velocity_curve(p: SystemParams, level_c: float, window: Window,
         raise ValueError(
             f"resolution must be >= {MIN_RESOLUTION}, got {resolution}")
 
-    f = _level_function(p, level_c, guard)
-    nx = ny = int(resolution)
-    xs = [xmin + (xmax - xmin) * i / (nx - 1) for i in range(nx)]
-    ys = [ymin + (ymax - ymin) * j / (ny - 1) for j in range(ny)]
-    vals = [[f(x, y) for x in xs] for y in ys]
+    def f(x: float, y: float) -> float:
+        try:
+            return 2.0 * amended_potential(p, x, y, guard) - level_c
+        except SingularityError:
+            return math.nan
 
-    primaries = ((-p.mu, 0.0), (1.0 - p.mu, 0.0))
+    nx = ny = int(resolution)
+    xs = xmin + (xmax - xmin) * np.arange(nx) / (nx - 1)
+    ys = ymin + (ymax - ymin) * np.arange(ny) / (ny - 1)
+    # rows run along y and columns along x; nodes inside the guard are NaN
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = 2.0 * _potential(p, xs, ys[:, None]) - level_c
+    vals[np.minimum(*_radii(p, xs, ys[:, None])) < guard] = math.nan
+
+    # corners c0..c3 of cell (j, i): (j, i), (j, i+1), (j+1, i+1), (j+1, i)
+    corners = (vals[:-1, :-1], vals[:-1, 1:], vals[1:, 1:], vals[1:, :-1])
+    case = sum((c < 0.0).astype(np.uint8) << k for k, c in enumerate(corners))
+    masked = np.logical_or.reduce([np.isnan(c) for c in corners])
+    for px, py in ((-p.mu, 0.0), (1.0 - p.mu, 0.0)):
+        masked |= (((ys[:-1] <= py) & (py <= ys[1:]))[:, None]
+                   & ((xs[:-1] <= px) & (px <= xs[1:])))
+    active = (case != 0) & (case != 15) & ~masked
+
+    xs, ys = xs.tolist(), ys.tolist()
     vertex_cache: dict = {}
     raw_segments: list[tuple] = []
 
@@ -125,46 +131,31 @@ def zero_velocity_curve(p: SystemParams, level_c: float, window: Window,
         v = vertex_cache.get(edge_key)
         if v is None:
             kind, i, j = edge_key
-            if kind == "h":
-                pa, pb = (xs[i], ys[j]), (xs[i + 1], ys[j])
-                fa, fb = vals[j][i], vals[j][i + 1]
-            else:
-                pa, pb = (xs[i], ys[j]), (xs[i], ys[j + 1])
-                fa, fb = vals[j][i], vals[j + 1][i]
-            v = _edge_vertex(f, pa, pb, fa, fb)
+            i2, j2 = (i + 1, j) if kind == "h" else (i, j + 1)
+            v = _edge_vertex(f, (xs[i], ys[j]), (xs[i2], ys[j2]),
+                             float(vals[j, i]), float(vals[j2, i2]))
             vertex_cache[edge_key] = v
         return v
 
-    for j in range(ny - 1):
-        for i in range(nx - 1):
-            corners = (vals[j][i], vals[j][i + 1],
-                       vals[j + 1][i + 1], vals[j + 1][i])
-            if any(math.isnan(c) for c in corners):
-                continue
-            if any(xs[i] <= px <= xs[i + 1] and ys[j] <= py <= ys[j + 1]
-                   for px, py in primaries):
-                continue
-            case = sum(1 << k for k, c in enumerate(corners) if c < 0.0)
-            if case in (0, 15):
-                continue
-            edge_keys = (("h", i, j), ("v", i + 1, j),
-                         ("h", i, j + 1), ("v", i, j))
-            if case in (5, 10):
-                centre = f(0.5 * (xs[i] + xs[i + 1]),
-                           0.5 * (ys[j] + ys[j + 1]))
-                inside = centre < 0.0
-                if case == 5:
-                    pairs = ((0, 1), (2, 3)) if inside else ((3, 0), (1, 2))
-                else:
-                    pairs = ((3, 0), (1, 2)) if inside else ((0, 1), (2, 3))
+    # row-major, as np.argwhere returns them, so segment order is stable
+    for j, i in np.argwhere(active).tolist():
+        cell = int(case[j, i])
+        edge_keys = (("h", i, j), ("v", i + 1, j),
+                     ("h", i, j + 1), ("v", i, j))
+        if cell in (5, 10):
+            centre = f(0.5 * (xs[i] + xs[i + 1]),
+                       0.5 * (ys[j] + ys[j + 1]))
+            inside = centre < 0.0
+            if cell == 5:
+                pairs = ((0, 1), (2, 3)) if inside else ((3, 0), (1, 2))
             else:
-                pairs = _SEGMENTS[case]
-            for a, b in pairs:
-                raw_segments.append((edge_keys[a], edge_keys[b]))
+                pairs = ((3, 0), (1, 2)) if inside else ((0, 1), (2, 3))
+        else:
+            pairs = _SEGMENTS[cell]
+        raw_segments += [(edge_keys[a], edge_keys[b]) for a, b in pairs]
 
-    return ZeroVelocityCurve(
-        level_c=level_c,
-        segments=_stitch(raw_segments, vertex))
+    return ZeroVelocityCurve(level_c=level_c,
+                             segments=_stitch(raw_segments, vertex))
 
 
 def _stitch(raw_segments, vertex) -> tuple:
@@ -180,19 +171,13 @@ def _stitch(raw_segments, vertex) -> tuple:
     def walk(start):
         chain = [start]
         visited.add(start)
-        current = start
         while True:
-            nxt = None
-            for nb in adjacency[current]:
-                if nb not in visited:
-                    nxt = nb
-                    break
+            nxt = next((nb for nb in adjacency[chain[-1]]
+                        if nb not in visited), None)
             if nxt is None:
-                break
+                return chain
             chain.append(nxt)
             visited.add(nxt)
-            current = nxt
-        return chain
 
     endpoints = [k for k, nbs in adjacency.items() if len(nbs) == 1]
     for key in endpoints:

@@ -15,13 +15,13 @@ from prtbp import (
     PhaseState,
     SystemParams,
     amended_potential,
+    analytic_epsilons,
     analytic_triangular_point,
     conservative_gradient,
     integrate,
     jacobi_audit,
     jacobi_constant,
     limiting_case_point,
-    photogravitational_base,
     refine_equilibrium,
     zero_velocity_curve,
 )
@@ -54,7 +54,7 @@ def test_criterion_1_classical_reduction(capsys):
         for branch, sign in (("L4", 1.0), ("L5", -1.0)):
             want = (0.5 - mu, sign * SQRT3_2)
             a = analytic_triangular_point(p, branch)
-            base = photogravitational_base(p, branch)
+            base = analytic_epsilons(p, branch)
             r = refine_equilibrium(p, (base.x0, base.y0))
             for point in (a, r):
                 worst = max(worst, abs(point.x - want[0]),
@@ -178,7 +178,7 @@ def test_criterion_8_drag_antisymmetry(capsys):
         p = SystemParams(mu=0.1, q1=0.9, w1=w1)
         dx = {}
         for branch in ("L4", "L5"):
-            base = photogravitational_base(p, branch)
+            base = analytic_epsilons(p, branch)
             point = analytic_triangular_point(p, branch)
             dx[branch] = point.x - base.x0
         worst = max(worst, abs(dx["L4"] + dx["L5"]))

@@ -50,6 +50,18 @@ def test_both_drag_specs_exit_2(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--system.a2", "nan"), ("--system.cd", "nan"), ("--system.w1", "inf")])
+def test_non_finite_parameter_exits_2(flag, value, capsys):
+    drag = [] if flag in ("--system.cd", "--system.w1") else \
+        ["--system.w1", "1e-4"]
+    rc = main(["equilibria", "--system.mu", "0.1", "--system.q1", "0.98",
+               *drag, flag, value])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"parameter {flag.removeprefix('--system.')} must not be" in err
+
+
 def test_unknown_field_exits_2(tmp_path, capsys):
     cfg = _config(tmp_path, {"system": {"mu": 0.1, "w1": 0.0, "bogus": 1}})
     rc = main(["equilibria", "--config", cfg])

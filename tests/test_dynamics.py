@@ -15,6 +15,7 @@ from prtbp import (
     integrate,
     jacobi_audit,
     jacobi_constant,
+    jacobi_drift_rate,
     refine_equilibrium,
 )
 
@@ -68,9 +69,8 @@ def test_sampling_grid_is_uniform_with_short_tail():
 def test_first_sample_is_the_initial_state():
     s0 = PhaseState(0.3, 0.9, 0.1, -0.2, t=2.0)
     traj = integrate(CLASSICAL, s0, t_end=3.0, sample_dt=0.25)
-    first, c0 = traj.samples[0]
-    assert (first.x, first.y, first.vx, first.vy, first.t) == (
-        0.3, 0.9, 0.1, -0.2, 2.0)
+    t, x, y, vx, vy, c0 = traj.samples[0]
+    assert (x, y, vx, vy, t) == (0.3, 0.9, 0.1, -0.2, 2.0)
     assert c0 == jacobi_constant(CLASSICAL, s0)
 
 
@@ -144,6 +144,34 @@ def test_audit_drag_drift_matches_rate():
     assert np.ptp(c) > 1e-8
 
 
+def _audit_reference(traj: Trajectory) -> float:
+    """The drag branch of the audit as a per-sample loop."""
+    t, x, y, vx, vy, c = traj.arrays()
+    worst = 0.0
+    for i in range(1, len(t) - 1):
+        rate = jacobi_drift_rate(traj.params,
+                                 PhaseState(x[i], y[i], vx[i], vy[i]))
+        if abs(rate) < 1e-15:
+            continue
+        fd = (c[i + 1] - c[i - 1]) / (t[i + 1] - t[i - 1])
+        worst = max(worst, abs(fd - rate) / abs(rate))
+    return worst
+
+
+@pytest.mark.parametrize("p, s0, t_end, dt", [
+    (SystemParams(mu=0.01, q1=0.9, w1=1e-3),
+     PhaseState(0.45, 0.8, 0.0, 1.3), 2.0, 1e-3),
+    (SystemParams(mu=0.01, q1=0.995, a2=1e-4, cd=1e3),
+     PhaseState(0.49, 0.868, 0.0, 0.0), 2.0 * math.pi, 0.01),
+    (SystemParams(mu=0.01, q1=0.995, a2=1e-4, cd=1e3),
+     PhaseState(0.49, -0.868, 0.0, 0.0), 1.0, 0.05),
+])
+def test_audit_matches_per_sample_reference(p, s0, t_end, dt):
+    traj = integrate(p, s0, t_end=t_end, sample_dt=dt)
+    assert traj.termination == "completed"
+    assert jacobi_audit(traj) == _audit_reference(traj)
+
+
 def test_arrays_shape_and_jacobi_column():
     p = SystemParams(mu=0.1, q1=0.95, w1=1e-4)
     traj = integrate(p, PhaseState(0.42, 0.85, 0.0, 0.0),
@@ -151,9 +179,11 @@ def test_arrays_shape_and_jacobi_column():
     cols = traj.arrays()
     assert len(cols) == 6
     n = len(traj.samples)
+    assert traj.samples.shape == (n, 6)
+    assert not traj.samples.flags.writeable
     assert all(col.shape == (n,) for col in cols)
-    for (s, c) in traj.samples:
-        assert c == jacobi_constant(p, s)
+    for t, x, y, vx, vy, c in traj.samples:
+        assert c == jacobi_constant(p, PhaseState(x, y, vx, vy, t))
 
 
 def test_trajectory_record_fields():

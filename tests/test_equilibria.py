@@ -17,7 +17,6 @@ from prtbp import (
     equations_of_motion,
     equilibrium_residual,
     limiting_case_point,
-    photogravitational_base,
     refine_equilibrium,
 )
 
@@ -35,16 +34,16 @@ FROZEN = {
 
 
 def test_base_point_classical():
-    terms = photogravitational_base(SystemParams(mu=0.1), "L4")
+    terms = analytic_epsilons(SystemParams(mu=0.1), "L4")
     assert terms.x0 == pytest.approx(0.4, abs=1e-15)
     assert terms.y0 == pytest.approx(SQRT3_2, abs=1e-15)
-    assert photogravitational_base(SystemParams(mu=0.1), "L5").y0 < 0
+    assert analytic_epsilons(SystemParams(mu=0.1), "L5").y0 < 0
 
 
 def test_base_point_solves_radiation_only_problem():
     p = SystemParams(mu=0.2, q1=0.8)
     for branch in ("L4", "L5"):
-        terms = photogravitational_base(p, branch)
+        terms = analytic_epsilons(p, branch)
         assert terms.x0 == pytest.approx(0.8 ** (2.0 / 3.0) / 2.0 - 0.2,
                                          abs=1e-15)
         res = equilibrium_residual(p, terms.x0, terms.y0)
@@ -54,7 +53,7 @@ def test_base_point_solves_radiation_only_problem():
 def test_base_point_distances():
     # the base point keeps r1 = delta and r2 = 1
     p = SystemParams(mu=0.3, q1=0.7)
-    terms = photogravitational_base(p, "L4")
+    terms = analytic_epsilons(p, "L4")
     r1 = math.hypot(terms.x0 + p.mu, terms.y0)
     r2 = math.hypot(terms.x0 + p.mu - 1.0, terms.y0)
     assert r1 == pytest.approx(p.delta, rel=1e-15)
@@ -89,7 +88,7 @@ def test_epsilon_validity_warning():
 
 def test_analytic_reduces_to_base_unperturbed():
     p = SystemParams(mu=0.15, q1=0.9)
-    terms = photogravitational_base(p, "L4")
+    terms = analytic_epsilons(p, "L4")
     point = analytic_triangular_point(p, "L4")
     assert point.x == terms.x0
     assert point.y == terms.y0
@@ -101,7 +100,7 @@ def test_analytic_degenerate_abscissa():
     # delta^2/2 = mu collapses the correction's reference abscissa
     mu = 0.5 ** (2.0 / 3.0) / 2.0
     p = SystemParams(mu=mu, q1=0.5)
-    assert abs(photogravitational_base(p, "L4").x0) < 1e-9
+    assert abs(analytic_epsilons(p, "L4").x0) < 1e-9
     with pytest.raises(DegenerateFormulaError):
         analytic_triangular_point(p, "L4")
 
@@ -193,7 +192,7 @@ def test_drag_case_agrees_with_general_form():
 
 def test_oblate_case_without_oblateness_is_base():
     p = SystemParams(mu=0.2, q1=0.85)
-    terms = photogravitational_base(p, "L4")
+    terms = analytic_epsilons(p, "L4")
     case = limiting_case_point(p, "oblate-only", "L4")
     assert case.x == terms.x0
     assert case.y == terms.y0
@@ -242,7 +241,7 @@ def test_drag_shifts_the_mirrored_residual():
     """With drag, mirroring y changes the tangential residual by
     exactly twice the rest-state drag term."""
     p = SystemParams(mu=0.1, q1=0.98, w1=1e-3)
-    terms = photogravitational_base(p, "L4")
+    terms = analytic_epsilons(p, "L4")
     x0, y0 = terms.x0, terms.y0
     upper = equilibrium_residual(p, x0, y0)
     lower = equilibrium_residual(p, x0, -y0)

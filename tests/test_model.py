@@ -23,6 +23,7 @@ from prtbp import (
     mean_motion,
     oblateness_from_radii,
 )
+from prtbp.model import _radii
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
 
@@ -121,6 +122,20 @@ def test_system_params_range_validation():
             SystemParams(mu=0.1, q1=bad)
     with pytest.raises(ValueError):
         SystemParams(mu=0.1, a2=-1e-3)
+
+
+@pytest.mark.parametrize("name, value", [
+    (name, value) for name in ("mu", "q1", "a2", "w1")
+    for value in (math.nan, math.inf, -math.inf)] + [("cd", math.nan)])
+def test_system_params_reject_non_finite(name, value):
+    fields = {"mu": 0.01, "q1": 0.98, name: value}
+    with pytest.raises(ValueError, match=f"parameter {name} must not be"):
+        SystemParams(**fields)
+
+
+def test_infinite_light_speed_is_drag_free():
+    p = SystemParams(mu=0.01, q1=0.98, cd=math.inf)
+    assert p.w1 == 0.0
 
 
 def test_system_params_drag_wiring():
@@ -371,3 +386,58 @@ def test_singularity_error_reports_radii():
     p = SystemParams(mu=0.1)
     with pytest.raises(SingularityError, match="within"):
         equations_of_motion(p, PhaseState(0.9, 0.0, 0.0, 0.0))
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("p", [
+    SystemParams(mu=0.01, q1=0.995, a2=1e-4, cd=1e3),
+    SystemParams(mu=0.2, q1=0.9, a2=0.004, w1=2e-3),
+    SystemParams(mu=0.5, q1=0.6, a2=0.05, w1=0.3),
+    SystemParams(mu=0.1),
+])
+def test_batch_evaluation_is_bitwise_scalar(p):
+    """Arrays of states give the same bits as a loop over the states."""
+    rng = np.random.default_rng(4242)
+    size = 3000
+    # points around either primary at distances spread over seven
+    # decades, and velocities over five
+    centre = np.where(rng.random(size) < 0.5, -p.mu, 1.0 - p.mu)
+    dist = 10.0 ** rng.uniform(-5.0, 2.0, size)
+    angle = rng.uniform(0.0, 2.0 * math.pi, size)
+    x = centre + dist * np.cos(angle)
+    y = dist * np.sin(angle)
+    vx, vy = 10.0 ** rng.uniform(-3.0, 2.0, (2, size)) \
+        * rng.choice((-1.0, 1.0), (2, size))
+    states = [PhaseState(float(a), float(b), float(c), float(d))
+              for a, b, c, d in zip(x, y, vx, vy)]
+    batch = PhaseState(x, y, vx, vy)
+
+    r1, r2 = _radii(p, x, y)
+    radii = [_radii(p, s.x, s.y) for s in states]
+    assert np.array_equal(_bits(r1), _bits([r[0] for r in radii]))
+    assert np.array_equal(_bits(r2), _bits([r[1] for r in radii]))
+    assert np.array_equal(
+        _bits(amended_potential(p, x, y)),
+        _bits([amended_potential(p, s.x, s.y) for s in states]))
+    assert np.array_equal(
+        _bits(jacobi_constant(p, batch)),
+        _bits([jacobi_constant(p, s) for s in states]))
+    assert np.array_equal(
+        _bits(jacobi_drift_rate(p, batch)),
+        _bits([jacobi_drift_rate(p, s) for s in states]))
+    if p.w1 != 0.0:
+        f = drag_acceleration(p, batch)
+        drags = [drag_acceleration(p, s) for s in states]
+        assert np.array_equal(_bits(f.ax), _bits([d.ax for d in drags]))
+        assert np.array_equal(_bits(f.ay), _bits([d.ay for d in drags]))
+
+
+def test_batch_guard_names_the_first_point_inside():
+    p = SystemParams(mu=0.1)
+    x = np.array([0.3, 0.9, -0.1])
+    y = np.array([0.5, 0.0, 0.0])
+    with pytest.raises(SingularityError, match=r"point \(0.9, 0.0\)"):
+        jacobi_constant(p, PhaseState(x, y, x, y))

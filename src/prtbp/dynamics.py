@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .model import (COLLISION_GUARD, PhaseState, SystemParams,
                     _accelerations, _check_guard, _radii, jacobi_constant,
@@ -25,6 +24,16 @@ from .model import (COLLISION_GUARD, PhaseState, SystemParams,
 
 #: Default escape radius measured from the radiating primary.
 ESCAPE_RADIUS = 50.0
+
+
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, imported on the first call.
+
+    Only propagation needs SciPy, so importing the package, locating
+    equilibria and extracting zero-velocity curves never load it.
+    """
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,8 +16,7 @@ from typing import Literal
 
 from .errors import (ConvergenceError, DegenerateFormulaError,
                      SingularityError, SingularJacobianError)
-from .model import (COLLISION_GUARD, SystemParams, _accelerations,
-                    _check_guard)
+from .model import COLLISION_GUARD, SystemParams, _accelerations
 
 Branch = Literal["L4", "L5"]
 BRANCHES: tuple[Branch, Branch] = ("L4", "L5")
@@ -129,8 +128,7 @@ def equilibrium_residual(p: SystemParams, x: float, y: float,
     Identical, component by component, to the accelerations of
     ``equations_of_motion`` evaluated with zero velocity.
     """
-    _check_guard(p, x, y, guard)
-    gx, gy, fx, fy = _accelerations(p, x, y, 0.0, 0.0)
+    gx, gy, fx, fy = _accelerations(p, x, y, 0.0, 0.0, guard)
     return gx + fx, gy + fy
 
 

@@ -232,15 +232,17 @@ def _radii(p: SystemParams, x, y):
     return sqrt(r1sq), sqrt(r2sq)
 
 
+def _guard_error(x, y, r1, r2, guard: float) -> SingularityError:
+    return SingularityError(f"point ({x}, {y}) is within {guard} of a "
+                            f"primary (r1={r1}, r2={r2})")
+
+
 def _check_guard(p: SystemParams, x, y, guard: float) -> None:
     r1, r2 = _radii(p, x, y)
     near = (r1 < guard) | (r2 < guard)
     if near.any() if isinstance(near, np.ndarray) else near:
         i = np.argmax(near)  # the first point of a batch inside
-        x, y, r1, r2 = (np.ravel(v)[i] for v in (x, y, r1, r2))
-        raise SingularityError(
-            f"point ({x}, {y}) is within {guard} of a primary "
-            f"(r1={r1}, r2={r2})")
+        raise _guard_error(*(np.ravel(v)[i] for v in (x, y, r1, r2)), guard)
 
 
 def _potential(p: SystemParams, x, y):
@@ -264,12 +266,16 @@ def _drag(p: SystemParams, xm, y, vx, vy, r1sq):
 
 
 def _accelerations(p: SystemParams, x: float, y: float, vx: float,
-                   vy: float) -> tuple[float, float, float, float]:
-    # shared scalar core: conservative gradient (gx, gy) and drag (fx, fy),
-    # without the collision guard so the integrator can probe freely
+                   vy: float, guard: float | None = None
+                   ) -> tuple[float, float, float, float]:
+    # shared scalar core: conservative gradient (gx, gy) and drag (fx, fy);
+    # the integrator passes no guard so it can probe freely, the public
+    # entry points pass theirs and the check reuses these radii
     xm, r1sq, r2sq = _squared_radii(p, x, y)
     r1 = math.sqrt(r1sq)
     r2 = math.sqrt(r2sq)
+    if guard is not None and (r1 < guard or r2 < guard):
+        raise _guard_error(x, y, r1, r2, guard)
     r13 = r1sq * r1
     r23 = r2sq * r2
     r25 = r23 * r2sq
@@ -305,8 +311,7 @@ def amended_potential(p: SystemParams, x: float, y: float,
 def conservative_gradient(p: SystemParams, x: float, y: float,
                           guard: float = COLLISION_GUARD) -> AccelVector:
     """Gradient of the amended potential, (dU1/dx, dU1/dy), in closed form."""
-    _check_guard(p, x, y, guard)
-    gx, gy, _, _ = _accelerations(p, x, y, 0.0, 0.0)
+    gx, gy, _, _ = _accelerations(p, x, y, 0.0, 0.0, guard)
     return AccelVector(gx, gy)
 
 
@@ -334,8 +339,7 @@ def equations_of_motion(p: SystemParams, s: PhaseState,
         dvx/dt =  2 n vy + dU1/dx + Fx
         dvy/dt = -2 n vx + dU1/dy + Fy
     """
-    _check_guard(p, s.x, s.y, guard)
-    gx, gy, fx, fy = _accelerations(p, s.x, s.y, s.vx, s.vy)
+    gx, gy, fx, fy = _accelerations(p, s.x, s.y, s.vx, s.vy, guard)
     ax = 2.0 * p.n * s.vy + gx + fx
     ay = -2.0 * p.n * s.vx + gy + fy
     return s.vx, s.vy, ax, ay

@@ -6,11 +6,14 @@ the model's potential, and NumPy classifies the cells by the corner signs
 of f. Grid cells that contain a primary, or touch one within the
 collision guard, are masked. Only the cells the curve crosses are visited
 in Python: crossings are located on cell edges, and ambiguous saddle
-cells are split by the sign of f at the cell centre.
+cells are split by the sign of f at the cell centre, all centres in one
+evaluation.
 
-Each crossing is polished along its grid edge with a bracketed scalar
-root solve, so emitted vertices satisfy f = 0 to near machine precision
-rather than to the linear-interpolation error of the raw grid.
+All crossings are then polished together along their grid edges by one
+NumPy bisection pass of fixed length, so emitted vertices satisfy f = 0
+to near machine precision rather than to the linear-interpolation error
+of the raw grid. An edge whose bisection probes a point inside the
+collision guard keeps the linear-interpolation vertex instead.
 """
 
 from __future__ import annotations
@@ -19,16 +22,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .errors import SingularityError
-from .model import (COLLISION_GUARD, SystemParams, _potential, _radii,
-                    amended_potential)
+from .model import COLLISION_GUARD, SystemParams, _potential, _radii
 
 Window = tuple[float, float, float, float]
 
 #: Minimum number of grid nodes per axis.
 MIN_RESOLUTION = 16
+
+# halvings of the unit edge parameter: 2**-46 < 1e-13
+_HALVINGS = 46
 
 # per-cell segments by corner-sign case; corners c0..c3 run counter-
 # clockwise from the lower left, edges 0..3 are bottom,right,top,left
@@ -51,24 +54,41 @@ class ZeroVelocityCurve:
     segments: tuple[tuple[tuple[float, float], ...], ...]
 
 
-def _edge_vertex(f, pa, pb, fa, fb) -> tuple[float, float]:
-    # crossing on the edge pa-pb: polish the linear-interpolation root
-    # with a bracketed solve so the vertex sits on the level set
-    if fa == 0.0:
-        return pa
-    if fb == 0.0:
-        return pb
+def _level(p: SystemParams, x, y, level_c: float,
+           guard: float) -> np.ndarray:
+    # f = 2*U1 - C on arrays, NaN within the guard of a primary
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = 2.0 * _potential(p, x, y) - level_c
+    f[np.minimum(*_radii(p, x, y)) < guard] = math.nan
+    return f
 
-    def g(s: float) -> float:
-        return f(pa[0] + s * (pb[0] - pa[0]), pa[1] + s * (pb[1] - pa[1]))
 
-    try:
-        s = brentq(g, 0.0, 1.0, xtol=1e-13)
-    except ValueError:
-        # fall back to plain linear interpolation if the scalar solve
-        # cannot bracket (sign noise at the last bit)
-        s = fa / (fa - fb)
-    return (pa[0] + s * (pb[0] - pa[0]), pa[1] + s * (pb[1] - pa[1]))
+def _polish(p: SystemParams, level_c: float, guard: float, xa, ya, xb, yb,
+            fa, fb) -> tuple[np.ndarray, np.ndarray]:
+    """Crossings of f = 0 on the edges (xa, ya)-(xb, yb), as arrays.
+
+    ``fa`` and ``fb`` are the grid values of f at the edge ends, of
+    opposite classification (f < 0 at exactly one end). Each edge is
+    bisected in its parameter s in [0, 1]; an edge whose probes meet the
+    guard falls back to linear interpolation, and an end where f is zero
+    is the vertex itself.
+    """
+    dx, dy = xb - xa, yb - ya
+    neg = fa < 0.0
+    lo, hi = np.zeros_like(fa), np.ones_like(fa)
+    guarded = np.zeros(fa.shape, dtype=bool)
+    for _ in range(_HALVINGS):
+        s = 0.5 * (lo + hi)
+        f = _level(p, xa + s * dx, ya + s * dy, level_c, guard)
+        guarded |= np.isnan(f)
+        same = (f < 0.0) == neg
+        lo = np.where(same, s, lo)
+        hi = np.where(same, hi, s)
+    s = np.where(guarded, fa / (fa - fb), 0.5 * (lo + hi))
+    x, y = xa + s * dx, ya + s * dy
+    at_a, at_b = fa == 0.0, fb == 0.0
+    return (np.where(at_a, xa, np.where(at_b, xb, x)),
+            np.where(at_a, ya, np.where(at_b, yb, y)))
 
 
 def zero_velocity_curve(p: SystemParams, level_c: float, window: Window,
@@ -100,19 +120,11 @@ def zero_velocity_curve(p: SystemParams, level_c: float, window: Window,
         raise ValueError(
             f"resolution must be >= {MIN_RESOLUTION}, got {resolution}")
 
-    def f(x: float, y: float) -> float:
-        try:
-            return 2.0 * amended_potential(p, x, y, guard) - level_c
-        except SingularityError:
-            return math.nan
-
     nx = ny = int(resolution)
     xs = xmin + (xmax - xmin) * np.arange(nx) / (nx - 1)
     ys = ymin + (ymax - ymin) * np.arange(ny) / (ny - 1)
-    # rows run along y and columns along x; nodes inside the guard are NaN
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = 2.0 * _potential(p, xs, ys[:, None]) - level_c
-    vals[np.minimum(*_radii(p, xs, ys[:, None])) < guard] = math.nan
+    # rows run along y and columns along x
+    vals = _level(p, xs, ys[:, None], level_c, guard)
 
     # corners c0..c3 of cell (j, i): (j, i), (j, i+1), (j+1, i+1), (j+1, i)
     corners = (vals[:-1, :-1], vals[:-1, 1:], vals[1:, 1:], vals[1:, :-1])
@@ -123,39 +135,40 @@ def zero_velocity_curve(p: SystemParams, level_c: float, window: Window,
                    & ((xs[:-1] <= px) & (px <= xs[1:])))
     active = (case != 0) & (case != 15) & ~masked
 
-    xs, ys = xs.tolist(), ys.tolist()
-    vertex_cache: dict = {}
+    # row-major, as np.nonzero returns them, so segment order is stable
+    cj, ci = np.nonzero(active)
+    cases = case[cj, ci]
+    # a saddle centre inside the guard is NaN, so it counts as outside
+    saddle = (cases == 5) | (cases == 10)
+    inside = np.zeros(len(cases), dtype=bool)
+    inside[saddle] = _level(
+        p, 0.5 * (xs[ci[saddle]] + xs[ci[saddle] + 1]),
+        0.5 * (ys[cj[saddle]] + ys[cj[saddle] + 1]), level_c, guard) < 0.0
+
     raw_segments: list[tuple] = []
-
-    def vertex(edge_key):
-        v = vertex_cache.get(edge_key)
-        if v is None:
-            kind, i, j = edge_key
-            i2, j2 = (i + 1, j) if kind == "h" else (i, j + 1)
-            v = _edge_vertex(f, (xs[i], ys[j]), (xs[i2], ys[j2]),
-                             float(vals[j, i]), float(vals[j2, i2]))
-            vertex_cache[edge_key] = v
-        return v
-
-    # row-major, as np.argwhere returns them, so segment order is stable
-    for j, i in np.argwhere(active).tolist():
-        cell = int(case[j, i])
+    for j, i, cell, centre_in in zip(cj.tolist(), ci.tolist(),
+                                     cases.tolist(), inside.tolist()):
         edge_keys = (("h", i, j), ("v", i + 1, j),
                      ("h", i, j + 1), ("v", i, j))
-        if cell in (5, 10):
-            centre = f(0.5 * (xs[i] + xs[i + 1]),
-                       0.5 * (ys[j] + ys[j + 1]))
-            inside = centre < 0.0
-            if cell == 5:
-                pairs = ((0, 1), (2, 3)) if inside else ((3, 0), (1, 2))
-            else:
-                pairs = ((3, 0), (1, 2)) if inside else ((0, 1), (2, 3))
+        if cell == 5:
+            pairs = ((0, 1), (2, 3)) if centre_in else ((3, 0), (1, 2))
+        elif cell == 10:
+            pairs = ((3, 0), (1, 2)) if centre_in else ((0, 1), (2, 3))
         else:
             pairs = _SEGMENTS[cell]
         raw_segments += [(edge_keys[a], edge_keys[b]) for a, b in pairs]
 
+    # every crossing edge once, in first-seen order, polished in one pass
+    keys = list(dict.fromkeys(k for seg in raw_segments for k in seg))
+    horizontal = np.array([k[0] == "h" for k in keys], dtype=bool)
+    i, j = np.array([k[1:] for k in keys], dtype=np.intp).reshape(-1, 2).T
+    i2, j2 = i + horizontal, j + ~horizontal
+    vx, vy = _polish(p, level_c, guard, xs[i], ys[j], xs[i2], ys[j2],
+                     vals[j, i], vals[j2, i2])
+    vertices = dict(zip(keys, zip(vx.tolist(), vy.tolist())))
     return ZeroVelocityCurve(level_c=level_c,
-                             segments=_stitch(raw_segments, vertex))
+                             segments=_stitch(raw_segments,
+                                              vertices.__getitem__))
 
 
 def _stitch(raw_segments, vertex) -> tuple:

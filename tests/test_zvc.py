@@ -19,7 +19,7 @@ from prtbp import (
     jacobi_constant,
     zero_velocity_curve,
 )
-from prtbp.zvc import _SEGMENTS, _edge_vertex, _stitch
+from prtbp.zvc import _SEGMENTS, _polish, _stitch
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
 CLASSICAL = SystemParams(mu=0.1)
@@ -27,19 +27,49 @@ C_L4 = jacobi_constant(CLASSICAL, PhaseState(0.4, SQRT3_2, 0.0, 0.0))
 WIDE = (-1.5, 1.5, -1.5, 1.5)
 
 
-def _reference_curve(p, level_c, window, resolution,
-                     guard=COLLISION_GUARD) -> ZeroVelocityCurve:
-    """Scalar extraction: one Python visit per grid node and per cell.
-
-    f is evaluated node by node through the public potential, NaN within
-    the guard, so the NumPy grid pass must reproduce this curve exactly.
-    """
+def _scalar_level(p, level_c, guard):
     def f(x, y):
         try:
             return 2.0 * amended_potential(p, x, y, guard) - level_c
         except SingularityError:
             return math.nan
+    return f
 
+
+def _polish_edge(p, level_c, guard, pa, pb, fa, fb):
+    """One edge polished alone, as a one-edge batch of the NumPy pass."""
+    x, y = _polish(p, level_c, guard, *np.array([[*pa, *pb, fa, fb]]).T)
+    return float(x[0]), float(y[0])
+
+
+def _brentq_edge(p, level_c, guard, pa, pb, fa, fb):
+    """Scalar polish with SciPy's bracketed solver at xtol = 1e-13."""
+    from scipy.optimize import brentq
+    if fa == 0.0:
+        return pa
+    if fb == 0.0:
+        return pb
+    f = _scalar_level(p, level_c, guard)
+
+    def g(s):
+        return f(pa[0] + s * (pb[0] - pa[0]), pa[1] + s * (pb[1] - pa[1]))
+
+    try:
+        s = brentq(g, 0.0, 1.0, xtol=1e-13)
+    except ValueError:
+        s = fa / (fa - fb)
+    return (pa[0] + s * (pb[0] - pa[0]), pa[1] + s * (pb[1] - pa[1]))
+
+
+def _reference_curve(p, level_c, window, resolution, guard=COLLISION_GUARD,
+                     polish=_polish_edge) -> ZeroVelocityCurve:
+    """Scalar extraction: one Python visit per grid node and per cell.
+
+    f is evaluated node by node through the public potential, NaN within
+    the guard, and each crossing edge is polished on its own, so the NumPy
+    grid pass and its batched polish must reproduce this curve exactly.
+    """
+    f = _scalar_level(p, level_c, guard)
     xmin, xmax, ymin, ymax = window
     nx = ny = resolution
     xs = [xmin + (xmax - xmin) * i / (nx - 1) for i in range(nx)]
@@ -58,7 +88,7 @@ def _reference_curve(p, level_c, window, resolution,
             else:
                 pa, pb = (xs[i], ys[j]), (xs[i], ys[j + 1])
                 fa, fb = vals[j][i], vals[j + 1][i]
-            cache[key] = _edge_vertex(f, pa, pb, fa, fb)
+            cache[key] = polish(p, level_c, guard, pa, pb, fa, fb)
         return cache[key]
 
     for j in range(ny - 1):
@@ -186,7 +216,7 @@ SMALL = (0.4 - 0.0475, 0.4 + 0.0475, SQRT3_2 - 0.0475, SQRT3_2 + 0.0475)
 EQUAL = SystemParams(mu=0.5)
 
 
-@pytest.mark.parametrize("p, level, window, resolution", [
+FIXTURES = pytest.mark.parametrize("p, level, window, resolution", [
     (CLASSICAL, C_L4 + 0.01, WIDE, 128),
     (CLASSICAL, C_L4 + 1e-6, SMALL, 128),
     (CLASSICAL, 3.9, WIDE, 128),
@@ -197,10 +227,55 @@ EQUAL = SystemParams(mu=0.5)
     # a node 5e-7 from the primary at (-1/2, 0): inside the guard
     (EQUAL, 9.0, (-1.0 + 5e-7, 1.0 + 5e-7, -1.0, 1.0), 17),
 ])
+
+
+@FIXTURES
 def test_grid_pass_matches_scalar_reference(p, level, window, resolution):
     curve = zero_velocity_curve(p, level, window, resolution)
     assert curve.segments
     assert curve == _reference_curve(p, level, window, resolution)
+
+
+@FIXTURES
+def test_polish_matches_brentq(p, level, window, resolution):
+    # gaps in units of the edge length; where f is flat along the edge
+    # (the oval just above L4) the rounding of f, about eps*|C|, leaves
+    # the root undetermined over eps*|C|/|fb - fa| and both solvers may
+    # stop anywhere in that band
+    excess = []
+
+    def both(p, level_c, guard, pa, pb, fa, fb):
+        v = _polish_edge(p, level_c, guard, pa, pb, fa, fb)
+        w = _brentq_edge(p, level_c, guard, pa, pb, fa, fb)
+        band = 4.0 * np.finfo(float).eps * abs(level_c) / abs(fb - fa)
+        excess.append(math.dist(v, w) / math.dist(pa, pb) - band)
+        return v
+
+    _reference_curve(p, level, window, resolution, polish=both)
+    assert excess
+    assert max(excess) <= 1e-12
+
+
+def test_polish_probe_inside_the_guard_falls_back_to_linear():
+    # the grid row at y = 5e-7 passes 5e-7 from the primary at (-1/2, 0),
+    # which is the midpoint of the row's edge from x = -0.5625 to -0.4375:
+    # the first bisection probe lands inside the guard
+    window = (-1.0625, 0.9375, -1.0 + 5e-7, 1.0 + 5e-7)
+    y = window[2] + (window[3] - window[2]) * 8 / 16
+    pa, pb = (-0.5625, y), (-0.4375, y)
+    ua, ub = (amended_potential(EQUAL, *pt) for pt in (pa, pb))
+    level = ua + ub
+    fa, fb = 2.0 * ua - level, 2.0 * ub - level
+    assert fa < 0.0 < fb
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        curve = zero_velocity_curve(EQUAL, level, window, 17)
+    pts = _vertices(curve)
+    assert len(pts) > 0
+    assert np.all(np.isfinite(pts))
+    s = fa / (fa - fb)
+    assert (pa[0] + s * (pb[0] - pa[0]), y) in map(tuple, pts.tolist())
+    assert curve == _reference_curve(EQUAL, level, window, 17)
 
 
 def test_nodes_on_both_primaries_are_masked():

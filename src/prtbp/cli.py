@@ -398,6 +398,8 @@ def run_integrate(cfg: JobConfig) -> int:
     meta = {"termination": traj.termination,
             "samples": len(traj.samples),
             "jacobi_audit": audit}
+    if traj.termination == "step-failure":
+        meta["message"] = traj.message
     meta_path = _meta_path(cfg.out_path)
     with open(meta_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(_dump_json(meta, cfg.precision) + "\n")

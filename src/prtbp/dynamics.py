@@ -1,10 +1,10 @@
 """Trajectory propagation and Jacobi-integral auditing.
 
-Propagation uses an adaptive embedded Runge-Kutta 5(4) pair with dense
-output, sampled on a uniform time grid so the Jacobi history can be
-differenced cleanly. Runs terminate on reaching the end time, on closing
-within the collision guard of a primary, on escaping past the escape
-radius from the radiating primary, or on integrator step failure.
+Propagation uses the adaptive Dormand-Prince 5(4) pair of ``prtbp.rk45``
+with dense output, sampled on a uniform time grid so the Jacobi history
+can be differenced cleanly. Runs terminate on reaching the end time, on
+closing within the collision guard of a primary, on escaping past the
+escape radius from the radiating primary, or on integrator step failure.
 
 A trajectory holds its samples as one read-only (N, 6) float array with
 the columns t, x, y, vx, vy, C, one row per sample; the Jacobi column and
@@ -21,19 +21,10 @@ import numpy as np
 from .model import (COLLISION_GUARD, PhaseState, SystemParams,
                     _accelerations, _check_guard, _radii, jacobi_constant,
                     jacobi_drift_rate)
+from .rk45 import solve_ivp
 
 #: Default escape radius measured from the radiating primary.
 ESCAPE_RADIUS = 50.0
-
-
-def solve_ivp(*args, **kwargs):
-    """``scipy.integrate.solve_ivp``, imported on the first call.
-
-    Only propagation needs SciPy, so importing the package, locating
-    equilibria and extracting zero-velocity curves never load it.
-    """
-    from scipy.integrate import solve_ivp as scipy_solve_ivp
-    return scipy_solve_ivp(*args, **kwargs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,12 +34,15 @@ class Trajectory:
     ``samples`` is a read-only (N, 6) float array with one row per sample
     on a uniform time grid (a shorter final interval may close the span)
     and the columns t, x, y, vx, vy, C; ``termination`` is one of
-    ``completed``, ``collision``, ``escape`` or ``step-failure``.
+    ``completed``, ``collision``, ``escape`` or ``step-failure``;
+    ``message`` gives the stepper's reason for a ``step-failure`` and is
+    None otherwise.
     """
 
     params: SystemParams
     samples: np.ndarray
     termination: str
+    message: str | None = None
 
     def arrays(self) -> tuple[np.ndarray, ...]:
         """Per-sample columns (t, x, y, vx, vy, C) as float arrays."""
@@ -92,8 +86,7 @@ def integrate(p: SystemParams, s0: PhaseState, t_end: float,
     _check_guard(p, s0.x, s0.y, collision_guard)
 
     def rhs(t, v):
-        # Python floats give the bits of NumPy scalars at a third the cost
-        x, y, vx, vy = v.tolist()
+        x, y, vx, vy = v
         gx, gy, fx, fy = _accelerations(p, x, y, vx, vy)
         return (vx, vy,
                 2.0 * p.n * vy + gx + fx,
@@ -105,9 +98,7 @@ def integrate(p: SystemParams, s0: PhaseState, t_end: float,
     def escape(t, v):
         return _radii(p, v[0], v[1])[0] - escape_radius
 
-    collision.terminal = True
     collision.direction = -1.0
-    escape.terminal = True
     escape.direction = 1.0
 
     span = t_end - s0.t
@@ -115,30 +106,29 @@ def integrate(p: SystemParams, s0: PhaseState, t_end: float,
     grid = s0.t + sample_dt * np.arange(nsteps + 1)
     grid[-1] = t_end
 
-    # the initial state alone stands in when no step succeeds
-    t = np.array([s0.t])
-    states = np.array([[s0.x], [s0.y], [s0.vx], [s0.vy]])
-    try:
-        sol = solve_ivp(rhs, (s0.t, t_end), (s0.x, s0.y, s0.vx, s0.vy),
-                        method="RK45", t_eval=grid, rtol=rtol, atol=atol,
-                        events=(collision, escape), dense_output=False)
-    except (ValueError, FloatingPointError):
-        termination = "step-failure"
+    sol = solve_ivp(rhs, (s0.t, t_end), (s0.x, s0.y, s0.vx, s0.vy),
+                    t_eval=grid, rtol=rtol, atol=atol,
+                    events=(collision, escape))
+    message = None
+    if sol.status == 0:
+        termination = "completed"
+    elif sol.status == 1:
+        termination = "collision" if sol.t_events[0] else "escape"
     else:
-        if sol.status == 0:
-            termination = "completed"
-        elif sol.status == 1:
-            termination = "collision" if len(sol.t_events[0]) else "escape"
-        else:
-            termination = "step-failure"
-        if len(sol.t):
-            t, states = sol.t, sol.y
+        termination, message = "step-failure", sol.message
+    if len(sol.t):
+        t, states = sol.t, sol.y
+    else:
+        # the initial state alone stands in when no step succeeds
+        t = np.array([s0.t])
+        states = np.array([[s0.x], [s0.y], [s0.vx], [s0.vy]])
 
     # the guard check of jacobi_constant also rejects samples inside it
     c = jacobi_constant(p, PhaseState(*states), collision_guard)
     samples = np.column_stack((t, *states, c))
     samples.flags.writeable = False
-    return Trajectory(params=p, samples=samples, termination=termination)
+    return Trajectory(params=p, samples=samples, termination=termination,
+                      message=message)
 
 
 def jacobi_audit(traj: Trajectory) -> float:

@@ -12,8 +12,9 @@ evaluation.
 All crossings are then polished together along their grid edges by one
 NumPy bisection pass of fixed length, so emitted vertices satisfy f = 0
 to near machine precision rather than to the linear-interpolation error
-of the raw grid. An edge whose bisection probes a point inside the
-collision guard keeps the linear-interpolation vertex instead.
+of the raw grid. A probe inside the collision guard has no value of f;
+it counts as f > 0, since U1 grows without bound at a primary, so the
+bisection keeps to the crossing on the far side of it.
 """
 
 from __future__ import annotations
@@ -69,22 +70,20 @@ def _polish(p: SystemParams, level_c: float, guard: float, xa, ya, xb, yb,
 
     ``fa`` and ``fb`` are the grid values of f at the edge ends, of
     opposite classification (f < 0 at exactly one end). Each edge is
-    bisected in its parameter s in [0, 1]; an edge whose probes meet the
-    guard falls back to linear interpolation, and an end where f is zero
-    is the vertex itself.
+    bisected in its parameter s in [0, 1], and an end where f is zero is
+    the vertex itself. A probe inside the guard gives NaN, which fails
+    ``f < 0`` and so counts as f >= 0, as it is near a primary.
     """
     dx, dy = xb - xa, yb - ya
     neg = fa < 0.0
     lo, hi = np.zeros_like(fa), np.ones_like(fa)
-    guarded = np.zeros(fa.shape, dtype=bool)
     for _ in range(_HALVINGS):
         s = 0.5 * (lo + hi)
         f = _level(p, xa + s * dx, ya + s * dy, level_c, guard)
-        guarded |= np.isnan(f)
         same = (f < 0.0) == neg
         lo = np.where(same, s, lo)
         hi = np.where(same, hi, s)
-    s = np.where(guarded, fa / (fa - fb), 0.5 * (lo + hi))
+    s = 0.5 * (lo + hi)
     x, y = xa + s * dx, ya + s * dy
     at_a, at_b = fa == 0.0, fb == 0.0
     return (np.where(at_a, xa, np.where(at_b, xb, x)),

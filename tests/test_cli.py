@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from prtbp import PhaseState, SystemParams, amended_potential, \
-    conservative_gradient, jacobi_constant
+    conservative_gradient, dynamics, jacobi_constant, rk45
 from prtbp.cli import main, read_table
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
@@ -224,10 +224,35 @@ def test_integrate_writes_samples_and_sidecar(tmp_path):
     assert rows[-1]["t"] == pytest.approx(2.0 * math.pi, rel=1e-15)
     with open(tmp_path / "orbit.meta.json", encoding="utf-8") as fh:
         meta = json.load(fh)
+    assert set(meta) == {"termination", "samples", "jacobi_audit"}
     assert meta["termination"] == "completed"
     assert meta["samples"] == len(rows)
     assert meta["jacobi_audit"] < 1e-9
     assert all(row["dCdt"] == 0.0 for row in rows)
+
+
+def test_integrate_step_failure_keeps_its_cause(tmp_path, monkeypatch):
+    # no orbit of the model fails a step at these tolerances, so the
+    # stepper gets x' = x^2 instead, which blows up at t = 1/x0
+    def blow_up(fun, t_span, y0, t_eval, rtol, atol, events=()):
+        return rk45.solve_ivp(lambda t, v: (v[0] * v[0], 0.0, 0.0, 0.0),
+                              t_span, y0, t_eval=t_eval, rtol=rtol,
+                              atol=atol)
+
+    monkeypatch.setattr(dynamics, "solve_ivp", blow_up)
+    out = str(tmp_path / "orbit.csv")
+    rc = main(["integrate", "--system.mu", "0.01", "--system.w1", "0",
+               "--job.x", "0.5", "--job.y", "0.5", "--job.vx", "0",
+               "--job.vy", "0", "--job.t_end", "3.0",
+               "--job.sample_dt", "0.1", "--output", out])
+    assert rc == 0
+    _, rows = read_table(out)
+    assert rows[-1]["t"] < 2.0
+    with open(tmp_path / "orbit.meta.json", encoding="utf-8") as fh:
+        meta = json.load(fh)
+    assert meta["termination"] == "step-failure"
+    assert meta["message"] == ("Required step size is less than spacing "
+                               "between numbers.")
 
 
 def test_integrate_missing_output_exits_2(capsys):

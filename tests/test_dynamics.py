@@ -6,7 +6,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 
+from prtbp import dynamics, rk45
 from prtbp import (
     PhaseState,
     SingularityError,
@@ -93,15 +95,17 @@ def test_escape_detected():
     assert traj.arrays()[0][-1] < 60.0
 
 
+TERMINATION_CASES = [
+    (SystemParams(mu=0.01), PhaseState(0.995, 0.0, 0.0, 0.0),
+     1.0, 0.002, "collision"),
+    (SystemParams(mu=0.01), PhaseState(0.5, 0.5, 3.0, 3.0),
+     60.0, 0.5, "escape"),
+    (CLASSICAL, L4_REST, 2.0, 0.1, "completed"),
+]
+
+
 def test_termination_stable_under_tolerance_halving():
-    cases = [
-        (SystemParams(mu=0.01), PhaseState(0.995, 0.0, 0.0, 0.0),
-         1.0, 0.002, "collision"),
-        (SystemParams(mu=0.01), PhaseState(0.5, 0.5, 3.0, 3.0),
-         60.0, 0.5, "escape"),
-        (CLASSICAL, L4_REST, 2.0, 0.1, "completed"),
-    ]
-    for p, s0, t_end, dt, expected in cases:
+    for p, s0, t_end, dt, expected in TERMINATION_CASES:
         for rtol in (1e-9, 5e-10):
             traj = integrate(p, s0, t_end=t_end, sample_dt=dt,
                              rtol=rtol, atol=rtol)
@@ -192,3 +196,72 @@ def test_trajectory_record_fields():
     assert traj.params is CLASSICAL
     assert traj.termination in ("completed", "collision", "escape",
                                 "step-failure")
+
+
+def _scipy_reference(fun, t_span, y0, t_eval, rtol, atol, events=()):
+    """SciPy's RK45 on the same right-hand side and events."""
+    def floats(g):
+        # SciPy passes arrays, and the initial state as given
+        return lambda t, v: g(t, np.asarray(v, dtype=float).tolist())
+
+    def wrap(event):
+        wrapped = floats(event)
+        wrapped.terminal = True
+        wrapped.direction = getattr(event, "direction", 0)
+        return wrapped
+
+    return scipy.integrate.solve_ivp(
+        floats(fun), t_span, y0, method="RK45",
+        t_eval=t_eval, rtol=rtol, atol=atol,
+        events=[wrap(event) for event in events])
+
+
+REFERENCE_CASES = [
+    *((p, s0, t_end, dt, tol, expected)
+      for p, s0, t_end, dt, expected in TERMINATION_CASES
+      for tol in (1e-9, 5e-10)),
+    (SystemParams(mu=0.01, q1=0.995, a2=1e-4, cd=1e3),
+     PhaseState(0.49, 0.868, 0.0, 0.0), 2.0 * math.pi, 0.01, 1e-12,
+     "completed"),
+    (SystemParams(mu=0.01), PhaseState(0.495, SQRT3_2, 0.0, 0.0),
+     2.0 * math.pi, 0.05, 1e-12, "completed"),
+]
+
+
+@pytest.mark.parametrize("p, s0, t_end, dt, tol, expected", REFERENCE_CASES)
+def test_stepper_matches_scipy_rk45(p, s0, t_end, dt, tol, expected,
+                                    monkeypatch):
+    calls = []
+
+    def spy(fun, t_span, y0, **kwargs):
+        sol = rk45.solve_ivp(fun, t_span, y0, **kwargs)
+        calls.append((fun, t_span, y0, kwargs, sol))
+        return sol
+
+    monkeypatch.setattr(dynamics, "solve_ivp", spy)
+    traj = integrate(p, s0, t_end=t_end, sample_dt=dt, rtol=tol, atol=tol)
+    assert traj.termination == expected
+    (fun, t_span, y0, kwargs, sol), = calls
+    ref = _scipy_reference(fun, t_span, y0, **kwargs)
+    assert sol.status == ref.status
+    assert sol.nfev == ref.nfev
+    for ours, theirs in zip(sol.t_events, ref.t_events, strict=True):
+        assert len(ours) == len(theirs)
+        assert np.allclose(ours, theirs, rtol=1e-12, atol=0.0)
+    assert np.array_equal(sol.t, ref.t)
+    assert np.abs(sol.y - ref.y).max() <= 1e-10
+
+
+def test_step_failure_reports_its_cause():
+    # y' = y^2 from y(0) = 1 blows up at t = 1, before the end of the span
+    t_eval = np.linspace(0.0, 2.0, 21)
+    sol = rk45.solve_ivp(lambda t, y: [y[0] * y[0]], (0.0, 2.0), [1.0],
+                         t_eval=t_eval, rtol=1e-9, atol=1e-9)
+    assert sol.status == -1
+    assert sol.message == ("Required step size is less than spacing "
+                           "between numbers.")
+    assert sol.t.max() < 1.0
+    assert np.allclose(sol.y[0], 1.0 / (1.0 - sol.t), rtol=1e-6)
+    ref = _scipy_reference(lambda t, y: [y[0] * y[0]], (0.0, 2.0), [1.0],
+                           t_eval=t_eval, rtol=1e-9, atol=1e-9)
+    assert (ref.status, ref.nfev) == (sol.status, sol.nfev)

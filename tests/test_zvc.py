@@ -256,10 +256,11 @@ def test_polish_matches_brentq(p, level, window, resolution):
     assert max(excess) <= 1e-12
 
 
-def test_polish_probe_inside_the_guard_falls_back_to_linear():
+def test_polish_probe_inside_the_guard_stays_on_the_curve():
     # the grid row at y = 5e-7 passes 5e-7 from the primary at (-1/2, 0),
     # which is the midpoint of the row's edge from x = -0.5625 to -0.4375:
-    # the first bisection probe lands inside the guard
+    # the first bisection probe lands inside the guard, counts as f > 0
+    # and leaves the crossing near x = -0.5625 in the bracket
     window = (-1.0625, 0.9375, -1.0 + 5e-7, 1.0 + 5e-7)
     y = window[2] + (window[3] - window[2]) * 8 / 16
     pa, pb = (-0.5625, y), (-0.4375, y)
@@ -273,8 +274,12 @@ def test_polish_probe_inside_the_guard_falls_back_to_linear():
     pts = _vertices(curve)
     assert len(pts) > 0
     assert np.all(np.isfinite(pts))
-    s = fa / (fa - fb)
-    assert (pa[0] + s * (pb[0] - pa[0]), y) in map(tuple, pts.tolist())
+    on_edge = pts[(pts[:, 1] == y) & (pts[:, 0] >= pa[0])
+                  & (pts[:, 0] <= pb[0])]
+    assert len(on_edge) > 0
+    for x, _ in on_edge:
+        assert x < -0.5624
+        assert abs(2.0 * amended_potential(EQUAL, x, y) - level) <= 1e-12
     assert curve == _reference_curve(EQUAL, level, window, 17)
 
 

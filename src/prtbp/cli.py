@@ -10,8 +10,11 @@ with command-line flags named after the dotted field paths, for example
 ``--system.mu 0.01``. Outputs are deterministic: identical configuration
 yields byte-identical files.
 
-Exit codes: 0 success, 2 configuration validation failure, 3 runtime
-domain failure, 4 solver non-convergence.
+Each library entry point checks its own arguments; the CLI checks only
+the fields no library function receives and maps exception types to exit
+codes: 0 success, 2 invalid configuration or argument value
+(``ValueError``), 3 a state within the collision guard
+(``SingularityError``), 4 solver non-convergence (``ConvergenceError``).
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .equilibria import (BRANCHES, DegenerateFormulaError, EquilibriumPoint,
 from .errors import ConfigError, ConvergenceError, SingularityError
 from .model import (COLLISION_GUARD, GrainProperties, PhaseState,
                     SystemParams, jacobi_drift_rate, mass_reduction_from_grain)
-from .zvc import MIN_RESOLUTION, zero_velocity_curve
+from .zvc import zero_velocity_curve
 
 _REQUIRED = object()
 
@@ -92,7 +95,12 @@ _JOB_FIELDS: dict[str, dict[str, tuple[type, object]]] = {
     },
 }
 
-_SWEEP_VARIABLES = ("w1", "a2", "q1", "mu")
+# allowed values of the string fields no library function receives
+_CHOICES = {
+    "output.format": ("csv", "json"),
+    "job.variable": ("w1", "a2", "q1", "mu"),
+    "job.spacing": ("linear", "geometric"),
+}
 
 
 @dataclass(frozen=True)
@@ -146,14 +154,10 @@ def _build_system(flat: dict) -> SystemParams:
                   "system.grain.efficiency_chi"):
             if k not in flat:
                 raise ConfigError(f"{k}: required with the grain block")
-        try:
-            grain = GrainProperties(
-                radius_a=flat["system.grain.radius_a"],
-                density_rho=flat["system.grain.density_rho"],
-                efficiency_chi=flat["system.grain.efficiency_chi"])
-            q1 = mass_reduction_from_grain(grain)
-        except ValueError as exc:
-            raise ConfigError(f"system.grain: {exc}") from exc
+        q1 = mass_reduction_from_grain(GrainProperties(
+            radius_a=flat["system.grain.radius_a"],
+            density_rho=flat["system.grain.density_rho"],
+            efficiency_chi=flat["system.grain.efficiency_chi"]))
     elif q1 is None:
         q1 = 1.0
     cd = flat.get("system.cd")
@@ -161,16 +165,17 @@ def _build_system(flat: dict) -> SystemParams:
     if (cd is None) == (w1 is None):
         raise ConfigError(
             "system.cd/system.w1: exactly one of the two must be given")
-    try:
-        return SystemParams(mu=flat["system.mu"], q1=q1,
-                            a2=flat.get("system.a2", 0.0), cd=cd, w1=w1)
-    except ValueError as exc:
-        raise ConfigError(f"system: {exc}") from exc
+    return SystemParams(mu=flat["system.mu"], q1=q1,
+                        a2=flat.get("system.a2", 0.0), cd=cd, w1=w1)
 
 
 def build_config(job: str, config_path: str | None,
                  overrides: dict) -> JobConfig:
-    """Merge a JSON config file with flag overrides and validate."""
+    """Merge a JSON config file with flag overrides and validate.
+
+    Checks only the fields that no library function receives; the job's
+    library call checks the rest when the job runs.
+    """
     flat: dict = {}
     if config_path is not None:
         try:
@@ -202,6 +207,10 @@ def build_config(job: str, config_path: str | None,
             raise ConfigError(f"{path}: unknown field")
     flat = {path: _coerce(path, value, fields[path])
             for path, value in flat.items()}
+    for path, allowed in _CHOICES.items():
+        if path in flat and flat[path] not in allowed:
+            raise ConfigError(
+                f"{path}: must be one of {allowed}, got {flat[path]!r}")
 
     system = _build_system(flat)
 
@@ -214,45 +223,27 @@ def build_config(job: str, config_path: str | None,
         else:
             args[path.removeprefix("job.")] = default
 
-    _validate_job_args(job, args)
+    if job == "sweep":
+        start, stop, count = args["start"], args["stop"], args["count"]
+        if count < 1:
+            raise ConfigError(f"job.count: must be >= 1, got {count}")
+        for path, value in (("job.start", start), ("job.stop", stop)):
+            if not -math.inf < value < math.inf:
+                raise ConfigError(f"{path}: must be finite, got {value}")
+        if args["spacing"] == "geometric" and not start * stop > 0:
+            raise ConfigError(
+                "job.start/job.stop: geometric spacing needs nonzero "
+                "same-sign endpoints")
 
-    out_format = flat.get("output.format", "csv")
-    if out_format not in ("csv", "json"):
-        raise ConfigError(
-            f"output.format: must be 'csv' or 'json', got {out_format!r}")
+    out_path = flat.get("output.path")
+    if job == "integrate" and out_path is None:
+        raise ConfigError("output.path: required for the integrate job")
     precision = flat.get("output.precision", 17)
     if precision < 1:
         raise ConfigError(f"output.precision: must be >= 1, got {precision}")
-    return JobConfig(job=job, system=system, args=args,
-                     out_path=flat.get("output.path"),
-                     out_format=out_format, precision=precision)
-
-
-def _validate_job_args(job: str, args: dict) -> None:
-    if job == "integrate":
-        if args["t_end"] <= args["t0"]:
-            raise ConfigError(
-                f"job.t_end: must exceed job.t0, got t_end={args['t_end']} "
-                f"with t0={args['t0']}")
-        for key in ("sample_dt", "rtol", "atol", "collision_guard",
-                    "escape_radius"):
-            if args[key] <= 0:
-                raise ConfigError(f"job.{key}: must be > 0, got {args[key]}")
-    elif job == "zvc":
-        if args["resolution"] < MIN_RESOLUTION:
-            raise ConfigError(
-                f"job.resolution: must be >= {MIN_RESOLUTION}, "
-                f"got {args['resolution']}")
-        if not (args["xmin"] < args["xmax"] and args["ymin"] < args["ymax"]):
-            raise ConfigError(
-                "job.xmin/xmax/ymin/ymax: window must satisfy xmin < xmax "
-                "and ymin < ymax")
-    elif job == "equilibria":
-        if args["tol"] <= 0:
-            raise ConfigError(f"job.tol: must be > 0, got {args['tol']}")
-        if args["max_iter"] < 1:
-            raise ConfigError(
-                f"job.max_iter: must be >= 1, got {args['max_iter']}")
+    return JobConfig(job=job, system=system, args=args, out_path=out_path,
+                     out_format=flat.get("output.format", "csv"),
+                     precision=precision)
 
 
 def _fmt(value, precision: int) -> str:
@@ -379,8 +370,6 @@ def run_equilibria(cfg: JobConfig) -> int:
 
 def run_integrate(cfg: JobConfig) -> int:
     """Propagate one trajectory and write samples plus a metadata sidecar."""
-    if cfg.out_path is None:
-        raise ConfigError("output.path: required for the integrate job")
     p = cfg.system
     a = cfg.args
     s0 = PhaseState(x=a["x"], y=a["y"], vx=a["vx"], vy=a["vy"], t=a["t0"])
@@ -425,17 +414,8 @@ def run_zvc(cfg: JobConfig) -> int:
 
 
 def _sweep_grid(a: dict) -> np.ndarray:
-    if a["spacing"] == "linear":
-        return np.linspace(a["start"], a["stop"], a["count"])
-    if a["spacing"] != "geometric":
-        raise ConfigError(
-            f"job.spacing: must be 'linear' or 'geometric', "
-            f"got {a['spacing']!r}")
-    if a["start"] * a["stop"] <= 0:
-        raise ConfigError(
-            "job.start/job.stop: geometric spacing needs nonzero "
-            "same-sign endpoints")
-    return np.geomspace(a["start"], a["stop"], a["count"])
+    space = np.linspace if a["spacing"] == "linear" else np.geomspace
+    return space(a["start"], a["stop"], a["count"])
 
 
 def _sweep_system(base: SystemParams, variable: str,
@@ -455,19 +435,9 @@ def run_sweep(cfg: JobConfig) -> int:
     the summary line on stdout reports the flagged count.
     """
     a = cfg.args
-    if a["variable"] not in _SWEEP_VARIABLES:
-        raise ConfigError(
-            f"job.variable: must be one of {_SWEEP_VARIABLES}, "
-            f"got {a['variable']!r}")
-    if a["branch"] not in BRANCHES:
-        raise ConfigError(
-            f"job.branch: must be 'L4' or 'L5', got {a['branch']!r}")
-    if a["count"] < 1:
-        raise ConfigError(f"job.count: must be >= 1, got {a['count']}")
-    grid = _sweep_grid(a)
     rows = []
     flagged = 0
-    for value in grid:
+    for value in _sweep_grid(a):
         value = float(value)
         try:
             p = _sweep_system(cfg.system, a["variable"], value)
@@ -545,7 +515,7 @@ def _make_parser() -> argparse.ArgumentParser:
         sp.add_argument("--output", "--output.path", dest="output__path",
                         metavar="PATH", help="output file (default stdout)")
         sp.add_argument("--format", "--output.format", dest="output__format",
-                        choices=("csv", "json"),
+                        choices=_CHOICES["output.format"],
                         help="output format (default csv)")
         _add_field_flags(sp, job)
     return parser
@@ -556,18 +526,19 @@ def main(argv: list[str] | None = None) -> int:
     overrides = {key.replace("__", "."): value
                  for key, value in vars(args).items()
                  if key not in ("job", "config") and value is not None}
+    # SingularityError is a ValueError, so it is caught first
     try:
         cfg = build_config(args.job, args.config, overrides)
         return _RUNNERS[cfg.job](cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    except SingularityError as exc:
+        print(f"runtime error: {exc}", file=sys.stderr)
+        return 3
     except ConvergenceError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 4
-    except (SingularityError, ValueError) as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 3
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
 
 def run() -> None:

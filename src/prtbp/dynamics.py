@@ -60,9 +60,9 @@ def integrate(p: SystemParams, s0: PhaseState, t_end: float,
     p : SystemParams
         System parameters.
     s0 : PhaseState
-        Initial state; must start outside the collision guard.
+        Finite initial state; must start outside the collision guard.
     t_end : float
-        Final time, greater than ``s0.t``.
+        Finite final time, greater than ``s0.t``.
     sample_dt : float
         Uniform sampling interval for the returned trajectory.
     rtol, atol : float
@@ -74,14 +74,28 @@ def integrate(p: SystemParams, s0: PhaseState, t_end: float,
     -------
     Trajectory
         Samples up to the termination point, each with its Jacobi value.
+
+    Raises
+    ------
+    ValueError
+        An argument is not finite, ``t_end`` does not exceed ``s0.t``, or
+        ``sample_dt``, a tolerance or a radius is not > 0; the message
+        names the argument.
+    SingularityError
+        ``s0`` lies within the collision guard.
     """
-    if t_end <= s0.t:
-        raise ValueError(f"t_end={t_end} must exceed the initial time {s0.t}")
-    if sample_dt <= 0:
-        raise ValueError(f"sample_dt must be > 0, got {sample_dt}")
-    if rtol <= 0 or atol <= 0:
-        raise ValueError(f"tolerances must be > 0, got rtol={rtol}, "
-                         f"atol={atol}")
+    for name in ("x", "y", "vx", "vy", "t"):
+        value = getattr(s0, name)
+        if not -math.inf < value < math.inf:
+            raise ValueError(f"s0.{name} must be finite, got {value}")
+    if not s0.t < t_end < math.inf:
+        raise ValueError(f"t_end must be finite and exceed s0.t={s0.t}, "
+                         f"got {t_end}")
+    for name, value in (("sample_dt", sample_dt), ("rtol", rtol),
+                        ("atol", atol), ("collision_guard", collision_guard),
+                        ("escape_radius", escape_radius)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
     # rejects an initial state already inside the guard
     _check_guard(p, s0.x, s0.y, collision_guard)
 

@@ -242,17 +242,22 @@ def refine_equilibrium(p: SystemParams, guess: tuple[float, float],
 
     Raises
     ------
+    ValueError
+        ``tol`` is not finite and > 0, ``max_iter`` is below 1, or
+        ``guess`` is not finite; the message names the argument.
     ConvergenceError
         Tolerance not reached within ``max_iter`` iterations; carries the
         last iterate and its residual norm.
     SingularJacobianError
         The finite-difference Jacobian is singular to working precision.
     """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be > 0, got {tol}")
-    if max_iter < 1:
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    if not max_iter >= 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     x, y = float(guess[0]), float(guess[1])
+    if not (-math.inf < x < math.inf and -math.inf < y < math.inf):
+        raise ValueError(f"guess must be finite, got {tuple(guess)}")
     res = equilibrium_residual(p, x, y, guard)
     rnorm = math.hypot(*res)
     iterations = 0

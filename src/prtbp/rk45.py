@@ -74,7 +74,7 @@ class OdeResult:
 
     ``t`` holds the output times reached and ``y`` the states there, one
     column per time; ``status`` is 0 at the end of the interval, 1 after
-    an event and -1 when the step size fell below 10 ulp of t;
+    an event and -1 when the step size fell below 10 ulp of t or is NaN;
     ``t_events`` lists each event's time, if it ended the run.
     """
 
@@ -138,7 +138,8 @@ def solve_ivp(fun, t_span, y0, t_eval, rtol, atol, events=()):
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
-            if h_abs < min_step:
+            # written so that a NaN step size also ends the run
+            if not h_abs >= min_step:
                 status = -1
                 break
             t_new = min(t + h_abs, t_bound)

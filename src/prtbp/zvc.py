@@ -100,9 +100,9 @@ def zero_velocity_curve(p: SystemParams, level_c: float, window: Window,
     p : SystemParams
         System parameters.
     level_c : float
-        Jacobi level of the curve.
+        Finite Jacobi level of the curve.
     window : tuple
-        (xmin, xmax, ymin, ymax) extent of the sampling grid.
+        (xmin, xmax, ymin, ymax) finite extent of the sampling grid.
     resolution : int
         Number of grid nodes per axis, at least 16.
 
@@ -111,10 +111,13 @@ def zero_velocity_curve(p: SystemParams, level_c: float, window: Window,
     ZeroVelocityCurve
         Stitched polylines; empty when the level set misses the window.
     """
+    if not -math.inf < level_c < math.inf:
+        raise ValueError(f"level_c must be finite, got {level_c}")
     xmin, xmax, ymin, ymax = window
-    if not (xmin < xmax and ymin < ymax):
-        raise ValueError(f"window must satisfy xmin < xmax and ymin < ymax, "
-                         f"got {window}")
+    if not (-math.inf < xmin < xmax < math.inf
+            and -math.inf < ymin < ymax < math.inf):
+        raise ValueError(f"window must be finite with xmin < xmax and "
+                         f"ymin < ymax, got {window}")
     if resolution < MIN_RESOLUTION:
         raise ValueError(
             f"resolution must be >= {MIN_RESOLUTION}, got {resolution}")

@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import prtbp
 from prtbp import PhaseState, SystemParams, amended_potential, \
     conservative_gradient, dynamics, jacobi_constant, rk45
 from prtbp.cli import main, read_table
@@ -394,3 +399,46 @@ def test_zvc_resolution_floor_exits_2(capsys):
                "--job.resolution", "8"])
     assert rc == 2
     assert "resolution" in capsys.readouterr().err
+
+
+EQUILIBRIA = ["equilibria", "--system.mu", "0.1", "--system.w1", "0"]
+INTEGRATE = ["integrate", "--system.mu", "0.01", "--system.w1", "0",
+             "--job.x", "0.49", "--job.y", "0.86", "--job.vx", "0",
+             "--job.vy", "0", "--job.t_end", "1", "--job.sample_dt", "0.1"]
+ZVC = ["zvc", "--system.mu", "0.1", "--system.w1", "0",
+       "--job.level_c", "3", "--job.xmin=-1.5", "--job.xmax", "1.5",
+       "--job.ymin=-1.5", "--job.ymax", "1.5", "--job.resolution", "32"]
+SWEEP = ["sweep", "--system.mu", "0.1", "--system.q1", "0.98",
+         "--system.w1", "0", "--job.variable", "w1", "--job.start", "1e-4",
+         "--job.stop", "1e-2", "--job.count", "3"]
+
+PROBES = [
+    (EQUILIBRIA + ["--job.tol", "-1"], "tol"),
+    (SWEEP + ["--job.tol", "-1"], "tol"),
+    (EQUILIBRIA + ["--job.tol", "nan"], "tol"),
+    (SWEEP + ["--job.max_iter", "0"], "max_iter"),
+    (SWEEP + ["--job.start", "nan"], "job.start"),
+    (INTEGRATE + ["--job.t_end", "inf"], "t_end"),
+    (INTEGRATE + ["--job.rtol", "nan"], "rtol"),
+    (INTEGRATE + ["--job.x", "nan"], "s0.x"),
+    (INTEGRATE + ["--job.collision_guard", "nan"], "collision_guard"),
+    (ZVC + ["--job.level_c", "nan"], "level_c"),
+    (ZVC + ["--job.xmax", "inf"], "window"),
+]
+
+
+@pytest.mark.parametrize("argv, field", PROBES,
+                         ids=[f"{a[0]}{a[-2]}={a[-1]}" for a, _ in PROBES])
+def test_invalid_argument_exits_2(argv, field, tmp_path):
+    # a fresh interpreter with a timeout, so a hang or a traceback shows
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (
+        str(Path(prtbp.__file__).resolve().parent.parent),
+        env.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-m", "prtbp.cli", *argv,
+         "--output", str(tmp_path / "out.csv")],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2, done.stderr
+    assert field in done.stderr
+    assert "Traceback" not in done.stderr

@@ -28,14 +28,21 @@ L4_REST = PhaseState(0.4, SQRT3_2, 0.0, 0.0)
 
 
 def test_integrate_validation():
-    with pytest.raises(ValueError):
-        integrate(CLASSICAL, L4_REST, t_end=0.0, sample_dt=0.1)
-    with pytest.raises(ValueError):
-        integrate(CLASSICAL, L4_REST, t_end=1.0, sample_dt=0.0)
-    with pytest.raises(ValueError):
-        integrate(CLASSICAL, L4_REST, t_end=1.0, sample_dt=0.1, rtol=0.0)
-    with pytest.raises(ValueError):
-        integrate(CLASSICAL, L4_REST, t_end=1.0, sample_dt=0.1, atol=-1e-9)
+    nan, inf = math.nan, math.inf
+    for name, change in [
+            ("t_end", dict(t_end=0.0)), ("t_end", dict(t_end=nan)),
+            ("t_end", dict(t_end=inf)), ("sample_dt", dict(sample_dt=0.0)),
+            ("sample_dt", dict(sample_dt=nan)),
+            ("sample_dt", dict(sample_dt=inf)), ("rtol", dict(rtol=0.0)),
+            ("rtol", dict(rtol=nan)), ("atol", dict(atol=-1e-9)),
+            ("collision_guard", dict(collision_guard=nan)),
+            ("escape_radius", dict(escape_radius=nan)),
+            ("s0.x", dict(s0=PhaseState(nan, SQRT3_2, 0.0, 0.0))),
+            ("s0.vy", dict(s0=PhaseState(0.4, SQRT3_2, 0.0, inf))),
+            ("s0.t", dict(s0=PhaseState(0.4, SQRT3_2, 0.0, 0.0, t=nan)))]:
+        kwargs = {"s0": L4_REST, "t_end": 1.0, "sample_dt": 0.1, **change}
+        with pytest.raises(ValueError, match=name):
+            integrate(CLASSICAL, **kwargs)
 
 
 def test_integrate_rejects_singular_start():
@@ -265,3 +272,24 @@ def test_step_failure_reports_its_cause():
     ref = _scipy_reference(lambda t, y: [y[0] * y[0]], (0.0, 2.0), [1.0],
                            t_eval=t_eval, rtol=1e-9, atol=1e-9)
     assert (ref.status, ref.nfev) == (sol.status, sol.nfev)
+
+
+@pytest.mark.parametrize("y0, rtol", [([math.nan, 1.0], 1e-9),
+                                      ([1.0, 0.0], math.nan)],
+                         ids=["nan-state", "nan-rtol"])
+def test_nan_step_size_is_a_step_failure(y0, rtol):
+    # a NaN state or tolerance makes the step size NaN; the RHS gives up
+    # long after the run should have ended, so a hang fails the test
+    calls = 0
+
+    def oscillator(t, y):
+        nonlocal calls
+        calls += 1
+        if calls > 20_000:
+            raise RuntimeError("the stepper did not stop")
+        return [y[1], -y[0]]
+
+    sol = rk45.solve_ivp(oscillator, (0.0, 1.0), y0, t_eval=[0.0, 1.0],
+                         rtol=rtol, atol=1e-9)
+    assert sol.status == -1
+    assert len(sol.t) == 0

@@ -225,10 +225,15 @@ def test_refine_far_guess_raises():
 
 def test_refine_validation():
     p = SystemParams(mu=0.1)
-    with pytest.raises(ValueError):
-        refine_equilibrium(p, (0.4, SQRT3_2), tol=0.0)
-    with pytest.raises(ValueError):
-        refine_equilibrium(p, (0.4, SQRT3_2), max_iter=0)
+    for name, guess, kwargs in [
+            ("tol", (0.4, SQRT3_2), dict(tol=0.0)),
+            ("tol", (0.4, SQRT3_2), dict(tol=math.nan)),
+            ("tol", (0.4, SQRT3_2), dict(tol=math.inf)),
+            ("max_iter", (0.4, SQRT3_2), dict(max_iter=0)),
+            ("guess", (math.nan, SQRT3_2), {}),
+            ("guess", (0.4, math.inf), {})]:
+        with pytest.raises(ValueError, match=name):
+            refine_equilibrium(p, guess, **kwargs)
 
 
 def test_refine_label_follows_sign():

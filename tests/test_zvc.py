@@ -125,12 +125,17 @@ def _vertices(curve: ZeroVelocityCurve) -> np.ndarray:
 
 
 def test_window_and_resolution_validation():
-    with pytest.raises(ValueError):
-        zero_velocity_curve(CLASSICAL, 3.0, WIDE, 8)
-    with pytest.raises(ValueError):
-        zero_velocity_curve(CLASSICAL, 3.0, (1.5, -1.5, -1.5, 1.5), 64)
-    with pytest.raises(ValueError):
-        zero_velocity_curve(CLASSICAL, 3.0, (-1.5, 1.5, 1.5, 1.5), 64)
+    for name, level, window, resolution in [
+            ("resolution", 3.0, WIDE, 8),
+            ("window", 3.0, (1.5, -1.5, -1.5, 1.5), 64),
+            ("window", 3.0, (-1.5, 1.5, 1.5, 1.5), 64),
+            ("window", 3.0, (-math.inf, 1.5, -1.5, 1.5), 64),
+            ("window", 3.0, (-1.5, 1.5, -1.5, math.inf), 64),
+            ("window", 3.0, (-1.5, math.nan, -1.5, 1.5), 64),
+            ("level_c", math.nan, WIDE, 64),
+            ("level_c", math.inf, WIDE, 64)]:
+        with pytest.raises(ValueError, match=name):
+            zero_velocity_curve(CLASSICAL, level, window, resolution)
 
 
 def test_level_outside_range_gives_empty_curve():

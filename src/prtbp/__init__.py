@@ -3,8 +3,9 @@ Poynting-Robertson drag and an oblate secondary."""
 
 from .errors import (ConfigError, ConvergenceError, DegenerateFormulaError,
                      SingularityError, SingularJacobianError)
-from .model import (COLLISION_GUARD, AccelVector, GrainProperties, PhaseState,
-                    SystemParams, amended_potential, conservative_gradient,
+from .model import (COLLISION_GUARD, ESCAPE_RADIUS, AccelVector,
+                    GrainProperties, PhaseState, SystemParams,
+                    amended_potential, conservative_gradient,
                     drag_acceleration, drag_coefficient, equations_of_motion,
                     jacobi_constant, jacobi_drift_rate,
                     mass_reduction_from_grain, mean_motion,
@@ -13,7 +14,7 @@ from .equilibria import (BRANCHES, EquilibriumPoint, PerturbationTerms,
                          analytic_epsilons, analytic_triangular_point,
                          equilibrium_residual, limiting_case_point,
                          refine_equilibrium)
-from .dynamics import ESCAPE_RADIUS, Trajectory, integrate, jacobi_audit
+from .dynamics import Trajectory, integrate, jacobi_audit
 from .zvc import ZeroVelocityCurve, zero_velocity_curve
 
 __version__ = "0.1.0"

@@ -26,16 +26,16 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
-from .dynamics import ESCAPE_RADIUS, integrate, jacobi_audit
+from .dynamics import integrate, jacobi_audit
 from .equilibria import (BRANCHES, DegenerateFormulaError, EquilibriumPoint,
-                         METHOD_BASE, analytic_epsilons,
-                         analytic_triangular_point, equilibrium_residual,
-                         limiting_case_point, refine_equilibrium)
+                         METHOD_BASE, _branch_sign, _check_newton_args,
+                         analytic_epsilons, analytic_triangular_point,
+                         equilibrium_residual, limiting_case_point,
+                         refine_equilibrium)
 from .errors import ConfigError, ConvergenceError, SingularityError
-from .model import (COLLISION_GUARD, GrainProperties, PhaseState,
-                    SystemParams, jacobi_drift_rate, mass_reduction_from_grain)
+from .model import (COLLISION_GUARD, ESCAPE_RADIUS, GrainProperties,
+                    PhaseState, SystemParams, jacobi_drift_rate,
+                    mass_reduction_from_grain)
 from .zvc import zero_velocity_curve
 
 _REQUIRED = object()
@@ -305,6 +305,16 @@ def _render_csv(columns, rows, precision: int) -> str:
     return buf.getvalue()
 
 
+def _write_float_csv(path: str, columns: tuple[str, ...], table,
+                     precision: int) -> None:
+    # the bytes of _render_csv for a float array without -0.0, from one
+    # format string per row, streamed to the file
+    line = ",".join([f"%.{precision}g"] * len(columns)) + "\n"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(line % tuple(row) for row in table.tolist())
+
+
 def read_table(path: str) -> tuple[list[str], list[dict]]:
     """Read back a CSV file written by this module.
 
@@ -370,6 +380,8 @@ def run_equilibria(cfg: JobConfig) -> int:
 
 def run_integrate(cfg: JobConfig) -> int:
     """Propagate one trajectory and write samples plus a metadata sidecar."""
+    import numpy as np
+
     p = cfg.system
     a = cfg.args
     s0 = PhaseState(x=a["x"], y=a["y"], vx=a["vx"], vy=a["vy"], t=a["t0"])
@@ -378,8 +390,13 @@ def run_integrate(cfg: JobConfig) -> int:
                      collision_guard=a["collision_guard"],
                      escape_radius=a["escape_radius"])
     dcdt = jacobi_drift_rate(p, PhaseState(*traj.arrays()[1:5]))
-    rows = np.column_stack((traj.samples, dcdt)).tolist()
-    _write_table(cfg, ("t", "x", "y", "vx", "vy", "C", "dCdt"), rows)
+    columns = ("t", "x", "y", "vx", "vy", "C", "dCdt")
+    table = np.column_stack((traj.samples, dcdt))
+    table += 0.0  # -0.0 becomes 0.0, as _fmt makes it
+    if cfg.out_format == "csv":
+        _write_float_csv(cfg.out_path, columns, table, cfg.precision)
+    else:
+        _write_table(cfg, columns, table.tolist())
     try:
         audit = jacobi_audit(traj)
     except ValueError:
@@ -413,9 +430,26 @@ def run_zvc(cfg: JobConfig) -> int:
     return 0
 
 
-def _sweep_grid(a: dict) -> np.ndarray:
-    space = np.linspace if a["spacing"] == "linear" else np.geomspace
-    return space(a["start"], a["stop"], a["count"])
+def _linspace(start: float, stop: float, count: int) -> list[float]:
+    # NumPy's linspace formula: start + i*step, the last point pinned
+    step = (stop - start) / (count - 1) if count > 1 else 0.0
+    grid = [start + i * step for i in range(count)]
+    if count > 1:
+        grid[-1] = stop
+    return grid
+
+
+def _sweep_grid(a: dict) -> list[float]:
+    start, stop, count = a["start"], a["stop"], a["count"]
+    if a["spacing"] == "linear":
+        return _linspace(start, stop, count)
+    # NumPy's geomspace formula: 10**v over the linear grid of the
+    # exponents of |start| and |stop|, the sign put back, both ends pinned
+    sign = math.copysign(1.0, start)
+    exponents = _linspace(math.log10(sign * start), math.log10(sign * stop),
+                          count)
+    inner = [sign * 10.0 ** v for v in exponents[1:-1]]
+    return [start, *inner, stop] if count > 1 else [start]
 
 
 def _sweep_system(base: SystemParams, variable: str,
@@ -435,10 +469,12 @@ def run_sweep(cfg: JobConfig) -> int:
     the summary line on stdout reports the flagged count.
     """
     a = cfg.args
+    # checked here as well, since a grid of invalid points refines nothing
+    _branch_sign(a["branch"])
+    _check_newton_args(a["tol"], a["max_iter"])
     rows = []
     flagged = 0
     for value in _sweep_grid(a):
-        value = float(value)
         try:
             p = _sweep_system(cfg.system, a["variable"], value)
         except ValueError:

@@ -15,16 +15,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .model import (COLLISION_GUARD, PhaseState, SystemParams,
-                    _accelerations, _check_guard, _radii, jacobi_constant,
-                    jacobi_drift_rate)
+from .model import (COLLISION_GUARD, ESCAPE_RADIUS, PhaseState,
+                    SystemParams, _accelerations, _check_guard, _radii,
+                    jacobi_constant, jacobi_drift_rate)
 from .rk45 import solve_ivp
 
-#: Default escape radius measured from the radiating primary.
-ESCAPE_RADIUS = 50.0
+if TYPE_CHECKING:
+    import numpy as np
+
+#: Largest span / sample_dt that integrate accepts, about 10**7 samples.
+MAX_SAMPLES = 10**7
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,11 +81,14 @@ def integrate(p: SystemParams, s0: PhaseState, t_end: float,
     ------
     ValueError
         An argument is not finite, ``t_end`` does not exceed ``s0.t``, or
-        ``sample_dt``, a tolerance or a radius is not > 0; the message
+        ``sample_dt``, a tolerance or a radius is not > 0, or the span
+        holds more than ``MAX_SAMPLES`` sampling intervals; the message
         names the argument.
     SingularityError
         ``s0`` lies within the collision guard.
     """
+    import numpy as np
+
     for name in ("x", "y", "vx", "vy", "t"):
         value = getattr(s0, name)
         if not -math.inf < value < math.inf:
@@ -96,6 +101,11 @@ def integrate(p: SystemParams, s0: PhaseState, t_end: float,
                         ("escape_radius", escape_radius)):
         if not 0 < value < math.inf:
             raise ValueError(f"{name} must be finite and > 0, got {value}")
+    span = t_end - s0.t
+    # checked before ceil, which overflows on an infinite ratio
+    if not span / sample_dt <= MAX_SAMPLES:
+        raise ValueError(f"sample_dt must leave at most {MAX_SAMPLES} "
+                         f"intervals in the span {span}, got {sample_dt}")
     # rejects an initial state already inside the guard
     _check_guard(p, s0.x, s0.y, collision_guard)
 
@@ -115,7 +125,6 @@ def integrate(p: SystemParams, s0: PhaseState, t_end: float,
     collision.direction = -1.0
     escape.direction = 1.0
 
-    span = t_end - s0.t
     nsteps = max(1, math.ceil(span / sample_dt - 1e-9))
     grid = s0.t + sample_dt * np.arange(nsteps + 1)
     grid[-1] = t_end
@@ -158,6 +167,7 @@ def jacobi_audit(traj: Trajectory) -> float:
     if len(traj.samples) < 3:
         raise ValueError(
             f"audit needs at least 3 samples, got {len(traj.samples)}")
+    import numpy as np
     p = traj.params
     t, _, _, _, _, c = traj.arrays()
     if p.w1 == 0.0:

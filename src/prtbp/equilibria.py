@@ -46,6 +46,15 @@ def _branch_sign(branch: Branch) -> float:
     raise ValueError(f"branch must be 'L4' or 'L5', got {branch!r}")
 
 
+def _check_newton_args(tol: float, max_iter: int) -> None:
+    # the options of refine_equilibrium, also checked by callers that
+    # must reject them before their first refinement
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    if not max_iter >= 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+
+
 @dataclass(frozen=True)
 class PerturbationTerms:
     """First-order perturbation data for one triangular point.
@@ -251,10 +260,7 @@ def refine_equilibrium(p: SystemParams, guess: tuple[float, float],
     SingularJacobianError
         The finite-difference Jacobian is singular to working precision.
     """
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
-    if not max_iter >= 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    _check_newton_args(tol, max_iter)
     x, y = float(guess[0]), float(guess[1])
     if not (-math.inf < x < math.inf and -math.inf < y < math.inf):
         raise ValueError(f"guess must be finite, got {tuple(guess)}")

@@ -13,12 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import SingularityError
 
 #: Default closest allowed approach to either primary, in separation units.
 COLLISION_GUARD = 1e-6
+
+#: Default escape radius measured from the radiating primary.
+ESCAPE_RADIUS = 50.0
 
 #: CGS coefficient of the grain mass-reduction formula, cm * g / cm^3.
 GRAIN_COEFF_CGS = 5.6e-5
@@ -219,7 +220,8 @@ class AccelVector:
 
 def _squared_radii(p: SystemParams, x, y):
     # x + mu and the squared distances to the primaries at (-mu, 0) and
-    # (1-mu, 0); this and the expressions below take floats or arrays
+    # (1-mu, 0); this and the expressions below take floats or arrays,
+    # and only the array branches import NumPy
     xm = x + p.mu
     return xm, xm * xm + y * y, (xm - 1.0) * (xm - 1.0) + y * y
 
@@ -228,8 +230,10 @@ def _radii(p: SystemParams, x, y):
     # math.sqrt and np.sqrt are both correctly rounded, so floats and
     # arrays give the same bits, which ** and hypot do not promise
     _, r1sq, r2sq = _squared_radii(p, x, y)
-    sqrt = np.sqrt if isinstance(r1sq, np.ndarray) else math.sqrt
-    return sqrt(r1sq), sqrt(r2sq)
+    if type(r1sq) is float:
+        return math.sqrt(r1sq), math.sqrt(r2sq)
+    import numpy as np
+    return np.sqrt(r1sq), np.sqrt(r2sq)
 
 
 def _guard_error(x, y, r1, r2, guard: float) -> SingularityError:
@@ -239,8 +243,13 @@ def _guard_error(x, y, r1, r2, guard: float) -> SingularityError:
 
 def _check_guard(p: SystemParams, x, y, guard: float) -> None:
     r1, r2 = _radii(p, x, y)
+    if type(r1) is float:
+        if r1 < guard or r2 < guard:
+            raise _guard_error(x, y, r1, r2, guard)
+        return
+    import numpy as np
     near = (r1 < guard) | (r2 < guard)
-    if near.any() if isinstance(near, np.ndarray) else near:
+    if near.any():
         i = np.argmax(near)  # the first point of a batch inside
         raise _guard_error(*(np.ravel(v)[i] for v in (x, y, r1, r2)), guard)
 

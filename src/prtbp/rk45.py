@@ -21,8 +21,10 @@ import math
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 EPS = sys.float_info.epsilon
 
@@ -112,6 +114,8 @@ def solve_ivp(fun, t_span, y0, t_eval, rtol, atol, events=()):
     -------
     OdeResult
     """
+    import numpy as np
+
     t, t_bound = float(t_span[0]), float(t_span[1])
     if not t_bound > t:
         raise ValueError(f"t_span must increase, got {tuple(t_span)}")
@@ -268,6 +272,8 @@ def _locate(event, step, b, n) -> float:
 
 def _sample(times, dense, n) -> np.ndarray:
     # every output row through its step's quartic, in one NumPy pass
+    import numpy as np
+
     if not dense:
         return np.empty((n, 0))
     t_old, h, y_old, stages, counts = zip(*dense)

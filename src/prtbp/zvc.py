@@ -21,15 +21,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .model import COLLISION_GUARD, SystemParams, _potential, _radii
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Window = tuple[float, float, float, float]
 
 #: Minimum number of grid nodes per axis.
 MIN_RESOLUTION = 16
+
+#: Maximum number of grid nodes per axis.
+MAX_RESOLUTION = 4096
 
 # halvings of the unit edge parameter: 2**-46 < 1e-13
 _HALVINGS = 46
@@ -58,6 +63,8 @@ class ZeroVelocityCurve:
 def _level(p: SystemParams, x, y, level_c: float,
            guard: float) -> np.ndarray:
     # f = 2*U1 - C on arrays, NaN within the guard of a primary
+    import numpy as np
+
     with np.errstate(divide="ignore", invalid="ignore"):
         f = 2.0 * _potential(p, x, y) - level_c
     f[np.minimum(*_radii(p, x, y)) < guard] = math.nan
@@ -74,6 +81,8 @@ def _polish(p: SystemParams, level_c: float, guard: float, xa, ya, xb, yb,
     the vertex itself. A probe inside the guard gives NaN, which fails
     ``f < 0`` and so counts as f >= 0, as it is near a primary.
     """
+    import numpy as np
+
     dx, dy = xb - xa, yb - ya
     neg = fa < 0.0
     lo, hi = np.zeros_like(fa), np.ones_like(fa)
@@ -104,7 +113,7 @@ def zero_velocity_curve(p: SystemParams, level_c: float, window: Window,
     window : tuple
         (xmin, xmax, ymin, ymax) finite extent of the sampling grid.
     resolution : int
-        Number of grid nodes per axis, at least 16.
+        Number of grid nodes per axis, from 16 to 4096.
 
     Returns
     -------
@@ -118,9 +127,11 @@ def zero_velocity_curve(p: SystemParams, level_c: float, window: Window,
             and -math.inf < ymin < ymax < math.inf):
         raise ValueError(f"window must be finite with xmin < xmax and "
                          f"ymin < ymax, got {window}")
-    if resolution < MIN_RESOLUTION:
-        raise ValueError(
-            f"resolution must be >= {MIN_RESOLUTION}, got {resolution}")
+    if not MIN_RESOLUTION <= resolution <= MAX_RESOLUTION:
+        raise ValueError(f"resolution must be in [{MIN_RESOLUTION}, "
+                         f"{MAX_RESOLUTION}], got {resolution}")
+
+    import numpy as np
 
     nx = ny = int(resolution)
     xs = xmin + (xmax - xmin) * np.arange(nx) / (nx - 1)

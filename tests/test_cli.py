@@ -14,8 +14,8 @@ import pytest
 
 import prtbp
 from prtbp import PhaseState, SystemParams, amended_potential, \
-    conservative_gradient, dynamics, jacobi_constant, rk45
-from prtbp.cli import main, read_table
+    conservative_gradient, dynamics, jacobi_constant, jacobi_drift_rate, rk45
+from prtbp.cli import _render_csv, main, read_table
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
 
@@ -236,6 +236,23 @@ def test_integrate_writes_samples_and_sidecar(tmp_path):
     assert all(row["dCdt"] == 0.0 for row in rows)
 
 
+@pytest.mark.parametrize("precision", [17, 5])
+def test_integrate_csv_matches_the_row_renderer(precision, tmp_path):
+    # without drag most dCdt values are -0.0, which must print as 0
+    out = str(tmp_path / "orbit.csv")
+    assert main([*INTEGRATE, "--output", out,
+                 "--output.precision", str(precision)]) == 0
+    p = SystemParams(mu=0.01, w1=0.0)
+    traj = dynamics.integrate(p, PhaseState(0.49, 0.86, 0.0, 0.0),
+                              t_end=1.0, sample_dt=0.1)
+    dcdt = jacobi_drift_rate(p, PhaseState(*traj.arrays()[1:5]))
+    rows = np.column_stack((traj.samples, dcdt)).tolist()
+    assert any(math.copysign(1.0, v) < 0 for v in dcdt)
+    expected = _render_csv(("t", "x", "y", "vx", "vy", "C", "dCdt"), rows,
+                           precision)
+    assert Path(out).read_text(encoding="utf-8") == expected
+
+
 def test_integrate_step_failure_keeps_its_cause(tmp_path, monkeypatch):
     # no orbit of the model fails a step at these tolerances, so the
     # stepper gets x' = x^2 instead, which blows up at t = 1/x0
@@ -424,6 +441,14 @@ PROBES = [
     (INTEGRATE + ["--job.collision_guard", "nan"], "collision_guard"),
     (ZVC + ["--job.level_c", "nan"], "level_c"),
     (ZVC + ["--job.xmax", "inf"], "window"),
+    # every grid point is invalid (q1 = 1 admits no drag), so no library
+    # call would see the options
+    (SWEEP + ["--system.q1", "1.0", "--job.stop", "1e-3", "--job.tol", "-1",
+              "--job.branch", "L6"], "branch"),
+    # work bounds: the sample count overflows ceil, the grid is too fine
+    (INTEGRATE + ["--job.t_end", "1e300", "--job.sample_dt", "1e-10"],
+     "sample_dt"),
+    (ZVC + ["--job.resolution", "4097"], "resolution"),
 ]
 
 

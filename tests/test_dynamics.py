@@ -33,7 +33,10 @@ def test_integrate_validation():
             ("t_end", dict(t_end=0.0)), ("t_end", dict(t_end=nan)),
             ("t_end", dict(t_end=inf)), ("sample_dt", dict(sample_dt=0.0)),
             ("sample_dt", dict(sample_dt=nan)),
-            ("sample_dt", dict(sample_dt=inf)), ("rtol", dict(rtol=0.0)),
+            ("sample_dt", dict(sample_dt=inf)),
+            ("sample_dt", dict(sample_dt=0.99e-7)),
+            ("sample_dt", dict(t_end=1e300, sample_dt=1e-10)),
+            ("rtol", dict(rtol=0.0)),
             ("rtol", dict(rtol=nan)), ("atol", dict(atol=-1e-9)),
             ("collision_guard", dict(collision_guard=nan)),
             ("escape_radius", dict(escape_radius=nan)),

@@ -1,7 +1,10 @@
-"""No job loads SciPy: it is a test-only reference.
+"""No job loads SciPy, and only the array-building jobs load NumPy.
 
-Each case runs in a fresh interpreter, since this test process has
-imported SciPy itself, and reports which SciPy modules it loaded.
+SciPy is a test-only reference. NumPy is loaded by the ``integrate`` and
+``zvc`` jobs, which build arrays; importing the package and running the
+``equilibria`` and ``sweep`` jobs use Python floats only. Each case runs
+in a fresh interpreter, since this test process has imported both
+itself, and reports which of them it loaded.
 """
 
 from __future__ import annotations
@@ -21,14 +24,16 @@ SRC = str(Path(prtbp.__file__).resolve().parent.parent)
 REPORT = """
 import json, sys
 {body}
-print(json.dumps(sorted(m for m in sys.modules
-                        if m == "scipy" or m.startswith("scipy."))))
+print(json.dumps({{
+    "scipy": sorted(m for m in sys.modules
+                    if m == "scipy" or m.startswith("scipy.")),
+    "numpy": "numpy" in sys.modules}}))
 """
 
 SYSTEM = ["--system.mu", "0.1", "--system.q1", "0.98", "--system.w1", "1e-4"]
 
 
-def _scipy_modules(body: str, cwd: Path) -> list[str]:
+def _loaded(body: str, cwd: Path) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (SRC, env.get("PYTHONPATH"))))
@@ -43,20 +48,35 @@ def _main(argv: list[str]) -> str:
     return f"import prtbp.cli\nassert prtbp.cli.main({argv!r}) == 0"
 
 
-@pytest.mark.parametrize("body", [
-    "import prtbp",
-    "import prtbp.cli",
-    _main(["equilibria", *SYSTEM, "--output", "points.csv"]),
-    _main(["sweep", *SYSTEM, "--job.variable", "w1", "--job.start", "1e-4",
-           "--job.stop", "1e-3", "--job.count", "3", "--output",
-           "sweep.csv"]),
-    _main(["zvc", *SYSTEM, "--job.level_c", "3.2", "--job.xmin", "-1.5",
-           "--job.xmax", "1.5", "--job.ymin", "-1.5", "--job.ymax", "1.5",
-           "--job.resolution", "32", "--output", "curve.csv"]),
-    _main(["integrate", *SYSTEM, "--job.x", "0.4", "--job.y", "0.8",
-           "--job.vx", "0.0", "--job.vy", "0.0", "--job.t_end", "0.5",
-           "--job.sample_dt", "0.1", "--output", "orbit.csv"]),
-], ids=["import-prtbp", "import-cli", "equilibria", "sweep", "zvc",
-        "integrate"])
+SWEEP = ["sweep", *SYSTEM, "--job.variable", "w1", "--job.start", "1e-4",
+         "--job.stop", "1e-3", "--job.count", "3", "--output", "sweep.csv"]
+
+# (id, body, whether it loads NumPy)
+CASES = [
+    ("import-prtbp", "import prtbp", False),
+    ("import-cli", "import prtbp.cli", False),
+    ("equilibria",
+     _main(["equilibria", *SYSTEM, "--output", "points.csv"]), False),
+    ("sweep", _main(SWEEP), False),
+    ("sweep-linear", _main(SWEEP + ["--job.spacing", "linear"]), False),
+    ("zvc", _main(["zvc", *SYSTEM, "--job.level_c", "3.2", "--job.xmin",
+                   "-1.5", "--job.xmax", "1.5", "--job.ymin", "-1.5",
+                   "--job.ymax", "1.5", "--job.resolution", "32",
+                   "--output", "curve.csv"]), True),
+    ("integrate", _main(["integrate", *SYSTEM, "--job.x", "0.4", "--job.y",
+                         "0.8", "--job.vx", "0.0", "--job.vy", "0.0",
+                         "--job.t_end", "0.5", "--job.sample_dt", "0.1",
+                         "--output", "orbit.csv"]), True),
+]
+IDS = [name for name, _, _ in CASES]
+
+
+@pytest.mark.parametrize("body", [body for _, body, _ in CASES], ids=IDS)
 def test_job_loads_no_scipy(body, tmp_path):
-    assert _scipy_modules(body, tmp_path) == []
+    assert _loaded(body, tmp_path)["scipy"] == []
+
+
+@pytest.mark.parametrize("body, numpy", [case[1:] for case in CASES],
+                         ids=IDS)
+def test_numpy_loads_only_for_arrays(body, numpy, tmp_path):
+    assert _loaded(body, tmp_path)["numpy"] is numpy

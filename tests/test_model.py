@@ -441,3 +441,17 @@ def test_batch_guard_names_the_first_point_inside():
     y = np.array([0.5, 0.0, 0.0])
     with pytest.raises(SingularityError, match=r"point \(0.9, 0.0\)"):
         jacobi_constant(p, PhaseState(x, y, x, y))
+
+
+def test_numpy_scalars_take_the_array_branch():
+    """np.float64 inputs are not Python floats; they go through NumPy and
+    still give the bits of the float path."""
+    p = SystemParams(mu=0.01, q1=0.995, a2=1e-4, cd=1e3)
+    s = PhaseState(0.49, 0.86, 0.012, -0.034)
+    wide = PhaseState(*(np.float64(v) for v in (s.x, s.y, s.vx, s.vy)))
+    assert _bits(jacobi_constant(p, wide)) == _bits(jacobi_constant(p, s))
+    assert _bits(amended_potential(p, wide.x, wide.y)) \
+        == _bits(amended_potential(p, s.x, s.y))
+    with pytest.raises(SingularityError, match="within"):
+        jacobi_constant(p, PhaseState(np.float64(-0.01), np.float64(0.0),
+                                      0.0, 0.0))

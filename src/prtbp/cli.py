@@ -3,7 +3,8 @@
 Four subcommands cover the library surface: ``equilibria`` reports the
 triangular points by every available route, ``integrate`` propagates one
 trajectory, ``zvc`` extracts a zero-velocity curve, and ``sweep`` tracks
-the analytic and refined points across a parameter grid.
+the analytic and refined points across a parameter grid, up to the fold
+of their branch.
 
 Configuration comes from an optional JSON file (``--config``) merged
 with command-line flags named after the dotted field paths, for example
@@ -23,15 +24,16 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
 from .dynamics import integrate, jacobi_audit
 from .equilibria import (BRANCHES, DegenerateFormulaError, EquilibriumPoint,
-                         METHOD_BASE, _branch_sign, _check_newton_args,
-                         analytic_epsilons, analytic_triangular_point,
-                         equilibrium_residual, limiting_case_point,
-                         refine_equilibrium)
+                         METHOD_BASE, _branch_fold, _branch_sign,
+                         _check_newton_args, analytic_epsilons,
+                         analytic_triangular_point, equilibrium_residual,
+                         limiting_case_point, refine_equilibrium)
 from .errors import ConfigError, ConvergenceError, SingularityError
 from .model import (COLLISION_GUARD, ESCAPE_RADIUS, GrainProperties,
                     PhaseState, SystemParams, jacobi_drift_rate,
@@ -39,6 +41,9 @@ from .model import (COLLISION_GUARD, ESCAPE_RADIUS, GrainProperties,
 from .zvc import zero_velocity_curve
 
 _REQUIRED = object()
+
+#: Rows ``integrate`` formats at a time when it writes its CSV.
+_CSV_CHUNK_ROWS = 65536
 
 _SYSTEM_FIELDS = {
     "system.mu": float,
@@ -308,11 +313,14 @@ def _render_csv(columns, rows, precision: int) -> str:
 def _write_float_csv(path: str, columns: tuple[str, ...], table,
                      precision: int) -> None:
     # the bytes of _render_csv for a float array without -0.0, from one
-    # format string per row, streamed to the file
+    # format string per row, streamed to the file; rows become Python
+    # floats one chunk at a time, so memory stays bounded
     line = ",".join([f"%.{precision}g"] * len(columns)) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(columns) + "\n")
-        fh.writelines(line % tuple(row) for row in table.tolist())
+        for start in range(0, len(table), _CSV_CHUNK_ROWS):
+            chunk = table[start:start + _CSV_CHUNK_ROWS].tolist()
+            fh.writelines(line % tuple(row) for row in chunk)
 
 
 def read_table(path: str) -> tuple[list[str], list[dict]]:
@@ -413,8 +421,7 @@ def run_integrate(cfg: JobConfig) -> int:
 
 
 def _meta_path(out_path: str) -> str:
-    stem, dot, _ = out_path.rpartition(".")
-    return (stem if dot else out_path) + ".meta.json"
+    return os.path.splitext(out_path)[0] + ".meta.json"
 
 
 def run_zvc(cfg: JobConfig) -> int:
@@ -463,23 +470,45 @@ def _sweep_system(base: SystemParams, variable: str,
 
 
 def run_sweep(cfg: JobConfig) -> int:
-    """Track analytic and refined points over a parameter grid.
+    """Follow the analytic and refined points over a parameter grid.
 
-    Failures on single grid points flag the row and the run continues;
-    the summary line on stdout reports the flagged count.
+    The refined points seed the Newton solve of the next grid point, by
+    the secant through the last two; the first point, and the first after
+    an ``invalid-params`` gap, starts from the analytic guess. From the
+    first refined point the branch is followed by pseudo-arclength steps
+    to the end of the grid. Where det J changes sign along it the branch
+    folds, and every row past the fold reads ``no-equilibrium`` without
+    a solve. Failures on single grid points flag the row and the run
+    continues; the summary line on stdout reports the flagged count and
+    the fold.
     """
     a = cfg.args
     # checked here as well, since a grid of invalid points refines nothing
     _branch_sign(a["branch"])
     _check_newton_args(a["tol"], a["max_iter"])
+    grid = _sweep_grid(a)
+
+    def family(value: float) -> SystemParams:
+        return _sweep_system(cfg.system, a["variable"], value)
+
     rows = []
     flagged = 0
-    for value in _sweep_grid(a):
+    # the last two refined (value, x, y) since the last invalid row
+    last = before = None
+    fold = None
+    for value in grid:
         try:
-            p = _sweep_system(cfg.system, a["variable"], value)
+            p = family(value)
         except ValueError:
             rows.append((value, None, None, None, None, None,
                          "invalid-params"))
+            flagged += 1
+            last = before = None
+            continue
+        # past the fold is on the side of it where the grid ends
+        if fold is not None and (value - fold) * (grid[-1] - fold) > 0:
+            rows.append((value, None, None, None, None, None,
+                         "no-equilibrium"))
             flagged += 1
             continue
         xa = ya = None
@@ -492,6 +521,13 @@ def run_sweep(cfg: JobConfig) -> int:
             terms = analytic_epsilons(p, a["branch"])
             guess = (terms.x0, terms.y0)
             status = "degenerate-analytic"
+        if last is not None:
+            guess = last[1:]
+        if before is not None:
+            # the secant through the last two refined points
+            f = (value - last[0]) / (last[0] - before[0])
+            guess = (last[1] + f * (last[1] - before[1]),
+                     last[2] + f * (last[2] - before[2]))
         try:
             refined = refine_equilibrium(p, guess, tol=a["tol"],
                                          max_iter=a["max_iter"])
@@ -499,6 +535,10 @@ def run_sweep(cfg: JobConfig) -> int:
             rows.append((value, xa, ya, None, None, None, "refine-failed"))
             flagged += 1
             continue
+        if last is None and fold is None:
+            fold = _branch_fold(family, (refined.x, refined.y), value,
+                                grid[-1], tol=a["tol"])
+        before, last = last, (value, refined.x, refined.y)
         err = (math.hypot(xa - refined.x, ya - refined.y)
                if status == "ok" else None)
         if status != "ok":
@@ -506,8 +546,10 @@ def run_sweep(cfg: JobConfig) -> int:
         rows.append((value, xa, ya, refined.x, refined.y, err, status))
     _write_table(cfg, ("value", "x_analytic", "y_analytic", "x_refined",
                        "y_refined", "err_norm", "status"), rows)
-    sys.stdout.write(
-        f"sweep: {len(rows)} points, {flagged} flagged\n")
+    summary = f"sweep: {len(rows)} points, {flagged} flagged"
+    if fold is not None:
+        summary += f", fold at {a['variable']} = {_fmt(fold, cfg.precision)}"
+    sys.stdout.write(summary + "\n")
     return 0
 
 

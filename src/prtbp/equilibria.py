@@ -3,8 +3,10 @@
 With radiation pressure alone the triangular points sit at distances
 r1 = delta = q1**(1/3) from the radiating primary and r2 = 1 from the
 oblate one. Drag and oblateness shift them; this module provides the
-first-order analytic shift, closed forms for the limiting cases, and a
-damped Newton refinement that solves the rest-state equations exactly.
+first-order analytic shift, closed forms for the limiting cases, a
+damped Newton refinement that solves the rest-state equations exactly,
+and the pseudo-arclength continuation that finds where a branch of those
+solutions folds as a parameter varies.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from typing import Literal
 
 from .errors import (ConvergenceError, DegenerateFormulaError,
                      SingularityError, SingularJacobianError)
-from .model import COLLISION_GUARD, SystemParams, _accelerations
+from .model import (COLLISION_GUARD, SystemParams, _accelerations,
+                    _rest_jacobian)
 
 Branch = Literal["L4", "L5"]
 BRANCHES: tuple[Branch, Branch] = ("L4", "L5")
@@ -36,6 +39,18 @@ _DEGENERATE_X0 = 1e-9
 _SQRT_EPS = math.sqrt(2.220446049250313e-16)
 _MAX_NEWTON_STEP = 0.25
 _MAX_HALVINGS = 20
+
+#: Largest and smallest pseudo-arclength step, in (x, y, parameter) units.
+_ARC_MAX_STEP = 0.05
+_ARC_MIN_STEP = 1e-9
+#: Arc steps before the search gives up.
+_ARC_MAX_STEPS = 1000
+#: Corrector iterations before a step is halved.
+_ARC_CORRECTIONS = 8
+#: Smallest cosine between successive tangents of an accepted step.
+_ARC_MIN_COS = 0.9
+#: Secant iterations on det J when a fold is bracketed.
+_FOLD_SECANT_ITER = 60
 
 
 def _branch_sign(branch: Branch) -> float:
@@ -220,29 +235,12 @@ def limiting_case_point(p: SystemParams, case: str, branch: Branch
                             method=f"limiting-{case}", residual_norm=rn)
 
 
-def _fd_jacobian(p: SystemParams, x: float, y: float,
-                 guard: float) -> tuple[float, float, float, float]:
-    # central differences of the residual, step sqrt(machine eps) scaled
-    # by the coordinate magnitude
-    hx = _SQRT_EPS * max(abs(x), 1.0)
-    hy = _SQRT_EPS * max(abs(y), 1.0)
-    r1p = equilibrium_residual(p, x + hx, y, guard)
-    r1m = equilibrium_residual(p, x - hx, y, guard)
-    r2p = equilibrium_residual(p, x, y + hy, guard)
-    r2m = equilibrium_residual(p, x, y - hy, guard)
-    j11 = (r1p[0] - r1m[0]) / (2.0 * hx)
-    j21 = (r1p[1] - r1m[1]) / (2.0 * hx)
-    j12 = (r2p[0] - r2m[0]) / (2.0 * hy)
-    j22 = (r2p[1] - r2m[1]) / (2.0 * hy)
-    return j11, j12, j21, j22
-
-
 def refine_equilibrium(p: SystemParams, guess: tuple[float, float],
                        tol: float = 1e-12, max_iter: int = 50,
                        guard: float = COLLISION_GUARD) -> EquilibriumPoint:
     """Damped Newton refinement of a triangular-point guess.
 
-    Iterates on the rest-state residual with a finite-difference Jacobian
+    Iterates on the rest-state residual with its closed-form Jacobian
     until its norm drops below ``tol``. The Newton step is clamped and
     halved (up to 20 times) whenever it fails to decrease the residual,
     which keeps the iteration from wandering off from poor guesses; a
@@ -258,7 +256,7 @@ def refine_equilibrium(p: SystemParams, guess: tuple[float, float],
         Tolerance not reached within ``max_iter`` iterations; carries the
         last iterate and its residual norm.
     SingularJacobianError
-        The finite-difference Jacobian is singular to working precision.
+        The Jacobian is singular to working precision.
     """
     _check_newton_args(tol, max_iter)
     x, y = float(guess[0]), float(guess[1])
@@ -273,7 +271,7 @@ def refine_equilibrium(p: SystemParams, guess: tuple[float, float],
                 f"no convergence after {max_iter} iterations; last iterate "
                 f"({x}, {y}) has residual norm {rnorm:.3e}",
                 x=x, y=y, residual_norm=rnorm, iterations=iterations)
-        j11, j12, j21, j22 = _fd_jacobian(p, x, y, guard)
+        j11, j12, j21, j22 = _rest_jacobian(p, x, y)
         det = j11 * j22 - j12 * j21
         scale = math.hypot(j11, j12) * math.hypot(j21, j22)
         if abs(det) <= 1e-14 * max(scale, 1e-300):
@@ -311,3 +309,145 @@ def refine_equilibrium(p: SystemParams, guess: tuple[float, float],
     label: Branch = "L4" if y > 0 else "L5"
     return EquilibriumPoint(x=x, y=y, label=label, method=METHOD_REFINED,
                             residual_norm=rnorm)
+
+
+def _cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
+
+
+def _dot(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+class _Arc:
+    """Pseudo-arclength steps along one branch of rest-state solutions.
+
+    A point of the branch is u = (x, y, lam) with R(x, y; lam) = 0, where
+    R is the rest-state residual of ``family(lam)``. The cross product c
+    of the two rows of [J | dR/dlam] spans the branch's tangent and its
+    last component is det J. So c keeps its orientation along the branch,
+    and det J changes sign exactly where lam turns back, at a fold
+    (Keller 1977; Allgower & Georg 1990, ch. 2). J is exact; dR/dlam is a
+    one-sided difference through ``family``, taken back toward ``lam0``,
+    inside the swept range. Its error moves only the predictor and the
+    corrector's rate, never the points, which solve R = 0 to ``tol``.
+    """
+
+    def __init__(self, family, lam0: float, stop: float, tol: float):
+        self.family = family
+        self.lam0 = lam0
+        self.h = math.copysign(_SQRT_EPS * max(abs(lam0), abs(stop - lam0)),
+                               stop - lam0)
+        self.tol = tol
+
+    def correct(self, u, t, ds):
+        """Newton from u + ds*t on R = 0 and t.(v - u) = ds.
+
+        Returns the point v, the cross product c there and the number of
+        corrections, or None when ``_ARC_CORRECTIONS`` do not converge or
+        a parameter leaves the family's domain.
+        """
+        v = [u[0] + ds * t[0], u[1] + ds * t[1], u[2] + ds * t[2]]
+        for corrections in range(_ARC_CORRECTIONS + 1):
+            # dR/dlam forward from lam0, backward everywhere else
+            h = self.h if abs(v[2] - self.lam0) <= abs(self.h) else -self.h
+            try:
+                p = self.family(v[2])
+                res = equilibrium_residual(p, v[0], v[1])
+                res_h = equilibrium_residual(self.family(v[2] + h),
+                                             v[0], v[1])
+            except ValueError:
+                return None
+            j11, j12, j21, j22 = _rest_jacobian(p, v[0], v[1])
+            a = (j11, j12, (res_h[0] - res[0]) / h)
+            b = (j21, j22, (res_h[1] - res[1]) / h)
+            c = _cross(a, b)
+            if math.hypot(*res) < self.tol:
+                return tuple(v), c, corrections
+            # Cramer's rule on the rows a, b, t
+            det = _dot(c, t)
+            if corrections == _ARC_CORRECTIONS or det == 0.0:
+                return None
+            g = ds - _dot(t, (v[0] - u[0], v[1] - u[1], v[2] - u[2]))
+            bt = _cross(b, t)
+            ta = _cross(t, a)
+            for i in range(3):
+                v[i] += (g * c[i] - res[0] * bt[i] - res[1] * ta[i]) / det
+
+
+def _unit(c, sign: float):
+    norm = math.sqrt(_dot(c, c))
+    return (sign * c[0] / norm, sign * c[1] / norm, sign * c[2] / norm)
+
+
+def _branch_fold(family, point: tuple[float, float], start: float,
+                 stop: float, tol: float) -> float | None:
+    """Parameter value of the first fold of a branch between two values.
+
+    ``family`` maps a parameter value to its ``SystemParams`` (raising
+    ``ValueError`` outside its domain) and ``point`` solves the rest-state
+    equations of ``family(start)`` to ``tol``. The branch through it is
+    followed by pseudo-arclength steps toward ``stop`` until det J
+    changes sign; the fold is then located by a secant on det J along the
+    arc (the Illinois variant of regula falsi, which keeps the bracket).
+    Returns None when the branch reaches ``stop`` without a fold, when
+    the fold lies beyond ``stop``, or when the steps fail (a parameter
+    outside the domain, a point within the collision guard, no
+    convergence).
+    """
+    if start == stop:
+        return None
+    arc = _Arc(family, start, stop, tol)
+    first = arc.correct((point[0], point[1], start), (0.0, 0.0, 1.0), 0.0)
+    if first is None or first[1][2] == 0.0:
+        return None
+    u, c, _ = first
+    # orient the tangent toward stop, once
+    direction = math.copysign(1.0, stop - start)
+    sign = math.copysign(1.0, c[2]) * direction
+    t = _unit(c, sign)
+    ds = _ARC_MAX_STEP
+    for _ in range(_ARC_MAX_STEPS):
+        if ds < _ARC_MIN_STEP:
+            return None
+        step = arc.correct(u, t, ds)
+        tv = None if step is None else _unit(step[1], sign)
+        if tv is None or _dot(t, tv) < _ARC_MIN_COS:
+            ds *= 0.5
+            continue
+        v, cv, corrections = step
+        if (cv[2] < 0.0) != (c[2] < 0.0):
+            fold = _secant_fold(arc, u, t, c[2], ds, cv[2], v[2])
+            return fold if (stop - fold) * direction > 0.0 else None
+        if (v[2] - stop) * direction >= 0.0:
+            return None
+        u, t, c = v, tv, cv
+        if corrections <= 2:
+            ds = min(2.0 * ds, _ARC_MAX_STEP)
+    return None
+
+
+def _secant_fold(arc: _Arc, u, t, det_a: float, ds: float, det_b: float,
+                 lam: float) -> float:
+    # det J changes sign between arclength 0 (det_a) and ds (det_b) from
+    # u along t; lam is stationary at the fold, so its error is quadratic
+    # in that of the arclength
+    sa, sb = 0.0, ds
+    for _ in range(_FOLD_SECANT_ITER):
+        if abs(sb - sa) <= 1e-12 * ds:
+            break
+        s = sb - det_b * (sb - sa) / (det_b - det_a)
+        step = arc.correct(u, t, s)
+        if step is None:
+            break
+        lam = step[0][2]
+        det_s = step[1][2]
+        if det_s == 0.0:
+            break
+        if (det_s < 0.0) == (det_b < 0.0):
+            det_a *= 0.5
+        else:
+            sa, det_a = sb, det_b
+        sb, det_b = s, det_s
+    return lam

@@ -38,7 +38,8 @@ class ConvergenceError(RuntimeError):
 
 
 class SingularJacobianError(ConvergenceError):
-    """The finite-difference Jacobian is singular to working precision."""
+    """The Jacobian of the rest-state residual is singular to working
+    precision."""
 
 
 class ConfigError(ValueError):

@@ -31,8 +31,9 @@ def mean_motion(a2: float) -> float:
     The equatorial bulge of the smaller primary speeds up the circular
     mutual orbit; ``a2 = 0`` recovers the classical n = 1.
     """
-    if a2 < 0:
-        raise ValueError(f"oblateness coefficient must be >= 0, got {a2}")
+    if not 0 <= a2 < math.inf:
+        raise ValueError(
+            f"oblateness coefficient a2 must be finite and >= 0, got {a2}")
     return math.sqrt(1.0 + 1.5 * a2)
 
 
@@ -42,16 +43,22 @@ def drag_coefficient(mu: float, q1: float, cd: float) -> float:
     Parameters
     ----------
     mu : float
-        Mass parameter of the smaller primary.
+        Mass parameter of the smaller primary, 0 < mu <= 1/2.
     q1 : float
         Mass reduction factor of the radiating primary, 0 < q1 <= 1.
     cd : float
-        Speed of light in the dimensionless rotating-frame units.
+        Speed of light in the dimensionless rotating-frame units, > 0;
+        infinity gives the drag-free limit.
     """
-    if cd <= 0:
-        raise ValueError(f"dimensionless light speed must be > 0, got {cd}")
+    if not 0 < mu <= 0.5:
+        raise ValueError(f"mass parameter mu must be in (0, 1/2], got {mu}")
     if not 0 < q1 <= 1:
-        raise ValueError(f"mass reduction factor must be in (0, 1], got {q1}")
+        raise ValueError(
+            f"mass reduction factor q1 must be in (0, 1], got {q1}")
+    # cd = inf is the drag-free limit
+    if not 0 < cd <= math.inf:
+        raise ValueError(
+            f"dimensionless light speed cd must be > 0, got {cd}")
     return (1.0 - mu) * (1.0 - q1) / cd
 
 
@@ -61,8 +68,10 @@ def oblateness_from_radii(equatorial: float, polar: float,
 
     All three lengths must share one unit system; only their ratios enter.
     """
-    if equatorial <= 0 or polar <= 0 or separation <= 0:
-        raise ValueError("radii and separation must be positive")
+    for name, value in (("equatorial", equatorial), ("polar", polar),
+                        ("separation", separation)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
     if polar > equatorial:
         raise ValueError(
             f"polar radius {polar} exceeds equatorial radius {equatorial}")
@@ -89,14 +98,14 @@ class GrainProperties:
     efficiency_chi: float
 
     def __post_init__(self):
-        if self.radius_a <= 0:
-            raise ValueError(f"grain radius must be > 0, got {self.radius_a}")
-        if self.density_rho <= 0:
-            raise ValueError(
-                f"grain density must be > 0, got {self.density_rho}")
-        if self.efficiency_chi < 0:
-            raise ValueError(
-                f"radiation efficiency must be >= 0, got {self.efficiency_chi}")
+        for name in ("radius_a", "density_rho"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(
+                    f"grain {name} must be finite and > 0, got {value}")
+        if not 0 <= self.efficiency_chi < math.inf:
+            raise ValueError("grain efficiency_chi must be finite and >= 0, "
+                             f"got {self.efficiency_chi}")
 
 
 def mass_reduction_from_grain(grain: GrainProperties) -> float:
@@ -298,6 +307,33 @@ def _accelerations(p: SystemParams, x: float, y: float, vx: float,
           - 1.5 * p.mu * p.a2 * y / r25)
     fx, fy = _drag(p, xm, y, vx, vy, r1sq)
     return gx, gy, fx, fy
+
+
+def _rest_jacobian(p: SystemParams, x: float, y: float
+                   ) -> tuple[float, float, float, float]:
+    # closed-form derivative (j11, j12, j21, j22) of the rest-state
+    # residual (gx + fx, gy + fy) of _accelerations with respect to
+    # (x, y): the Hessian of U1 plus that of the drag at rest,
+    # (fx, fy) = w1 n (y, -(x + mu)) / r1^2; floats only, no guard
+    xm, r1sq, r2sq = _squared_radii(p, x, y)
+    xp = xm - 1.0
+    r1 = math.sqrt(r1sq)
+    r2 = math.sqrt(r2sq)
+    # gx holds -k1 xm - k2 xp - k3 xp with k = c / r^m (m = 3, 3, 5), and
+    # d(-c a / r^m)/da = -c / r^m + m c a^2 / r^(m+2)
+    k1 = (1.0 - p.mu) * p.q1 / (r1sq * r1)
+    k2 = p.mu / (r2sq * r2)
+    k3 = 1.5 * p.mu * p.a2 / (r2sq * r2sq * r2)
+    c1 = 3.0 * k1 / r1sq
+    c2 = (3.0 * k2 + 5.0 * k3) / r2sq
+    diag = p.n * p.n - k1 - k2 - k3
+    uxx = diag + c1 * xm * xm + c2 * xp * xp
+    uyy = diag + (c1 + c2) * y * y
+    uxy = (c1 * xm + c2 * xp) * y
+    wn = p.w1 * p.n / r1sq
+    b = 2.0 * wn / r1sq
+    return (uxx - b * xm * y, uxy + wn - b * y * y,
+            uxy - wn + b * xm * xm, uyy + b * xm * y)
 
 
 def amended_potential(p: SystemParams, x: float, y: float,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,8 +14,9 @@ import numpy as np
 import pytest
 
 import prtbp
-from prtbp import PhaseState, SystemParams, amended_potential, \
-    conservative_gradient, dynamics, jacobi_constant, jacobi_drift_rate, rk45
+from prtbp import PhaseState, SystemParams, amended_potential, cli, \
+    conservative_gradient, dynamics, equilibrium_residual, jacobi_constant, \
+    jacobi_drift_rate, rk45
 from prtbp.cli import _render_csv, main, read_table
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
@@ -253,6 +255,26 @@ def test_integrate_csv_matches_the_row_renderer(precision, tmp_path):
     assert Path(out).read_text(encoding="utf-8") == expected
 
 
+def test_float_csv_chunks_match_the_row_renderer(tmp_path, monkeypatch):
+    # 11 rows in chunks of 4 cross two chunk boundaries
+    monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", 4)
+    table = np.random.default_rng(7).standard_normal((11, 3))
+    out = tmp_path / "table.csv"
+    cli._write_float_csv(str(out), ("a", "b", "c"), table, 17)
+    assert out.read_text(encoding="utf-8") == _render_csv(
+        ("a", "b", "c"), table.tolist(), 17)
+
+
+def test_integrate_sidecar_sits_next_to_the_output(tmp_path):
+    # a dot in a directory name is not the output's extension
+    runs = tmp_path / "runs.v2"
+    runs.mkdir()
+    assert main([*INTEGRATE, "--output", str(runs / "orbit")]) == 0
+    assert (runs / "orbit").is_file()
+    assert (runs / "orbit.meta.json").is_file()
+    assert not (tmp_path / "runs.meta.json").exists()
+
+
 def test_integrate_step_failure_keeps_its_cause(tmp_path, monkeypatch):
     # no orbit of the model fails a step at these tolerances, so the
     # stepper gets x' = x^2 instead, which blows up at t = 1/x0
@@ -335,7 +357,7 @@ def test_sweep_error_scales_quadratically(tmp_path, capsys):
     })
     out = str(tmp_path / "sweep.csv")
     assert main(["sweep", "--config", cfg, "--output", out]) == 0
-    assert "sweep: 7 points, 0 flagged" in capsys.readouterr().out
+    assert capsys.readouterr().out == "sweep: 7 points, 0 flagged\n"
     _, rows = read_table(out)
     assert all(row["status"] == "ok" for row in rows)
     values = np.array([row["value"] for row in rows])
@@ -367,10 +389,51 @@ def test_sweep_flags_impossible_parameter_rows(tmp_path, capsys):
     })
     out = str(tmp_path / "flagged.csv")
     assert main(["sweep", "--config", cfg, "--output", out]) == 0
-    assert "sweep: 5 points, 5 flagged" in capsys.readouterr().out
+    assert capsys.readouterr().out == "sweep: 5 points, 5 flagged\n"
     _, rows = read_table(out)
     assert all(row["status"] == "invalid-params" for row in rows)
     assert all(row["err_norm"] is None for row in rows)
+
+
+def _fold_sweep(tmp_path, capsys, start, count):
+    # L4 at mu = 0.01, q1 = 0.98, A2 = 0, whose w1 branch folds near 7.16e-3
+    out = tmp_path / f"fold{count}.csv"
+    assert main(["sweep", "--system.mu", "0.01", "--system.q1", "0.98",
+                 "--system.w1", "0", "--job.variable", "w1",
+                 "--job.start", start, "--job.stop", "2e-2",
+                 "--job.count", str(count), "--output", str(out)]) == 0
+    summary = re.fullmatch(
+        r"sweep: (\d+) points, (\d+) flagged, fold at w1 = (\S+)\n",
+        capsys.readouterr().out)
+    assert summary is not None
+    _, rows = read_table(str(out))
+    assert int(summary.group(1)) == len(rows) == count
+    return rows, int(summary.group(2)), float(summary.group(3))
+
+
+@pytest.mark.filterwarnings("ignore:first-order shift")
+def test_sweep_stops_at_the_fold(tmp_path, capsys):
+    """Past the saddle-node fold of L4 in w1 every row reads
+    no-equilibrium, and the fold does not depend on the grid; the two
+    grids start apart, so the arcs that reach the fold differ too."""
+    folds = []
+    for start, count in (("1e-4", 50), ("1e-3", 200)):
+        rows, flagged, fold = _fold_sweep(tmp_path, capsys, start, count)
+        past = [row for row in rows if row["value"] > fold]
+        assert past and all(row["status"] == "no-equilibrium" and
+                            row["x_refined"] is None for row in past)
+        assert flagged == len(past)
+        for row in rows[:len(rows) - len(past)]:
+            assert row["status"] == "ok"
+            p = SystemParams(mu=0.01, q1=0.98, w1=row["value"])
+            residual = equilibrium_residual(p, row["x_refined"],
+                                            row["y_refined"])
+            assert math.hypot(*residual) < 1e-12
+        folds.append(fold)
+    assert abs(folds[0] - folds[1]) <= 1e-8 * folds[1]
+    # natural continuation in w1 converges at 7.1588e-3 and fails from
+    # 7.1593e-3 on
+    assert 7.1588e-3 < folds[1] < 7.1593e-3
 
 
 def test_sweep_rejects_bad_grid(tmp_path, capsys):
@@ -428,6 +491,9 @@ ZVC = ["zvc", "--system.mu", "0.1", "--system.w1", "0",
 SWEEP = ["sweep", "--system.mu", "0.1", "--system.q1", "0.98",
          "--system.w1", "0", "--job.variable", "w1", "--job.start", "1e-4",
          "--job.stop", "1e-2", "--job.count", "3"]
+GRAIN = ["equilibria", "--system.mu", "0.01", "--system.w1", "0",
+         "--system.grain.radius_a", "1", "--system.grain.density_rho", "1",
+         "--system.grain.efficiency_chi", "1"]
 
 PROBES = [
     (EQUILIBRIA + ["--job.tol", "-1"], "tol"),
@@ -449,6 +515,9 @@ PROBES = [
     (INTEGRATE + ["--job.t_end", "1e300", "--job.sample_dt", "1e-10"],
      "sample_dt"),
     (ZVC + ["--job.resolution", "4097"], "resolution"),
+    # a NaN grain property fails the grain's own check, not q1's
+    (GRAIN + ["--system.grain.radius_a", "nan"], "radius_a"),
+    (GRAIN + ["--system.grain.efficiency_chi", "nan"], "efficiency_chi"),
 ]
 
 

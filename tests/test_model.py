@@ -17,13 +17,14 @@ from prtbp import (
     drag_acceleration,
     drag_coefficient,
     equations_of_motion,
+    equilibrium_residual,
     jacobi_constant,
     jacobi_drift_rate,
     mass_reduction_from_grain,
     mean_motion,
     oblateness_from_radii,
 )
-from prtbp.model import _radii
+from prtbp.model import _radii, _rest_jacobian
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
 
@@ -57,8 +58,9 @@ def test_mean_motion_oblate():
 
 
 def test_mean_motion_rejects_negative_oblateness():
-    with pytest.raises(ValueError):
-        mean_motion(-0.1)
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="a2"):
+            mean_motion(bad)
 
 
 def test_drag_coefficient_values():
@@ -75,6 +77,13 @@ def test_drag_coefficient_rejects_bad_inputs():
         drag_coefficient(0.1, 0.0, 100.0)
     with pytest.raises(ValueError):
         drag_coefficient(0.1, 1.2, 100.0)
+    for name, args in (("mu", (math.nan, 0.9, 100.0)),
+                       ("mu", (0.6, 0.9, 100.0)),
+                       ("q1", (0.1, math.nan, 100.0)),
+                       ("cd", (0.1, 0.9, math.nan))):
+        with pytest.raises(ValueError, match=name):
+            drag_coefficient(*args)
+    assert drag_coefficient(0.1, 0.9, math.inf) == 0.0
 
 
 def test_oblateness_from_radii():
@@ -90,6 +99,12 @@ def test_oblateness_from_radii_rejects_bad_shapes():
         oblateness_from_radii(1.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         oblateness_from_radii(-1.0, 1.0, 10.0)
+    for name, args in (("equatorial", (math.nan, 1.0, 10.0)),
+                       ("polar", (2.0, math.nan, 10.0)),
+                       ("separation", (2.0, 1.0, math.nan)),
+                       ("separation", (2.0, 1.0, math.inf))):
+        with pytest.raises(ValueError, match=name):
+            oblateness_from_radii(*args)
 
 
 def test_grain_mass_reduction_values():
@@ -110,6 +125,12 @@ def test_grain_property_validation():
         GrainProperties(1.0, -1.0, 1.0)
     with pytest.raises(ValueError):
         GrainProperties(1.0, 1.0, -0.1)
+    for name, args in (("radius_a", (math.nan, 1.0, 1.0)),
+                       ("density_rho", (1.0, math.nan, 1.0)),
+                       ("efficiency_chi", (1.0, 1.0, math.nan)),
+                       ("radius_a", (math.inf, 1.0, 1.0))):
+        with pytest.raises(ValueError, match=name):
+            GrainProperties(*args)
 
 
 def test_system_params_range_validation():
@@ -455,3 +476,27 @@ def test_numpy_scalars_take_the_array_branch():
     with pytest.raises(SingularityError, match="within"):
         jacobi_constant(p, PhaseState(np.float64(-0.01), np.float64(0.0),
                                       0.0, 0.0))
+
+
+@pytest.mark.parametrize("p, x, y", [
+    (SystemParams(mu=0.1), 0.4, SQRT3_2),
+    (SystemParams(mu=0.01, q1=0.98, a2=1e-3), 0.47, -0.85),
+    (SystemParams(mu=0.01, q1=0.98, w1=5e-3), 0.1, 0.97),
+    (SystemParams(mu=0.01, q1=0.995, a2=1e-4, cd=1e3), 0.49, 0.86),
+    (SystemParams(mu=0.3, q1=0.7, a2=0.02, w1=0.05), 0.15, -0.6),
+    (SystemParams(mu=0.5, q1=0.6, a2=0.05, w1=0.3), -0.2, 1.3),
+], ids=["classical", "oblate-L5", "drag-near-fold", "drag-oblate",
+        "drag-oblate-L5", "strong-drag"])
+def test_rest_jacobian_matches_central_differences(p, x, y):
+    """The closed-form Jacobian of the rest-state residual against a
+    central difference of the residual itself, with and without drag and
+    oblateness, above and below the axis."""
+    j = _rest_jacobian(p, x, y)
+    h = 1e-5
+    px, mx = (equilibrium_residual(p, x + d, y) for d in (h, -h))
+    py, my = (equilibrium_residual(p, x, y + d) for d in (h, -h))
+    fd = ((px[0] - mx[0]) / (2 * h), (py[0] - my[0]) / (2 * h),
+          (px[1] - mx[1]) / (2 * h), (py[1] - my[1]) / (2 * h))
+    scale = max(abs(v) for v in fd)
+    for exact, approx in zip(j, fd):
+        assert abs(exact - approx) <= 1e-7 * scale

@@ -469,12 +469,26 @@ def _sweep_system(base: SystemParams, variable: str,
     return SystemParams(**{**fields, variable: value})
 
 
+def _refine_first(p: SystemParams, seeds, tol: float,
+                  max_iter: int) -> EquilibriumPoint | None:
+    # the first seed whose Newton solve converges, or None; a seed inside
+    # the collision guard fails like one that does not converge
+    for seed in seeds:
+        try:
+            return refine_equilibrium(p, seed, tol=tol, max_iter=max_iter)
+        except (ConvergenceError, SingularityError):
+            continue
+    return None
+
+
 def run_sweep(cfg: JobConfig) -> int:
     """Follow the analytic and refined points over a parameter grid.
 
     The refined points seed the Newton solve of the next grid point, by
-    the secant through the last two; the first point, and the first after
-    an ``invalid-params`` gap, starts from the analytic guess. From the
+    the secant through the last two (the last alone where the two share
+    a value); the first point, and the first after an ``invalid-params``
+    gap, starts from the analytic guess, which is also the fallback when
+    the continued seed does not converge. From the
     first refined point the branch is followed by pseudo-arclength steps
     to the end of the grid. Where det J changes sign along it the branch
     folds, and every row past the fold reads ``no-equilibrium`` without
@@ -521,23 +535,23 @@ def run_sweep(cfg: JobConfig) -> int:
             terms = analytic_epsilons(p, a["branch"])
             guess = (terms.x0, terms.y0)
             status = "degenerate-analytic"
+        seeds = [guess]
         if last is not None:
-            guess = last[1:]
-        if before is not None:
-            # the secant through the last two refined points
-            f = (value - last[0]) / (last[0] - before[0])
-            guess = (last[1] + f * (last[1] - before[1]),
-                     last[2] + f * (last[2] - before[2]))
-        try:
-            refined = refine_equilibrium(p, guess, tol=a["tol"],
-                                         max_iter=a["max_iter"])
-        except ConvergenceError:
+            seed = last[1:]
+            if before is not None and last[0] != before[0]:
+                # the secant through the last two refined points
+                f = (value - last[0]) / (last[0] - before[0])
+                seed = (last[1] + f * (last[1] - before[1]),
+                        last[2] + f * (last[2] - before[2]))
+            seeds.insert(0, seed)
+        refined = _refine_first(p, seeds, a["tol"], a["max_iter"])
+        if refined is None:
             rows.append((value, xa, ya, None, None, None, "refine-failed"))
             flagged += 1
             continue
         if last is None and fold is None:
             fold = _branch_fold(family, (refined.x, refined.y), value,
-                                grid[-1], tol=a["tol"])
+                                grid[-1])
         before, last = last, (value, refined.x, refined.y)
         err = (math.hypot(xa - refined.x, ya - refined.y)
                if status == "ok" else None)

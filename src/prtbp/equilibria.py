@@ -51,6 +51,9 @@ _ARC_CORRECTIONS = 8
 _ARC_MIN_COS = 0.9
 #: Secant iterations on det J when a fold is bracketed.
 _FOLD_SECANT_ITER = 60
+#: Residual norm of the arc points, fixed so that the fold does not move
+#: with a sweep's own tolerance.
+_ARC_TOL = 1e-12
 
 
 def _branch_sign(branch: Branch) -> float:
@@ -382,13 +385,14 @@ def _unit(c, sign: float):
 
 
 def _branch_fold(family, point: tuple[float, float], start: float,
-                 stop: float, tol: float) -> float | None:
+                 stop: float) -> float | None:
     """Parameter value of the first fold of a branch between two values.
 
     ``family`` maps a parameter value to its ``SystemParams`` (raising
-    ``ValueError`` outside its domain) and ``point`` solves the rest-state
-    equations of ``family(start)`` to ``tol``. The branch through it is
-    followed by pseudo-arclength steps toward ``stop`` until det J
+    ``ValueError`` outside its domain) and ``point`` is near a solution of
+    the rest-state equations of ``family(start)``; it is first corrected
+    onto the branch. Every arc point solves them to ``_ARC_TOL``, whatever
+    tolerance ``point`` was refined to. The branch is followed by pseudo-arclength steps toward ``stop`` until det J
     changes sign; the fold is then located by a secant on det J along the
     arc (the Illinois variant of regula falsi, which keeps the bracket).
     Returns None when the branch reaches ``stop`` without a fold, when
@@ -398,7 +402,7 @@ def _branch_fold(family, point: tuple[float, float], start: float,
     """
     if start == stop:
         return None
-    arc = _Arc(family, start, stop, tol)
+    arc = _Arc(family, start, stop, _ARC_TOL)
     first = arc.correct((point[0], point[1], start), (0.0, 0.0, 1.0), 0.0)
     if first is None or first[1][2] == 0.0:
         return None

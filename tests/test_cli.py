@@ -395,13 +395,14 @@ def test_sweep_flags_impossible_parameter_rows(tmp_path, capsys):
     assert all(row["err_norm"] is None for row in rows)
 
 
-def _fold_sweep(tmp_path, capsys, start, count):
+def _fold_sweep(tmp_path, capsys, start, count, *extra):
     # L4 at mu = 0.01, q1 = 0.98, A2 = 0, whose w1 branch folds near 7.16e-3
     out = tmp_path / f"fold{count}.csv"
     assert main(["sweep", "--system.mu", "0.01", "--system.q1", "0.98",
                  "--system.w1", "0", "--job.variable", "w1",
                  "--job.start", start, "--job.stop", "2e-2",
-                 "--job.count", str(count), "--output", str(out)]) == 0
+                 "--job.count", str(count), "--output", str(out),
+                 *extra]) == 0
     summary = re.fullmatch(
         r"sweep: (\d+) points, (\d+) flagged, fold at w1 = (\S+)\n",
         capsys.readouterr().out)
@@ -434,6 +435,51 @@ def test_sweep_stops_at_the_fold(tmp_path, capsys):
     # natural continuation in w1 converges at 7.1588e-3 and fails from
     # 7.1593e-3 on
     assert 7.1588e-3 < folds[1] < 7.1593e-3
+
+
+@pytest.mark.filterwarnings("ignore:first-order shift")
+def test_sweep_fold_does_not_depend_on_tol(tmp_path, capsys):
+    """The arc points solve the rest state to a fixed tolerance, so a
+    loose job.tol moves neither the fold nor a row's status."""
+    _, _, fold = _fold_sweep(tmp_path, capsys, "1e-4", 50)
+    rows, flagged, loose = _fold_sweep(tmp_path, capsys, "1e-4", 50,
+                                       "--job.tol", "1e-3")
+    assert abs(loose - fold) <= 1e-10 * fold
+    before = [row for row in rows if row["value"] < fold]
+    assert all(row["status"] == "ok" for row in before)
+    assert flagged == len(rows) - len(before)
+    for row in before:
+        p = SystemParams(mu=0.01, q1=0.98, w1=row["value"])
+        residual = equilibrium_residual(p, row["x_refined"],
+                                        row["y_refined"])
+        assert math.hypot(*residual) < 1e-3
+
+
+def test_sweep_seed_falls_back_to_the_next():
+    # a seed on the secondary, and one too far to converge in 8 Newton
+    # steps of at most 0.25, fail; the guess after them still converges
+    p = SystemParams(mu=0.1, q1=0.98, w1=1e-3)
+    guess = (0.4, SQRT3_2)
+    expected = prtbp.refine_equilibrium(p, guess, tol=1e-12, max_iter=8)
+    for bad in ((0.9, 0.0), (5.0, 5.0)):
+        assert cli._refine_first(p, [bad], 1e-12, 8) is None
+        got = cli._refine_first(p, [bad, guess], 1e-12, 8)
+        assert (got.x, got.y) == (expected.x, expected.y)
+
+
+@pytest.mark.parametrize("spacing", ["linear", "geometric"])
+def test_sweep_with_repeated_grid_values(tmp_path, capsys, spacing):
+    # start == stop repeats one value; the secant seed needs two
+    out = str(tmp_path / "repeat.csv")
+    assert main(["sweep", "--system.mu", "0.1", "--system.q1", "0.98",
+                 "--system.w1", "0", "--job.variable", "w1",
+                 "--job.spacing", spacing, "--job.start", "1e-3",
+                 "--job.stop", "1e-3", "--job.count", "3",
+                 "--output", out]) == 0
+    assert capsys.readouterr().out == "sweep: 3 points, 0 flagged\n"
+    _, rows = read_table(out)
+    assert [row["status"] for row in rows] == ["ok"] * 3
+    assert len({(row["x_refined"], row["y_refined"]) for row in rows}) == 1
 
 
 def test_sweep_rejects_bad_grid(tmp_path, capsys):

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 from .dynamics import integrate, jacobi_audit
 from .equilibria import (BRANCHES, DegenerateFormulaError, EquilibriumPoint,
-                         METHOD_BASE, _branch_fold, _branch_sign,
-                         _check_newton_args, analytic_epsilons,
+                         METHOD_BASE, _analytic_coords, _branch_fold,
+                         _branch_sign, _check_newton_args, analytic_epsilons,
                          analytic_triangular_point, equilibrium_residual,
                          limiting_case_point, refine_equilibrium)
 from .errors import ConfigError, ConvergenceError, SingularityError
@@ -405,13 +405,9 @@ def run_integrate(cfg: JobConfig) -> int:
         _write_float_csv(cfg.out_path, columns, table, cfg.precision)
     else:
         _write_table(cfg, columns, table.tolist())
-    try:
-        audit = jacobi_audit(traj)
-    except ValueError:
-        audit = None
     meta = {"termination": traj.termination,
             "samples": len(traj.samples),
-            "jacobi_audit": audit}
+            "jacobi_audit": jacobi_audit(traj)}
     if traj.termination == "step-failure":
         meta["message"] = traj.message
     meta_path = _meta_path(cfg.out_path)
@@ -527,9 +523,7 @@ def run_sweep(cfg: JobConfig) -> int:
             continue
         xa = ya = None
         try:
-            analytic = analytic_triangular_point(p, a["branch"])
-            xa, ya = analytic.x, analytic.y
-            guess = (xa, ya)
+            xa, ya = guess = _analytic_coords(p, a["branch"])
             status = "ok"
         except DegenerateFormulaError:
             terms = analytic_epsilons(p, a["branch"])

@@ -173,6 +173,14 @@ def analytic_triangular_point(p: SystemParams, branch: Branch
     DegenerateFormulaError
         When |x0| is too small for the correction to be meaningful.
     """
+    x, y = _analytic_coords(p, branch)
+    rn = math.hypot(*equilibrium_residual(p, x, y))
+    return EquilibriumPoint(x=x, y=y, label=branch, method=METHOD_ANALYTIC,
+                            residual_norm=rn)
+
+
+def _analytic_coords(p: SystemParams, branch: Branch) -> tuple[float, float]:
+    # the (x, y) of analytic_triangular_point, without its residual
     terms = analytic_epsilons(p, branch)
     x0, y0 = terms.x0, terms.y0
     if abs(x0) < _DEGENERATE_X0:
@@ -191,10 +199,7 @@ def analytic_triangular_point(p: SystemParams, branch: Branch
                  + 3.5 * (1.0 - mu) * a2)
               / (6.0 * mu * (1.0 - mu) * y0**3))
     obl_y = d2h * (1.0 - d2h) * a2 / (y0 * y0)
-    y = y0 * (1.0 - drag_y - obl_y)
-    rn = math.hypot(*equilibrium_residual(p, x, y))
-    return EquilibriumPoint(x=x, y=y, label=branch, method=METHOD_ANALYTIC,
-                            residual_norm=rn)
+    return x, y0 * (1.0 - drag_y - obl_y)
 
 
 def limiting_case_point(p: SystemParams, case: str, branch: Branch

@@ -74,10 +74,11 @@ MESSAGES = {0: "The solver successfully reached the end of the "
 class OdeResult:
     """Outcome of :func:`solve_ivp`.
 
-    ``t`` holds the output times reached and ``y`` the states there, one
-    column per time; ``status`` is 0 at the end of the interval, 1 after
-    an event and -1 when the step size fell below 10 ulp of t or is NaN;
-    ``t_events`` lists each event's time, if it ended the run.
+    ``t`` holds the output times reached and ``y`` the states and then the
+    quadratures there, one column per time; ``status`` is 0 at the end of
+    the interval, 1 after an event and -1 when the step size fell below
+    10 ulp of t or is NaN; ``t_events`` lists each event's time, if it
+    ended the run.
     """
 
     t: np.ndarray
@@ -94,8 +95,10 @@ def solve_ivp(fun, t_span, y0, t_eval, rtol, atol, events=()):
     Parameters
     ----------
     fun : callable
-        ``fun(t, y)`` takes a time and a list of floats and returns a
-        sequence of floats of the same length.
+        ``fun(t, y)`` takes a time and the state as a list of floats and
+        returns its rates. Rates past the state's length are quadratures,
+        integrated from 0 on the same stages, but left out of the error
+        control and of what ``fun`` and the events receive.
     t_span : (float, float)
         Initial and final time; the final one must be the larger.
     y0 : sequence of float
@@ -129,6 +132,8 @@ def solve_ivp(fun, t_span, y0, t_eval, rtol, atol, events=()):
     directions = [getattr(event, "direction", 0) for event in events]
 
     f = fun(t, y)
+    # the quadratures of the rates past the state, from 0
+    w = [0.0] * (len(f) - n)
     h_abs = _initial_step(fun, t, y, f, t_bound, rtol, atol, sqrt_n)
     attempts = 0
     g = [event(t, y) for event in events]
@@ -166,8 +171,8 @@ def solve_ivp(fun, t_span, y0, t_eval, rtol, atol, events=()):
                              for yi, a, b, c, d, e
                              in zip(y, k1, k2, k3, k4, k5)])
             y_new = [yi + h * (a * B1 + c * B3 + d * B4 + e * B5 + g6 * B6)
-                     for yi, a, c, d, e, g6 in zip(y, k1, k3, k4, k5, k6)]
-            k7 = fun(t + h, y_new)
+                     for yi, a, c, d, e, g6 in zip(y + w, k1, k3, k4, k5, k6)]
+            k7 = fun(t + h, y_new[:n])
             total = 0.0
             for yi, zi, a, c, d, e, g6, g7 in zip(y, y_new, k1, k3, k4, k5,
                                                   k6, k7):
@@ -190,8 +195,8 @@ def solve_ivp(fun, t_span, y0, t_eval, rtol, atol, events=()):
         if t_new >= t_bound:
             status = 0
         stages = (k1, k2, k3, k4, k5, k6, k7)
-        t_old, y_old = t, y
-        t, y, f = t_new, y_new, k7
+        t_old, y_old = t, y + w
+        t, y, w, f = t_new, y_new[:n], y_new[n:], k7
         if events:
             g_new = [event(t, y) for event in events]
             active = [i for i in range(len(events))
@@ -209,7 +214,8 @@ def solve_ivp(fun, t_span, y0, t_eval, rtol, atol, events=()):
             sampled = end
 
     return OdeResult(t=np.array(t_eval[:sampled]),
-                     y=_sample(t_eval[:sampled], dense, n),
+                     y=(_sample(t_eval[:sampled], dense, n) if dense
+                        else np.empty((len(f), 0))),
                      status=status, message=MESSAGES[status],
                      nfev=2 + 6 * attempts, t_events=t_events)
 
@@ -252,7 +258,7 @@ def _locate(event, step, b, n) -> float:
     closes on b.
     """
     def g(t):
-        return event(t, _sample([t], [(*step, 1)], n)[:, 0].tolist())
+        return event(t, _sample([t], [(*step, 1)], n)[:n, 0].tolist())
 
     a = step[0]
     ga = g(a)
@@ -271,17 +277,20 @@ def _locate(event, step, b, n) -> float:
 
 
 def _sample(times, dense, n) -> np.ndarray:
-    # every output row through its step's quartic, in one NumPy pass
+    # every output row through its step's quartic, the n state components
+    # and the quadratures in separate NumPy passes: a product of another
+    # width may round the state differently
     import numpy as np
 
-    if not dense:
-        return np.empty((n, 0))
     t_old, h, y_old, stages, counts = zip(*dense)
     step = np.repeat(np.arange(len(dense)), counts)
     h = np.array(h)[step]
     x = (np.array(times) - np.array(t_old)[step]) / h
     powers = np.cumprod(np.repeat(x[:, None], 4, axis=1), axis=1)
-    q = np.swapaxes(np.array(stages), 1, 2) @ np.array(P, dtype=float)
-    y = np.array(y_old)[step] + h[:, None] * (
-        q[step] @ powers[:, :, None])[:, :, 0]
-    return y.T
+    y_old, stages = np.array(y_old), np.array(stages)
+    blocks = []
+    for cols in (slice(None, n), slice(n, None)):
+        q = np.swapaxes(stages[:, :, cols], 1, 2) @ np.array(P, dtype=float)
+        blocks.append(y_old[step, cols] + h[:, None] * (
+            q[step] @ powers[:, :, None])[:, :, 0])
+    return np.concatenate(blocks, axis=1).T

@@ -238,6 +238,19 @@ def test_integrate_writes_samples_and_sidecar(tmp_path):
     assert all(row["dCdt"] == 0.0 for row in rows)
 
 
+def test_integrate_one_interval_writes_a_numeric_audit(tmp_path):
+    # t_end = sample_dt: two samples, still one audit value
+    out = str(tmp_path / "orbit.csv")
+    assert main(["integrate", "--system.mu", "0.01", "--system.q1", "0.9",
+                 "--system.w1", "1e-3", "--job.x", "0.45", "--job.y", "0.8",
+                 "--job.vx", "0", "--job.vy", "1.3", "--job.t_end", "0.1",
+                 "--job.sample_dt", "0.1", "--output", out]) == 0
+    with open(tmp_path / "orbit.meta.json", encoding="utf-8") as fh:
+        meta = json.load(fh)
+    assert meta["samples"] == 2
+    assert 0.0 <= meta["jacobi_audit"] < 1e-12
+
+
 @pytest.mark.parametrize("precision", [17, 5])
 def test_integrate_csv_matches_the_row_renderer(precision, tmp_path):
     # without drag most dCdt values are -0.0, which must print as 0
@@ -279,7 +292,8 @@ def test_integrate_step_failure_keeps_its_cause(tmp_path, monkeypatch):
     # no orbit of the model fails a step at these tolerances, so the
     # stepper gets x' = x^2 instead, which blows up at t = 1/x0
     def blow_up(fun, t_span, y0, t_eval, rtol, atol, events=()):
-        return rk45.solve_ivp(lambda t, v: (v[0] * v[0], 0.0, 0.0, 0.0),
+        return rk45.solve_ivp(lambda t, v: (v[0] * v[0], 0.0, 0.0, 0.0,
+                                            0.0),
                               t_span, y0, t_eval=t_eval, rtol=rtol,
                               atol=atol)
 

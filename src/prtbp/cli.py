@@ -21,6 +21,7 @@ codes: 0 success, 2 invalid configuration or argument value
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -36,14 +37,11 @@ from .equilibria import (BRANCHES, DegenerateFormulaError, EquilibriumPoint,
                          limiting_case_point, refine_equilibrium)
 from .errors import ConfigError, ConvergenceError, SingularityError
 from .model import (COLLISION_GUARD, ESCAPE_RADIUS, GrainProperties,
-                    PhaseState, SystemParams, jacobi_drift_rate,
+                    PhaseState, SystemParams, _drift_rate,
                     mass_reduction_from_grain)
 from .zvc import zero_velocity_curve
 
 _REQUIRED = object()
-
-#: Rows ``integrate`` formats at a time when it writes its CSV.
-_CSV_CHUNK_ROWS = 65536
 
 _SYSTEM_FIELDS = {
     "system.mu": float,
@@ -282,19 +280,20 @@ def _dump_json(obj, precision: int) -> str:
     return _json_token(obj, precision)
 
 
-def _write_table(cfg: JobConfig, columns: tuple[str, ...],
-                 rows: list[tuple]) -> None:
-    if cfg.out_format == "csv":
-        text = _render_csv(columns, rows, cfg.precision)
-    else:
-        payload = {"job": cfg.job,
-                   "rows": [dict(zip(columns, row)) for row in rows]}
-        text = _dump_json(payload, cfg.precision) + "\n"
-    if cfg.out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(cfg.out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+def _write_table(cfg: JobConfig, columns: tuple[str, ...], rows) -> None:
+    # JSON rows are written one at a time, with the bytes _dump_json gives
+    # the whole {"job", "rows"} payload, so an iterator of rows streams
+    with (contextlib.nullcontext(sys.stdout) if cfg.out_path is None else
+          open(cfg.out_path, "w", encoding="utf-8", newline="")) as fh:
+        if cfg.out_format == "csv":
+            fh.write(_render_csv(columns, rows, cfg.precision))
+            return
+        fh.write(f'{{"job": {json.dumps(cfg.job)}, "rows": [')
+        sep = ""
+        for row in rows:
+            fh.write(sep + _dump_json(dict(zip(columns, row)), cfg.precision))
+            sep = ", "
+        fh.write("]}\n")
 
 
 def _render_csv(columns, rows, precision: int) -> str:
@@ -310,17 +309,14 @@ def _render_csv(columns, rows, precision: int) -> str:
     return buf.getvalue()
 
 
-def _write_float_csv(path: str, columns: tuple[str, ...], table,
+def _write_float_csv(path: str, columns: tuple[str, ...], rows,
                      precision: int) -> None:
-    # the bytes of _render_csv for a float array without -0.0, from one
-    # format string per row, streamed to the file; rows become Python
-    # floats one chunk at a time, so memory stays bounded
+    # the bytes of _render_csv for tuples of floats without -0.0, from
+    # one format string per row, streamed to the file row by row
     line = ",".join([f"%.{precision}g"] * len(columns)) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(columns) + "\n")
-        for start in range(0, len(table), _CSV_CHUNK_ROWS):
-            chunk = table[start:start + _CSV_CHUNK_ROWS].tolist()
-            fh.writelines(line % tuple(row) for row in chunk)
+        fh.writelines(line % row for row in rows)
 
 
 def read_table(path: str) -> tuple[list[str], list[dict]]:
@@ -388,8 +384,6 @@ def run_equilibria(cfg: JobConfig) -> int:
 
 def run_integrate(cfg: JobConfig) -> int:
     """Propagate one trajectory and write samples plus a metadata sidecar."""
-    import numpy as np
-
     p = cfg.system
     a = cfg.args
     s0 = PhaseState(x=a["x"], y=a["y"], vx=a["vx"], vy=a["vy"], t=a["t0"])
@@ -397,23 +391,35 @@ def run_integrate(cfg: JobConfig) -> int:
                      rtol=a["rtol"], atol=a["atol"],
                      collision_guard=a["collision_guard"],
                      escape_radius=a["escape_radius"])
-    dcdt = jacobi_drift_rate(p, PhaseState(*traj.arrays()[1:5]))
     columns = ("t", "x", "y", "vx", "vy", "C", "dCdt")
-    table = np.column_stack((traj.samples, dcdt))
-    table += 0.0  # -0.0 becomes 0.0, as _fmt makes it
     if cfg.out_format == "csv":
-        _write_float_csv(cfg.out_path, columns, table, cfg.precision)
+        _write_float_csv(cfg.out_path, columns, _sample_rows(traj),
+                         cfg.precision)
     else:
-        _write_table(cfg, columns, table.tolist())
+        _write_table(cfg, columns, _sample_rows(traj))
     meta = {"termination": traj.termination,
-            "samples": len(traj.samples),
-            "jacobi_audit": jacobi_audit(traj)}
+            "samples": len(traj.drift_values),
+            "jacobi_audit": jacobi_audit(traj),
+            "rhs_calls": traj.rhs_calls,
+            "steps": traj.steps,
+            "rejected_steps": traj.rejected_steps}
     if traj.termination == "step-failure":
         meta["message"] = traj.message
     meta_path = _meta_path(cfg.out_path)
     with open(meta_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(_dump_json(meta, cfg.precision) + "\n")
     return 0
+
+
+def _sample_rows(traj):
+    # (t, x, y, vx, vy, C, dCdt) per sample, dCdt with the bits of
+    # jacobi_drift_rate; + 0.0 turns -0.0 into 0.0, as _fmt does
+    p = traj.params
+    values = iter(traj.sample_values)
+    for t, x, y, vx, vy, c in zip(values, values, values, values, values,
+                                  values):
+        yield (t + 0.0, x + 0.0, y + 0.0, vx + 0.0, vy + 0.0, c + 0.0,
+               _drift_rate(p, x, y, vx, vy) + 0.0)
 
 
 def _meta_path(out_path: str) -> str:
@@ -488,9 +494,11 @@ def run_sweep(cfg: JobConfig) -> int:
     first refined point the branch is followed by pseudo-arclength steps
     to the end of the grid. Where det J changes sign along it the branch
     folds, and every row past the fold reads ``no-equilibrium`` without
-    a solve. Failures on single grid points flag the row and the run
-    continues; the summary line on stdout reports the flagged count and
-    the fold.
+    a solve. When rows before the first refined point failed, the branch
+    is also followed from it back to the start of the grid, and those of
+    them past a fold there read ``no-equilibrium`` as well. Failures on
+    single grid points flag the row and the run continues; the summary
+    line on stdout reports the flagged count and the folds.
     """
     a = cfg.args
     # checked here as well, since a grid of invalid points refines nothing
@@ -505,7 +513,9 @@ def run_sweep(cfg: JobConfig) -> int:
     flagged = 0
     # the last two refined (value, x, y) since the last invalid row
     last = before = None
-    fold = None
+    # the folds toward the start and toward the end of the grid
+    back = fold = None
+    refined_any = False
     for value in grid:
         try:
             p = family(value)
@@ -546,6 +556,17 @@ def run_sweep(cfg: JobConfig) -> int:
         if last is None and fold is None:
             fold = _branch_fold(family, (refined.x, refined.y), value,
                                 grid[-1])
+        if not refined_any:
+            refined_any = True
+            if any(row[-1] == "refine-failed" for row in rows):
+                back = _branch_fold(family, (refined.x, refined.y), value,
+                                    grid[0])
+                if back is not None:
+                    rows = [(row[0], None, None, None, None, None,
+                             "no-equilibrium")
+                            if row[-1] == "refine-failed"
+                            and (row[0] - back) * (grid[0] - back) > 0
+                            else row for row in rows]
         before, last = last, (value, refined.x, refined.y)
         err = (math.hypot(xa - refined.x, ya - refined.y)
                if status == "ok" else None)
@@ -555,8 +576,10 @@ def run_sweep(cfg: JobConfig) -> int:
     _write_table(cfg, ("value", "x_analytic", "y_analytic", "x_refined",
                        "y_refined", "err_norm", "status"), rows)
     summary = f"sweep: {len(rows)} points, {flagged} flagged"
-    if fold is not None:
-        summary += f", fold at {a['variable']} = {_fmt(fold, cfg.precision)}"
+    for at in (back, fold):
+        if at is not None:
+            summary += (f", fold at {a['variable']} = "
+                        f"{_fmt(at, cfg.precision)}")
     sys.stdout.write(summary + "\n")
     return 0
 

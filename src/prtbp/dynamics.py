@@ -6,20 +6,23 @@ reaching the end time, on closing within the collision guard of a
 primary, on escaping past the escape radius from the radiating primary,
 or on integrator step failure.
 
-A trajectory holds its samples as one read-only (N, 6) float array with
-the columns t, x, y, vx, vy, C, one row per sample, and the drag's change
-of C, integrated alongside the state; the audit compares the two.
+A trajectory holds its samples as one flat float array, six values per
+sample (t, x, y, vx, vy, C), and the drag's change of C, integrated
+alongside the state; the audit compares the two. Propagation, C and the
+audit run on Python floats and import no NumPy; ``Trajectory.samples``
+and ``Trajectory.drift`` view the same floats as NumPy arrays.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .model import (COLLISION_GUARD, ESCAPE_RADIUS, PhaseState,
-                    SystemParams, _accelerations, _check_guard, _radii,
-                    jacobi_constant)
+                    SystemParams, _accelerations, _check_guard, _jacobi,
+                    _radii)
 from .rk45 import solve_ivp
 
 if TYPE_CHECKING:
@@ -33,25 +36,50 @@ MAX_SAMPLES = 10**7
 class Trajectory:
     """Sampled trajectory with per-sample Jacobi values.
 
-    ``samples`` is a read-only (N, 6) float array with one row per sample
-    on a uniform time grid (a shorter final interval may close the span)
-    and the columns t, x, y, vx, vy, C; ``drift`` is a read-only array of
-    W(t) = integral of -2 (vx Fx + vy Fy) dt from the first sample, the
-    drag's change of C (zero without drag); ``termination`` is one of
+    ``sample_values`` holds one sample after the other on a uniform time
+    grid (a shorter final interval may close the span), six floats each:
+    t, x, y, vx, vy, C. ``drift_values`` holds W(t) = integral of
+    -2 (vx Fx + vy Fy) dt from the first sample at each sample, the drag's
+    change of C (zero without drag). ``termination`` is one of
     ``completed``, ``collision``, ``escape`` or ``step-failure``;
+    ``rhs_calls``, ``steps`` and ``rejected_steps`` count the stepper's
+    right-hand-side calls and its accepted and rejected steps;
     ``message`` gives the stepper's reason for a ``step-failure`` and is
     None otherwise.
     """
 
     params: SystemParams
-    samples: np.ndarray
-    drift: np.ndarray
+    sample_values: array
+    drift_values: array
     termination: str
+    rhs_calls: int
+    steps: int
+    rejected_steps: int
     message: str | None = None
+
+    @property
+    def samples(self) -> np.ndarray:
+        """Read-only (N, 6) float view of ``sample_values``, one row per
+        sample."""
+        return _read_only(self.sample_values).reshape(-1, 6)
+
+    @property
+    def drift(self) -> np.ndarray:
+        """Read-only float view of ``drift_values``."""
+        return _read_only(self.drift_values)
 
     def arrays(self) -> tuple[np.ndarray, ...]:
         """Per-sample columns (t, x, y, vx, vy, C) as float arrays."""
         return tuple(self.samples.T)
+
+
+def _read_only(values: array) -> np.ndarray:
+    # a view of the floats without a copy; the only NumPy in this module
+    import numpy as np
+
+    view = np.frombuffer(values, dtype=float)
+    view.flags.writeable = False
+    return view
 
 
 def integrate(p: SystemParams, s0: PhaseState, t_end: float,
@@ -88,10 +116,8 @@ def integrate(p: SystemParams, s0: PhaseState, t_end: float,
         holds more than ``MAX_SAMPLES`` sampling intervals; the message
         names the argument.
     SingularityError
-        ``s0`` lies within the collision guard.
+        ``s0`` or a sample lies within the collision guard.
     """
-    import numpy as np
-
     for name in ("x", "y", "vx", "vy", "t"):
         value = getattr(s0, name)
         if not -math.inf < value < math.inf:
@@ -131,8 +157,9 @@ def integrate(p: SystemParams, s0: PhaseState, t_end: float,
     escape.direction = 1.0
 
     nsteps = max(1, math.ceil(span / sample_dt - 1e-9))
-    grid = s0.t + sample_dt * np.arange(nsteps + 1)
-    grid[-1] = t_end
+    # s0.t + sample_dt * k has the bits of np.arange's grid
+    grid = array("d", (s0.t + sample_dt * k for k in range(nsteps)))
+    grid.append(t_end)
 
     sol = solve_ivp(rhs, (s0.t, t_end), (s0.x, s0.y, s0.vx, s0.vy),
                     t_eval=grid, rtol=rtol, atol=atol,
@@ -144,29 +171,39 @@ def integrate(p: SystemParams, s0: PhaseState, t_end: float,
         termination = "collision" if sol.t_events[0] else "escape"
     else:
         termination, message = "step-failure", sol.message
-    t, y = sol.t, sol.y
-    if not len(t):
+    times, values = sol.times, sol.values
+    if not times:
         # the initial state alone stands in when no step succeeds
-        t = np.array([s0.t])
-        y = np.array([[s0.x], [s0.y], [s0.vx], [s0.vy], [0.0]])
-    # a copy of the drift row, so the stepper's array can be freed
-    states, drift = y[:4], y[4].copy()
+        times, values = [s0.t], [s0.x, s0.y, s0.vx, s0.vy, 0.0]
 
-    # the guard check of jacobi_constant also rejects samples inside it
-    c = jacobi_constant(p, PhaseState(*states), collision_guard)
-    samples = np.column_stack((t, *states, c))
-    samples.flags.writeable = False
-    drift.flags.writeable = False
-    return Trajectory(params=p, samples=samples, drift=drift,
-                      termination=termination, message=message)
+    samples = array("d")
+    drift = array("d")
+    # the guard check of C also rejects samples inside it
+    rows = iter(values)
+    for t, x, y, vx, vy, w in zip(times, rows, rows, rows, rows, rows):
+        samples.extend((t, x, y, vx, vy,
+                        _jacobi(p, x, y, vx, vy, collision_guard)))
+        drift.append(w)
+    return Trajectory(params=p, sample_values=samples, drift_values=drift,
+                      termination=termination, rhs_calls=sol.nfev,
+                      steps=sol.steps, rejected_steps=sol.rejected_steps,
+                      message=message)
 
 
 def jacobi_audit(traj: Trajectory) -> float:
     """Audit the Jacobi history of a trajectory against the drag law.
 
-    Returns max |C - W - C0| over the samples, W being ``traj.drift``.
-    C - W is constant along the flow, with or without drag (W = 0), so
-    this is the integration error, whatever the sample spacing.
+    Returns max |C - W - C0| over the samples, W being ``traj.drift``, or
+    NaN if any of them is NaN. C - W is constant along the flow, with or
+    without drag (W = 0), so this is the integration error, whatever the
+    sample spacing.
     """
-    c = traj.samples[:, 5]
-    return float(abs(c - traj.drift - c[0]).max())
+    c = traj.sample_values[5::6]
+    c0 = c[0]
+    worst = 0.0
+    for ci, wi in zip(c, traj.drift_values):
+        d = abs(ci - wi - c0)
+        # a NaN, once taken, fails every later comparison and stays
+        if d > worst or d != d:
+            worst = d
+    return worst

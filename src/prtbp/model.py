@@ -397,8 +397,14 @@ def jacobi_constant(p: SystemParams, s: PhaseState,
     Conserved exactly when w1 = 0; with drag it evolves at the rate given
     by :func:`jacobi_drift_rate`.
     """
-    _check_guard(p, s.x, s.y, guard)
-    return 2.0 * _potential(p, s.x, s.y) - s.vx * s.vx - s.vy * s.vy
+    return _jacobi(p, s.x, s.y, s.vx, s.vy, guard)
+
+
+def _jacobi(p: SystemParams, x, y, vx, vy, guard: float):
+    # C on floats or arrays, after the guard check; the body of
+    # jacobi_constant without the PhaseState, for per-sample loops
+    _check_guard(p, x, y, guard)
+    return 2.0 * _potential(p, x, y) - vx * vx - vy * vy
 
 
 def jacobi_drift_rate(p: SystemParams, s: PhaseState,
@@ -408,5 +414,13 @@ def jacobi_drift_rate(p: SystemParams, s: PhaseState,
     dC/dt = -2 (vx Fx + vy Fy), where (Fx, Fy) is the drag acceleration.
     Identically zero when w1 = 0 or at rest.
     """
-    f = drag_acceleration(p, s, guard)
-    return -2.0 * (s.vx * f.ax + s.vy * f.ay)
+    _check_guard(p, s.x, s.y, guard)
+    return _drift_rate(p, s.x, s.y, s.vx, s.vy)
+
+
+def _drift_rate(p: SystemParams, x, y, vx, vy):
+    # dC/dt on floats or arrays, without the guard check; the body of
+    # jacobi_drift_rate for per-sample loops over checked states
+    xm, r1sq, _ = _squared_radii(p, x, y)
+    fx, fy = _drag(p, xm, y, vx, vy, r1sq)
+    return -2.0 * (vx * fx + vy * fy)

@@ -5,8 +5,10 @@ propagation uses: the same tableau, initial step, error norm, step-size
 controller, dense output and event rules, so it takes the same steps and
 makes the same number of right-hand-side calls. The state is a list of
 Python floats, which costs a fraction of NumPy's per-call overhead on a
-system of four equations; only the samples on the output grid are
-evaluated in NumPy, all in one pass at the end.
+system of four equations. The samples on the output grid are evaluated
+on Python floats as well, step by step, into one flat float array, so
+integrating imports no NumPy; only reading ``OdeResult.t`` or
+``OdeResult.y`` does.
 
 References: J. R. Dormand and P. J. Prince, "A family of embedded
 Runge-Kutta formulae", J. Comput. Appl. Math. 6 (1980) 19-26; L. F.
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import math
 import sys
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -57,6 +60,10 @@ P = ((1, -8048581381 / 2820520608, 8663915743 / 2820520608,
       -1453857185 / 822651844),
      (0, 40617522 / 29380423, -110615467 / 29380423,
       69997945 / 29380423))
+# its nonzero entries past the first column by name; the first column is
+# (1, 0, ..., 0) and the second row is zero
+((_, P12, P13, P14), _, (_, P32, P33, P34), (_, P42, P43, P44),
+ (_, P52, P53, P54), (_, P62, P63, P64), (_, P72, P73, P74)) = P
 
 # step-size controller: h_new = h * clip(SAFETY * err**EXPONENT)
 SAFETY = 0.9
@@ -74,19 +81,41 @@ MESSAGES = {0: "The solver successfully reached the end of the "
 class OdeResult:
     """Outcome of :func:`solve_ivp`.
 
-    ``t`` holds the output times reached and ``y`` the states and then the
-    quadratures there, one column per time; ``status`` is 0 at the end of
-    the interval, 1 after an event and -1 when the step size fell below
-    10 ulp of t or is NaN; ``t_events`` lists each event's time, if it
-    ended the run.
+    ``times`` holds the output times reached and ``values`` the states and
+    then the quadratures there, ``width`` floats per time, one time after
+    the other; ``t`` and ``y`` give the same as NumPy arrays, ``y`` with
+    one column per time. ``status`` is 0 at the end of the interval, 1
+    after an event and -1 when the step size fell below 10 ulp of t or is
+    NaN; ``steps`` and ``rejected_steps`` count the accepted and rejected
+    steps, and ``nfev`` the calls of ``fun``, 2 + 6 (steps +
+    rejected_steps); ``t_events`` lists each event's time, if it ended the
+    run.
     """
 
-    t: np.ndarray
-    y: np.ndarray
+    times: array
+    values: array
+    width: int
     status: int
     message: str
     nfev: int
+    steps: int
+    rejected_steps: int
     t_events: tuple[list[float], ...]
+
+    @property
+    def t(self) -> np.ndarray:
+        """The output times reached, a view of ``times``."""
+        import numpy as np
+
+        return np.frombuffer(self.times, dtype=float)
+
+    @property
+    def y(self) -> np.ndarray:
+        """A (width, len(times)) view of ``values``."""
+        import numpy as np
+
+        return np.frombuffer(self.values, dtype=float).reshape(
+            -1, self.width).T
 
 
 def solve_ivp(fun, t_span, y0, t_eval, rtol, atol, events=()):
@@ -117,8 +146,6 @@ def solve_ivp(fun, t_span, y0, t_eval, rtol, atol, events=()):
     -------
     OdeResult
     """
-    import numpy as np
-
     t, t_bound = float(t_span[0]), float(t_span[1])
     if not t_bound > t:
         raise ValueError(f"t_span must increase, got {tuple(t_span)}")
@@ -128,18 +155,18 @@ def solve_ivp(fun, t_span, y0, t_eval, rtol, atol, events=()):
     y = [float(v) for v in y0]
     n = len(y)
     sqrt_n = math.sqrt(n)
-    t_eval = np.asarray(t_eval, dtype=float).tolist()
+    t_eval = array("d", t_eval)
     directions = [getattr(event, "direction", 0) for event in events]
 
     f = fun(t, y)
     # the quadratures of the rates past the state, from 0
     w = [0.0] * (len(f) - n)
     h_abs = _initial_step(fun, t, y, f, t_bound, rtol, atol, sqrt_n)
-    attempts = 0
+    steps = rejections = 0
     g = [event(t, y) for event in events]
     t_events = tuple([] for _ in events)
-    # the steps that hold output times: t_old, h, y_old, stages, count
-    dense = []
+    # the states and quadratures at t_eval[:sampled], time after time
+    values = array("d")
     sampled = 0
     status = None
     while status is None:
@@ -154,7 +181,6 @@ def solve_ivp(fun, t_span, y0, t_eval, rtol, atol, events=()):
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
             h_abs = abs(h)
-            attempts += 1
             k1 = f
             k2 = fun(t + C2 * h, [yi + a * A21 * h
                                   for yi, a in zip(y, k1)])
@@ -190,34 +216,38 @@ def solve_ivp(fun, t_span, y0, t_eval, rtol, atol, events=()):
             # a NaN norm also lands here and takes the smallest factor
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** EXPONENT)
             rejected = True
+            rejections += 1
         if status == -1:
             break
+        steps += 1
         if t_new >= t_bound:
             status = 0
-        stages = (k1, k2, k3, k4, k5, k6, k7)
         t_old, y_old = t, y + w
         t, y, w, f = t_new, y_new[:n], y_new[n:], k7
+        quartic = None
         if events:
             g_new = [event(t, y) for event in events]
             active = [i for i in range(len(events))
                       if _crosses(g[i], g_new[i], directions[i])]
             if active:
-                step = (t_old, h, y_old, stages)
-                t, i = min((_locate(events[i], step, t, n), i)
+                quartic = _quartic(y_old, (k1, k3, k4, k5, k6, k7))
+                t, i = min((_locate(events[i], t_old, h, quartic[:n], t), i)
                            for i in active)
                 t_events[i].append(t)
                 status = 1
             g = g_new
         end = bisect_right(t_eval, t, sampled)
         if end > sampled:
-            dense.append((t_old, h, y_old, stages, end - sampled))
+            if quartic is None:
+                quartic = _quartic(y_old, (k1, k3, k4, k5, k6, k7))
+            for ti in t_eval[sampled:end]:
+                values.extend(_interpolate(ti, t_old, h, quartic))
             sampled = end
 
-    return OdeResult(t=np.array(t_eval[:sampled]),
-                     y=(_sample(t_eval[:sampled], dense, n) if dense
-                        else np.empty((len(f), 0))),
+    return OdeResult(times=t_eval[:sampled], values=values, width=len(f),
                      status=status, message=MESSAGES[status],
-                     nfev=2 + 6 * attempts, t_events=t_events)
+                     nfev=2 + 6 * (steps + rejections), steps=steps,
+                     rejected_steps=rejections, t_events=t_events)
 
 
 def _initial_step(fun, t0, y0, f0, t_bound, rtol, atol, sqrt_n) -> float:
@@ -249,18 +279,18 @@ def _crosses(g, g_new, direction) -> bool:
             or (up or down) and direction == 0)
 
 
-def _locate(event, step, b, n) -> float:
+def _locate(event, t_old, h, quartic, b) -> float:
     """Bisect the event's zero on the dense output of a step to 4 eps.
 
-    The step runs from a = t_old to b. The end a keeps the event's sign
-    from the start of the step. If the interpolant does not change sign
-    before b (the zero lies at the very end of the step) the bisection
-    closes on b.
+    The step runs from a = t_old to b, and ``quartic`` holds its dense
+    output of the state. The end a keeps the event's sign from the start
+    of the step. If the interpolant does not change sign before b (the
+    zero lies at the very end of the step) the bisection closes on b.
     """
     def g(t):
-        return event(t, _sample([t], [(*step, 1)], n)[:n, 0].tolist())
+        return event(t, _interpolate(t, t_old, h, quartic))
 
-    a = step[0]
+    a = t_old
     ga = g(a)
     if ga == 0:
         return a
@@ -276,21 +306,23 @@ def _locate(event, step, b, n) -> float:
     return b
 
 
-def _sample(times, dense, n) -> np.ndarray:
-    # every output row through its step's quartic, the n state components
-    # and the quadratures in separate NumPy passes: a product of another
-    # width may round the state differently
-    import numpy as np
+def _quartic(y_old, stages) -> list[tuple[float, ...]]:
+    # Shampine's dense output of a step, per component: y_old and the
+    # coefficients q = K^T P of x, x^2, x^3 and x^4, from the stages k1
+    # and k3 to k7 (k2 has zero weight)
+    return [(yo, a,
+             a * P12 + c * P32 + d * P42 + e * P52 + f * P62 + g * P72,
+             a * P13 + c * P33 + d * P43 + e * P53 + f * P63 + g * P73,
+             a * P14 + c * P34 + d * P44 + e * P54 + f * P64 + g * P74)
+            for yo, a, c, d, e, f, g in zip(y_old, *stages)]
 
-    t_old, h, y_old, stages, counts = zip(*dense)
-    step = np.repeat(np.arange(len(dense)), counts)
-    h = np.array(h)[step]
-    x = (np.array(times) - np.array(t_old)[step]) / h
-    powers = np.cumprod(np.repeat(x[:, None], 4, axis=1), axis=1)
-    y_old, stages = np.array(y_old), np.array(stages)
-    blocks = []
-    for cols in (slice(None, n), slice(n, None)):
-        q = np.swapaxes(stages[:, :, cols], 1, 2) @ np.array(P, dtype=float)
-        blocks.append(y_old[step, cols] + h[:, None] * (
-            q[step] @ powers[:, :, None])[:, :, 0])
-    return np.concatenate(blocks, axis=1).T
+
+def _interpolate(t, t_old, h, quartic) -> list[float]:
+    # the dense output at t: y_old + h (q1 x + q2 x^2 + q3 x^3 + q4 x^4)
+    # with x = (t - t_old) / h, each component on its own
+    x = (t - t_old) / h
+    x2 = x * x
+    x3 = x2 * x
+    x4 = x3 * x
+    return [yo + h * (q1 * x + q2 * x2 + q3 * x3 + q4 * x4)
+            for yo, q1, q2, q3, q4 in quartic]

@@ -34,6 +34,15 @@ FROZEN = {
     ("L5", "refined-numeric"): (0.48847371846757481, -0.86492201973635563),
 }
 
+INTEGRATE = ["integrate", "--system.mu", "0.01", "--system.w1", "0",
+             "--job.x", "0.49", "--job.y", "0.86", "--job.vx", "0",
+             "--job.vy", "0", "--job.t_end", "1", "--job.sample_dt", "0.1"]
+# the README drag orbit, over a fifth of its span
+INTEGRATE_DRAG = ["integrate", "--system.mu", "0.01", "--system.q1", "0.9",
+                  "--system.w1", "1e-3", "--job.x", "0.45", "--job.y", "0.8",
+                  "--job.vx", "0", "--job.vy", "1.3", "--job.t_end", "0.4",
+                  "--job.sample_dt", "0.01"]
+
 
 def _config(tmp_path, doc, name="job.json"):
     path = tmp_path / name
@@ -231,11 +240,30 @@ def test_integrate_writes_samples_and_sidecar(tmp_path):
     assert rows[-1]["t"] == pytest.approx(2.0 * math.pi, rel=1e-15)
     with open(tmp_path / "orbit.meta.json", encoding="utf-8") as fh:
         meta = json.load(fh)
-    assert set(meta) == {"termination", "samples", "jacobi_audit"}
+    assert set(meta) == {"termination", "samples", "jacobi_audit",
+                         "rhs_calls", "steps", "rejected_steps"}
     assert meta["termination"] == "completed"
     assert meta["samples"] == len(rows)
     assert meta["jacobi_audit"] < 1e-9
     assert all(row["dCdt"] == 0.0 for row in rows)
+
+
+@pytest.mark.parametrize("argv, rejects", [
+    (INTEGRATE_DRAG, False),
+    # a collision ends this run after rejected steps near the primary
+    (["integrate", "--system.mu", "0.01", "--system.w1", "0",
+      "--job.x", "0.995", "--job.y", "0", "--job.vx", "0", "--job.vy", "0",
+      "--job.t_end", "1", "--job.sample_dt", "0.002"], True)],
+    ids=["drag", "collision"])
+def test_integrate_sidecar_counts_the_stepper_work(argv, rejects, tmp_path):
+    out = str(tmp_path / "orbit.csv")
+    assert main([*argv, "--output", out]) == 0
+    with open(tmp_path / "orbit.meta.json", encoding="utf-8") as fh:
+        meta = json.load(fh)
+    assert meta["steps"] > 0
+    assert (meta["rejected_steps"] > 0) is rejects
+    assert meta["rhs_calls"] == 2 + 6 * (meta["steps"]
+                                         + meta["rejected_steps"])
 
 
 def test_integrate_one_interval_writes_a_numeric_audit(tmp_path):
@@ -268,14 +296,30 @@ def test_integrate_csv_matches_the_row_renderer(precision, tmp_path):
     assert Path(out).read_text(encoding="utf-8") == expected
 
 
-def test_float_csv_chunks_match_the_row_renderer(tmp_path, monkeypatch):
-    # 11 rows in chunks of 4 cross two chunk boundaries
-    monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", 4)
-    table = np.random.default_rng(7).standard_normal((11, 3))
+def test_float_csv_stream_matches_the_row_renderer(tmp_path):
+    # rows streamed from a generator, one format string per row
+    table = np.random.default_rng(7).standard_normal((11, 3)).tolist()
     out = tmp_path / "table.csv"
-    cli._write_float_csv(str(out), ("a", "b", "c"), table, 17)
+    cli._write_float_csv(str(out), ("a", "b", "c"),
+                         (tuple(row) for row in table), 17)
     assert out.read_text(encoding="utf-8") == _render_csv(
-        ("a", "b", "c"), table.tolist(), 17)
+        ("a", "b", "c"), table, 17)
+
+
+@pytest.mark.parametrize("argv", [INTEGRATE, INTEGRATE_DRAG],
+                         ids=["drag-free", "drag"])
+def test_integrate_json_matches_the_payload_dump(argv, tmp_path):
+    # the rows streamed one at a time have the bytes of the whole payload
+    # through _dump_json, with the CSV's values and -0.0 written as 0
+    out = tmp_path / "orbit.json"
+    assert main([*argv, "--output", str(out), "--format", "json"]) == 0
+    # 17 digits read back the CSV's floats exactly
+    assert main([*argv, "--output", str(tmp_path / "orbit.csv")]) == 0
+    columns, rows = read_table(str(tmp_path / "orbit.csv"))
+    assert any(v == 0.0 for row in rows for v in row.values())
+    payload = {"job": "integrate", "rows": rows}
+    assert out.read_text(encoding="utf-8") == (
+        cli._dump_json(payload, 17) + "\n")
 
 
 def test_integrate_sidecar_sits_next_to_the_output(tmp_path):
@@ -469,6 +513,46 @@ def test_sweep_fold_does_not_depend_on_tol(tmp_path, capsys):
         assert math.hypot(*residual) < 1e-3
 
 
+def _sweep_summary(tmp_path, capsys, argv):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", *argv, "--output", str(out)]) == 0
+    summary = re.fullmatch(
+        r"sweep: (\d+) points, (\d+) flagged, fold at \w+ = (\S+)\n",
+        capsys.readouterr().out)
+    assert summary is not None
+    _, rows = read_table(str(out))
+    return rows, int(summary.group(2)), float(summary.group(3))
+
+
+@pytest.mark.filterwarnings("ignore:first-order shift")
+def test_sweep_classifies_rows_before_the_first_refined_point(tmp_path,
+                                                               capsys):
+    """A grid that starts past a fold: the branch is followed back from
+    the first refined point, and the rows past the fold read
+    no-equilibrium, not refine-failed."""
+    # descending in w1: the fold is the one an ascending sweep finds
+    rows, flagged, fold = _sweep_summary(tmp_path, capsys, [
+        "--system.mu", "0.01", "--system.q1", "0.98", "--system.w1", "0",
+        "--job.variable", "w1", "--job.start", "2e-2", "--job.stop", "1e-4",
+        "--job.count", "12"])
+    past = [row for row in rows if row["value"] > fold]
+    assert len(past) == flagged == 3
+    assert all(row["status"] == "no-equilibrium" and row["x_analytic"] is None
+               for row in past)
+    assert all(row["status"] == "ok" for row in rows[3:])
+    _, _, ascending = _fold_sweep(tmp_path, capsys, "1e-4", 50)
+    assert abs(fold - ascending) <= 1e-10 * ascending
+    # in mu at a fixed light speed, the branch appears at a fold
+    rows, flagged, fold = _sweep_summary(tmp_path, capsys, [
+        "--system.mu", "0.01", "--system.q1", "0.98", "--system.cd", "10",
+        "--job.variable", "mu", "--job.start", "1e-3", "--job.stop", "0.5",
+        "--job.count", "20"])
+    assert rows[3]["value"] < fold < rows[4]["value"]
+    assert [row["status"] for row in rows[:4]] == ["no-equilibrium"] * 4
+    assert flagged == 4
+    assert all(row["status"] == "ok" for row in rows[4:])
+
+
 def test_sweep_seed_falls_back_to_the_next():
     # a seed on the secondary, and one too far to converge in 8 Newton
     # steps of at most 0.25, fail; the guess after them still converges
@@ -542,9 +626,6 @@ def test_zvc_resolution_floor_exits_2(capsys):
 
 
 EQUILIBRIA = ["equilibria", "--system.mu", "0.1", "--system.w1", "0"]
-INTEGRATE = ["integrate", "--system.mu", "0.01", "--system.w1", "0",
-             "--job.x", "0.49", "--job.y", "0.86", "--job.vx", "0",
-             "--job.vy", "0", "--job.t_end", "1", "--job.sample_dt", "0.1"]
 ZVC = ["zvc", "--system.mu", "0.1", "--system.w1", "0",
        "--job.level_c", "3", "--job.xmin=-1.5", "--job.xmax", "1.5",
        "--job.ymin=-1.5", "--job.ymax", "1.5", "--job.resolution", "32"]

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -191,12 +193,96 @@ def test_arrays_shape_and_jacobi_column():
         assert c == jacobi_constant(p, PhaseState(x, y, vx, vy, t))
 
 
+def test_samples_view_the_flat_floats():
+    p = SystemParams(mu=0.1, q1=0.95, w1=1e-4)
+    traj = integrate(p, PhaseState(0.42, 0.85, 0.0, 0.3),
+                     t_end=1.0, sample_dt=0.1)
+    samples = traj.samples
+    assert samples.dtype == np.float64
+    assert samples.shape == (11, 6)
+    assert not samples.flags.writeable
+    with pytest.raises(ValueError):
+        samples[0, 0] = 1.0
+    flat = traj.sample_values
+    assert len(flat) == 6 * len(samples)
+    for i, row in enumerate(samples.tolist()):
+        assert row == list(flat[6 * i:6 * i + 6])
+    assert traj.drift.tolist() == list(traj.drift_values)
+    assert not traj.drift.flags.writeable
+
+
+def test_audit_is_nan_when_a_term_is():
+    p = SystemParams(mu=0.1)
+    traj = integrate(p, L4_REST, t_end=0.5, sample_dt=0.1)
+    assert math.isfinite(jacobi_audit(traj))
+    for row in (0, 2, 5):
+        values = array("d", traj.sample_values)
+        values[6 * row + 5] = math.nan
+        broken = dataclasses.replace(traj, sample_values=values)
+        assert math.isnan(jacobi_audit(broken))
+
+
+def _numpy_sample(times, dense, n):
+    # the dense output as NumPy evaluated it before the stepper sampled
+    # on floats: every output row through its step's quartic, the n state
+    # components and the quadratures in separate passes
+    t_old, h, y_old, stages, counts = zip(*dense)
+    step = np.repeat(np.arange(len(dense)), counts)
+    h = np.array(h)[step]
+    x = (np.array(times) - np.array(t_old)[step]) / h
+    powers = np.cumprod(np.repeat(x[:, None], 4, axis=1), axis=1)
+    y_old, stages = np.array(y_old), np.array(stages)
+    blocks = []
+    for cols in (slice(None, n), slice(n, None)):
+        q = np.swapaxes(stages[:, :, cols], 1, 2) @ np.array(rk45.P,
+                                                             dtype=float)
+        blocks.append(y_old[step, cols] + h[:, None] * (
+            q[step] @ powers[:, :, None])[:, :, 0])
+    return np.concatenate(blocks, axis=1).T
+
+
+def test_dense_output_matches_the_numpy_quartic(monkeypatch):
+    # the near-L4 drag orbit over one revolution: every sample within
+    # 1e-14 of the same quartic evaluated in NumPy
+    made = {}
+    dense = []
+    quartic, interpolate = rk45._quartic, rk45._interpolate
+
+    def spy_quartic(y_old, stages):
+        q = quartic(y_old, stages)
+        # k2 has zero weight; the reference takes it as zero
+        k1, *rest = stages
+        made[id(q)] = (q, y_old, [k1, [0.0] * len(k1), *rest])
+        return q
+
+    def spy_interpolate(t, t_old, h, q):
+        if dense and dense[-1][0] is q:
+            dense[-1][-1] += 1
+        else:
+            dense.append([q, t_old, h, *made[id(q)][1:], 1])
+        return interpolate(t, t_old, h, q)
+
+    monkeypatch.setattr(rk45, "_quartic", spy_quartic)
+    monkeypatch.setattr(rk45, "_interpolate", spy_interpolate)
+    p = SystemParams(mu=0.01, q1=0.995, a2=1e-4, cd=1e3)
+    traj = integrate(p, PhaseState(0.49, 0.866, 0.0, 0.0),
+                     t_end=2.0 * math.pi, sample_dt=0.01)
+    assert traj.termination == "completed"
+    assert sum(d[-1] for d in dense) == len(traj.samples)
+    t = traj.samples[:, 0]
+    reference = _numpy_sample(t, [d[1:] for d in dense], 4)
+    ours = np.vstack((traj.samples[:, 1:5].T, traj.drift))
+    assert np.abs(ours - reference).max() <= 1e-14
+
+
 def test_trajectory_record_fields():
     traj = integrate(CLASSICAL, L4_REST, t_end=0.5, sample_dt=0.25)
     assert isinstance(traj, Trajectory)
     assert traj.params is CLASSICAL
     assert traj.termination in ("completed", "collision", "escape",
                                 "step-failure")
+    assert traj.steps > 0
+    assert traj.rhs_calls == 2 + 6 * (traj.steps + traj.rejected_steps)
 
 
 def _scipy_reference(fun, t_span, y0, t_eval, rtol, atol, events=()):

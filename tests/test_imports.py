@@ -1,10 +1,11 @@
 """No job loads SciPy, and only the array-building jobs load NumPy.
 
-SciPy is a test-only reference. NumPy is loaded by the ``integrate`` and
-``zvc`` jobs, which build arrays; importing the package and running the
-``equilibria`` and ``sweep`` jobs use Python floats only. Each case runs
-in a fresh interpreter, since this test process has imported both
-itself, and reports which of them it loaded.
+SciPy is a test-only reference. NumPy is loaded by the ``zvc`` job, which
+builds arrays, and by reading a trajectory's samples as an array;
+importing the package and running the ``equilibria``, ``sweep`` and
+``integrate`` jobs use Python floats only. Each case runs in a fresh
+interpreter, since this test process has imported both itself, and
+reports which of them it loaded.
 """
 
 from __future__ import annotations
@@ -51,6 +52,14 @@ def _main(argv: list[str]) -> str:
 SWEEP = ["sweep", *SYSTEM, "--job.variable", "w1", "--job.start", "1e-4",
          "--job.stop", "1e-3", "--job.count", "3", "--output", "sweep.csv"]
 
+INTEGRATE = ["integrate", *SYSTEM, "--job.x", "0.4", "--job.y", "0.8",
+             "--job.vx", "0.0", "--job.vy", "0.0", "--job.t_end", "0.5",
+             "--job.sample_dt", "0.1", "--output", "orbit.csv"]
+
+TRAJECTORY = """import prtbp
+traj = prtbp.integrate(prtbp.SystemParams(mu=0.1, q1=0.98, w1=1e-4),
+                       prtbp.PhaseState(0.4, 0.8, 0.0, 0.0), 0.5, 0.1)"""
+
 # (id, body, whether it loads NumPy)
 CASES = [
     ("import-prtbp", "import prtbp", False),
@@ -63,10 +72,10 @@ CASES = [
                    "-1.5", "--job.xmax", "1.5", "--job.ymin", "-1.5",
                    "--job.ymax", "1.5", "--job.resolution", "32",
                    "--output", "curve.csv"]), True),
-    ("integrate", _main(["integrate", *SYSTEM, "--job.x", "0.4", "--job.y",
-                         "0.8", "--job.vx", "0.0", "--job.vy", "0.0",
-                         "--job.t_end", "0.5", "--job.sample_dt", "0.1",
-                         "--output", "orbit.csv"]), True),
+    ("integrate", _main(INTEGRATE), False),
+    ("integrate-json", _main(INTEGRATE + ["--format", "json"]), False),
+    ("trajectory-samples", TRAJECTORY + "\ntraj.samples", True),
+    ("trajectory-floats", TRAJECTORY + "\nprtbp.jacobi_audit(traj)", False),
 ]
 IDS = [name for name, _, _ in CASES]
 

@@ -280,11 +280,17 @@ def _dump_json(obj, precision: int) -> str:
     return _json_token(obj, precision)
 
 
+def _open_output(path: str | None):
+    # the output file, or standard output when no path is given
+    if path is None:
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="")
+
+
 def _write_table(cfg: JobConfig, columns: tuple[str, ...], rows) -> None:
     # JSON rows are written one at a time, with the bytes _dump_json gives
     # the whole {"job", "rows"} payload, so an iterator of rows streams
-    with (contextlib.nullcontext(sys.stdout) if cfg.out_path is None else
-          open(cfg.out_path, "w", encoding="utf-8", newline="")) as fh:
+    with _open_output(cfg.out_path) as fh:
         if cfg.out_format == "csv":
             fh.write(_render_csv(columns, rows, cfg.precision))
             return
@@ -432,11 +438,33 @@ def run_zvc(cfg: JobConfig) -> int:
     curve = zero_velocity_curve(
         cfg.system, a["level_c"],
         (a["xmin"], a["xmax"], a["ymin"], a["ymax"]), a["resolution"])
-    rows = [(seg_id, vertex_id, x, y)
-            for seg_id, segment in enumerate(curve.segments)
-            for vertex_id, (x, y) in enumerate(segment)]
-    _write_table(cfg, ("segment_id", "vertex_index", "x", "y"), rows)
+    if cfg.out_format == "csv":
+        with _open_output(cfg.out_path) as fh:
+            _write_vertex_csv(fh, curve, cfg.precision)
+    else:
+        _write_table(cfg, ("segment_id", "vertex_index", "x", "y"),
+                     _vertex_rows(curve))
+    if cfg.out_path is not None:
+        with open(_meta_path(cfg.out_path), "w", encoding="utf-8",
+                  newline="") as fh:
+            fh.write(_dump_json(curve.work, cfg.precision) + "\n")
     return 0
+
+
+def _vertex_rows(curve):
+    # (segment_id, vertex_index, x, y) per vertex; + 0.0 turns -0.0 into
+    # 0.0, as _fmt does
+    for seg_id, segment in enumerate(curve.segments):
+        for vertex_id, (x, y) in enumerate(segment):
+            yield seg_id, vertex_id, x + 0.0, y + 0.0
+
+
+def _write_vertex_csv(fh, curve, precision: int) -> None:
+    # the bytes of _render_csv for the vertex rows, from one format string
+    # per row; the indices are integers, so %d and not %g
+    line = f"%d,%d,%.{precision}g,%.{precision}g\n"
+    fh.write("segment_id,vertex_index,x,y\n")
+    fh.writelines(line % row for row in _vertex_rows(curve))
 
 
 def _linspace(start: float, stop: float, count: int) -> list[float]:

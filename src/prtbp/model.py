@@ -250,8 +250,7 @@ def _guard_error(x, y, r1, r2, guard: float) -> SingularityError:
                             f"primary (r1={r1}, r2={r2})")
 
 
-def _check_guard(p: SystemParams, x, y, guard: float) -> None:
-    r1, r2 = _radii(p, x, y)
+def _check_radii(x, y, r1, r2, guard: float) -> None:
     if type(r1) is float:
         if r1 < guard or r2 < guard:
             raise _guard_error(x, y, r1, r2, guard)
@@ -263,9 +262,15 @@ def _check_guard(p: SystemParams, x, y, guard: float) -> None:
         raise _guard_error(*(np.ravel(v)[i] for v in (x, y, r1, r2)), guard)
 
 
-def _potential(p: SystemParams, x, y):
-    # amended potential U1, without the guard
+def _check_guard(p: SystemParams, x, y, guard: float) -> None:
+    _check_radii(x, y, *_radii(p, x, y), guard)
+
+
+def _checked_potential(p: SystemParams, x, y, guard: float):
+    # amended potential U1 after the guard check, on floats or arrays,
+    # from one derivation of the radii
     r1, r2 = _radii(p, x, y)
+    _check_radii(x, y, r1, r2, guard)
     return (0.5 * p.n * p.n * (x * x + y * y)
             + (1.0 - p.mu) * p.q1 / r1
             + p.mu / r2
@@ -336,6 +341,17 @@ def _rest_jacobian(p: SystemParams, x: float, y: float
             uxy - wn + b * xm * xm, uyy + b * xm * y)
 
 
+def _hessian_bound(p: SystemParams, r1: float, r2: float) -> float:
+    # upper bound on the spectral norm of the Hessian of U1 at every point
+    # at least r1 from the radiating primary and r2 from the oblate one:
+    # n^2 from the rotation, 2c/r^3 from each c/r and 12c/r^5 from the
+    # c/r^3 of the oblateness (c = mu A2 / 2), each decreasing in r
+    return (p.n * p.n
+            + 2.0 * (1.0 - p.mu) * p.q1 / (r1 * r1 * r1)
+            + 2.0 * p.mu / (r2 * r2 * r2)
+            + 6.0 * p.mu * p.a2 / (r2 * r2 * r2 * r2 * r2))
+
+
 def amended_potential(p: SystemParams, x: float, y: float,
                       guard: float = COLLISION_GUARD) -> float:
     """Amended potential of the rotating frame.
@@ -349,8 +365,7 @@ def amended_potential(p: SystemParams, x: float, y: float,
     SingularityError
         If the point lies within ``guard`` of either primary.
     """
-    _check_guard(p, x, y, guard)
-    return _potential(p, x, y)
+    return _checked_potential(p, x, y, guard)
 
 
 def conservative_gradient(p: SystemParams, x: float, y: float,
@@ -403,8 +418,7 @@ def jacobi_constant(p: SystemParams, s: PhaseState,
 def _jacobi(p: SystemParams, x, y, vx, vy, guard: float):
     # C on floats or arrays, after the guard check; the body of
     # jacobi_constant without the PhaseState, for per-sample loops
-    _check_guard(p, x, y, guard)
-    return 2.0 * _potential(p, x, y) - vx * vx - vy * vy
+    return 2.0 * _checked_potential(p, x, y, guard) - vx * vx - vy * vy
 
 
 def jacobi_drift_rate(p: SystemParams, s: PhaseState,

@@ -1,32 +1,35 @@
 """Zero-velocity curves by marching squares.
 
 The curve 2*U1(x, y) = C bounds the region a particle with Jacobi value C
-can reach. f = 2*U1 - C is evaluated on the whole sampling grid through
-the model's potential, and NumPy classifies the cells by the corner signs
-of f. Grid cells that contain a primary, or touch one within the
-collision guard, are masked. Only the cells the curve crosses are visited
-in Python: crossings are located on cell edges, and ambiguous saddle
-cells are split by the sign of f at the cell centre, all centres in one
-evaluation.
+can reach. The cells of the sampling grid are split by a quadtree, from
+the whole grid down to leaves of at most 4x4 cells. A block is skipped
+when a Taylor bound around its centre proves f = 2*U1 - C of one sign on
+all of it, beyond the rounding of f, at least twice the collision guard
+from both primaries: none of its cells can hold the curve. Only the
+nodes of the other leaves are evaluated, each through the model's float
+path, so most of a fine grid is never visited (see the Numerical remarks
+of ``docs/model-notes.md``).
 
-All crossings are then polished together along their grid edges by one
-NumPy bisection pass of fixed length, so emitted vertices satisfy f = 0
-to near machine precision rather than to the linear-interpolation error
-of the raw grid. A probe inside the collision guard has no value of f;
-it counts as f > 0, since U1 grows without bound at a primary, so the
-bisection keeps to the crossing on the far side of it.
+Cells are classified by the corner signs of f. Cells that contain a
+primary, or touch one within the collision guard, are masked, and
+ambiguous saddle cells are split by the sign of f at the cell centre.
+
+Each crossing is then polished along its grid edge by the Illinois
+method, a regula falsi that keeps its bracket, so emitted vertices
+satisfy f = 0 to near machine precision rather than to the
+linear-interpolation error of the raw grid. A probe inside the collision
+guard has no value of f; it counts as f > 0, since U1 grows without bound
+at a primary, so the bracket keeps to the crossing on the far side of it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from dataclasses import dataclass, field
 
-from .model import COLLISION_GUARD, SystemParams, _potential, _radii
-
-if TYPE_CHECKING:
-    import numpy as np
+from .errors import SingularityError
+from .model import (COLLISION_GUARD, SystemParams, _accelerations,
+                    _checked_potential, _hessian_bound)
 
 Window = tuple[float, float, float, float]
 
@@ -36,8 +39,21 @@ MIN_RESOLUTION = 16
 #: Maximum number of grid nodes per axis.
 MAX_RESOLUTION = 4096
 
-# halvings of the unit edge parameter: 2**-46 < 1e-13
-_HALVINGS = 46
+# quadtree leaves hold at most this many cells per axis
+_LEAF = 4
+
+# a certified margin exceeds this share of 2*U1 + |C| + slack, far above
+# the few ulps by which f is rounded at a node
+_ROUNDING = 1e-12
+
+# widening of a block's half-widths per unit of its coordinates, which
+# covers the rounding of its centre and of x + mu in the model
+_PAD = 2.0 ** -50
+
+# the polish stops at this bracket width in the edge parameter, or after
+# as many probes as bisection needs to reach it: 2**-46 < 1e-13
+_WIDTH = 2.0 ** -46
+_PROBES = 46
 
 # per-cell segments by corner-sign case; corners c0..c3 run counter-
 # clockwise from the lower left, edges 0..3 are bottom,right,top,left
@@ -54,49 +70,168 @@ class ZeroVelocityCurve:
 
     ``segments`` is a tuple of polylines, each a tuple of (x, y)
     vertices; closed loops repeat their first vertex at the end.
+    ``work`` counts what the extraction did: ``grid_nodes``,
+    ``nodes_evaluated``, ``blocks_certified``, ``active_cells``,
+    ``vertices`` (crossings polished), ``polish_probes`` and
+    ``polish_bisections``. It is deterministic and takes no part in
+    equality.
     """
 
     level_c: float
     segments: tuple[tuple[tuple[float, float], ...], ...]
+    work: dict[str, int] = field(default_factory=dict, compare=False,
+                                 repr=False)
 
 
-def _level(p: SystemParams, x, y, level_c: float,
-           guard: float) -> np.ndarray:
-    # f = 2*U1 - C on arrays, NaN within the guard of a primary
-    import numpy as np
+def _level(p: SystemParams, x: float, y: float, level_c: float,
+           guard: float) -> float:
+    # f = 2*U1 - C at one point, NaN within the guard of a primary (a zero
+    # guard lets a node sit on a primary, where U1 divides by zero)
+    try:
+        return 2.0 * _checked_potential(p, x, y, guard) - level_c
+    except (SingularityError, ZeroDivisionError):
+        return math.nan
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f = 2.0 * _potential(p, x, y) - level_c
-    f[np.minimum(*_radii(p, x, y)) < guard] = math.nan
-    return f
+
+def _one_signed(p: SystemParams, level_c: float, guard: float, xlo: float,
+                xhi: float, ylo: float, yhi: float) -> bool:
+    """Whether f is provably of one sign on the block [xlo, xhi] x [ylo, yhi].
+
+    Around the block's centre c with half-widths (hx, hy), Taylor's
+    theorem bounds |f - f(c)| by the slack |fx| hx + |fy| hy
+    + M (hx^2 + hy^2) / 2, where M bounds the norm of f's Hessian at the
+    block's nearest distances to the primaries. The block passes when
+    |f(c)| exceeds the slack by more than 1e-12 of 2*U1(c) + |C| + slack,
+    which covers the rounding of f at every node, and when both nearest
+    distances exceed twice the guard, so no node lies within it.
+    """
+    cx = 0.5 * (xlo + xhi)
+    cy = 0.5 * (ylo + yhi)
+    hx = max(cx - xlo, xhi - cx)
+    hy = max(cy - ylo, yhi - cy)
+    pad = _PAD * (abs(cx) + hx + abs(cy) + hy + 1.0)
+    hx += pad
+    hy += pad
+    # nearest distances to the primaries at (-mu, 0) and (1 - mu, 0)
+    xm = cx + p.mu
+    dy = max(abs(cy) - hy, 0.0)
+    r1 = math.hypot(max(abs(xm) - hx, 0.0), dy)
+    r2 = math.hypot(max(abs(xm - 1.0) - hx, 0.0), dy)
+    if not (r1 > 2.0 * guard and r2 > 2.0 * guard):
+        return False
+    u = _checked_potential(p, cx, cy, guard)
+    gx, gy, _, _ = _accelerations(p, cx, cy, 0.0, 0.0)
+    m = 2.0 * _hessian_bound(p, r1, r2)
+    slack = 2.0 * (abs(gx) * hx + abs(gy) * hy) + 0.5 * m * (hx * hx
+                                                             + hy * hy)
+    return (abs(2.0 * u - level_c) - slack
+            > _ROUNDING * (2.0 * u + abs(level_c) + slack))
 
 
-def _polish(p: SystemParams, level_c: float, guard: float, xa, ya, xb, yb,
-            fa, fb) -> tuple[np.ndarray, np.ndarray]:
-    """Crossings of f = 0 on the edges (xa, ya)-(xb, yb), as arrays.
+def _active_cells(p: SystemParams, level_c: float, guard: float, xs, ys,
+                  work: dict) -> tuple[list, dict]:
+    """Cells (j, i, case) the curve crosses, row-major, and node values.
+
+    The values are f at the nodes evaluated, keyed by j * n + i; every
+    node of an active cell is among them.
+    """
+    n = len(xs)
+    primaries = (-p.mu, 1.0 - p.mu)
+    values: dict[int, float] = {}
+    cells = []
+    # blocks of cells [i0, i1) x [j0, j1)
+    blocks = [(0, n - 1, 0, n - 1)]
+    while blocks:
+        i0, i1, j0, j1 = blocks.pop()
+        if _one_signed(p, level_c, guard, xs[i0], xs[i1], ys[j0], ys[j1]):
+            work["blocks_certified"] += 1
+            continue
+        if i1 - i0 > _LEAF or j1 - j0 > _LEAF:
+            icuts = (i0, (i0 + i1) // 2, i1) if i1 - i0 > _LEAF else (i0, i1)
+            jcuts = (j0, (j0 + j1) // 2, j1) if j1 - j0 > _LEAF else (j0, j1)
+            blocks += [(a, b, c, d) for c, d in zip(jcuts, jcuts[1:])
+                       for a, b in zip(icuts, icuts[1:])]
+            continue
+        # the leaf's node values, row by row, then its cells
+        rows = []
+        for j in range(j0, j1 + 1):
+            row = []
+            for i in range(i0, i1 + 1):
+                f = values.get(j * n + i)
+                if f is None:
+                    f = values[j * n + i] = _level(p, xs[i], ys[j],
+                                                   level_c, guard)
+                row.append(f)
+            rows.append(row)
+        for j, below, above in zip(range(j0, j1), rows, rows[1:]):
+            for i, c0, c1, c2, c3 in zip(range(i0, i1), below, below[1:],
+                                         above[1:], above):
+                case = ((c0 < 0.0) | (c1 < 0.0) << 1 | (c2 < 0.0) << 2
+                        | (c3 < 0.0) << 3)
+                if case == 0 or case == 15:
+                    continue
+                # a NaN corner lies within the guard of a primary
+                if c0 != c0 or c1 != c1 or c2 != c2 or c3 != c3:
+                    continue
+                if ys[j] <= 0.0 <= ys[j + 1] and any(
+                        xs[i] <= px <= xs[i + 1] for px in primaries):
+                    continue
+                cells.append((j, i, case))
+    work["nodes_evaluated"] = len(values)
+    work["active_cells"] = len(cells)
+    cells.sort()
+    return cells, values
+
+
+def _polish(p: SystemParams, level_c: float, guard: float, xa: float,
+            ya: float, xb: float, yb: float, fa: float, fb: float,
+            work: dict) -> tuple[float, float]:
+    """Crossing of f = 0 on the edge (xa, ya)-(xb, yb).
 
     ``fa`` and ``fb`` are the grid values of f at the edge ends, of
-    opposite classification (f < 0 at exactly one end). Each edge is
-    bisected in its parameter s in [0, 1], and an end where f is zero is
-    the vertex itself. A probe inside the guard gives NaN, which fails
-    ``f < 0`` and so counts as f >= 0, as it is near a primary.
+    opposite classification (f < 0 at exactly one end); an end where f
+    is zero is the vertex itself. The Illinois method runs on the edge
+    parameter s in [0, 1]: a secant step through the bracket's ends, whose
+    retained end has its value halved when the same end is kept twice in a
+    row. A secant point outside the open bracket, or one from an end
+    inside the guard, gives way to a bisection step. A probe inside the
+    guard is NaN, which fails ``f < 0`` and so counts as f > 0, as it is
+    near a primary. The polish stops at f = 0, at a bracket width of
+    2**-46 or after 46 probes, and returns the bracket's midpoint.
     """
-    import numpy as np
-
+    if fa == 0.0:
+        return xa, ya
+    if fb == 0.0:
+        return xb, yb
     dx, dy = xb - xa, yb - ya
     neg = fa < 0.0
-    lo, hi = np.zeros_like(fa), np.ones_like(fa)
-    for _ in range(_HALVINGS):
-        s = 0.5 * (lo + hi)
+    a, b = 0.0, 1.0
+    kept = 0  # the end kept by the last step: -1 for a, +1 for b
+    probes = bisections = 0
+    while b - a > _WIDTH and probes < _PROBES:
+        s = b - fb * (b - a) / (fb - fa)
+        if not a < s < b:
+            s = 0.5 * (a + b)
+            bisections += 1
         f = _level(p, xa + s * dx, ya + s * dy, level_c, guard)
-        same = (f < 0.0) == neg
-        lo = np.where(same, s, lo)
-        hi = np.where(same, hi, s)
-    s = 0.5 * (lo + hi)
-    x, y = xa + s * dx, ya + s * dy
-    at_a, at_b = fa == 0.0, fb == 0.0
-    return (np.where(at_a, xa, np.where(at_b, xb, x)),
-            np.where(at_a, ya, np.where(at_b, yb, y)))
+        probes += 1
+        if f == 0.0:
+            a = b = s
+            break
+        if (f < 0.0) == neg:
+            a, fa = s, f
+            if kept > 0:
+                fb *= 0.5
+            kept = 1
+        else:
+            b, fb = s, f
+            if kept < 0:
+                fa *= 0.5
+            kept = -1
+    work["polish_probes"] += probes
+    work["polish_bisections"] += bisections
+    s = 0.5 * (a + b)
+    return xa + s * dx, ya + s * dy
 
 
 def zero_velocity_curve(p: SystemParams, level_c: float, window: Window,
@@ -131,57 +266,45 @@ def zero_velocity_curve(p: SystemParams, level_c: float, window: Window,
         raise ValueError(f"resolution must be in [{MIN_RESOLUTION}, "
                          f"{MAX_RESOLUTION}], got {resolution}")
 
-    import numpy as np
-
-    nx = ny = int(resolution)
-    xs = xmin + (xmax - xmin) * np.arange(nx) / (nx - 1)
-    ys = ymin + (ymax - ymin) * np.arange(ny) / (ny - 1)
-    # rows run along y and columns along x
-    vals = _level(p, xs, ys[:, None], level_c, guard)
-
-    # corners c0..c3 of cell (j, i): (j, i), (j, i+1), (j+1, i+1), (j+1, i)
-    corners = (vals[:-1, :-1], vals[:-1, 1:], vals[1:, 1:], vals[1:, :-1])
-    case = sum((c < 0.0).astype(np.uint8) << k for k, c in enumerate(corners))
-    masked = np.logical_or.reduce([np.isnan(c) for c in corners])
-    for px, py in ((-p.mu, 0.0), (1.0 - p.mu, 0.0)):
-        masked |= (((ys[:-1] <= py) & (py <= ys[1:]))[:, None]
-                   & ((xs[:-1] <= px) & (px <= xs[1:])))
-    active = (case != 0) & (case != 15) & ~masked
-
-    # row-major, as np.nonzero returns them, so segment order is stable
-    cj, ci = np.nonzero(active)
-    cases = case[cj, ci]
-    # a saddle centre inside the guard is NaN, so it counts as outside
-    saddle = (cases == 5) | (cases == 10)
-    inside = np.zeros(len(cases), dtype=bool)
-    inside[saddle] = _level(
-        p, 0.5 * (xs[ci[saddle]] + xs[ci[saddle] + 1]),
-        0.5 * (ys[cj[saddle]] + ys[cj[saddle] + 1]), level_c, guard) < 0.0
+    n = int(resolution)
+    # NumPy's xmin + (xmax - xmin) * arange(n) / (n - 1), bit for bit
+    xs = [xmin + (xmax - xmin) * i / (n - 1) for i in range(n)]
+    ys = [ymin + (ymax - ymin) * j / (n - 1) for j in range(n)]
+    work = {"grid_nodes": n * n, "nodes_evaluated": 0,
+            "blocks_certified": 0, "active_cells": 0, "vertices": 0,
+            "polish_probes": 0, "polish_bisections": 0}
+    cells, values = _active_cells(p, level_c, guard, xs, ys, work)
 
     raw_segments: list[tuple] = []
-    for j, i, cell, centre_in in zip(cj.tolist(), ci.tolist(),
-                                     cases.tolist(), inside.tolist()):
+    for j, i, cell in cells:
         edge_keys = (("h", i, j), ("v", i + 1, j),
                      ("h", i, j + 1), ("v", i, j))
-        if cell == 5:
-            pairs = ((0, 1), (2, 3)) if centre_in else ((3, 0), (1, 2))
-        elif cell == 10:
-            pairs = ((3, 0), (1, 2)) if centre_in else ((0, 1), (2, 3))
+        if cell == 5 or cell == 10:
+            # a saddle centre inside the guard is NaN, so it counts as
+            # outside
+            centre_in = _level(p, 0.5 * (xs[i] + xs[i + 1]),
+                               0.5 * (ys[j] + ys[j + 1]), level_c,
+                               guard) < 0.0
+            if (cell == 5) == centre_in:
+                pairs = ((0, 1), (2, 3))
+            else:
+                pairs = ((3, 0), (1, 2))
         else:
             pairs = _SEGMENTS[cell]
         raw_segments += [(edge_keys[a], edge_keys[b]) for a, b in pairs]
 
-    # every crossing edge once, in first-seen order, polished in one pass
-    keys = list(dict.fromkeys(k for seg in raw_segments for k in seg))
-    horizontal = np.array([k[0] == "h" for k in keys], dtype=bool)
-    i, j = np.array([k[1:] for k in keys], dtype=np.intp).reshape(-1, 2).T
-    i2, j2 = i + horizontal, j + ~horizontal
-    vx, vy = _polish(p, level_c, guard, xs[i], ys[j], xs[i2], ys[j2],
-                     vals[j, i], vals[j2, i2])
-    vertices = dict(zip(keys, zip(vx.tolist(), vy.tolist())))
+    # every crossing edge once, in first-seen order
+    vertices = {}
+    for kind, i, j in dict.fromkeys(k for seg in raw_segments for k in seg):
+        i2, j2 = (i + 1, j) if kind == "h" else (i, j + 1)
+        vertices[kind, i, j] = _polish(
+            p, level_c, guard, xs[i], ys[j], xs[i2], ys[j2],
+            values[j * n + i], values[j2 * n + i2], work)
+    work["vertices"] = len(vertices)
     return ZeroVelocityCurve(level_c=level_c,
                              segments=_stitch(raw_segments,
-                                              vertices.__getitem__))
+                                              vertices.__getitem__),
+                             work=work)
 
 
 def _stitch(raw_segments, vertex) -> tuple:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
@@ -14,9 +15,9 @@ import numpy as np
 import pytest
 
 import prtbp
-from prtbp import PhaseState, SystemParams, amended_potential, cli, \
-    conservative_gradient, dynamics, equilibrium_residual, jacobi_constant, \
-    jacobi_drift_rate, rk45
+from prtbp import PhaseState, SystemParams, ZeroVelocityCurve, \
+    amended_potential, cli, conservative_gradient, dynamics, \
+    equilibrium_residual, jacobi_constant, jacobi_drift_rate, rk45
 from prtbp.cli import _render_csv, main, read_table
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
@@ -613,6 +614,44 @@ def test_zvc_writes_polylines_on_the_level(tmp_path):
         scale = max(1.0, 2.0 * math.hypot(g.ax, g.ay))
         value = 2.0 * amended_potential(p, row["x"], row["y"])
         assert abs(value - level) < 1e-6 * scale
+
+
+@pytest.mark.parametrize("precision", [3, 17])
+def test_zvc_csv_matches_the_row_renderer(precision):
+    # one format string per row gives the bytes of the row renderer, with
+    # integer indices past 999 and -0.0 written as 0
+    rng = np.random.default_rng(3)
+    segments = tuple(tuple((float(x), float(y)) for x, y in
+                           rng.standard_normal((k % 3 + 1, 2)))
+                     for k in range(1003))
+    segments += (((-0.0, 0.5), (0.25, -0.0)),)
+    curve = ZeroVelocityCurve(3.0, segments)
+    buf = io.StringIO()
+    cli._write_vertex_csv(buf, curve, precision)
+    rows = [(k, v, x, y) for k, seg in enumerate(segments)
+            for v, (x, y) in enumerate(seg)]
+    assert buf.getvalue() == _render_csv(
+        ("segment_id", "vertex_index", "x", "y"), rows, precision)
+    assert "\n1003,1,0.25,0\n" in buf.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_zvc_writes_a_deterministic_sidecar(fmt, tmp_path):
+    argv = ZVC + ["--format", fmt]
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        assert main(argv + ["--output",
+                            str(tmp_path / name / f"curve.{fmt}")]) == 0
+    for file in (f"curve.{fmt}", "curve.meta.json"):
+        assert (tmp_path / "a" / file).read_bytes() \
+            == (tmp_path / "b" / file).read_bytes()
+    work = json.loads((tmp_path / "a" / "curve.meta.json").read_text())
+    assert list(work) == ["grid_nodes", "nodes_evaluated",
+                          "blocks_certified", "active_cells", "vertices",
+                          "polish_probes", "polish_bisections"]
+    assert work["grid_nodes"] == 32 * 32
+    assert 0 < work["nodes_evaluated"] < work["grid_nodes"]
+    assert work["vertices"] <= work["polish_probes"] <= 46 * work["vertices"]
 
 
 def test_zvc_resolution_floor_exits_2(capsys):

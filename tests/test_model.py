@@ -24,7 +24,7 @@ from prtbp import (
     mean_motion,
     oblateness_from_radii,
 )
-from prtbp.model import _radii, _rest_jacobian
+from prtbp.model import _hessian_bound, _radii, _rest_jacobian
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
 
@@ -500,3 +500,29 @@ def test_rest_jacobian_matches_central_differences(p, x, y):
     scale = max(abs(v) for v in fd)
     for exact, approx in zip(j, fd):
         assert abs(exact - approx) <= 1e-7 * scale
+
+
+@pytest.mark.parametrize("p", [
+    SystemParams(mu=0.1),
+    SystemParams(mu=0.01, q1=0.98, a2=1e-3),
+    SystemParams(mu=0.5, q1=0.6, a2=0.05),
+], ids=["classical", "oblate", "equal-oblate"])
+def test_hessian_bound_covers_the_hessian(p):
+    """Without drag the rest Jacobian is the Hessian of U1; its spectral
+    norm stays below the bound at the point's own radii, at distances
+    from 1e-4 to 10 of either primary."""
+    rng = np.random.default_rng(11)
+    worst = 0.0
+    for _ in range(2000):
+        centre = -p.mu if rng.random() < 0.5 else 1.0 - p.mu
+        dist = 10.0 ** rng.uniform(-4.0, 1.0)
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        x, y = centre + dist * math.cos(angle), dist * math.sin(angle)
+        uxx, uxy, _, uyy = _rest_jacobian(p, x, y)
+        mid, half = 0.5 * (uxx + uyy), math.hypot(0.5 * (uxx - uyy), uxy)
+        norm = abs(mid) + half
+        bound = _hessian_bound(p, *_radii(p, x, y))
+        assert norm <= bound * (1.0 + 1e-12)
+        worst = max(worst, norm / bound)
+    # the bound is tight to a factor of two where one term dominates
+    assert worst > 0.5

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import math
+import random
 import warnings
 
 import numpy as np
@@ -19,7 +21,9 @@ from prtbp import (
     jacobi_constant,
     zero_velocity_curve,
 )
-from prtbp.zvc import _SEGMENTS, _polish, _stitch
+from prtbp.cli import main
+from prtbp.model import _checked_potential, _radii
+from prtbp.zvc import _SEGMENTS, _one_signed, _polish, _stitch
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
 CLASSICAL = SystemParams(mu=0.1)
@@ -37,8 +41,45 @@ def _scalar_level(p, level_c, guard):
 
 
 def _polish_edge(p, level_c, guard, pa, pb, fa, fb):
+    """One edge polished alone by the extraction's Illinois polish."""
+    work = {"polish_probes": 0, "polish_bisections": 0}
+    return _polish(p, level_c, guard, *pa, *pb, fa, fb, work)
+
+
+def _numpy_level(p, x, y, level_c, guard):
+    # f = 2*U1 - C on arrays, NaN within the guard of a primary
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = 2.0 * _checked_potential(p, x, y, 0.0) - level_c
+    f[np.minimum(*_radii(p, x, y)) < guard] = math.nan
+    return f
+
+
+def _numpy_polish(p, level_c, guard, xa, ya, xb, yb, fa, fb):
+    """The earlier polish: 46 NumPy bisections of every edge at once.
+
+    A probe inside the guard gives NaN, which fails ``f < 0`` and so
+    counts as f >= 0; an end where f is zero is the vertex itself.
+    """
+    dx, dy = xb - xa, yb - ya
+    neg = fa < 0.0
+    lo, hi = np.zeros_like(fa), np.ones_like(fa)
+    for _ in range(46):
+        s = 0.5 * (lo + hi)
+        f = _numpy_level(p, xa + s * dx, ya + s * dy, level_c, guard)
+        same = (f < 0.0) == neg
+        lo = np.where(same, s, lo)
+        hi = np.where(same, hi, s)
+    s = 0.5 * (lo + hi)
+    x, y = xa + s * dx, ya + s * dy
+    at_a, at_b = fa == 0.0, fb == 0.0
+    return (np.where(at_a, xa, np.where(at_b, xb, x)),
+            np.where(at_a, ya, np.where(at_b, yb, y)))
+
+
+def _numpy_polish_edge(p, level_c, guard, pa, pb, fa, fb):
     """One edge polished alone, as a one-edge batch of the NumPy pass."""
-    x, y = _polish(p, level_c, guard, *np.array([[*pa, *pb, fa, fb]]).T)
+    x, y = _numpy_polish(p, level_c, guard,
+                         *np.array([[*pa, *pb, fa, fb]]).T)
     return float(x[0]), float(y[0])
 
 
@@ -65,9 +106,10 @@ def _reference_curve(p, level_c, window, resolution, guard=COLLISION_GUARD,
                      polish=_polish_edge) -> ZeroVelocityCurve:
     """Scalar extraction: one Python visit per grid node and per cell.
 
-    f is evaluated node by node through the public potential, NaN within
-    the guard, and each crossing edge is polished on its own, so the NumPy
-    grid pass and its batched polish must reproduce this curve exactly.
+    f is evaluated at every node through the public potential, NaN within
+    the guard, and each crossing edge is polished on its own, so the
+    quadtree pass, which evaluates only the nodes it cannot certify, must
+    reproduce this curve exactly.
     """
     f = _scalar_level(p, level_c, guard)
     xmin, xmax, ymin, ymax = window
@@ -232,6 +274,11 @@ FIXTURES = pytest.mark.parametrize("p, level, window, resolution", [
     (CLASSICAL, 4.2, WIDE, 18),
     # a node 5e-7 from the primary at (-1/2, 0): inside the guard
     (EQUAL, 9.0, (-1.0 + 5e-7, 1.0 + 5e-7, -1.0, 1.0), 17),
+    # windows holding one primary each, the curve closed around it
+    (CLASSICAL, 8.0, (-0.4, 0.2, -0.3, 0.3), 64),
+    (CLASSICAL, 4.0, (0.7, 1.1, -0.2, 0.2), 64),
+    # the L4 window of the oval, further above the minimum
+    (CLASSICAL, C_L4 + 1e-3, SMALL, 128),
 ])
 
 
@@ -265,8 +312,8 @@ def test_polish_matches_brentq(p, level, window, resolution):
 def test_polish_probe_inside_the_guard_stays_on_the_curve():
     # the grid row at y = 5e-7 passes 5e-7 from the primary at (-1/2, 0),
     # which is the midpoint of the row's edge from x = -0.5625 to -0.4375:
-    # the first bisection probe lands inside the guard, counts as f > 0
-    # and leaves the crossing near x = -0.5625 in the bracket
+    # a probe there counts as f > 0, so the vertex stays at the crossing
+    # near x = -0.5625
     window = (-1.0625, 0.9375, -1.0 + 5e-7, 1.0 + 5e-7)
     y = window[2] + (window[3] - window[2]) * 8 / 16
     pa, pb = (-0.5625, y), (-0.4375, y)
@@ -289,6 +336,25 @@ def test_polish_probe_inside_the_guard_stays_on_the_curve():
     assert curve == _reference_curve(EQUAL, level, window, 17)
 
 
+def test_polish_bisects_after_a_probe_inside_the_guard():
+    # the level puts the first secant point of the edge from x = -0.75 to
+    # -0.4375 exactly on the primary at (-1/2, 0): that probe counts as
+    # f > 0, and the next step, with no value at that end, bisects
+    pa, pb = (-0.75, 0.0), (-0.4375, 0.0)
+    ua, ub = (amended_potential(EQUAL, *pt) for pt in (pa, pb))
+    level = 2.0 * ua + 2.0 * 0.25 * (ub - ua) / 0.3125
+    fa, fb = 2.0 * ua - level, 2.0 * ub - level
+    assert fa / (fa - fb) == 0.8
+    work = {"polish_probes": 0, "polish_bisections": 0}
+    x, y = _polish(EQUAL, level, COLLISION_GUARD, *pa, *pb, fa, fb, work)
+    assert work["polish_bisections"] >= 1
+    assert work["polish_probes"] <= 46
+    assert x < -0.5 and y == 0.0
+    assert abs(2.0 * amended_potential(EQUAL, x, y) - level) <= 1e-13
+    assert math.dist((x, y), _numpy_polish_edge(
+        EQUAL, level, COLLISION_GUARD, pa, pb, fa, fb)) <= 1e-13
+
+
 def test_nodes_on_both_primaries_are_masked():
     # mu = 1/2 puts the primaries at (-1/2, 0) and (1/2, 0), both nodes
     # of this grid, where the potential itself is singular
@@ -300,3 +366,136 @@ def test_nodes_on_both_primaries_are_masked():
     assert len(pts) > 0
     assert np.all(np.isfinite(pts))
     assert curve == _reference_curve(EQUAL, 3.6, window, 17)
+    # with no guard the potential divides by zero at those nodes, which
+    # count as within the guard all the same
+    assert zero_velocity_curve(EQUAL, 3.6, window, 17, guard=0.0) == curve
+
+
+@FIXTURES
+def test_vertices_match_the_numpy_bisection(p, level, window, resolution):
+    # the earlier NumPy bisection, edge by edge, against the Illinois
+    # polish: within 1e-13 of each other, plus the band eps*|C|/|fb - fa|
+    # of the edge where f is flat along it (see test_polish_matches_brentq)
+    excess = []
+
+    def both(p, level_c, guard, pa, pb, fa, fb):
+        v = _polish_edge(p, level_c, guard, pa, pb, fa, fb)
+        w = _numpy_polish_edge(p, level_c, guard, pa, pb, fa, fb)
+        band = 4.0 * np.finfo(float).eps * abs(level_c) / abs(fb - fa)
+        excess.append(math.dist(v, w) - 1e-13 - band * math.dist(pa, pb))
+        return v
+
+    _reference_curve(p, level, window, resolution, polish=both)
+    assert excess
+    assert max(excess) <= 0.0
+
+
+def _random_case(rng):
+    """Parameters, a level crossing the window, the window, a resolution."""
+    p = SystemParams(mu=rng.choice((0.5, 0.1, 0.01, rng.uniform(1e-3, 0.5))),
+                     q1=rng.choice((1.0, rng.uniform(0.8, 1.0))),
+                     a2=rng.choice((0.0, rng.uniform(0.0, 1e-2))))
+    kind = rng.randrange(4)
+    centre, width = [((-p.mu, 0.0), rng.uniform(0.01, 1.0)),
+                     ((1.0 - p.mu, 0.0), rng.uniform(1e-3, 0.5)),
+                     ((0.5 - p.mu, SQRT3_2), rng.uniform(0.01, 0.3)),
+                     ((0.0, 0.0), rng.uniform(1.0, 3.0))][kind]
+    x0 = centre[0] + rng.uniform(-0.2, 0.2) * width
+    y0 = centre[1] + rng.uniform(-0.2, 0.2) * width
+    window = (x0 - width, x0 + width * rng.uniform(0.5, 1.5),
+              y0 - width, y0 + width * rng.uniform(0.5, 1.5))
+    # 2*U1 at a random point of the window, so the curve passes through it
+    while True:
+        try:
+            level = 2.0 * amended_potential(
+                p, rng.uniform(*window[:2]), rng.uniform(*window[2:]))
+            break
+        except SingularityError:
+            continue
+    return p, level, window, rng.choice((16, 17, 24, 33, 48))
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_random_windows_match_scalar_reference(seed):
+    rng = random.Random(seed)
+    p, level, window, resolution = _random_case(rng)
+    curve = zero_velocity_curve(p, level, window, resolution)
+    assert curve == _reference_curve(p, level, window, resolution)
+    work = curve.work
+    assert work["grid_nodes"] == resolution**2
+    assert work["vertices"] == len(
+        {v for seg in curve.segments for v in seg})
+
+
+def test_one_signed_window_evaluates_no_node():
+    # 2*U1 >= C_L4 everywhere, so f >= 0.01 on the window around L4: the
+    # blocks are certified before any leaf is reached
+    window = (0.2, 0.6, 0.5, 0.9)
+    curve = zero_velocity_curve(CLASSICAL, C_L4 - 0.01, window, 512)
+    assert curve.segments == ()
+    assert curve == _reference_curve(CLASSICAL, C_L4 - 0.01, window, 64)
+    assert curve.work["blocks_certified"] > 0
+    assert curve.work["nodes_evaluated"] == 0
+
+
+def test_certified_blocks_are_one_signed():
+    """Every block the Taylor bound certifies has f of the certified sign
+    at all of its nodes, each more than twice the guard from both
+    primaries; levels are set from a node near the block, so many blocks
+    sit close to the curve or to a primary."""
+    rng = random.Random(2024)
+    passed = failed = 0
+    for _ in range(400):
+        p, _, window, resolution = _random_case(rng)
+        resolution = 4 * resolution
+        xmin, xmax, ymin, ymax = window
+        xs = [xmin + (xmax - xmin) * i / (resolution - 1)
+              for i in range(resolution)]
+        ys = [ymin + (ymax - ymin) * j / (resolution - 1)
+              for j in range(resolution)]
+        size = rng.choice((1, 2, 4, 8, 16, 32))
+        i0 = rng.randrange(resolution - size)
+        j0 = rng.randrange(resolution - size)
+        i1, j1 = i0 + size, j0 + size
+        guard = rng.choice((COLLISION_GUARD, 1e-3, 0.05))
+        try:
+            near = 2.0 * amended_potential(
+                p, xs[min(i1 + 1, resolution - 1)], ys[j0], guard)
+        except SingularityError:
+            continue
+        level = near * (1.0 + rng.choice((1e-2, 1e-4, -1e-4, -1e-2)))
+        if not _one_signed(p, level, guard, xs[i0], xs[i1], ys[j0], ys[j1]):
+            failed += 1
+            continue
+        passed += 1
+        cx, cy = 0.5 * (xs[i0] + xs[i1]), 0.5 * (ys[j0] + ys[j1])
+        sign = 2.0 * amended_potential(p, cx, cy) - level > 0.0
+        for y in ys[j0:j1 + 1]:
+            for x in xs[i0:i1 + 1]:
+                assert min(_radii(p, x, y)) > 2.0 * guard
+                f = 2.0 * amended_potential(p, x, y, guard) - level
+                assert f != 0.0 and (f > 0.0) == sign
+    assert passed > 50 and failed > 50
+
+
+def test_l4_window_evaluates_under_one_percent(tmp_path):
+    # the oval just above the minimum at L4, on a 1024^2 grid: the
+    # quadtree leaves unevaluated all but the nodes around the oval
+    out = tmp_path / "oval.csv"
+    assert main(["zvc", "--system.mu", "0.1", "--system.w1", "0",
+                 "--job.level_c", repr(C_L4 + 1e-6),
+                 "--job.xmin", repr(SMALL[0]), "--job.xmax", repr(SMALL[1]),
+                 "--job.ymin", repr(SMALL[2]), "--job.ymax", repr(SMALL[3]),
+                 "--job.resolution", "1024", "--output", str(out)]) == 0
+    work = json.loads((tmp_path / "oval.meta.json").read_text())
+    assert work["grid_nodes"] == 1024**2
+    assert 0 < work["nodes_evaluated"] < 0.01 * work["grid_nodes"]
+    assert work["active_cells"] > 0 and work["vertices"] > 0
+
+
+def test_work_takes_no_part_in_equality():
+    a = ZeroVelocityCurve(3.0, (((0.0, 1.0), (1.0, 0.0)),))
+    b = ZeroVelocityCurve(3.0, (((0.0, 1.0), (1.0, 0.0)),),
+                          work={"grid_nodes": 256})
+    assert a == b and hash(a) == hash(b)
+    assert a != ZeroVelocityCurve(3.0, ())

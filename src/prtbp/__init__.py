@@ -11,8 +11,9 @@ from .model import (COLLISION_GUARD, ESCAPE_RADIUS, AccelVector,
                     mass_reduction_from_grain, mean_motion,
                     oblateness_from_radii)
 from .equilibria import (BRANCHES, EquilibriumPoint, PerturbationTerms,
-                         analytic_epsilons, analytic_triangular_point,
-                         equilibrium_residual, limiting_case_point,
+                         SweepRow, analytic_epsilons,
+                         analytic_triangular_point, equilibrium_residual,
+                         follow_branch, limiting_case_point,
                          refine_equilibrium)
 from .dynamics import Trajectory, integrate, jacobi_audit
 from .zvc import ZeroVelocityCurve, zero_velocity_curve
@@ -33,6 +34,7 @@ __all__ = [
     "PhaseState",
     "SingularJacobianError",
     "SingularityError",
+    "SweepRow",
     "SystemParams",
     "Trajectory",
     "ZeroVelocityCurve",
@@ -44,6 +46,7 @@ __all__ = [
     "drag_coefficient",
     "equations_of_motion",
     "equilibrium_residual",
+    "follow_branch",
     "integrate",
     "jacobi_audit",
     "jacobi_constant",

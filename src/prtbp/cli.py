@@ -2,9 +2,11 @@
 
 Four subcommands cover the library surface: ``equilibria`` reports the
 triangular points by every available route, ``integrate`` propagates one
-trajectory, ``zvc`` extracts a zero-velocity curve, and ``sweep`` tracks
-the analytic and refined points across a parameter grid, up to the fold
-of their branch.
+trajectory, ``zvc`` extracts a zero-velocity curve, and ``sweep`` writes
+the rows of ``equilibria.follow_branch``, which tracks the analytic and
+refined points across a parameter grid, up to the fold of their branch.
+Each runner builds the library call's arguments, calls it and formats
+what it returns; the numerics live in the library.
 
 Configuration comes from an optional JSON file (``--config``) merged
 with command-line flags named after the dotted field paths, for example
@@ -23,6 +25,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -31,10 +34,10 @@ from dataclasses import dataclass
 
 from .dynamics import integrate, jacobi_audit
 from .equilibria import (BRANCHES, DegenerateFormulaError, EquilibriumPoint,
-                         METHOD_BASE, _analytic_coords, _branch_fold,
-                         _branch_sign, _check_newton_args, analytic_epsilons,
+                         METHOD_BASE, SweepRow, analytic_epsilons,
                          analytic_triangular_point, equilibrium_residual,
-                         limiting_case_point, refine_equilibrium)
+                         follow_branch, limiting_case_point,
+                         refine_equilibrium)
 from .errors import ConfigError, ConvergenceError, SingularityError
 from .model import (COLLISION_GUARD, ESCAPE_RADIUS, GrainProperties,
                     PhaseState, SystemParams, _drift_rate,
@@ -101,7 +104,6 @@ _JOB_FIELDS: dict[str, dict[str, tuple[type, object]]] = {
 # allowed values of the string fields no library function receives
 _CHOICES = {
     "output.format": ("csv", "json"),
-    "job.variable": ("w1", "a2", "q1", "mu"),
     "job.spacing": ("linear", "geometric"),
 }
 
@@ -250,9 +252,8 @@ def build_config(job: str, config_path: str | None,
 
 
 def _fmt(value, precision: int) -> str:
-    if value == 0.0:
-        value = 0.0
-    return format(value, f".{precision}g")
+    # + 0.0 turns -0.0 into 0.0
+    return format(value + 0.0, f".{precision}g")
 
 
 def _json_token(value, precision: int) -> str:
@@ -303,8 +304,6 @@ def _write_table(cfg: JobConfig, columns: tuple[str, ...], rows) -> None:
 
 
 def _render_csv(columns, rows, precision: int) -> str:
-    import io
-
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
@@ -411,9 +410,7 @@ def run_integrate(cfg: JobConfig) -> int:
             "rejected_steps": traj.rejected_steps}
     if traj.termination == "step-failure":
         meta["message"] = traj.message
-    meta_path = _meta_path(cfg.out_path)
-    with open(meta_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_dump_json(meta, cfg.precision) + "\n")
+    _write_meta(cfg, meta)
     return 0
 
 
@@ -428,8 +425,11 @@ def _sample_rows(traj):
                _drift_rate(p, x, y, vx, vy) + 0.0)
 
 
-def _meta_path(out_path: str) -> str:
-    return os.path.splitext(out_path)[0] + ".meta.json"
+def _write_meta(cfg: JobConfig, record: dict) -> None:
+    # the job's run record, next to its output file
+    path = os.path.splitext(cfg.out_path)[0] + ".meta.json"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(_dump_json(record, cfg.precision) + "\n")
 
 
 def run_zvc(cfg: JobConfig) -> int:
@@ -445,9 +445,7 @@ def run_zvc(cfg: JobConfig) -> int:
         _write_table(cfg, ("segment_id", "vertex_index", "x", "y"),
                      _vertex_rows(curve))
     if cfg.out_path is not None:
-        with open(_meta_path(cfg.out_path), "w", encoding="utf-8",
-                  newline="") as fh:
-            fh.write(_dump_json(curve.work, cfg.precision) + "\n")
+        _write_meta(cfg, curve.work)
     return 0
 
 
@@ -489,126 +487,18 @@ def _sweep_grid(a: dict) -> list[float]:
     return [start, *inner, stop] if count > 1 else [start]
 
 
-def _sweep_system(base: SystemParams, variable: str,
-                  value: float) -> SystemParams:
-    # the base keeps its drag spec, cd or w1, unless w1 is the variable
-    drag = {"cd": base.cd} if base.cd is not None else {"w1": base.w1}
-    fields = {"mu": base.mu, "q1": base.q1, "a2": base.a2, **drag}
-    if variable == "w1":
-        fields.pop("cd", None)
-    return SystemParams(**{**fields, variable: value})
-
-
-def _refine_first(p: SystemParams, seeds, tol: float,
-                  max_iter: int) -> EquilibriumPoint | None:
-    # the first seed whose Newton solve converges, or None; a seed inside
-    # the collision guard fails like one that does not converge
-    for seed in seeds:
-        try:
-            return refine_equilibrium(p, seed, tol=tol, max_iter=max_iter)
-        except (ConvergenceError, SingularityError):
-            continue
-    return None
-
-
 def run_sweep(cfg: JobConfig) -> int:
-    """Follow the analytic and refined points over a parameter grid.
-
-    The refined points seed the Newton solve of the next grid point, by
-    the secant through the last two (the last alone where the two share
-    a value); the first point, and the first after an ``invalid-params``
-    gap, starts from the analytic guess, which is also the fallback when
-    the continued seed does not converge. From the
-    first refined point the branch is followed by pseudo-arclength steps
-    to the end of the grid. Where det J changes sign along it the branch
-    folds, and every row past the fold reads ``no-equilibrium`` without
-    a solve. When rows before the first refined point failed, the branch
-    is also followed from it back to the start of the grid, and those of
-    them past a fold there read ``no-equilibrium`` as well. Failures on
-    single grid points flag the row and the run continues; the summary
-    line on stdout reports the flagged count and the folds.
-    """
+    """Write ``follow_branch``'s rows over the job's grid and a summary
+    line, on stderr when the table itself goes to stdout."""
     a = cfg.args
-    # checked here as well, since a grid of invalid points refines nothing
-    _branch_sign(a["branch"])
-    _check_newton_args(a["tol"], a["max_iter"])
-    grid = _sweep_grid(a)
-
-    def family(value: float) -> SystemParams:
-        return _sweep_system(cfg.system, a["variable"], value)
-
-    rows = []
-    flagged = 0
-    # the last two refined (value, x, y) since the last invalid row
-    last = before = None
-    # the folds toward the start and toward the end of the grid
-    back = fold = None
-    refined_any = False
-    for value in grid:
-        try:
-            p = family(value)
-        except ValueError:
-            rows.append((value, None, None, None, None, None,
-                         "invalid-params"))
-            flagged += 1
-            last = before = None
-            continue
-        # past the fold is on the side of it where the grid ends
-        if fold is not None and (value - fold) * (grid[-1] - fold) > 0:
-            rows.append((value, None, None, None, None, None,
-                         "no-equilibrium"))
-            flagged += 1
-            continue
-        xa = ya = None
-        try:
-            xa, ya = guess = _analytic_coords(p, a["branch"])
-            status = "ok"
-        except DegenerateFormulaError:
-            terms = analytic_epsilons(p, a["branch"])
-            guess = (terms.x0, terms.y0)
-            status = "degenerate-analytic"
-        seeds = [guess]
-        if last is not None:
-            seed = last[1:]
-            if before is not None and last[0] != before[0]:
-                # the secant through the last two refined points
-                f = (value - last[0]) / (last[0] - before[0])
-                seed = (last[1] + f * (last[1] - before[1]),
-                        last[2] + f * (last[2] - before[2]))
-            seeds.insert(0, seed)
-        refined = _refine_first(p, seeds, a["tol"], a["max_iter"])
-        if refined is None:
-            rows.append((value, xa, ya, None, None, None, "refine-failed"))
-            flagged += 1
-            continue
-        if last is None and fold is None:
-            fold = _branch_fold(family, (refined.x, refined.y), value,
-                                grid[-1])
-        if not refined_any:
-            refined_any = True
-            if any(row[-1] == "refine-failed" for row in rows):
-                back = _branch_fold(family, (refined.x, refined.y), value,
-                                    grid[0])
-                if back is not None:
-                    rows = [(row[0], None, None, None, None, None,
-                             "no-equilibrium")
-                            if row[-1] == "refine-failed"
-                            and (row[0] - back) * (grid[0] - back) > 0
-                            else row for row in rows]
-        before, last = last, (value, refined.x, refined.y)
-        err = (math.hypot(xa - refined.x, ya - refined.y)
-               if status == "ok" else None)
-        if status != "ok":
-            flagged += 1
-        rows.append((value, xa, ya, refined.x, refined.y, err, status))
-    _write_table(cfg, ("value", "x_analytic", "y_analytic", "x_refined",
-                       "y_refined", "err_norm", "status"), rows)
-    summary = f"sweep: {len(rows)} points, {flagged} flagged"
-    for at in (back, fold):
-        if at is not None:
-            summary += (f", fold at {a['variable']} = "
-                        f"{_fmt(at, cfg.precision)}")
-    sys.stdout.write(summary + "\n")
+    rows, folds = follow_branch(cfg.system, a["variable"], _sweep_grid(a),
+                                a["branch"], a["tol"], a["max_iter"])
+    _write_table(cfg, SweepRow._fields, rows)
+    flagged = sum(row.status != "ok" for row in rows)
+    summary = f"sweep: {len(rows)} points, {flagged} flagged" + "".join(
+        f", fold at {a['variable']} = {_fmt(at, cfg.precision)}"
+        for at in folds)
+    print(summary, file=sys.stderr if cfg.out_path is None else sys.stdout)
     return 0
 
 

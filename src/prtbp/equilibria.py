@@ -5,8 +5,8 @@ r1 = delta = q1**(1/3) from the radiating primary and r2 = 1 from the
 oblate one. Drag and oblateness shift them; this module provides the
 first-order analytic shift, closed forms for the limiting cases, a
 damped Newton refinement that solves the rest-state equations exactly,
-and the pseudo-arclength continuation that finds where a branch of those
-solutions folds as a parameter varies.
+and ``follow_branch``, which tracks a point over a parameter grid and
+finds by pseudo-arclength continuation where its branch folds.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, NamedTuple
 
 from .errors import (ConvergenceError, DegenerateFormulaError,
                      SingularityError, SingularJacobianError)
@@ -319,6 +319,134 @@ def refine_equilibrium(p: SystemParams, guess: tuple[float, float],
                             residual_norm=rnorm)
 
 
+class SweepRow(NamedTuple):
+    """One grid point of :func:`follow_branch`, None where not computed;
+    ``status`` is ``ok``, ``degenerate-analytic``, ``invalid-params``,
+    ``refine-failed`` or ``no-equilibrium`` (past a fold of the branch)."""
+
+    value: float
+    x_analytic: float | None
+    y_analytic: float | None
+    x_refined: float | None
+    y_refined: float | None
+    err_norm: float | None
+    status: str
+
+
+def _empty_row(value: float, status: str) -> SweepRow:
+    return SweepRow(value, None, None, None, None, None, status)
+
+
+def follow_branch(base: SystemParams, variable: str, grid,
+                  branch: Branch = "L4", tol: float = 1e-12,
+                  max_iter: int = 50
+                  ) -> tuple[list[SweepRow], tuple[float, ...]]:
+    """Follow the analytic and refined points over a parameter grid.
+
+    ``variable``, one of w1, a2, q1 and mu, takes the values of ``grid``;
+    the other parameters and the drag spec come from ``base``. The refined
+    points seed the Newton solve of the next grid point, by the secant
+    through the last two (the last alone where the two share a value); the
+    first point, and the first after an ``invalid-params`` gap, starts from
+    the analytic guess, which is also the fallback when the continued seed
+    does not converge. From the first refined point the branch is followed
+    by pseudo-arclength steps to the end of the grid; where det J changes
+    sign along it the branch folds, and every row past the fold reads
+    ``no-equilibrium`` without a solve. When rows before the first refined
+    point failed, the branch is also followed back to the start of the
+    grid, and those past a fold there read ``no-equilibrium`` as well.
+
+    Returns the rows and the folds found: the one toward the start of the
+    grid, then the one toward its end. Raises ``ValueError`` naming
+    ``variable``, ``branch``, ``tol`` or ``max_iter``, before any solve.
+    """
+    if variable not in ("w1", "a2", "q1", "mu"):
+        raise ValueError(f"variable must be 'w1', 'a2', 'q1' or 'mu', got "
+                         f"{variable!r}")
+    _branch_sign(branch)
+    _check_newton_args(tol, max_iter)
+    grid = list(grid)
+    # the base keeps its drag spec, cd or w1, unless w1 is the variable
+    drag = "cd" if base.cd is not None and variable != "w1" else "w1"
+    fields = {"mu": base.mu, "q1": base.q1, "a2": base.a2,
+              drag: getattr(base, drag)}
+
+    def family(value: float) -> SystemParams:
+        return SystemParams(**{**fields, variable: value})
+
+    rows: list[SweepRow] = []
+    # the last two refined (value, x, y) since the last invalid row, and
+    # the fold toward the end of the grid
+    last = before = fold = None
+    for value in grid:
+        try:
+            p = family(value)
+        except ValueError:
+            rows.append(_empty_row(value, "invalid-params"))
+            last = before = None
+            continue
+        # past the fold is on the side of it where the grid ends
+        if fold is not None and (value - fold) * (grid[-1] - fold) > 0:
+            rows.append(_empty_row(value, "no-equilibrium"))
+            continue
+        xa = ya = None
+        try:
+            xa, ya = guess = _analytic_coords(p, branch)
+            status = "ok"
+        except DegenerateFormulaError:
+            terms = analytic_epsilons(p, branch)
+            guess = (terms.x0, terms.y0)
+            status = "degenerate-analytic"
+        seeds = [guess]
+        if last is not None:
+            seed = last[1:]
+            if before is not None and last[0] != before[0]:
+                # the secant through the last two refined points
+                f = (value - last[0]) / (last[0] - before[0])
+                seed = (last[1] + f * (last[1] - before[1]),
+                        last[2] + f * (last[2] - before[2]))
+            seeds.insert(0, seed)
+        refined = _refine_first(p, seeds, tol, max_iter)
+        if refined is None:
+            rows.append(SweepRow(value, xa, ya, None, None, None,
+                                 "refine-failed"))
+            continue
+        if last is None and fold is None:
+            fold = _branch_fold(family, (refined.x, refined.y), value,
+                                grid[-1])
+        before, last = last, (value, refined.x, refined.y)
+        err = (math.hypot(xa - refined.x, ya - refined.y)
+               if status == "ok" else None)
+        rows.append(SweepRow(value, xa, ya, refined.x, refined.y, err,
+                             status))
+    # the fold toward the start of the grid, from the first refined point
+    first = next((i for i, row in enumerate(rows)
+                  if row.x_refined is not None), 0)
+    back = None
+    if any(row.status == "refine-failed" for row in rows[:first]):
+        u = rows[first]
+        back = _branch_fold(family, (u.x_refined, u.y_refined), u.value,
+                            grid[0])
+        if back is not None:
+            rows[:first] = [_empty_row(row.value, "no-equilibrium")
+                            if row.status == "refine-failed"
+                            and (row.value - back) * (grid[0] - back) > 0
+                            else row for row in rows[:first]]
+    return rows, tuple(at for at in (back, fold) if at is not None)
+
+
+def _refine_first(p: SystemParams, seeds, tol: float,
+                  max_iter: int) -> EquilibriumPoint | None:
+    # the first seed whose Newton solve converges, or None; a seed inside
+    # the collision guard fails like one that does not converge
+    for seed in seeds:
+        try:
+            return refine_equilibrium(p, seed, tol=tol, max_iter=max_iter)
+        except (ConvergenceError, SingularityError):
+            continue
+    return None
+
+
 def _cross(a, b):
     return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
             a[0] * b[1] - a[1] * b[0])
@@ -397,13 +525,13 @@ def _branch_fold(family, point: tuple[float, float], start: float,
     ``ValueError`` outside its domain) and ``point`` is near a solution of
     the rest-state equations of ``family(start)``; it is first corrected
     onto the branch. Every arc point solves them to ``_ARC_TOL``, whatever
-    tolerance ``point`` was refined to. The branch is followed by pseudo-arclength steps toward ``stop`` until det J
-    changes sign; the fold is then located by a secant on det J along the
-    arc (the Illinois variant of regula falsi, which keeps the bracket).
-    Returns None when the branch reaches ``stop`` without a fold, when
-    the fold lies beyond ``stop``, or when the steps fail (a parameter
-    outside the domain, a point within the collision guard, no
-    convergence).
+    tolerance ``point`` was refined to. The branch is followed by
+    pseudo-arclength steps toward ``stop`` until det J changes sign; the
+    fold is then located by a secant on det J along the arc (the Illinois
+    variant of regula falsi, which keeps the bracket). Returns None when
+    the branch reaches ``stop`` without a fold, when the fold lies beyond
+    ``stop``, or when the steps fail (a parameter outside the domain, a
+    point within the collision guard, no convergence).
     """
     if start == stop:
         return None

@@ -6,9 +6,7 @@ controller, dense output and event rules, so it takes the same steps and
 makes the same number of right-hand-side calls. The state is a list of
 Python floats, which costs a fraction of NumPy's per-call overhead on a
 system of four equations. The samples on the output grid are evaluated
-on Python floats as well, step by step, into one flat float array, so
-integrating imports no NumPy; only reading ``OdeResult.t`` or
-``OdeResult.y`` does.
+on Python floats as well, step by step, into one flat float array.
 
 References: J. R. Dormand and P. J. Prince, "A family of embedded
 Runge-Kutta formulae", J. Comput. Appl. Math. 6 (1980) 19-26; L. F.
@@ -24,10 +22,6 @@ import sys
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
 
 EPS = sys.float_info.epsilon
 
@@ -83,8 +77,7 @@ class OdeResult:
 
     ``times`` holds the output times reached and ``values`` the states and
     then the quadratures there, ``width`` floats per time, one time after
-    the other; ``t`` and ``y`` give the same as NumPy arrays, ``y`` with
-    one column per time. ``status`` is 0 at the end of the interval, 1
+    the other. ``status`` is 0 at the end of the interval, 1
     after an event and -1 when the step size fell below 10 ulp of t or is
     NaN; ``steps`` and ``rejected_steps`` count the accepted and rejected
     steps, and ``nfev`` the calls of ``fun``, 2 + 6 (steps +
@@ -101,21 +94,6 @@ class OdeResult:
     steps: int
     rejected_steps: int
     t_events: tuple[list[float], ...]
-
-    @property
-    def t(self) -> np.ndarray:
-        """The output times reached, a view of ``times``."""
-        import numpy as np
-
-        return np.frombuffer(self.times, dtype=float)
-
-    @property
-    def y(self) -> np.ndarray:
-        """A (width, len(times)) view of ``values``."""
-        import numpy as np
-
-        return np.frombuffer(self.values, dtype=float).reshape(
-            -1, self.width).T
 
 
 def solve_ivp(fun, t_span, y0, t_eval, rtol, atol, events=()):

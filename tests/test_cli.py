@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import math
@@ -225,6 +226,19 @@ def test_stdout_when_no_output_path(capsys):
     out = capsys.readouterr().out
     assert out.startswith("branch,method,x,y,residual_norm\n")
     assert "L5" in out
+    # a sweep writes only its table to stdout, and its summary to stderr
+    for fmt in ("csv", "json"):
+        assert main(SWEEP + ["--format", fmt]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "sweep: 3 points, 0 flagged\n"
+        if fmt == "csv":
+            records = list(csv.reader(io.StringIO(captured.out)))
+            assert records[0] == list(prtbp.SweepRow._fields)
+            assert [len(r) for r in records[1:]] == [7] * 3
+        else:
+            payload = json.loads(captured.out)
+            assert payload["job"] == "sweep"
+            assert [row["status"] for row in payload["rows"]] == ["ok"] * 3
 
 
 def test_integrate_writes_samples_and_sidecar(tmp_path):
@@ -552,18 +566,6 @@ def test_sweep_classifies_rows_before_the_first_refined_point(tmp_path,
     assert [row["status"] for row in rows[:4]] == ["no-equilibrium"] * 4
     assert flagged == 4
     assert all(row["status"] == "ok" for row in rows[4:])
-
-
-def test_sweep_seed_falls_back_to_the_next():
-    # a seed on the secondary, and one too far to converge in 8 Newton
-    # steps of at most 0.25, fail; the guess after them still converges
-    p = SystemParams(mu=0.1, q1=0.98, w1=1e-3)
-    guess = (0.4, SQRT3_2)
-    expected = prtbp.refine_equilibrium(p, guess, tol=1e-12, max_iter=8)
-    for bad in ((0.9, 0.0), (5.0, 5.0)):
-        assert cli._refine_first(p, [bad], 1e-12, 8) is None
-        got = cli._refine_first(p, [bad, guess], 1e-12, 8)
-        assert (got.x, got.y) == (expected.x, expected.y)
 
 
 @pytest.mark.parametrize("spacing", ["linear", "geometric"])

@@ -3,19 +3,24 @@
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 
+from prtbp import equilibria
+from prtbp.cli import _sweep_grid, main, read_table
 from prtbp import (
     ConvergenceError,
     DegenerateFormulaError,
     EquilibriumPoint,
     PhaseState,
+    SweepRow,
     SystemParams,
     analytic_epsilons,
     analytic_triangular_point,
     equations_of_motion,
     equilibrium_residual,
+    follow_branch,
     limiting_case_point,
     refine_equilibrium,
 )
@@ -261,3 +266,75 @@ def test_point_record_invariants():
     with pytest.raises(ValueError):
         EquilibriumPoint(x=0.4, y=-0.8, label="L4",
                          method="refined-numeric", residual_norm=0.0)
+
+
+def test_sweep_seed_falls_back_to_the_next():
+    # a seed on the secondary, and one too far to converge in 8 Newton
+    # steps of at most 0.25, fail; the guess after them still converges
+    p = SystemParams(mu=0.1, q1=0.98, w1=1e-3)
+    guess = (0.4, SQRT3_2)
+    expected = refine_equilibrium(p, guess, tol=1e-12, max_iter=8)
+    for bad in ((0.9, 0.0), (5.0, 5.0)):
+        assert equilibria._refine_first(p, [bad], 1e-12, 8) is None
+        got = equilibria._refine_first(p, [bad, guess], 1e-12, 8)
+        assert (got.x, got.y) == (expected.x, expected.y)
+
+
+# (system, variable, start, stop, count) of geometric sweeps
+BRANCH_SWEEPS = [
+    # L4 in w1 folds inside the grid, and the rows past it read
+    # no-equilibrium
+    (dict(mu=0.1, q1=0.98, w1=0.0), "w1", 1e-3, 0.2, 12),
+    # in mu at a fixed light speed the branch appears at a fold before
+    # the first refined point, so it is also followed backward
+    (dict(mu=0.01, q1=0.98, cd=10.0), "mu", 1e-3, 0.5, 20),
+]
+
+
+@pytest.mark.filterwarnings("ignore:first-order shift")
+@pytest.mark.parametrize("system, variable, start, stop, count",
+                         BRANCH_SWEEPS, ids=["w1-fold", "mu-cd10"])
+def test_follow_branch_gives_the_sweep_job_rows(system, variable, start,
+                                                stop, count, tmp_path,
+                                                capsys):
+    out = tmp_path / "sweep.csv"
+    flags = [arg for key, value in system.items()
+             for arg in (f"--system.{key}", repr(value))]
+    assert main(["sweep", *flags, "--job.variable", variable,
+                 "--job.start", repr(start), "--job.stop", repr(stop),
+                 "--job.count", str(count), "--output", str(out)]) == 0
+    summary = capsys.readouterr().out
+    columns, table = read_table(str(out))
+    grid = _sweep_grid({"start": start, "stop": stop, "count": count,
+                        "spacing": "geometric"})
+    rows, folds = follow_branch(SystemParams(**system), variable, grid)
+    assert columns == list(SweepRow._fields)
+    # 17 significant digits read back the written floats exactly
+    assert [tuple(row[c] for c in columns) for row in table] \
+        == [tuple(row) for row in rows]
+    flagged = sum(row.status != "ok" for row in rows)
+    assert summary.startswith(f"sweep: {count} points, {flagged} flagged")
+    written = re.findall(rf"fold at {variable} = (\S+?)(?:,|\n)", summary)
+    assert [float(at) for at in written] == list(folds)
+    assert len(folds) == 1
+    assert {row.status for row in rows} == {"ok", "no-equilibrium"}
+
+
+@pytest.mark.parametrize("name, kwargs", [
+    ("variable", dict(variable="cd")),
+    ("branch", dict(branch="L6")),
+    ("tol", dict(tol=-1.0)),
+    ("tol", dict(tol=math.nan)),
+    ("max_iter", dict(max_iter=0)),
+])
+def test_follow_branch_checks_its_arguments_before_any_solve(name, kwargs):
+    # q1 = 1 admits no drag, so every grid point is invalid and no solve
+    # would ever see the options
+    base = SystemParams(mu=0.1, q1=1.0, w1=0.0)
+    args = dict(variable="w1", grid=[1e-4, 1e-3], branch="L4", tol=1e-12,
+                max_iter=50)
+    rows, folds = follow_branch(base, **args)
+    assert [row.status for row in rows] == ["invalid-params"] * 2
+    assert folds == ()
+    with pytest.raises(ValueError, match=name):
+        follow_branch(base, **{**args, **kwargs})

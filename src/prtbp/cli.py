@@ -11,13 +11,14 @@ what it returns; the numerics live in the library.
 Configuration comes from an optional JSON file (``--config``) merged
 with command-line flags named after the dotted field paths, for example
 ``--system.mu 0.01``. Outputs are deterministic: identical configuration
-yields byte-identical files.
+yields byte-identical files, and one streaming writer serves every table.
 
 Each library entry point checks its own arguments; the CLI checks only
 the fields no library function receives and maps exception types to exit
 codes: 0 success, 2 invalid configuration or argument value
-(``ValueError``), 3 a state within the collision guard
-(``SingularityError``), 4 solver non-convergence (``ConvergenceError``).
+(``ValueError``) or an output path that cannot be written (``OSError``),
+3 a state within the collision guard (``SingularityError``), 4 solver
+non-convergence (``ConvergenceError``).
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import io
 import json
 import math
 import os
@@ -45,6 +45,9 @@ from .model import (COLLISION_GUARD, ESCAPE_RADIUS, GrainProperties,
 from .zvc import zero_velocity_curve
 
 _REQUIRED = object()
+
+#: Most grid points a sweep job may ask for: its rows take ~0.55 KB each.
+MAX_SWEEP_POINTS = 10**6
 
 _SYSTEM_FIELDS = {
     "system.mu": float,
@@ -230,8 +233,9 @@ def build_config(job: str, config_path: str | None,
 
     if job == "sweep":
         start, stop, count = args["start"], args["stop"], args["count"]
-        if count < 1:
-            raise ConfigError(f"job.count: must be >= 1, got {count}")
+        if not 1 <= count <= MAX_SWEEP_POINTS:
+            raise ConfigError(f"job.count: must be in [1, {MAX_SWEEP_POINTS}]"
+                              f", got {count}")
         for path, value in (("job.start", start), ("job.stop", stop)):
             if not -math.inf < value < math.inf:
                 raise ConfigError(f"{path}: must be finite, got {value}")
@@ -289,39 +293,30 @@ def _open_output(path: str | None):
 
 
 def _write_table(cfg: JobConfig, columns: tuple[str, ...], rows) -> None:
-    # JSON rows are written one at a time, with the bytes _dump_json gives
-    # the whole {"job", "rows"} payload, so an iterator of rows streams
+    # rows stream one at a time. A JSON row has the bytes _dump_json gives
+    # the whole {"job", "rows"} payload. A CSV line takes one % format per
+    # sequence of cell types, so no float cell may be -0.0; None prints as
+    # an empty cell, and the str cells are fixed identifiers that need no
+    # quoting
     with _open_output(cfg.out_path) as fh:
-        if cfg.out_format == "csv":
-            fh.write(_render_csv(columns, rows, cfg.precision))
+        if cfg.out_format == "json":
+            fh.write(f'{{"job": {json.dumps(cfg.job)}, "rows": [')
+            sep = ""
+            for row in rows:
+                fh.write(sep + _dump_json(dict(zip(columns, row)),
+                                          cfg.precision))
+                sep = ", "
+            fh.write("]}\n")
             return
-        fh.write(f'{{"job": {json.dumps(cfg.job)}, "rows": [')
-        sep = ""
-        for row in rows:
-            fh.write(sep + _dump_json(dict(zip(columns, row)), cfg.precision))
-            sep = ", "
-        fh.write("]}\n")
-
-
-def _render_csv(columns, rows, precision: int) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow(["" if v is None
-                         else _fmt(v, precision) if isinstance(v, float)
-                         else v for v in row])
-    return buf.getvalue()
-
-
-def _write_float_csv(path: str, columns: tuple[str, ...], rows,
-                     precision: int) -> None:
-    # the bytes of _render_csv for tuples of floats without -0.0, from
-    # one format string per row, streamed to the file row by row
-    line = ",".join([f"%.{precision}g"] * len(columns)) + "\n"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+        cell = {float: f"%.{cfg.precision}g", int: "%d", str: "%s",
+                type(None): "%.0s"}
+        lines: dict[tuple[type, ...], str] = {}
         fh.write(",".join(columns) + "\n")
-        fh.writelines(line % row for row in rows)
+        for row in rows:
+            kinds = tuple(map(type, row))
+            if kinds not in lines:
+                lines[kinds] = ",".join(cell[k] for k in kinds) + "\n"
+            fh.write(lines[kinds] % row)
 
 
 def read_table(path: str) -> tuple[list[str], list[dict]]:
@@ -349,7 +344,9 @@ def read_table(path: str) -> tuple[list[str], list[dict]]:
 
 
 def _point_row(point: EquilibriumPoint) -> tuple:
-    return (point.label, point.method, point.x, point.y, point.residual_norm)
+    # + 0.0 turns -0.0 into 0.0 for _write_table
+    return (point.label, point.method, point.x + 0.0, point.y + 0.0,
+            point.residual_norm)
 
 
 def run_equilibria(cfg: JobConfig) -> int:
@@ -396,12 +393,8 @@ def run_integrate(cfg: JobConfig) -> int:
                      rtol=a["rtol"], atol=a["atol"],
                      collision_guard=a["collision_guard"],
                      escape_radius=a["escape_radius"])
-    columns = ("t", "x", "y", "vx", "vy", "C", "dCdt")
-    if cfg.out_format == "csv":
-        _write_float_csv(cfg.out_path, columns, _sample_rows(traj),
-                         cfg.precision)
-    else:
-        _write_table(cfg, columns, _sample_rows(traj))
+    _write_table(cfg, ("t", "x", "y", "vx", "vy", "C", "dCdt"),
+                 _sample_rows(traj))
     meta = {"termination": traj.termination,
             "samples": len(traj.drift_values),
             "jacobi_audit": jacobi_audit(traj),
@@ -416,7 +409,7 @@ def run_integrate(cfg: JobConfig) -> int:
 
 def _sample_rows(traj):
     # (t, x, y, vx, vy, C, dCdt) per sample, dCdt with the bits of
-    # jacobi_drift_rate; + 0.0 turns -0.0 into 0.0, as _fmt does
+    # jacobi_drift_rate; + 0.0 turns -0.0 into 0.0 for _write_table
     p = traj.params
     values = iter(traj.sample_values)
     for t, x, y, vx, vy, c in zip(values, values, values, values, values,
@@ -438,12 +431,8 @@ def run_zvc(cfg: JobConfig) -> int:
     curve = zero_velocity_curve(
         cfg.system, a["level_c"],
         (a["xmin"], a["xmax"], a["ymin"], a["ymax"]), a["resolution"])
-    if cfg.out_format == "csv":
-        with _open_output(cfg.out_path) as fh:
-            _write_vertex_csv(fh, curve, cfg.precision)
-    else:
-        _write_table(cfg, ("segment_id", "vertex_index", "x", "y"),
-                     _vertex_rows(curve))
+    _write_table(cfg, ("segment_id", "vertex_index", "x", "y"),
+                 _vertex_rows(curve))
     if cfg.out_path is not None:
         _write_meta(cfg, curve.work)
     return 0
@@ -451,18 +440,10 @@ def run_zvc(cfg: JobConfig) -> int:
 
 def _vertex_rows(curve):
     # (segment_id, vertex_index, x, y) per vertex; + 0.0 turns -0.0 into
-    # 0.0, as _fmt does
+    # 0.0 for _write_table
     for seg_id, segment in enumerate(curve.segments):
         for vertex_id, (x, y) in enumerate(segment):
             yield seg_id, vertex_id, x + 0.0, y + 0.0
-
-
-def _write_vertex_csv(fh, curve, precision: int) -> None:
-    # the bytes of _render_csv for the vertex rows, from one format string
-    # per row; the indices are integers, so %d and not %g
-    line = f"%d,%d,%.{precision}g,%.{precision}g\n"
-    fh.write("segment_id,vertex_index,x,y\n")
-    fh.writelines(line % row for row in _vertex_rows(curve))
 
 
 def _linspace(start: float, stop: float, count: int) -> list[float]:
@@ -493,7 +474,9 @@ def run_sweep(cfg: JobConfig) -> int:
     a = cfg.args
     rows, folds = follow_branch(cfg.system, a["variable"], _sweep_grid(a),
                                 a["branch"], a["tol"], a["max_iter"])
-    _write_table(cfg, SweepRow._fields, rows)
+    # + 0.0 turns a -0.0 grid value into 0.0 for _write_table
+    _write_table(cfg, SweepRow._fields,
+                 ((row.value + 0.0, *row[1:]) for row in rows))
     flagged = sum(row.status != "ok" for row in rows)
     summary = f"sweep: {len(rows)} points, {flagged} flagged" + "".join(
         f", fold at {a['variable']} = {_fmt(at, cfg.precision)}"
@@ -565,6 +548,9 @@ def main(argv: list[str] | None = None) -> int:
         return 4
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return 2
 
 

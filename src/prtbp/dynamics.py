@@ -9,8 +9,9 @@ or on integrator step failure.
 A trajectory holds its samples as one flat float array, six values per
 sample (t, x, y, vx, vy, C), and the drag's change of C, integrated
 alongside the state; the audit compares the two. Propagation, C and the
-audit run on Python floats and import no NumPy; ``Trajectory.samples``
-and ``Trajectory.drift`` view the same floats as NumPy arrays.
+audit run on Python floats and import no NumPy, which is not a
+dependency; ``Trajectory.samples``, ``.drift`` and ``.arrays()`` import
+it to view the same floats as arrays.
 """
 
 from __future__ import annotations
@@ -60,16 +61,16 @@ class Trajectory:
     @property
     def samples(self) -> np.ndarray:
         """Read-only (N, 6) float view of ``sample_values``, one row per
-        sample."""
+        sample; imports NumPy."""
         return _read_only(self.sample_values).reshape(-1, 6)
 
     @property
     def drift(self) -> np.ndarray:
-        """Read-only float view of ``drift_values``."""
+        """Read-only float view of ``drift_values``; imports NumPy."""
         return _read_only(self.drift_values)
 
     def arrays(self) -> tuple[np.ndarray, ...]:
-        """Per-sample columns (t, x, y, vx, vy, C) as float arrays."""
+        """Columns (t, x, y, vx, vy, C) as float arrays; imports NumPy."""
         return tuple(self.samples.T)
 
 

@@ -6,6 +6,7 @@ Units are the usual rotating-frame ones: the primary separation is 1, the
 sum of the primary masses is 1, and the orbital period of the primaries is
 2*pi. The frame rotates with the perturbed mean motion n, so both primaries
 sit on the x axis, the larger at (-mu, 0) and the smaller at (1-mu, 0).
+Every function takes Python floats and evaluates one point at a time.
 """
 
 from __future__ import annotations
@@ -205,12 +206,7 @@ class SystemParams:
 
 @dataclass(frozen=True)
 class PhaseState:
-    """Planar rotating-frame state (x, y, vx, vy) at time t.
-
-    Equally shaped arrays in the fields make a batch of states, for which
-    :func:`jacobi_constant` and :func:`jacobi_drift_rate` answer with
-    arrays, bitwise equal to their answers state by state.
-    """
+    """Planar rotating-frame state (x, y, vx, vy) at time t."""
 
     x: float
     y: float
@@ -229,37 +225,21 @@ class AccelVector:
 
 def _squared_radii(p: SystemParams, x, y):
     # x + mu and the squared distances to the primaries at (-mu, 0) and
-    # (1-mu, 0); this and the expressions below take floats or arrays,
-    # and only the array branches import NumPy
+    # (1-mu, 0)
     xm = x + p.mu
     return xm, xm * xm + y * y, (xm - 1.0) * (xm - 1.0) + y * y
 
 
 def _radii(p: SystemParams, x, y):
-    # math.sqrt and np.sqrt are both correctly rounded, so floats and
-    # arrays give the same bits, which ** and hypot do not promise
+    # math.sqrt is correctly rounded, which ** and hypot do not promise
     _, r1sq, r2sq = _squared_radii(p, x, y)
-    if type(r1sq) is float:
-        return math.sqrt(r1sq), math.sqrt(r2sq)
-    import numpy as np
-    return np.sqrt(r1sq), np.sqrt(r2sq)
-
-
-def _guard_error(x, y, r1, r2, guard: float) -> SingularityError:
-    return SingularityError(f"point ({x}, {y}) is within {guard} of a "
-                            f"primary (r1={r1}, r2={r2})")
+    return math.sqrt(r1sq), math.sqrt(r2sq)
 
 
 def _check_radii(x, y, r1, r2, guard: float) -> None:
-    if type(r1) is float:
-        if r1 < guard or r2 < guard:
-            raise _guard_error(x, y, r1, r2, guard)
-        return
-    import numpy as np
-    near = (r1 < guard) | (r2 < guard)
-    if near.any():
-        i = np.argmax(near)  # the first point of a batch inside
-        raise _guard_error(*(np.ravel(v)[i] for v in (x, y, r1, r2)), guard)
+    if r1 < guard or r2 < guard:
+        raise SingularityError(f"point ({x}, {y}) is within {guard} of a "
+                               f"primary (r1={r1}, r2={r2})")
 
 
 def _check_guard(p: SystemParams, x, y, guard: float) -> None:
@@ -267,8 +247,8 @@ def _check_guard(p: SystemParams, x, y, guard: float) -> None:
 
 
 def _checked_potential(p: SystemParams, x, y, guard: float):
-    # amended potential U1 after the guard check, on floats or arrays,
-    # from one derivation of the radii
+    # amended potential U1 after the guard check, from one derivation of
+    # the radii
     r1, r2 = _radii(p, x, y)
     _check_radii(x, y, r1, r2, guard)
     return (0.5 * p.n * p.n * (x * x + y * y)
@@ -297,8 +277,8 @@ def _accelerations(p: SystemParams, x: float, y: float, vx: float,
     xm, r1sq, r2sq = _squared_radii(p, x, y)
     r1 = math.sqrt(r1sq)
     r2 = math.sqrt(r2sq)
-    if guard is not None and (r1 < guard or r2 < guard):
-        raise _guard_error(x, y, r1, r2, guard)
+    if guard is not None:
+        _check_radii(x, y, r1, r2, guard)
     r13 = r1sq * r1
     r23 = r2sq * r2
     r25 = r23 * r2sq
@@ -416,8 +396,8 @@ def jacobi_constant(p: SystemParams, s: PhaseState,
 
 
 def _jacobi(p: SystemParams, x, y, vx, vy, guard: float):
-    # C on floats or arrays, after the guard check; the body of
-    # jacobi_constant without the PhaseState, for per-sample loops
+    # C after the guard check; the body of jacobi_constant without the
+    # PhaseState, for per-sample loops
     return 2.0 * _checked_potential(p, x, y, guard) - vx * vx - vy * vy
 
 
@@ -433,8 +413,8 @@ def jacobi_drift_rate(p: SystemParams, s: PhaseState,
 
 
 def _drift_rate(p: SystemParams, x, y, vx, vy):
-    # dC/dt on floats or arrays, without the guard check; the body of
-    # jacobi_drift_rate for per-sample loops over checked states
+    # dC/dt without the guard check; the body of jacobi_drift_rate for
+    # per-sample loops over checked states
     xm, r1sq, _ = _squared_radii(p, x, y)
     fx, fy = _drag(p, xm, y, vx, vy, r1sq)
     return -2.0 * (vx * fx + vy * fy)

@@ -19,7 +19,7 @@ import prtbp
 from prtbp import PhaseState, SystemParams, ZeroVelocityCurve, \
     amended_potential, cli, conservative_gradient, dynamics, \
     equilibrium_residual, jacobi_constant, jacobi_drift_rate, rk45
-from prtbp.cli import _render_csv, main, read_table
+from prtbp.cli import JobConfig, build_config, main, read_table
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
 
@@ -54,6 +54,19 @@ def _config(tmp_path, doc, name="job.json"):
 
 def _rows_by_key(rows, *keys):
     return {tuple(r[k] for k in keys): r for r in rows}
+
+
+def _render_csv(columns, rows, precision):
+    """Reference bytes of a CSV table: the csv module, with each float
+    through format() and -0.0 written as 0."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow(["" if v is None
+                         else format(v + 0.0, f".{precision}g")
+                         if isinstance(v, float) else v for v in row])
+    return buf.getvalue()
 
 
 def test_missing_drag_spec_exits_2(capsys):
@@ -303,22 +316,13 @@ def test_integrate_csv_matches_the_row_renderer(precision, tmp_path):
     p = SystemParams(mu=0.01, w1=0.0)
     traj = dynamics.integrate(p, PhaseState(0.49, 0.86, 0.0, 0.0),
                               t_end=1.0, sample_dt=0.1)
-    dcdt = jacobi_drift_rate(p, PhaseState(*traj.arrays()[1:5]))
-    rows = np.column_stack((traj.samples, dcdt)).tolist()
+    samples = traj.samples.tolist()
+    dcdt = [jacobi_drift_rate(p, PhaseState(*row[1:5])) for row in samples]
+    rows = [[*row, rate] for row, rate in zip(samples, dcdt)]
     assert any(math.copysign(1.0, v) < 0 for v in dcdt)
     expected = _render_csv(("t", "x", "y", "vx", "vy", "C", "dCdt"), rows,
                            precision)
     assert Path(out).read_text(encoding="utf-8") == expected
-
-
-def test_float_csv_stream_matches_the_row_renderer(tmp_path):
-    # rows streamed from a generator, one format string per row
-    table = np.random.default_rng(7).standard_normal((11, 3)).tolist()
-    out = tmp_path / "table.csv"
-    cli._write_float_csv(str(out), ("a", "b", "c"),
-                         (tuple(row) for row in table), 17)
-    assert out.read_text(encoding="utf-8") == _render_csv(
-        ("a", "b", "c"), table, 17)
 
 
 @pytest.mark.parametrize("argv", [INTEGRATE, INTEGRATE_DRAG],
@@ -619,7 +623,7 @@ def test_zvc_writes_polylines_on_the_level(tmp_path):
 
 
 @pytest.mark.parametrize("precision", [3, 17])
-def test_zvc_csv_matches_the_row_renderer(precision):
+def test_zvc_csv_matches_the_row_renderer(precision, tmp_path):
     # one format string per row gives the bytes of the row renderer, with
     # integer indices past 999 and -0.0 written as 0
     rng = np.random.default_rng(3)
@@ -628,13 +632,53 @@ def test_zvc_csv_matches_the_row_renderer(precision):
                      for k in range(1003))
     segments += (((-0.0, 0.5), (0.25, -0.0)),)
     curve = ZeroVelocityCurve(3.0, segments)
-    buf = io.StringIO()
-    cli._write_vertex_csv(buf, curve, precision)
+    out = tmp_path / "curve.csv"
+    cfg = JobConfig("zvc", SystemParams(mu=0.1), {}, str(out), "csv",
+                    precision)
+    columns = ("segment_id", "vertex_index", "x", "y")
+    cli._write_table(cfg, columns, cli._vertex_rows(curve))
     rows = [(k, v, x, y) for k, seg in enumerate(segments)
             for v, (x, y) in enumerate(seg)]
-    assert buf.getvalue() == _render_csv(
-        ("segment_id", "vertex_index", "x", "y"), rows, precision)
-    assert "\n1003,1,0.25,0\n" in buf.getvalue()
+    text = out.read_text(encoding="utf-8")
+    assert text == _render_csv(columns, rows, precision)
+    assert "\n1003,1,0.25,0\n" in text
+
+
+def test_table_writer_matches_the_row_renderer_on_mixed_cells(tmp_path):
+    # str, int, float and None cells, in changing orders of types
+    rows = [("L4", 3, 0.1, None), ("L5", -2, None, 1e300),
+            ("ok", 0, math.inf, math.nan), ("L4", 7, 2.5e-17, -1.0)]
+    out = tmp_path / "table.csv"
+    cfg = JobConfig("sweep", SystemParams(mu=0.1), {}, str(out), "csv", 17)
+    cli._write_table(cfg, ("a", "b", "c", "d"), iter(rows))
+    assert out.read_text(encoding="utf-8") == _render_csv(
+        ("a", "b", "c", "d"), rows, 17)
+
+
+@pytest.mark.parametrize("count", [10**6 + 1, 10**12])
+def test_sweep_point_count_is_bounded(count):
+    flags = {"system.mu": 0.1, "system.w1": 0.0, "job.variable": "w1",
+             "job.start": 1e-4, "job.stop": 1e-2}
+    assert build_config("sweep", None, {
+        **flags, "job.count": cli.MAX_SWEEP_POINTS}).args["count"] == 10**6
+    with pytest.raises(ValueError, match="job.count"):
+        build_config("sweep", None, {**flags, "job.count": count})
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_writes_a_negative_zero_grid_end_as_0(fmt, tmp_path):
+    out = tmp_path / f"sweep.{fmt}"
+    assert main(["sweep", "--system.mu", "0.01", "--system.q1", "0.98",
+                 "--system.cd", "1000", "--job.variable", "a2",
+                 "--job.start", "1e-3", "--job.stop", "-0.0",
+                 "--job.count", "3", "--job.spacing", "linear",
+                 "--format", fmt, "--output", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    if fmt == "csv":
+        last = text.splitlines()[-1].split(",")[0]
+    else:
+        last = re.findall(r'"value": ([^,]+),', text)[-1]
+    assert last == "0"
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -718,3 +762,16 @@ def test_invalid_argument_exits_2(argv, field, tmp_path):
     assert done.returncode == 2, done.stderr
     assert field in done.stderr
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("argv, name", [
+    (EQUILIBRIA, "missing/x.csv"),
+    (INTEGRATE, "missing/o.csv"),
+    (ZVC, "."),
+], ids=["equilibria", "integrate", "zvc-directory"])
+def test_unwritable_output_exits_2(argv, name, tmp_path, capsys):
+    path = str(tmp_path / name)
+    assert main([*argv, "--output", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ")
+    assert path in err

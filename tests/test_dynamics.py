@@ -173,7 +173,8 @@ def test_drift_is_the_integral_of_the_drift_rate():
     assert not traj.drift.flags.writeable
     assert traj.drift.shape == (len(traj.samples),)
     assert traj.drift[0] == 0.0
-    rate = jacobi_drift_rate(p, PhaseState(*traj.arrays()[1:5]))
+    rate = [jacobi_drift_rate(p, PhaseState(*row[1:5]))
+            for row in traj.samples.tolist()]
     simpson = scipy.integrate.cumulative_simpson(rate, x=traj.arrays()[0],
                                                  initial=0.0)
     assert np.abs(traj.drift - simpson).max() < 1e-11

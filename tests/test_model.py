@@ -413,60 +413,9 @@ def _bits(values) -> np.ndarray:
     return np.asarray(values, dtype=float).view(np.int64)
 
 
-@pytest.mark.parametrize("p", [
-    SystemParams(mu=0.01, q1=0.995, a2=1e-4, cd=1e3),
-    SystemParams(mu=0.2, q1=0.9, a2=0.004, w1=2e-3),
-    SystemParams(mu=0.5, q1=0.6, a2=0.05, w1=0.3),
-    SystemParams(mu=0.1),
-])
-def test_batch_evaluation_is_bitwise_scalar(p):
-    """Arrays of states give the same bits as a loop over the states."""
-    rng = np.random.default_rng(4242)
-    size = 3000
-    # points around either primary at distances spread over seven
-    # decades, and velocities over five
-    centre = np.where(rng.random(size) < 0.5, -p.mu, 1.0 - p.mu)
-    dist = 10.0 ** rng.uniform(-5.0, 2.0, size)
-    angle = rng.uniform(0.0, 2.0 * math.pi, size)
-    x = centre + dist * np.cos(angle)
-    y = dist * np.sin(angle)
-    vx, vy = 10.0 ** rng.uniform(-3.0, 2.0, (2, size)) \
-        * rng.choice((-1.0, 1.0), (2, size))
-    states = [PhaseState(float(a), float(b), float(c), float(d))
-              for a, b, c, d in zip(x, y, vx, vy)]
-    batch = PhaseState(x, y, vx, vy)
-
-    r1, r2 = _radii(p, x, y)
-    radii = [_radii(p, s.x, s.y) for s in states]
-    assert np.array_equal(_bits(r1), _bits([r[0] for r in radii]))
-    assert np.array_equal(_bits(r2), _bits([r[1] for r in radii]))
-    assert np.array_equal(
-        _bits(amended_potential(p, x, y)),
-        _bits([amended_potential(p, s.x, s.y) for s in states]))
-    assert np.array_equal(
-        _bits(jacobi_constant(p, batch)),
-        _bits([jacobi_constant(p, s) for s in states]))
-    assert np.array_equal(
-        _bits(jacobi_drift_rate(p, batch)),
-        _bits([jacobi_drift_rate(p, s) for s in states]))
-    if p.w1 != 0.0:
-        f = drag_acceleration(p, batch)
-        drags = [drag_acceleration(p, s) for s in states]
-        assert np.array_equal(_bits(f.ax), _bits([d.ax for d in drags]))
-        assert np.array_equal(_bits(f.ay), _bits([d.ay for d in drags]))
-
-
-def test_batch_guard_names_the_first_point_inside():
-    p = SystemParams(mu=0.1)
-    x = np.array([0.3, 0.9, -0.1])
-    y = np.array([0.5, 0.0, 0.0])
-    with pytest.raises(SingularityError, match=r"point \(0.9, 0.0\)"):
-        jacobi_constant(p, PhaseState(x, y, x, y))
-
-
-def test_numpy_scalars_take_the_array_branch():
-    """np.float64 inputs are not Python floats; they go through NumPy and
-    still give the bits of the float path."""
+def test_numpy_scalars_give_the_float_bits():
+    """np.float64 subclasses float, so its inputs take the float path and
+    give its bits."""
     p = SystemParams(mu=0.01, q1=0.995, a2=1e-4, cd=1e3)
     s = PhaseState(0.49, 0.86, 0.012, -0.034)
     wide = PhaseState(*(np.float64(v) for v in (s.x, s.y, s.vx, s.vy)))
@@ -476,6 +425,16 @@ def test_numpy_scalars_take_the_array_branch():
     with pytest.raises(SingularityError, match="within"):
         jacobi_constant(p, PhaseState(np.float64(-0.01), np.float64(0.0),
                                       0.0, 0.0))
+
+
+def test_arrays_of_points_are_rejected():
+    """The model evaluates one point at a time, on floats."""
+    p = SystemParams(mu=0.1)
+    x = np.array([0.3, 0.4])
+    with pytest.raises(TypeError):
+        amended_potential(p, x, x)
+    with pytest.raises(TypeError):
+        jacobi_drift_rate(p, PhaseState(x, x, x, x))
 
 
 @pytest.mark.parametrize("p, x, y", [

@@ -22,7 +22,7 @@ from prtbp import (
     zero_velocity_curve,
 )
 from prtbp.cli import main
-from prtbp.model import _checked_potential, _radii
+from prtbp.model import _radii
 from prtbp.zvc import _SEGMENTS, _one_signed, _polish, _stitch
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
@@ -47,11 +47,10 @@ def _polish_edge(p, level_c, guard, pa, pb, fa, fb):
 
 
 def _numpy_level(p, x, y, level_c, guard):
-    # f = 2*U1 - C on arrays, NaN within the guard of a primary
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f = 2.0 * _checked_potential(p, x, y, 0.0) - level_c
-    f[np.minimum(*_radii(p, x, y)) < guard] = math.nan
-    return f
+    # f = 2*U1 - C at each point of the arrays, NaN within the guard of a
+    # primary
+    f = _scalar_level(p, level_c, guard)
+    return np.array([f(a, b) for a, b in zip(x.tolist(), y.tolist())])
 
 
 def _numpy_polish(p, level_c, guard, xa, ya, xb, yb, fa, fb):

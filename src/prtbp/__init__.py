@@ -14,7 +14,7 @@ from .equilibria import (BRANCHES, EquilibriumPoint, PerturbationTerms,
                          SweepRow, analytic_epsilons,
                          analytic_triangular_point, equilibrium_residual,
                          follow_branch, limiting_case_point,
-                         refine_equilibrium)
+                         refine_equilibrium, triangular_points)
 from .dynamics import Trajectory, integrate, jacobi_audit
 from .zvc import ZeroVelocityCurve, zero_velocity_curve
 
@@ -56,5 +56,6 @@ __all__ = [
     "mean_motion",
     "oblateness_from_radii",
     "refine_equilibrium",
+    "triangular_points",
     "zero_velocity_curve",
 ]

@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Four subcommands cover the library surface: ``equilibria`` reports the
-triangular points by every available route, ``integrate`` propagates one
+Four subcommands cover the library surface: ``equilibria`` writes the
+rows of ``equilibria.triangular_points``, ``integrate`` propagates one
 trajectory, ``zvc`` extracts a zero-velocity curve, and ``sweep`` writes
 the rows of ``equilibria.follow_branch``, which tracks the analytic and
 refined points across a parameter grid, up to the fold of their branch.
@@ -15,7 +15,8 @@ yields byte-identical files, and one streaming writer serves every table.
 
 Each library entry point checks its own arguments; the CLI checks only
 the fields no library function receives and maps exception types to exit
-codes: 0 success, 2 invalid configuration or argument value
+codes: 0 success, or a reader that closed standard output early
+(``BrokenPipeError``), 2 invalid configuration or argument value
 (``ValueError``) or an output path that cannot be written (``OSError``),
 3 a state within the collision guard (``SingularityError``), 4 solver
 non-convergence (``ConvergenceError``).
@@ -33,11 +34,8 @@ import sys
 from dataclasses import dataclass
 
 from .dynamics import integrate, jacobi_audit
-from .equilibria import (BRANCHES, DegenerateFormulaError, EquilibriumPoint,
-                         METHOD_BASE, SweepRow, analytic_epsilons,
-                         analytic_triangular_point, equilibrium_residual,
-                         follow_branch, limiting_case_point,
-                         refine_equilibrium)
+from .equilibria import (EquilibriumPoint, SweepRow, follow_branch,
+                         triangular_points)
 from .errors import ConfigError, ConvergenceError, SingularityError
 from .model import (COLLISION_GUARD, ESCAPE_RADIUS, GrainProperties,
                     PhaseState, SystemParams, _drift_rate,
@@ -350,37 +348,11 @@ def _point_row(point: EquilibriumPoint) -> tuple:
 
 
 def run_equilibria(cfg: JobConfig) -> int:
-    """Report base, analytic, refined and limiting-case points per branch."""
-    p = cfg.system
-    tol = cfg.args["tol"]
-    max_iter = cfg.args["max_iter"]
-    rows = []
-    for branch in BRANCHES:
-        terms = analytic_epsilons(p, branch)
-        base_rn = math.hypot(*equilibrium_residual(p, terms.x0, terms.y0))
-        rows.append((branch, METHOD_BASE, terms.x0, terms.y0, base_rn))
-        guess = (terms.x0, terms.y0)
-        try:
-            analytic = analytic_triangular_point(p, branch)
-            rows.append(_point_row(analytic))
-            guess = (analytic.x, analytic.y)
-        except DegenerateFormulaError:
-            pass
-        refined = refine_equilibrium(p, guess, tol=tol, max_iter=max_iter)
-        rows.append(_point_row(refined))
-        if p.w1 == 0.0:
-            rows.append(_point_row(
-                limiting_case_point(p, "oblate-only", branch)))
-        if p.a2 == 0.0:
-            try:
-                rows.append(_point_row(
-                    limiting_case_point(p, "drag-only", branch)))
-            except DegenerateFormulaError:
-                pass
-        if p.w1 == 0.0 and p.a2 == 0.0 and p.q1 == 1.0:
-            rows.append(_point_row(
-                limiting_case_point(p, "classical", branch)))
-    _write_table(cfg, ("branch", "method", "x", "y", "residual_norm"), rows)
+    """Write the rows of ``equilibria.triangular_points``."""
+    points = triangular_points(cfg.system, cfg.args["tol"],
+                               cfg.args["max_iter"])
+    _write_table(cfg, ("branch", "method", "x", "y", "residual_norm"),
+                 map(_point_row, points))
     return 0
 
 
@@ -549,6 +521,13 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout after the job's work was done; stdout
+        # goes to devnull, so the flush at exit cannot fail on it again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return 2

@@ -3,10 +3,10 @@
 With radiation pressure alone the triangular points sit at distances
 r1 = delta = q1**(1/3) from the radiating primary and r2 = 1 from the
 oblate one. Drag and oblateness shift them; this module provides the
-first-order analytic shift, closed forms for the limiting cases, a
-damped Newton refinement that solves the rest-state equations exactly,
-and ``follow_branch``, which tracks a point over a parameter grid and
-finds by pseudo-arclength continuation where its branch folds.
+first-order analytic shift, closed forms for the limiting cases, a damped
+Newton refinement that solves the rest-state equations exactly, the report
+``triangular_points`` of both points by every route, and ``follow_branch``,
+which tracks a point over a parameter grid up to the fold of its branch.
 """
 
 from __future__ import annotations
@@ -173,9 +173,14 @@ def analytic_triangular_point(p: SystemParams, branch: Branch
     DegenerateFormulaError
         When |x0| is too small for the correction to be meaningful.
     """
-    x, y = _analytic_coords(p, branch)
+    return _point(p, *_analytic_coords(p, branch), branch, METHOD_ANALYTIC)
+
+
+def _point(p: SystemParams, x: float, y: float, branch: Branch,
+           method: str) -> EquilibriumPoint:
+    # the point (x, y) with the norm of its residual
     rn = math.hypot(*equilibrium_residual(p, x, y))
-    return EquilibriumPoint(x=x, y=y, label=branch, method=METHOD_ANALYTIC,
+    return EquilibriumPoint(x=x, y=y, label=branch, method=method,
                             residual_norm=rn)
 
 
@@ -209,21 +214,23 @@ def limiting_case_point(p: SystemParams, case: str, branch: Branch
     ``oblate-only`` needs w1 = 0, ``drag-only`` needs a2 = 0, and
     ``classical`` needs w1 = 0, a2 = 0, q1 = 1. Each case evaluates its
     own published closed form rather than zeroing terms of the general
-    one, so the agreement of the two routes is a meaningful check.
+    one, so the agreement of the two routes is a meaningful check. Unmet
+    conditions or a degenerate form raise ``DegenerateFormulaError``.
     """
     if case not in CASES:
         raise ValueError(f"case must be one of {CASES}, got {case!r}")
+    needs = {"oblate-only": {"w1": 0.0}, "drag-only": {"a2": 0.0},
+             "classical": {"w1": 0.0, "a2": 0.0, "q1": 1.0}}[case]
+    if any(getattr(p, name) != value for name, value in needs.items()):
+        raise DegenerateFormulaError(f"{case} case requires {needs}, got "
+                                     f"w1={p.w1}, a2={p.a2}, q1={p.q1}")
     x0, y0 = _base_coords(p, branch)
     mu = p.mu
     d2h = p.delta * p.delta / 2.0
     if case == "oblate-only":
-        if p.w1 != 0:
-            raise ValueError(f"oblate-only case requires w1 = 0, got {p.w1}")
         x = x0 - d2h * p.a2
         y = y0 * (1.0 - d2h * (1.0 - d2h) * p.a2 / (y0 * y0))
     elif case == "drag-only":
-        if p.a2 != 0:
-            raise ValueError(f"drag-only case requires a2 = 0, got {p.a2}")
         if abs(x0) < _DEGENERATE_X0:
             raise DegenerateFormulaError(
                 f"base abscissa x0={x0} is degenerate (delta^2/2 = mu)")
@@ -232,15 +239,9 @@ def limiting_case_point(p: SystemParams, case: str, branch: Branch
         y = y0 * (1.0 - p.w1 * p.delta * p.delta * (2.0 * mu - 1.0 - mu * d2h)
                   / (6.0 * mu * (1.0 - mu) * y0**3))
     else:
-        if p.w1 != 0 or p.a2 != 0 or p.q1 != 1:
-            raise ValueError(
-                "classical case requires w1 = 0, a2 = 0 and q1 = 1, got "
-                f"w1={p.w1}, a2={p.a2}, q1={p.q1}")
         x = 0.5 - mu
         y = _branch_sign(branch) * (math.sqrt(3.0) / 2.0)
-    rn = math.hypot(*equilibrium_residual(p, x, y))
-    return EquilibriumPoint(x=x, y=y, label=branch,
-                            method=f"limiting-{case}", residual_norm=rn)
+    return _point(p, x, y, branch, f"limiting-{case}")
 
 
 def refine_equilibrium(p: SystemParams, guess: tuple[float, float],
@@ -258,8 +259,9 @@ def refine_equilibrium(p: SystemParams, guess: tuple[float, float],
     Raises
     ------
     ValueError
-        ``tol`` is not finite and > 0, ``max_iter`` is below 1, or
-        ``guess`` is not finite; the message names the argument.
+        ``tol`` is not finite and > 0, ``max_iter`` is below 1, ``guess``
+        is not finite, or ``guard`` is not finite and >= 0; the message
+        names the argument.
     ConvergenceError
         Tolerance not reached within ``max_iter`` iterations; carries the
         last iterate and its residual norm.
@@ -267,6 +269,8 @@ def refine_equilibrium(p: SystemParams, guess: tuple[float, float],
         The Jacobian is singular to working precision.
     """
     _check_newton_args(tol, max_iter)
+    if not 0.0 <= guard < math.inf:
+        raise ValueError(f"guard must be finite and >= 0, got {guard}")
     x, y = float(guess[0]), float(guess[1])
     if not (-math.inf < x < math.inf and -math.inf < y < math.inf):
         raise ValueError(f"guess must be finite, got {tuple(guess)}")
@@ -317,6 +321,31 @@ def refine_equilibrium(p: SystemParams, guess: tuple[float, float],
     label: Branch = "L4" if y > 0 else "L5"
     return EquilibriumPoint(x=x, y=y, label=label, method=METHOD_REFINED,
                             residual_norm=rnorm)
+
+
+def triangular_points(p: SystemParams, tol: float = 1e-12,
+                      max_iter: int = 50) -> list[EquilibriumPoint]:
+    """Both triangular points, L4 then L5, by every route ``p`` admits:
+    the base point, the analytic one unless degenerate, the point refined
+    from the latter (else the former) and each case of ``CASES`` whose
+    conditions ``p`` meets. Raises what ``refine_equilibrium`` raises."""
+    points = []
+    for branch in BRANCHES:
+        guess = _point(p, *_base_coords(p, branch), branch, METHOD_BASE)
+        points.append(guess)
+        try:
+            guess = analytic_triangular_point(p, branch)
+            points.append(guess)
+        except DegenerateFormulaError:
+            pass
+        points.append(refine_equilibrium(p, (guess.x, guess.y), tol=tol,
+                                         max_iter=max_iter))
+        for case in CASES:
+            try:
+                points.append(limiting_case_point(p, case, branch))
+            except DegenerateFormulaError:
+                pass
+    return points
 
 
 class SweepRow(NamedTuple):
@@ -394,8 +423,7 @@ def follow_branch(base: SystemParams, variable: str, grid,
             xa, ya = guess = _analytic_coords(p, branch)
             status = "ok"
         except DegenerateFormulaError:
-            terms = analytic_epsilons(p, branch)
-            guess = (terms.x0, terms.y0)
+            guess = _base_coords(p, branch)
             status = "degenerate-analytic"
         seeds = [guess]
         if last is not None:

@@ -11,7 +11,8 @@ class DegenerateFormulaError(ValueError):
     """A closed-form expression is undefined for the given parameters.
 
     Raised by the analytic triangular-point formula when the base abscissa
-    vanishes. Callers should fall back to the numeric refinement path.
+    vanishes, or a limiting case whose conditions the parameters do not
+    meet. Callers should fall back to the numeric refinement path.
     """
 
 

@@ -249,6 +249,8 @@ def zero_velocity_curve(p: SystemParams, level_c: float, window: Window,
         (xmin, xmax, ymin, ymax) finite extent of the sampling grid.
     resolution : int
         Number of grid nodes per axis, from 16 to 4096.
+    guard : float
+        Finite collision radius >= 0 about each primary.
 
     Returns
     -------
@@ -265,6 +267,8 @@ def zero_velocity_curve(p: SystemParams, level_c: float, window: Window,
     if not MIN_RESOLUTION <= resolution <= MAX_RESOLUTION:
         raise ValueError(f"resolution must be in [{MIN_RESOLUTION}, "
                          f"{MAX_RESOLUTION}], got {resolution}")
+    if not 0.0 <= guard < math.inf:
+        raise ValueError(f"guard must be finite and >= 0, got {guard}")
 
     n = int(resolution)
     # NumPy's xmin + (xmax - xmin) * arange(n) / (n - 1), bit for bit

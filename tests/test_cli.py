@@ -775,3 +775,25 @@ def test_unwritable_output_exits_2(argv, name, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("output error: ")
     assert path in err
+
+
+def test_closed_stdout_exits_0_quietly():
+    # the reader stops after the header, as `prtbp zvc ... | head -1`
+    # does; the curve's rows are far more than a pipe's buffer holds
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (
+        str(Path(prtbp.__file__).resolve().parent.parent),
+        env.get("PYTHONPATH"))))
+    argv = ["zvc", "--system.mu", "0.1", "--system.w1", "0",
+            "--job.level_c", "2.92", "--job.xmin=-1.5", "--job.xmax", "1.5",
+            "--job.ymin=-1.5", "--job.ymax", "1.5", "--job.resolution",
+            "1024"]
+    proc = subprocess.Popen([sys.executable, "-m", "prtbp.cli", *argv],
+                            env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"segment_id,vertex_index,x,y\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""

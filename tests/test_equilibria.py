@@ -23,6 +23,7 @@ from prtbp import (
     follow_branch,
     limiting_case_point,
     refine_equilibrium,
+    triangular_points,
 )
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
@@ -165,6 +166,79 @@ def test_limiting_case_constraint_validation():
         limiting_case_point(SystemParams(mu=0.1), "spherical", "L4")
 
 
+@pytest.mark.parametrize("params, case", [
+    (dict(mu=0.1, q1=0.9, w1=1e-3), "oblate-only"),
+    (dict(mu=0.1, q1=0.9, a2=0.01), "drag-only"),
+    (dict(mu=0.1, q1=0.9), "classical"),
+    (dict(mu=0.1, a2=0.01), "classical"),
+])
+def test_unmet_case_conditions_are_a_degenerate_formula(params, case):
+    with pytest.raises(DegenerateFormulaError, match=case):
+        limiting_case_point(SystemParams(**params), case, "L4")
+
+
+def test_unknown_case_is_not_a_degenerate_formula():
+    with pytest.raises(ValueError, match="case must be one of") as info:
+        limiting_case_point(SystemParams(mu=0.1), "spherical", "L4")
+    assert not isinstance(info.value, DegenerateFormulaError)
+
+
+DEGENERATE_MU = 0.5 ** (2.0 / 3.0) / 2.0
+
+BASE = "photogravitational-base"
+ANALYTIC = "analytic-first-order"
+REFINED = "refined-numeric"
+
+
+@pytest.mark.parametrize("params, methods", [
+    # classical: every limiting case holds
+    (dict(mu=0.1), [BASE, ANALYTIC, REFINED, "limiting-oblate-only",
+                    "limiting-drag-only", "limiting-classical"]),
+    (dict(mu=0.1, q1=0.9, a2=1e-3),
+     [BASE, ANALYTIC, REFINED, "limiting-oblate-only"]),
+    (dict(mu=0.1, q1=0.9, w1=1e-4),
+     [BASE, ANALYTIC, REFINED, "limiting-drag-only"]),
+    (FIXTURE, [BASE, ANALYTIC, REFINED]),
+    # delta^2/2 = mu: no analytic point, and the drag-only form is
+    # degenerate too, so the refinement starts from the base point
+    (dict(mu=DEGENERATE_MU, q1=0.5), [BASE, REFINED, "limiting-oblate-only"]),
+], ids=["classical", "oblate-only", "drag-only", "drag-and-oblate",
+        "degenerate-x0"])
+def test_triangular_points_reports_every_admitted_route(params, methods):
+    p = SystemParams(**params)
+    points = triangular_points(p)
+    assert [(pt.label, pt.method) for pt in points] == (
+        [("L4", m) for m in methods] + [("L5", m) for m in methods])
+    for pt in points:
+        assert pt.residual_norm == math.hypot(
+            *equilibrium_residual(p, pt.x, pt.y))
+    for branch in ("L4", "L5"):
+        row = {pt.method: pt for pt in points if pt.label == branch}
+        terms = analytic_epsilons(p, branch)
+        assert (row[BASE].x, row[BASE].y) == (terms.x0, terms.y0)
+        seed = row.get(ANALYTIC, row[BASE])
+        if ANALYTIC in row:
+            assert seed == analytic_triangular_point(p, branch)
+        assert row[REFINED] == refine_equilibrium(p, (seed.x, seed.y))
+        assert row[REFINED].residual_norm < 1e-12
+        for method, pt in row.items():
+            if method.startswith("limiting-"):
+                assert pt == limiting_case_point(
+                    p, method.removeprefix("limiting-"), branch)
+
+
+def test_triangular_points_passes_on_the_newton_options():
+    p = SystemParams(**FIXTURE)
+    loose = triangular_points(p, tol=1e-6, max_iter=1)
+    analytic = analytic_triangular_point(p, "L4")
+    assert loose[2] == refine_equilibrium(p, (analytic.x, analytic.y),
+                                          tol=1e-6, max_iter=1)
+    with pytest.raises(ValueError, match="tol"):
+        triangular_points(p, tol=0.0)
+    with pytest.raises(ValueError, match="max_iter"):
+        triangular_points(p, max_iter=0)
+
+
 def test_classical_case_coordinates():
     p = SystemParams(mu=0.3)
     l4 = limiting_case_point(p, "classical", "L4")
@@ -239,6 +313,13 @@ def test_refine_validation():
             ("guess", (0.4, math.inf), {})]:
         with pytest.raises(ValueError, match=name):
             refine_equilibrium(p, guess, **kwargs)
+
+
+@pytest.mark.parametrize("guard", [math.nan, -1.0, math.inf])
+def test_refine_checks_its_guard(guard):
+    p = SystemParams(mu=0.1, w1=0.0)
+    with pytest.raises(ValueError, match="guard must be finite and >= 0"):
+        refine_equilibrium(p, (0.4, 0.86), guard=guard)
 
 
 def test_refine_label_follows_sign():

@@ -180,6 +180,13 @@ def test_window_and_resolution_validation():
             zero_velocity_curve(CLASSICAL, level, window, resolution)
 
 
+@pytest.mark.parametrize("guard", [math.nan, -1.0, math.inf])
+def test_guard_validation(guard):
+    p = SystemParams(mu=0.1, w1=0.0)
+    with pytest.raises(ValueError, match="guard must be finite and >= 0"):
+        zero_velocity_curve(p, 3.5, (-1.5, 1.5, -1.5, 1.5), 64, guard=guard)
+
+
 def test_level_outside_range_gives_empty_curve():
     # the amended potential never drops below the triangular-point level
     low = zero_velocity_curve(CLASSICAL, 2.0, WIDE, 32)

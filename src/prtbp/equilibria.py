@@ -12,14 +12,13 @@ which tracks a point over a parameter grid up to the fold of its branch.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Literal, NamedTuple
 
 from .errors import (ConvergenceError, DegenerateFormulaError,
                      SingularityError, SingularJacobianError)
 from .model import (COLLISION_GUARD, SystemParams, _accelerations,
-                    _rest_jacobian)
+                    _check_guard_arg, _rest_jacobian)
 
 Branch = Literal["L4", "L5"]
 BRANCHES: tuple[Branch, Branch] = ("L4", "L5")
@@ -30,10 +29,10 @@ METHOD_REFINED = "refined-numeric"
 
 CASES = ("oblate-only", "drag-only", "classical")
 
-#: Warn when a first-order correction exceeds this fraction.
+#: Largest |eps1|, |eps2| the first-order theory is taken to hold for.
 EPS_VALIDITY = 0.1
 
-#: Below this the base abscissa counts as degenerate for the analytic form.
+#: Below this the base abscissa counts as degenerate for the relative forms.
 _DEGENERATE_X0 = 1e-9
 
 _SQRT_EPS = math.sqrt(2.220446049250313e-16)
@@ -79,22 +78,14 @@ class PerturbationTerms:
 
     ``(x0, y0)`` is the drag-free, oblateness-free base point and
     ``eps1``/``eps2`` are the fractional shifts of the distances to the
-    radiating and the oblate primary. Construction warns when either
-    shift exceeds the smallness the first-order theory assumes.
+    radiating and the oblate primary. The first-order theory assumes
+    both small; compare them with ``EPS_VALIDITY``.
     """
 
     eps1: float
     eps2: float
     x0: float
     y0: float
-
-    def __post_init__(self):
-        for name, eps in (("eps1", self.eps1), ("eps2", self.eps2)):
-            if abs(eps) > EPS_VALIDITY:
-                warnings.warn(
-                    f"first-order shift {name}={eps:.3g} exceeds "
-                    f"{EPS_VALIDITY}; the analytic point is outside its "
-                    "validity regime", stacklevel=3)
 
 
 @dataclass(frozen=True)
@@ -112,11 +103,9 @@ class EquilibriumPoint:
     residual_norm: float
 
     def __post_init__(self):
-        if self.y == 0:
-            raise ValueError("triangular points have y != 0")
-        if (self.label == "L4") != (self.y > 0):
-            raise ValueError(
-                f"label {self.label} disagrees with sign of y={self.y}")
+        if not _branch_sign(self.label) * self.y > 0.0:
+            raise ValueError(f"label {self.label} disagrees with the sign "
+                             f"of y={self.y}")
 
 
 def _base_coords(p: SystemParams, branch: Branch) -> tuple[float, float]:
@@ -125,6 +114,16 @@ def _base_coords(p: SystemParams, branch: Branch) -> tuple[float, float]:
     d = p.delta
     x0 = d * d / 2.0 - p.mu
     y0 = _branch_sign(branch) * d * math.sqrt(1.0 - d * d / 4.0)
+    return x0, y0
+
+
+def _relative_base(p: SystemParams, branch: Branch) -> tuple[float, float]:
+    # the base point of a correction relative to x0, which must not vanish
+    x0, y0 = _base_coords(p, branch)
+    if abs(x0) < _DEGENERATE_X0:
+        raise DegenerateFormulaError(
+            f"base abscissa x0={x0} is degenerate (delta^2/2 = mu); "
+            "use refine_equilibrium instead")
     return x0, y0
 
 
@@ -155,6 +154,7 @@ def equilibrium_residual(p: SystemParams, x: float, y: float,
     Identical, component by component, to the accelerations of
     ``equations_of_motion`` evaluated with zero velocity.
     """
+    _check_guard_arg(guard)
     gx, gy, fx, fy = _accelerations(p, x, y, 0.0, 0.0, guard)
     return gx + fx, gy + fy
 
@@ -171,14 +171,19 @@ def analytic_triangular_point(p: SystemParams, branch: Branch
     Raises
     ------
     DegenerateFormulaError
-        When |x0| is too small for the correction to be meaningful.
+        When |x0| is too small for the correction to be meaningful, or
+        the point falls on the other side of y = 0 than its branch.
     """
     return _point(p, *_analytic_coords(p, branch), branch, METHOD_ANALYTIC)
 
 
 def _point(p: SystemParams, x: float, y: float, branch: Branch,
            method: str) -> EquilibriumPoint:
-    # the point (x, y) with the norm of its residual
+    # the point (x, y) of a formula with the norm of its residual
+    if not _branch_sign(branch) * y > 0.0:
+        raise DegenerateFormulaError(
+            f"{method} point has y={y}, on the wrong side of y = 0 for "
+            f"{branch}")
     rn = math.hypot(*equilibrium_residual(p, x, y))
     return EquilibriumPoint(x=x, y=y, label=branch, method=method,
                             residual_norm=rn)
@@ -186,12 +191,7 @@ def _point(p: SystemParams, x: float, y: float, branch: Branch,
 
 def _analytic_coords(p: SystemParams, branch: Branch) -> tuple[float, float]:
     # the (x, y) of analytic_triangular_point, without its residual
-    terms = analytic_epsilons(p, branch)
-    x0, y0 = terms.x0, terms.y0
-    if abs(x0) < _DEGENERATE_X0:
-        raise DegenerateFormulaError(
-            f"base abscissa x0={x0} is degenerate (delta^2/2 = mu); "
-            "use refine_equilibrium instead")
+    x0, y0 = _relative_base(p, branch)
     mu = p.mu
     a2 = p.a2
     d2h = p.delta * p.delta / 2.0
@@ -215,7 +215,8 @@ def limiting_case_point(p: SystemParams, case: str, branch: Branch
     ``classical`` needs w1 = 0, a2 = 0, q1 = 1. Each case evaluates its
     own published closed form rather than zeroing terms of the general
     one, so the agreement of the two routes is a meaningful check. Unmet
-    conditions or a degenerate form raise ``DegenerateFormulaError``.
+    conditions, a degenerate form or a point off its branch's side of
+    y = 0 raise ``DegenerateFormulaError``.
     """
     if case not in CASES:
         raise ValueError(f"case must be one of {CASES}, got {case!r}")
@@ -231,9 +232,7 @@ def limiting_case_point(p: SystemParams, case: str, branch: Branch
         x = x0 - d2h * p.a2
         y = y0 * (1.0 - d2h * (1.0 - d2h) * p.a2 / (y0 * y0))
     elif case == "drag-only":
-        if abs(x0) < _DEGENERATE_X0:
-            raise DegenerateFormulaError(
-                f"base abscissa x0={x0} is degenerate (delta^2/2 = mu)")
+        x0, y0 = _relative_base(p, branch)
         x = x0 * (1.0 - p.w1 * ((1.0 - mu) + mu * d2h)
                   / (3.0 * mu * (1.0 - mu) * x0 * y0))
         y = y0 * (1.0 - p.w1 * p.delta * p.delta * (2.0 * mu - 1.0 - mu * d2h)
@@ -269,8 +268,7 @@ def refine_equilibrium(p: SystemParams, guess: tuple[float, float],
         The Jacobian is singular to working precision.
     """
     _check_newton_args(tol, max_iter)
-    if not 0.0 <= guard < math.inf:
-        raise ValueError(f"guard must be finite and >= 0, got {guard}")
+    _check_guard_arg(guard)
     x, y = float(guess[0]), float(guess[1])
     if not (-math.inf < x < math.inf and -math.inf < y < math.inf):
         raise ValueError(f"guess must be finite, got {tuple(guess)}")

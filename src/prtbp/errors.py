@@ -10,9 +10,10 @@ class SingularityError(ValueError):
 class DegenerateFormulaError(ValueError):
     """A closed-form expression is undefined for the given parameters.
 
-    Raised by the analytic triangular-point formula when the base abscissa
-    vanishes, or a limiting case whose conditions the parameters do not
-    meet. Callers should fall back to the numeric refinement path.
+    Raised when the base abscissa of the analytic or drag-only form
+    vanishes, when a closed-form point falls on the other side of y = 0
+    than its branch, or when the parameters do not meet a limiting case's
+    conditions. Callers should fall back to the numeric refinement path.
     """
 
 

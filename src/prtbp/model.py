@@ -236,6 +236,13 @@ def _radii(p: SystemParams, x, y):
     return math.sqrt(r1sq), math.sqrt(r2sq)
 
 
+def _check_guard_arg(guard: float) -> None:
+    # the guard argument of every public entry point; the per-point
+    # kernels below trust theirs
+    if not 0.0 <= guard < math.inf:
+        raise ValueError(f"guard must be finite and >= 0, got {guard}")
+
+
 def _check_radii(x, y, r1, r2, guard: float) -> None:
     if r1 < guard or r2 < guard:
         raise SingularityError(f"point ({x}, {y}) is within {guard} of a "
@@ -342,15 +349,19 @@ def amended_potential(p: SystemParams, x: float, y: float,
 
     Raises
     ------
+    ValueError
+        If ``guard`` is not finite and >= 0.
     SingularityError
         If the point lies within ``guard`` of either primary.
     """
+    _check_guard_arg(guard)
     return _checked_potential(p, x, y, guard)
 
 
 def conservative_gradient(p: SystemParams, x: float, y: float,
                           guard: float = COLLISION_GUARD) -> AccelVector:
     """Gradient of the amended potential, (dU1/dx, dU1/dy), in closed form."""
+    _check_guard_arg(guard)
     gx, gy, _, _ = _accelerations(p, x, y, 0.0, 0.0, guard)
     return AccelVector(gx, gy)
 
@@ -363,6 +374,7 @@ def drag_acceleration(p: SystemParams, s: PhaseState,
     identically when w1 = 0. At rest the drag reduces to the purely
     azimuthal pair (+w1 n y / r1^2, -w1 n (x+mu) / r1^2).
     """
+    _check_guard_arg(guard)
     _check_guard(p, s.x, s.y, guard)
     xm, r1sq, _ = _squared_radii(p, s.x, s.y)
     return AccelVector(*_drag(p, xm, s.y, s.vx, s.vy, r1sq))
@@ -379,6 +391,7 @@ def equations_of_motion(p: SystemParams, s: PhaseState,
         dvx/dt =  2 n vy + dU1/dx + Fx
         dvy/dt = -2 n vx + dU1/dy + Fy
     """
+    _check_guard_arg(guard)
     gx, gy, fx, fy = _accelerations(p, s.x, s.y, s.vx, s.vy, guard)
     ax = 2.0 * p.n * s.vy + gx + fx
     ay = -2.0 * p.n * s.vx + gy + fy
@@ -392,6 +405,7 @@ def jacobi_constant(p: SystemParams, s: PhaseState,
     Conserved exactly when w1 = 0; with drag it evolves at the rate given
     by :func:`jacobi_drift_rate`.
     """
+    _check_guard_arg(guard)
     return _jacobi(p, s.x, s.y, s.vx, s.vy, guard)
 
 
@@ -408,6 +422,7 @@ def jacobi_drift_rate(p: SystemParams, s: PhaseState,
     dC/dt = -2 (vx Fx + vy Fy), where (Fx, Fy) is the drag acceleration.
     Identically zero when w1 = 0 or at rest.
     """
+    _check_guard_arg(guard)
     _check_guard(p, s.x, s.y, guard)
     return _drift_rate(p, s.x, s.y, s.vx, s.vy)
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 from .errors import SingularityError
 from .model import (COLLISION_GUARD, SystemParams, _accelerations,
-                    _checked_potential, _hessian_bound)
+                    _check_guard_arg, _checked_potential, _hessian_bound)
 
 Window = tuple[float, float, float, float]
 
@@ -248,7 +248,7 @@ def zero_velocity_curve(p: SystemParams, level_c: float, window: Window,
     window : tuple
         (xmin, xmax, ymin, ymax) finite extent of the sampling grid.
     resolution : int
-        Number of grid nodes per axis, from 16 to 4096.
+        Number of grid nodes per axis, a whole number from 16 to 4096.
     guard : float
         Finite collision radius >= 0 about each primary.
 
@@ -264,11 +264,13 @@ def zero_velocity_curve(p: SystemParams, level_c: float, window: Window,
             and -math.inf < ymin < ymax < math.inf):
         raise ValueError(f"window must be finite with xmin < xmax and "
                          f"ymin < ymax, got {window}")
-    if not MIN_RESOLUTION <= resolution <= MAX_RESOLUTION:
-        raise ValueError(f"resolution must be in [{MIN_RESOLUTION}, "
-                         f"{MAX_RESOLUTION}], got {resolution}")
-    if not 0.0 <= guard < math.inf:
-        raise ValueError(f"guard must be finite and >= 0, got {guard}")
+    # a NaN or infinity fails the range before int() sees it
+    if not (MIN_RESOLUTION <= resolution <= MAX_RESOLUTION
+            and resolution == int(resolution)):
+        raise ValueError(f"resolution must be a whole number in "
+                         f"[{MIN_RESOLUTION}, {MAX_RESOLUTION}], got "
+                         f"{resolution}")
+    _check_guard_arg(guard)
 
     n = int(resolution)
     # NumPy's xmin + (xmax - xmin) * arange(n) / (n - 1), bit for bit

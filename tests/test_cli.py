@@ -418,12 +418,28 @@ def test_integrate_with_drag_moves_jacobi(tmp_path):
 
 
 def test_nonconvergence_exits_4(capsys):
-    with pytest.warns(UserWarning):
-        rc = main(["equilibria", "--system.mu", "0.1",
-                   "--system.q1", "0.98", "--system.w1", "5e-2",
-                   "--job.max_iter", "1"])
+    rc = main(["equilibria", "--system.mu", "0.1",
+               "--system.q1", "0.98", "--system.w1", "5e-2",
+               "--job.max_iter", "1"])
     assert rc == 4
     assert "solver error" in capsys.readouterr().err
+
+
+def test_point_off_its_side_of_y_is_refined_from_the_base(tmp_path,
+                                                         capsys):
+    """At this drag the first-order L5 point lands above y = 0: the job
+    skips it, refines L5 from its base point and exits 0 quietly."""
+    out = str(tmp_path / "points.csv")
+    assert main(["equilibria", "--system.mu", "0.01", "--system.q1", "0.9",
+                 "--system.w1", "0.075", "--output", out]) == 0
+    assert capsys.readouterr().err == ""
+    _, rows = read_table(out)
+    base, refined = rows[-2:]
+    assert [(row["branch"], row["method"]) for row in rows[-2:]] == [
+        ("L5", "photogravitational-base"), ("L5", "refined-numeric")]
+    assert refined["x"] == pytest.approx(0.896816175838735, abs=1e-12)
+    assert refined["y"] == pytest.approx(-0.338101725484475, abs=1e-12)
+    assert refined["residual_norm"] < 1e-12
 
 
 def test_sweep_error_scales_quadratically(tmp_path, capsys):
@@ -489,7 +505,6 @@ def _fold_sweep(tmp_path, capsys, start, count, *extra):
     return rows, int(summary.group(2)), float(summary.group(3))
 
 
-@pytest.mark.filterwarnings("ignore:first-order shift")
 def test_sweep_stops_at_the_fold(tmp_path, capsys):
     """Past the saddle-node fold of L4 in w1 every row reads
     no-equilibrium, and the fold does not depend on the grid; the two
@@ -514,7 +529,6 @@ def test_sweep_stops_at_the_fold(tmp_path, capsys):
     assert 7.1588e-3 < folds[1] < 7.1593e-3
 
 
-@pytest.mark.filterwarnings("ignore:first-order shift")
 def test_sweep_fold_does_not_depend_on_tol(tmp_path, capsys):
     """The arc points solve the rest state to a fixed tolerance, so a
     loose job.tol moves neither the fold nor a row's status."""
@@ -543,7 +557,6 @@ def _sweep_summary(tmp_path, capsys, argv):
     return rows, int(summary.group(2)), float(summary.group(3))
 
 
-@pytest.mark.filterwarnings("ignore:first-order shift")
 def test_sweep_classifies_rows_before_the_first_refined_point(tmp_path,
                                                                capsys):
     """A grid that starts past a fold: the branch is followed back from

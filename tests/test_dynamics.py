@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import random
 from array import array
 
 import numpy as np
@@ -16,6 +17,7 @@ from prtbp import (
     SingularityError,
     SystemParams,
     Trajectory,
+    equations_of_motion,
     integrate,
     jacobi_audit,
     jacobi_constant,
@@ -326,9 +328,10 @@ def _arrays(sol):
     return t, np.frombuffer(sol.values, dtype=float).reshape(-1, sol.width).T
 
 
-@pytest.mark.parametrize("p, s0, t_end, dt, tol, expected", REFERENCE_CASES)
-def test_stepper_matches_scipy_rk45(p, s0, t_end, dt, tol, expected,
-                                    monkeypatch):
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """The (fun, t_span, y0, kwargs, sol) of each stepper run of
+    ``integrate``."""
     calls = []
 
     def spy(fun, t_span, y0, **kwargs):
@@ -337,9 +340,15 @@ def test_stepper_matches_scipy_rk45(p, s0, t_end, dt, tol, expected,
         return sol
 
     monkeypatch.setattr(dynamics, "solve_ivp", spy)
+    return calls
+
+
+@pytest.mark.parametrize("p, s0, t_end, dt, tol, expected", REFERENCE_CASES)
+def test_stepper_matches_scipy_rk45(p, s0, t_end, dt, tol, expected,
+                                    solve_calls):
     traj = integrate(p, s0, t_end=t_end, sample_dt=dt, rtol=tol, atol=tol)
     assert traj.termination == expected
-    (fun, t_span, y0, kwargs, sol), = calls
+    (fun, t_span, y0, kwargs, sol), = solve_calls
     ref = _scipy_reference(fun, t_span, y0, **kwargs)
     assert sol.status == ref.status
     assert sol.nfev == ref.nfev
@@ -349,6 +358,24 @@ def test_stepper_matches_scipy_rk45(p, s0, t_end, dt, tol, expected,
     t, y = _arrays(sol)
     assert np.array_equal(t, ref.t)
     assert np.abs(y[:len(y0)] - ref.y).max() <= 1e-10
+
+
+@pytest.mark.parametrize("params", [
+    dict(mu=0.1), dict(mu=0.01, q1=0.98, w1=1e-3), dict(mu=0.01, a2=1e-3),
+    dict(mu=0.01, q1=0.995, a2=1e-4, cd=1e3),
+], ids=["classical", "drag", "oblate", "drag-and-oblate"])
+def test_stepper_rhs_is_the_equations_of_motion(params, solve_calls):
+    """The stepper's right-hand side restates the equations of motion and
+    the drift rate, to spare the calls; the two agree bit for bit."""
+    p = SystemParams(**params)
+    integrate(p, L4_REST, t_end=0.1, sample_dt=0.1)
+    (rhs, *_), = solve_calls
+    rng = random.Random(7)
+    for _ in range(200):
+        s = PhaseState(*(rng.uniform(-1.5, 1.5) for _ in range(4)))
+        got = rhs(0.0, (s.x, s.y, s.vx, s.vy))
+        want = (*equations_of_motion(p, s), jacobi_drift_rate(p, s))
+        assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 def test_quadrature_rides_along_without_changing_the_steps():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+import warnings
 
 import pytest
 
@@ -86,10 +87,14 @@ def test_epsilon_drag_terms_flip_between_branches():
     assert l5.eps1 == -l4.eps1
 
 
-def test_epsilon_validity_warning():
+def test_epsilon_validity_is_data():
+    # far outside the first-order regime, and no warning says so
     p = SystemParams(mu=0.1, q1=0.98, w1=0.5)
-    with pytest.warns(UserWarning, match="validity"):
-        analytic_epsilons(p, "L4")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        terms = analytic_epsilons(p, "L4")
+        analytic_triangular_point(p, "L4")
+    assert abs(terms.eps2) > equilibria.EPS_VALIDITY
 
 
 def test_analytic_reduces_to_base_unperturbed():
@@ -225,6 +230,22 @@ def test_triangular_points_reports_every_admitted_route(params, methods):
             if method.startswith("limiting-"):
                 assert pt == limiting_case_point(
                     p, method.removeprefix("limiting-"), branch)
+
+
+def test_formula_point_off_its_side_of_y_is_degenerate():
+    """At this drag the first-order L5 shift moves the point above y = 0:
+    the analytic and drag-only points raise, and L5 is refined from its
+    base point."""
+    p = SystemParams(mu=0.01, q1=0.9, w1=0.075)
+    with pytest.raises(DegenerateFormulaError, match="y = 0"):
+        analytic_triangular_point(p, "L5")
+    with pytest.raises(DegenerateFormulaError, match="y = 0"):
+        limiting_case_point(p, "drag-only", "L5")
+    base, refined = triangular_points(p)[-2:]
+    assert (base.label, base.method) == ("L5", BASE)
+    assert refined == refine_equilibrium(p, (base.x, base.y))
+    assert refined.label == "L5"
+    assert refined.residual_norm < 1e-12
 
 
 def test_triangular_points_passes_on_the_newton_options():
@@ -372,7 +393,6 @@ BRANCH_SWEEPS = [
 ]
 
 
-@pytest.mark.filterwarnings("ignore:first-order shift")
 @pytest.mark.parametrize("system, variable, start, stop, count",
                          BRANCH_SWEEPS, ids=["w1-fold", "mu-cd10"])
 def test_follow_branch_gives_the_sweep_job_rows(system, variable, start,

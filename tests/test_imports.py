@@ -20,6 +20,7 @@ import pytest
 import prtbp
 
 SRC = str(Path(prtbp.__file__).resolve().parent.parent)
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 REPORT = """
 import json, sys
@@ -33,14 +34,18 @@ print(json.dumps({{
 SYSTEM = ["--system.mu", "0.1", "--system.q1", "0.98", "--system.w1", "1e-4"]
 
 
-def _loaded(body: str, cwd: Path) -> dict:
+def _run(code: str, cwd: Path) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (SRC, env.get("PYTHONPATH"))))
-    done = subprocess.run([sys.executable, "-c", REPORT.format(body=body)],
-                          cwd=cwd, env=env, capture_output=True, text=True,
-                          timeout=120)
+    done = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+    return done
+
+
+def _loaded(body: str, cwd: Path) -> dict:
+    done = _run(REPORT.format(body=body), cwd)
     return json.loads(done.stdout.splitlines()[-1])
 
 
@@ -88,3 +93,13 @@ def test_job_loads_no_scipy(body, tmp_path):
                          ids=IDS)
 def test_numpy_loads_only_for_arrays(body, numpy, tmp_path):
     assert _loaded(body, tmp_path)["numpy"] is numpy
+
+
+def test_readme_quick_start_runs_quietly_without_numpy(tmp_path):
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Library quick start"):]
+    start = section.index("```python\n") + len("```python\n")
+    block = section[start:section.index("```", start)]
+    done = _run('import sys\nsys.modules["numpy"] = None\n' + block,
+                tmp_path)
+    assert done.stderr == ""

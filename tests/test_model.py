@@ -205,6 +205,32 @@ def test_amended_potential_guard():
     amended_potential(p, 0.9, 1e-3)
 
 
+AT_PRIMARY = PhaseState(0.99, 0.0, 0.1, -0.2)
+
+# every public function with a guard, called at the primary at (1-mu, 0)
+# of mu = 0.01, where an unchecked guard divides by zero
+GUARDED = {
+    "amended_potential": lambda p, g: amended_potential(p, 0.99, 0.0, g),
+    "conservative_gradient":
+        lambda p, g: conservative_gradient(p, 0.99, 0.0, g),
+    "drag_acceleration": lambda p, g: drag_acceleration(p, AT_PRIMARY, g),
+    "equations_of_motion":
+        lambda p, g: equations_of_motion(p, AT_PRIMARY, g),
+    "jacobi_constant": lambda p, g: jacobi_constant(p, AT_PRIMARY, g),
+    "jacobi_drift_rate": lambda p, g: jacobi_drift_rate(p, AT_PRIMARY, g),
+    "equilibrium_residual":
+        lambda p, g: equilibrium_residual(p, 0.99, 0.0, g),
+}
+
+
+@pytest.mark.parametrize("guard", [math.nan, -1.0, math.inf])
+@pytest.mark.parametrize("name", GUARDED)
+def test_public_functions_check_their_guard(name, guard):
+    p = SystemParams(mu=0.01, q1=0.98, w1=1e-3)
+    with pytest.raises(ValueError, match="guard must be finite and >= 0"):
+        GUARDED[name](p, guard)
+
+
 def test_amended_potential_duplicate_evaluation():
     p = SystemParams(mu=0.2, q1=0.8, a2=0.01)
     for x, y in [(0.3, 0.85), (-0.4, 0.2), (1.2, -0.6)]:

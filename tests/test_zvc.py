@@ -169,6 +169,8 @@ def test_window_and_resolution_validation():
     for name, level, window, resolution in [
             ("resolution", 3.0, WIDE, 8),
             ("resolution", 3.0, WIDE, 4097),
+            ("resolution", 3.0, WIDE, 256.9),
+            ("resolution", 3.0, WIDE, math.nan),
             ("window", 3.0, (1.5, -1.5, -1.5, 1.5), 64),
             ("window", 3.0, (-1.5, 1.5, 1.5, 1.5), 64),
             ("window", 3.0, (-math.inf, 1.5, -1.5, 1.5), 64),

@@ -375,6 +375,8 @@ def run_integrate(cfg: JobConfig) -> int:
             "rejected_steps": traj.rejected_steps}
     if traj.termination == "step-failure":
         meta["message"] = traj.message
+    elif traj.event_time is not None:
+        meta["event_time"] = traj.event_time
     _write_meta(cfg, meta)
     return 0
 

@@ -1,10 +1,11 @@
 """Trajectory propagation and Jacobi-integral auditing.
 
-Propagation uses the adaptive Dormand-Prince 5(4) pair of ``prtbp.rk45``
-with dense output, sampled on a uniform time grid. Runs terminate on
-reaching the end time, on closing within the collision guard of a
-primary, on escaping past the escape radius from the radiating primary,
-or on integrator step failure.
+Propagation uses the adaptive Dormand-Prince 8(5,3) method of
+``prtbp.dop853``, whose degree-7 dense output is sampled on a uniform
+time grid. Runs terminate on reaching the end time, on closing within
+the collision guard of a primary, on escaping past the escape radius
+from the radiating primary, or on integrator step failure; the time of
+a collision or an escape is located on the dense output.
 
 A trajectory holds its samples as one flat float array, six values per
 sample (t, x, y, vx, vy, C), and the drag's change of C, integrated
@@ -24,7 +25,7 @@ from typing import TYPE_CHECKING
 from .model import (COLLISION_GUARD, ESCAPE_RADIUS, PhaseState,
                     SystemParams, _accelerations, _check_guard, _jacobi,
                     _radii)
-from .rk45 import solve_ivp
+from .dop853 import solve_ivp
 
 if TYPE_CHECKING:
     import numpy as np
@@ -45,7 +46,8 @@ class Trajectory:
     ``completed``, ``collision``, ``escape`` or ``step-failure``;
     ``rhs_calls``, ``steps`` and ``rejected_steps`` count the stepper's
     right-hand-side calls and its accepted and rejected steps;
-    ``message`` gives the stepper's reason for a ``step-failure`` and is
+    ``message`` gives the stepper's reason for a ``step-failure`` and
+    ``event_time`` the time of a ``collision`` or an ``escape``; each is
     None otherwise.
     """
 
@@ -57,6 +59,7 @@ class Trajectory:
     steps: int
     rejected_steps: int
     message: str | None = None
+    event_time: float | None = None
 
     @property
     def samples(self) -> np.ndarray:
@@ -165,11 +168,13 @@ def integrate(p: SystemParams, s0: PhaseState, t_end: float,
     sol = solve_ivp(rhs, (s0.t, t_end), (s0.x, s0.y, s0.vx, s0.vy),
                     t_eval=grid, rtol=rtol, atol=atol,
                     events=(collision, escape))
-    message = None
+    message = event_time = None
     if sol.status == 0:
         termination = "completed"
     elif sol.status == 1:
-        termination = "collision" if sol.t_events[0] else "escape"
+        collided, escaped = sol.t_events
+        termination = "collision" if collided else "escape"
+        event_time, = collided or escaped
     else:
         termination, message = "step-failure", sol.message
     times, values = sol.times, sol.values
@@ -188,7 +193,7 @@ def integrate(p: SystemParams, s0: PhaseState, t_end: float,
     return Trajectory(params=p, sample_values=samples, drift_values=drift,
                       termination=termination, rhs_calls=sol.nfev,
                       steps=sol.steps, rejected_steps=sol.rejected_steps,
-                      message=message)
+                      message=message, event_time=event_time)
 
 
 def jacobi_audit(traj: Trajectory) -> float:

@@ -18,7 +18,7 @@ import pytest
 import prtbp
 from prtbp import PhaseState, SystemParams, ZeroVelocityCurve, \
     amended_potential, cli, conservative_gradient, dynamics, \
-    equilibrium_residual, jacobi_constant, jacobi_drift_rate, rk45
+    dop853, equilibrium_residual, jacobi_constant, jacobi_drift_rate
 from prtbp.cli import JobConfig, build_config, main, read_table
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
@@ -283,15 +283,41 @@ def test_integrate_writes_samples_and_sidecar(tmp_path):
       "--job.x", "0.995", "--job.y", "0", "--job.vx", "0", "--job.vy", "0",
       "--job.t_end", "1", "--job.sample_dt", "0.002"], True)],
     ids=["drag", "collision"])
-def test_integrate_sidecar_counts_the_stepper_work(argv, rejects, tmp_path):
+def test_integrate_sidecar_counts_the_stepper_work(argv, rejects, tmp_path,
+                                                   monkeypatch):
+    runs = []
+    dense_steps = [0]
+    solve_ivp, dense_rows = dynamics.solve_ivp, dop853._dense_rows
+
+    def spy_solve_ivp(*args, **kwargs):
+        runs.append(solve_ivp(*args, **kwargs))
+        return runs[-1]
+
+    def spy_dense_rows(*args):
+        dense_steps[0] += 1
+        return dense_rows(*args)
+
+    monkeypatch.setattr(dynamics, "solve_ivp", spy_solve_ivp)
+    monkeypatch.setattr(dop853, "_dense_rows", spy_dense_rows)
     out = str(tmp_path / "orbit.csv")
     assert main([*argv, "--output", out]) == 0
     with open(tmp_path / "orbit.meta.json", encoding="utf-8") as fh:
         meta = json.load(fh)
     assert meta["steps"] > 0
     assert (meta["rejected_steps"] > 0) is rejects
-    assert meta["rhs_calls"] == 2 + 6 * (meta["steps"]
-                                         + meta["rejected_steps"])
+    # 12 calls a step, 3 more for the dense output of a step that holds
+    # a sample or locates the event
+    assert meta["rhs_calls"] == (2 + 12 * (meta["steps"]
+                                           + meta["rejected_steps"])
+                                 + 3 * dense_steps[0])
+    if not rejects:
+        assert "event_time" not in meta
+        return
+    # the collision's time, after the last sample and within one interval
+    sol, = runs
+    assert [meta["event_time"]] == sol.t_events[0]
+    _, rows = read_table(out)
+    assert rows[-1]["t"] < meta["event_time"] <= rows[-1]["t"] + 0.002
 
 
 def test_integrate_one_interval_writes_a_numeric_audit(tmp_path):
@@ -355,10 +381,10 @@ def test_integrate_step_failure_keeps_its_cause(tmp_path, monkeypatch):
     # no orbit of the model fails a step at these tolerances, so the
     # stepper gets x' = x^2 instead, which blows up at t = 1/x0
     def blow_up(fun, t_span, y0, t_eval, rtol, atol, events=()):
-        return rk45.solve_ivp(lambda t, v: (v[0] * v[0], 0.0, 0.0, 0.0,
-                                            0.0),
-                              t_span, y0, t_eval=t_eval, rtol=rtol,
-                              atol=atol)
+        return dop853.solve_ivp(lambda t, v: (v[0] * v[0], 0.0, 0.0, 0.0,
+                                              0.0),
+                                t_span, y0, t_eval=t_eval, rtol=rtol,
+                                atol=atol)
 
     monkeypatch.setattr(dynamics, "solve_ivp", blow_up)
     out = str(tmp_path / "orbit.csv")
@@ -368,7 +394,8 @@ def test_integrate_step_failure_keeps_its_cause(tmp_path, monkeypatch):
                "--job.sample_dt", "0.1", "--output", out])
     assert rc == 0
     _, rows = read_table(out)
-    assert rows[-1]["t"] < 2.0
+    # the steps close on the pole at t = 2 before they fail, short of t_end
+    assert rows[-1]["t"] <= 2.0
     with open(tmp_path / "orbit.meta.json", encoding="utf-8") as fh:
         meta = json.load(fh)
     assert meta["termination"] == "step-failure"

@@ -6,7 +6,8 @@ trajectory, ``zvc`` extracts a zero-velocity curve, and ``sweep`` writes
 the rows of ``equilibria.follow_branch``, which tracks the analytic and
 refined points across a parameter grid, up to the fold of their branch.
 Each runner builds the library call's arguments, calls it and formats
-what it returns; the numerics live in the library.
+what it returns; the numerics live in the library. A runner imports the
+library module it calls when it runs, so a job loads only its own.
 
 Configuration comes from an optional JSON file (``--config``) merged
 with command-line flags named after the dotted field paths, for example
@@ -26,21 +27,15 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
-from .dynamics import integrate, jacobi_audit
-from .equilibria import (EquilibriumPoint, SweepRow, follow_branch,
-                         triangular_points)
 from .errors import ConfigError, ConvergenceError, SingularityError
 from .model import (COLLISION_GUARD, ESCAPE_RADIUS, GrainProperties,
-                    PhaseState, SystemParams, _drift_rate,
+                    PhaseState, SystemParams, _drift_rate, _Record,
                     mass_reduction_from_grain)
-from .zvc import zero_velocity_curve
 
 _REQUIRED = object()
 
@@ -109,16 +104,15 @@ _CHOICES = {
 }
 
 
-@dataclass(frozen=True)
-class JobConfig:
+class JobConfig(_Record):
     """Validated configuration of one CLI job."""
 
-    job: str
-    system: SystemParams
-    args: dict
-    out_path: str | None
-    out_format: str
-    precision: int
+    _fields = ("job", "system", "args", "out_path", "out_format",
+               "precision")
+
+    def __init__(self, job: str, system: SystemParams, args: dict,
+                 out_path: str | None, out_format: str, precision: int):
+        self._freeze(job, system, args, out_path, out_format, precision)
 
 
 def _flatten(obj: dict, prefix: str = "") -> dict:
@@ -323,6 +317,8 @@ def read_table(path: str) -> tuple[list[str], list[dict]]:
     Returns the header and one dict per row; numeric cells come back as
     floats and empty cells as ``None``.
     """
+    import csv
+
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         columns = next(reader)
@@ -341,14 +337,17 @@ def read_table(path: str) -> tuple[list[str], list[dict]]:
     return columns, rows
 
 
-def _point_row(point: EquilibriumPoint) -> tuple:
-    # + 0.0 turns -0.0 into 0.0 for _write_table
+def _point_row(point) -> tuple:
+    # an EquilibriumPoint's cells; + 0.0 turns -0.0 into 0.0 for
+    # _write_table
     return (point.label, point.method, point.x + 0.0, point.y + 0.0,
             point.residual_norm)
 
 
 def run_equilibria(cfg: JobConfig) -> int:
     """Write the rows of ``equilibria.triangular_points``."""
+    from .equilibria import triangular_points
+
     points = triangular_points(cfg.system, cfg.args["tol"],
                                cfg.args["max_iter"])
     _write_table(cfg, ("branch", "method", "x", "y", "residual_norm"),
@@ -358,6 +357,8 @@ def run_equilibria(cfg: JobConfig) -> int:
 
 def run_integrate(cfg: JobConfig) -> int:
     """Propagate one trajectory and write samples plus a metadata sidecar."""
+    from .dynamics import integrate, jacobi_audit
+
     p = cfg.system
     a = cfg.args
     s0 = PhaseState(x=a["x"], y=a["y"], vx=a["vx"], vy=a["vy"], t=a["t0"])
@@ -401,6 +402,8 @@ def _write_meta(cfg: JobConfig, record: dict) -> None:
 
 def run_zvc(cfg: JobConfig) -> int:
     """Extract one zero-velocity curve as indexed polyline vertices."""
+    from .zvc import zero_velocity_curve
+
     a = cfg.args
     curve = zero_velocity_curve(
         cfg.system, a["level_c"],
@@ -445,6 +448,8 @@ def _sweep_grid(a: dict) -> list[float]:
 def run_sweep(cfg: JobConfig) -> int:
     """Write ``follow_branch``'s rows over the job's grid and a summary
     line, on stderr when the table itself goes to stdout."""
+    from .equilibria import SweepRow, follow_branch
+
     a = cfg.args
     rows, folds = follow_branch(cfg.system, a["variable"], _sweep_grid(a),
                                 a["branch"], a["tol"], a["max_iter"])

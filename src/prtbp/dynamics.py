@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .model import (COLLISION_GUARD, ESCAPE_RADIUS, PhaseState,
                     SystemParams, _accelerations, _check_guard, _jacobi,
-                    _radii)
+                    _radii, _Record)
 from .dop853 import solve_ivp
 
 if TYPE_CHECKING:
@@ -34,8 +33,7 @@ if TYPE_CHECKING:
 MAX_SAMPLES = 10**7
 
 
-@dataclass(frozen=True, eq=False)
-class Trajectory:
+class Trajectory(_Record):
     """Sampled trajectory with per-sample Jacobi values.
 
     ``sample_values`` holds one sample after the other on a uniform time
@@ -48,18 +46,22 @@ class Trajectory:
     right-hand-side calls and its accepted and rejected steps;
     ``message`` gives the stepper's reason for a ``step-failure`` and
     ``event_time`` the time of a ``collision`` or an ``escape``; each is
-    None otherwise.
+    None otherwise. Two trajectories are equal only if they are the same
+    object.
     """
 
-    params: SystemParams
-    sample_values: array
-    drift_values: array
-    termination: str
-    rhs_calls: int
-    steps: int
-    rejected_steps: int
-    message: str | None = None
-    event_time: float | None = None
+    _fields = ("params", "sample_values", "drift_values", "termination",
+               "rhs_calls", "steps", "rejected_steps", "message",
+               "event_time")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, params: SystemParams, sample_values: array,
+                 drift_values: array, termination: str, rhs_calls: int,
+                 steps: int, rejected_steps: int, message: str | None = None,
+                 event_time: float | None = None):
+        self._freeze(params, sample_values, drift_values, termination,
+                     rhs_calls, steps, rejected_steps, message, event_time)
 
     @property
     def samples(self) -> np.ndarray:

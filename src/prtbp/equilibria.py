@@ -12,13 +12,12 @@ which tracks a point over a parameter grid up to the fold of its branch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Literal, NamedTuple
 
 from .errors import (ConvergenceError, DegenerateFormulaError,
                      SingularityError, SingularJacobianError)
 from .model import (COLLISION_GUARD, SystemParams, _accelerations,
-                    _check_guard_arg, _rest_jacobian)
+                    _check_guard_arg, _Record, _rest_jacobian)
 
 Branch = Literal["L4", "L5"]
 BRANCHES: tuple[Branch, Branch] = ("L4", "L5")
@@ -72,8 +71,7 @@ def _check_newton_args(tol: float, max_iter: int) -> None:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 
 
-@dataclass(frozen=True)
-class PerturbationTerms:
+class PerturbationTerms(_Record):
     """First-order perturbation data for one triangular point.
 
     ``(x0, y0)`` is the drag-free, oblateness-free base point and
@@ -82,30 +80,27 @@ class PerturbationTerms:
     both small; compare them with ``EPS_VALIDITY``.
     """
 
-    eps1: float
-    eps2: float
-    x0: float
-    y0: float
+    _fields = ("eps1", "eps2", "x0", "y0")
+
+    def __init__(self, eps1: float, eps2: float, x0: float, y0: float):
+        self._freeze(eps1, eps2, x0, y0)
 
 
-@dataclass(frozen=True)
-class EquilibriumPoint:
+class EquilibriumPoint(_Record):
     """A located triangular equilibrium.
 
     ``method`` records how the coordinates were produced and
     ``residual_norm`` is the norm of the rest-state accelerations there.
     """
 
-    x: float
-    y: float
-    label: Branch
-    method: str
-    residual_norm: float
+    _fields = ("x", "y", "label", "method", "residual_norm")
 
-    def __post_init__(self):
-        if not _branch_sign(self.label) * self.y > 0.0:
-            raise ValueError(f"label {self.label} disagrees with the sign "
-                             f"of y={self.y}")
+    def __init__(self, x: float, y: float, label: Branch, method: str,
+                 residual_norm: float):
+        if not _branch_sign(label) * y > 0.0:
+            raise ValueError(f"label {label} disagrees with the sign "
+                             f"of y={y}")
+        self._freeze(x, y, label, method, residual_norm)
 
 
 def _base_coords(p: SystemParams, branch: Branch) -> tuple[float, float]:

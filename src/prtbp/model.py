@@ -12,7 +12,6 @@ Every function takes Python floats and evaluates one point at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .errors import SingularityError
 
@@ -79,8 +78,45 @@ def oblateness_from_radii(equatorial: float, polar: float,
     return (equatorial**2 - polar**2) / (5.0 * separation**2)
 
 
-@dataclass(frozen=True)
-class GrainProperties:
+class _Record:
+    """Base of the package's immutable records.
+
+    A record compares and hashes as the tuple of its ``_fields`` in order,
+    only with a record of its own class, and prints them as
+    ``Name(field=value, ...)``; assigning or deleting any attribute raises
+    ``AttributeError``. Constructors set their fields with ``_freeze``.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _freeze(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class GrainProperties(_Record):
     """Physical dust-grain properties in CGS units.
 
     Attributes
@@ -94,19 +130,19 @@ class GrainProperties:
         no-radiation edge case.
     """
 
-    radius_a: float
-    density_rho: float
-    efficiency_chi: float
+    _fields = ("radius_a", "density_rho", "efficiency_chi")
 
-    def __post_init__(self):
-        for name in ("radius_a", "density_rho"):
-            value = getattr(self, name)
+    def __init__(self, radius_a: float, density_rho: float,
+                 efficiency_chi: float):
+        for name, value in (("radius_a", radius_a),
+                            ("density_rho", density_rho)):
             if not 0 < value < math.inf:
                 raise ValueError(
                     f"grain {name} must be finite and > 0, got {value}")
-        if not 0 <= self.efficiency_chi < math.inf:
+        if not 0 <= efficiency_chi < math.inf:
             raise ValueError("grain efficiency_chi must be finite and >= 0, "
-                             f"got {self.efficiency_chi}")
+                             f"got {efficiency_chi}")
+        self._freeze(radius_a, density_rho, efficiency_chi)
 
 
 def mass_reduction_from_grain(grain: GrainProperties) -> float:
@@ -127,8 +163,7 @@ def mass_reduction_from_grain(grain: GrainProperties) -> float:
     return q
 
 
-@dataclass(frozen=True)
-class SystemParams:
+class SystemParams(_Record):
     """Parameter set of one dust-particle system.
 
     Exactly one of ``cd`` and ``w1`` may be supplied; the other is derived.
@@ -154,46 +189,39 @@ class SystemParams:
         Radiation-adjusted unit distance q1**(1/3).
     """
 
-    mu: float
-    q1: float = 1.0
-    a2: float = 0.0
-    cd: float | None = None
-    w1: float | None = None
-    n: float = field(init=False)
-    delta: float = field(init=False)
+    _fields = ("mu", "q1", "a2", "cd", "w1", "n", "delta")
 
-    def __post_init__(self):
+    def __init__(self, mu: float, q1: float = 1.0, a2: float = 0.0,
+                 cd: float | None = None, w1: float | None = None):
         # cd = inf is the drag-free limit; nothing else may be inf or nan
-        for name in ("mu", "q1", "a2", "cd", "w1"):
-            value = getattr(self, name)
+        for name, value in (("mu", mu), ("q1", q1), ("a2", a2), ("cd", cd),
+                            ("w1", w1)):
             if value is not None and (math.isnan(value) or (
                     math.isinf(value) and name != "cd")):
                 raise ValueError(f"parameter {name} must not be {value}")
-        if not 0 < self.mu <= 0.5:
-            raise ValueError(f"mass parameter must be in (0, 1/2], got {self.mu}")
-        if not 0 < self.q1 <= 1:
+        if not 0 < mu <= 0.5:
+            raise ValueError(f"mass parameter must be in (0, 1/2], got {mu}")
+        if not 0 < q1 <= 1:
             raise ValueError(
-                f"mass reduction factor must be in (0, 1], got {self.q1}")
-        if self.cd is not None and self.w1 is not None:
+                f"mass reduction factor must be in (0, 1], got {q1}")
+        if cd is not None and w1 is not None:
             raise ValueError("specify cd or w1, not both")
-        if self.cd is not None:
-            object.__setattr__(
-                self, "w1", drag_coefficient(self.mu, self.q1, self.cd))
-        elif self.w1 is not None:
-            if self.w1 < 0:
-                raise ValueError(f"drag strength must be >= 0, got {self.w1}")
-            if self.q1 == 1.0 and self.w1 != 0.0:
+        if cd is not None:
+            w1 = drag_coefficient(mu, q1, cd)
+        elif w1 is not None:
+            if w1 < 0:
+                raise ValueError(f"drag strength must be >= 0, got {w1}")
+            if q1 == 1.0 and w1 != 0.0:
                 raise ValueError(
                     "q1 = 1 radiates no pressure and admits no drag; "
-                    f"w1 must be 0, got {self.w1}")
-            if self.w1 > 0.0:
-                object.__setattr__(
-                    self, "cd", (1.0 - self.mu) * (1.0 - self.q1) / self.w1)
+                    f"w1 must be 0, got {w1}")
+            if w1 > 0.0:
+                cd = (1.0 - mu) * (1.0 - q1) / w1
         else:
-            object.__setattr__(self, "w1", 0.0)
+            w1 = 0.0
         # mean_motion rejects a2 < 0
-        object.__setattr__(self, "n", mean_motion(self.a2))
-        object.__setattr__(self, "delta", self.q1 ** (1.0 / 3.0))
+        self._freeze(mu, q1, a2, cd, w1, mean_motion(a2),
+                     q1 ** (1.0 / 3.0))
 
     @classmethod
     def from_grain(cls, mu: float, grain: GrainProperties, a2: float = 0.0,
@@ -204,23 +232,23 @@ class SystemParams:
                    cd=cd, w1=w1)
 
 
-@dataclass(frozen=True)
-class PhaseState:
+class PhaseState(_Record):
     """Planar rotating-frame state (x, y, vx, vy) at time t."""
 
-    x: float
-    y: float
-    vx: float
-    vy: float
-    t: float = 0.0
+    _fields = ("x", "y", "vx", "vy", "t")
+
+    def __init__(self, x: float, y: float, vx: float, vy: float,
+                 t: float = 0.0):
+        self._freeze(x, y, vx, vy, t)
 
 
-@dataclass(frozen=True)
-class AccelVector:
+class AccelVector(_Record):
     """Planar acceleration components in the rotating frame."""
 
-    ax: float
-    ay: float
+    _fields = ("ax", "ay")
+
+    def __init__(self, ax: float, ay: float):
+        self._freeze(ax, ay)
 
 
 def _squared_radii(p: SystemParams, x, y):

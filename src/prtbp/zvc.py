@@ -25,11 +25,11 @@ at a primary, so the bracket keeps to the crossing on the far side of it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .errors import SingularityError
 from .model import (COLLISION_GUARD, SystemParams, _accelerations,
-                    _check_guard_arg, _checked_potential, _hessian_bound)
+                    _check_guard_arg, _checked_potential, _hessian_bound,
+                    _Record)
 
 Window = tuple[float, float, float, float]
 
@@ -64,8 +64,7 @@ _SEGMENTS = {
 }
 
 
-@dataclass(frozen=True)
-class ZeroVelocityCurve:
+class ZeroVelocityCurve(_Record):
     """Polyline decomposition of one zero-velocity level set.
 
     ``segments`` is a tuple of polylines, each a tuple of (x, y)
@@ -77,10 +76,13 @@ class ZeroVelocityCurve:
     equality.
     """
 
-    level_c: float
-    segments: tuple[tuple[tuple[float, float], ...], ...]
-    work: dict[str, int] = field(default_factory=dict, compare=False,
-                                 repr=False)
+    _fields = ("level_c", "segments")
+
+    def __init__(self, level_c: float,
+                 segments: tuple[tuple[tuple[float, float], ...], ...],
+                 work: dict[str, int] | None = None):
+        self._freeze(level_c, segments)
+        object.__setattr__(self, "work", {} if work is None else work)
 
 
 def _level(p: SystemParams, x: float, y: float, level_c: float,

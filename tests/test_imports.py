@@ -1,14 +1,19 @@
-"""No job loads SciPy, and only reading arrays loads NumPy.
+"""No job loads SciPy, only reading arrays loads NumPy, and each job
+loads only its own modules of the package.
 
 SciPy is a test-only reference. NumPy is loaded by reading a
 trajectory's samples as an array; importing the package and running the
 ``equilibria``, ``sweep``, ``integrate`` and ``zvc`` jobs use Python
-floats only. Each case runs in a fresh interpreter, since this test
-process has imported both itself, and reports which of them it loaded.
+floats only. ``import prtbp`` loads no module of the package, and each
+job loads the CLI's own modules and the one library module it runs;
+none loads ``dataclasses``. Each case runs in a fresh interpreter, since
+this test process has imported all of them itself, and reports what it
+loaded.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import subprocess
@@ -28,7 +33,10 @@ import json, sys
 print(json.dumps({{
     "scipy": sorted(m for m in sys.modules
                     if m == "scipy" or m.startswith("scipy.")),
-    "numpy": "numpy" in sys.modules}}))
+    "numpy": "numpy" in sys.modules,
+    "prtbp": sorted(m for m in sys.modules
+                    if m == "prtbp" or m.startswith("prtbp.")),
+    "dataclasses": "dataclasses" in sys.modules}}))
 """
 
 SYSTEM = ["--system.mu", "0.1", "--system.q1", "0.98", "--system.w1", "1e-4"]
@@ -64,35 +72,65 @@ TRAJECTORY = """import prtbp
 traj = prtbp.integrate(prtbp.SystemParams(mu=0.1, q1=0.98, w1=1e-4),
                        prtbp.PhaseState(0.4, 0.8, 0.0, 0.0), 0.5, 0.1)"""
 
-# (id, body, whether it loads NumPy)
+CLI = ("prtbp", "prtbp.cli", "prtbp.errors", "prtbp.model")
+LIBRARY = ("prtbp", "prtbp.errors", "prtbp.model")
+STEPPER = ("prtbp.dynamics", "prtbp.dop853")
+
+# (id, body, whether it loads NumPy, the modules of the package it loads)
 CASES = [
-    ("import-prtbp", "import prtbp", False),
-    ("import-cli", "import prtbp.cli", False),
+    ("import-prtbp", "import prtbp", False, ("prtbp",)),
+    ("import-cli", "import prtbp.cli", False, CLI),
     ("equilibria",
-     _main(["equilibria", *SYSTEM, "--output", "points.csv"]), False),
-    ("sweep", _main(SWEEP), False),
-    ("sweep-linear", _main(SWEEP + ["--job.spacing", "linear"]), False),
+     _main(["equilibria", *SYSTEM, "--output", "points.csv"]), False,
+     (*CLI, "prtbp.equilibria")),
+    ("sweep", _main(SWEEP), False, (*CLI, "prtbp.equilibria")),
+    ("sweep-linear", _main(SWEEP + ["--job.spacing", "linear"]), False,
+     (*CLI, "prtbp.equilibria")),
     ("zvc", _main(["zvc", *SYSTEM, "--job.level_c", "3.2", "--job.xmin",
                    "-1.5", "--job.xmax", "1.5", "--job.ymin", "-1.5",
                    "--job.ymax", "1.5", "--job.resolution", "32",
-                   "--output", "curve.csv"]), False),
-    ("integrate", _main(INTEGRATE), False),
-    ("integrate-json", _main(INTEGRATE + ["--format", "json"]), False),
-    ("trajectory-samples", TRAJECTORY + "\ntraj.samples", True),
-    ("trajectory-floats", TRAJECTORY + "\nprtbp.jacobi_audit(traj)", False),
+                   "--output", "curve.csv"]), False, (*CLI, "prtbp.zvc")),
+    ("integrate", _main(INTEGRATE), False, (*CLI, *STEPPER)),
+    ("integrate-json", _main(INTEGRATE + ["--format", "json"]), False,
+     (*CLI, *STEPPER)),
+    ("trajectory-samples", TRAJECTORY + "\ntraj.samples", True,
+     (*LIBRARY, *STEPPER)),
+    ("trajectory-floats", TRAJECTORY + "\nprtbp.jacobi_audit(traj)", False,
+     (*LIBRARY, *STEPPER)),
 ]
-IDS = [name for name, _, _ in CASES]
+IDS = [case[0] for case in CASES]
 
 
-@pytest.mark.parametrize("body", [body for _, body, _ in CASES], ids=IDS)
+@pytest.mark.parametrize("body", [case[1] for case in CASES], ids=IDS)
 def test_job_loads_no_scipy(body, tmp_path):
     assert _loaded(body, tmp_path)["scipy"] == []
 
 
-@pytest.mark.parametrize("body, numpy", [case[1:] for case in CASES],
+@pytest.mark.parametrize("body, numpy", [case[1:3] for case in CASES],
                          ids=IDS)
 def test_numpy_loads_only_for_arrays(body, numpy, tmp_path):
     assert _loaded(body, tmp_path)["numpy"] is numpy
+
+
+@pytest.mark.parametrize("body, modules",
+                         [(body, modules) for _, body, _, modules in CASES],
+                         ids=IDS)
+def test_each_job_loads_only_its_own_modules(body, modules, tmp_path):
+    loaded = _loaded(body, tmp_path)
+    assert loaded["prtbp"] == sorted(modules)
+    assert loaded["dataclasses"] is False
+
+
+def test_package_modules_resolve_after_a_bare_import(tmp_path):
+    body = ("import prtbp, types\n"
+            "for name in ('errors', 'model', 'equilibria', 'dynamics', "
+            "'zvc', 'dop853'):\n"
+            "    module = getattr(prtbp, name)\n"
+            "    assert isinstance(module, types.ModuleType), name\n"
+            "    assert module.__name__ == 'prtbp.' + name, name")
+    assert _loaded(body, tmp_path)["prtbp"] == [
+        "prtbp", "prtbp.dop853", "prtbp.dynamics", "prtbp.equilibria",
+        "prtbp.errors", "prtbp.model", "prtbp.zvc"]
 
 
 def test_readme_quick_start_runs_quietly_without_numpy(tmp_path):
@@ -103,3 +141,49 @@ def test_readme_quick_start_runs_quietly_without_numpy(tmp_path):
     done = _run('import sys\nsys.modules["numpy"] = None\n' + block,
                 tmp_path)
     assert done.stderr == ""
+
+
+# each public name of the package under the module that defines it
+HOMES = {
+    "errors": ("ConfigError", "ConvergenceError", "DegenerateFormulaError",
+               "SingularityError", "SingularJacobianError"),
+    "model": ("COLLISION_GUARD", "ESCAPE_RADIUS", "AccelVector",
+              "GrainProperties", "PhaseState", "SystemParams",
+              "amended_potential", "conservative_gradient",
+              "drag_acceleration", "drag_coefficient", "equations_of_motion",
+              "jacobi_constant", "jacobi_drift_rate",
+              "mass_reduction_from_grain", "mean_motion",
+              "oblateness_from_radii"),
+    "equilibria": ("BRANCHES", "EquilibriumPoint", "PerturbationTerms",
+                   "SweepRow", "analytic_epsilons",
+                   "analytic_triangular_point", "equilibrium_residual",
+                   "follow_branch", "limiting_case_point",
+                   "refine_equilibrium", "triangular_points"),
+    "dynamics": ("Trajectory", "integrate", "jacobi_audit"),
+    "zvc": ("ZeroVelocityCurve", "zero_velocity_curve"),
+}
+
+
+def test_public_names_are_the_objects_of_their_modules():
+    assert prtbp.__all__ == sorted(
+        name for names in HOMES.values() for name in names)
+    for module, names in HOMES.items():
+        home = importlib.import_module(f"prtbp.{module}")
+        for name in names:
+            assert getattr(prtbp, name) is getattr(home, name), name
+
+
+def test_dir_and_star_import_cover_every_public_name(tmp_path):
+    body = ("import prtbp\n"
+            "assert set(prtbp.__all__) <= set(dir(prtbp))\n"
+            "names = {}\n"
+            "exec('from prtbp import *', names)\n"
+            "assert set(names) - {'__builtins__'} == set(prtbp.__all__)")
+    _loaded(body, tmp_path)
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError,
+                       match="module 'prtbp' has no attribute 'no_such'"):
+        prtbp.no_such
+    assert not hasattr(prtbp, "dataclass")

@@ -12,6 +12,7 @@ which tracks a point over a parameter grid up to the fold of its branch.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Literal, NamedTuple
 
 from .errors import (ConvergenceError, DegenerateFormulaError,
@@ -257,8 +258,9 @@ def refine_equilibrium(p: SystemParams, guess: tuple[float, float],
         is not finite, or ``guard`` is not finite and >= 0; the message
         names the argument.
     ConvergenceError
-        Tolerance not reached within ``max_iter`` iterations; carries the
-        last iterate and its residual norm.
+        Tolerance not reached within ``max_iter`` iterations, or reached on
+        y = 0, off both triangular points; carries the last iterate and
+        its residual norm.
     SingularJacobianError
         The Jacobian is singular to working precision.
     """
@@ -289,28 +291,28 @@ def refine_equilibrium(p: SystemParams, guess: tuple[float, float],
         if snorm > _MAX_NEWTON_STEP:
             sx *= _MAX_NEWTON_STEP / snorm
             sy *= _MAX_NEWTON_STEP / snorm
+        iterations += 1
         lam = 1.0
-        accepted = False
         for _ in range(_MAX_HALVINGS + 1):
             xt = x + lam * sx
             yt = y + lam * sy
+            lam *= 0.5
             try:
                 rt = equilibrium_residual(p, xt, yt, guard)
             except SingularityError:
-                lam *= 0.5
                 continue
             rtnorm = math.hypot(*rt)
             if rtnorm < rnorm:
-                accepted = True
                 break
-            lam *= 0.5
-        iterations += 1
-        if not accepted:
+        else:
             raise ConvergenceError(
                 f"residual norm stalled at {rnorm:.3e} after {iterations} "
                 f"iterations near ({x}, {y})",
                 x=x, y=y, residual_norm=rnorm, iterations=iterations)
         x, y, res, rnorm = xt, yt, rt, rtnorm
+    if y == 0.0:
+        raise ConvergenceError(f"converged onto y = 0 at x = {x}", x=x, y=y,
+                               residual_norm=rnorm, iterations=iterations)
     label: Branch = "L4" if y > 0 else "L5"
     return EquilibriumPoint(x=x, y=y, label=label, method=METHOD_REFINED,
                             residual_norm=rnorm)
@@ -319,20 +321,25 @@ def refine_equilibrium(p: SystemParams, guess: tuple[float, float],
 def triangular_points(p: SystemParams, tol: float = 1e-12,
                       max_iter: int = 50) -> list[EquilibriumPoint]:
     """Both triangular points, L4 then L5, by every route ``p`` admits:
-    the base point, the analytic one unless degenerate, the point refined
-    from the latter (else the former) and each case of ``CASES`` whose
-    conditions ``p`` meets. Raises what ``refine_equilibrium`` raises."""
+    the base point, the analytic one unless degenerate, the refined point
+    and each case of ``CASES`` whose conditions ``p`` meets. The refined
+    point is the last row of ``follow_branch`` over w1 in {0, p.w1}, so a
+    branch that folds before p.w1 has none. Raises what
+    ``refine_equilibrium`` raises."""
     points = []
     for branch in BRANCHES:
-        guess = _point(p, *_base_coords(p, branch), branch, METHOD_BASE)
-        points.append(guess)
+        points.append(_point(p, *_base_coords(p, branch), branch,
+                             METHOD_BASE))
         try:
-            guess = analytic_triangular_point(p, branch)
-            points.append(guess)
+            points.append(analytic_triangular_point(p, branch))
         except DegenerateFormulaError:
             pass
-        points.append(refine_equilibrium(p, (guess.x, guess.y), tol=tol,
-                                         max_iter=max_iter))
+        refined = _solve_grid(p, "w1", sorted({0.0, p.w1}), branch, tol,
+                              max_iter)[0][-1][2]
+        if isinstance(refined, Exception):
+            raise refined
+        if isinstance(refined, EquilibriumPoint):
+            points.append(refined)
         for case in CASES:
             try:
                 points.append(limiting_case_point(p, case, branch))
@@ -355,10 +362,6 @@ class SweepRow(NamedTuple):
     status: str
 
 
-def _empty_row(value: float, status: str) -> SweepRow:
-    return SweepRow(value, None, None, None, None, None, status)
-
-
 def follow_branch(base: SystemParams, variable: str, grid,
                   branch: Branch = "L4", tol: float = 1e-12,
                   max_iter: int = 50
@@ -366,17 +369,15 @@ def follow_branch(base: SystemParams, variable: str, grid,
     """Follow the analytic and refined points over a parameter grid.
 
     ``variable``, one of w1, a2, q1 and mu, takes the values of ``grid``;
-    the other parameters and the drag spec come from ``base``. The refined
-    points seed the Newton solve of the next grid point, by the secant
-    through the last two (the last alone where the two share a value); the
-    first point, and the first after an ``invalid-params`` gap, starts from
-    the analytic guess, which is also the fallback when the continued seed
-    does not converge. From the first refined point the branch is followed
-    by pseudo-arclength steps to the end of the grid; where det J changes
-    sign along it the branch folds, and every row past the fold reads
-    ``no-equilibrium`` without a solve. When rows before the first refined
-    point failed, the branch is also followed back to the start of the
-    grid, and those past a fold there read ``no-equilibrium`` as well.
+    the other parameters and the drag spec come from ``base``. The first
+    grid point that refines from its own guess (the analytic point on its
+    branch's side of y = 0, else the base point) anchors the branch, which
+    is followed from there by pseudo-arclength steps toward both ends of
+    the grid. Where det J changes sign along it the branch folds, and
+    every row past the fold reads ``no-equilibrium`` without a solve. The
+    other rows refine from the cubic through the nearest two points of
+    the arc, continued up to the fold past its last point, or from their
+    own guess where the arc does not reach them.
 
     Returns the rows and the folds found: the one toward the start of the
     grid, then the one toward its end. Raises ``ValueError`` naming
@@ -388,7 +389,25 @@ def follow_branch(base: SystemParams, variable: str, grid,
     _branch_sign(branch)
     _check_newton_args(tol, max_iter)
     grid = list(grid)
-    # the base keeps its drag spec, cd or w1, unless w1 is the variable
+    solved, folds = _solve_grid(base, variable, grid, branch, tol, max_iter)
+    rows = []
+    for value, (_, xy, out) in zip(grid, solved):
+        xa, ya = (None, None) if isinstance(out, str) or xy is None else xy
+        if isinstance(out, EquilibriumPoint):
+            err = None if xy is None else math.hypot(xa - out.x, ya - out.y)
+            rows.append(SweepRow(value, xa, ya, out.x, out.y, err, "ok"
+                                 if xy else "degenerate-analytic"))
+        else:
+            rows.append(SweepRow(value, xa, ya, None, None, None, out
+                                 if isinstance(out, str) else "refine-failed"))
+    return rows, folds
+
+
+def _solve_grid(base: SystemParams, variable: str, grid: list,
+                branch: Branch, tol: float, max_iter: int):
+    # [params, analytic (x, y) or None, outcome: a status, the refined
+    # point or the error of its solve] of each grid value, and the folds in
+    # the grid; the base keeps its drag spec unless w1 is the variable
     drag = "cd" if base.cd is not None and variable != "w1" else "w1"
     fields = {"mu": base.mu, "q1": base.q1, "a2": base.a2,
               drag: getattr(base, drag)}
@@ -396,76 +415,66 @@ def follow_branch(base: SystemParams, variable: str, grid,
     def family(value: float) -> SystemParams:
         return SystemParams(**{**fields, variable: value})
 
-    rows: list[SweepRow] = []
-    # the last two refined (value, x, y) since the last invalid row, and
-    # the fold toward the end of the grid
-    last = before = fold = None
+    rows = []
     for value in grid:
         try:
             p = family(value)
-        except ValueError:
-            rows.append(_empty_row(value, "invalid-params"))
-            last = before = None
-            continue
-        # past the fold is on the side of it where the grid ends
-        if fold is not None and (value - fold) * (grid[-1] - fold) > 0:
-            rows.append(_empty_row(value, "no-equilibrium"))
-            continue
-        xa = ya = None
-        try:
-            xa, ya = guess = _analytic_coords(p, branch)
-            status = "ok"
+            rows.append([p, _analytic_coords(p, branch), None])
         except DegenerateFormulaError:
-            guess = _base_coords(p, branch)
-            status = "degenerate-analytic"
-        seeds = [guess]
-        if last is not None:
-            seed = last[1:]
-            if before is not None and last[0] != before[0]:
-                # the secant through the last two refined points
-                f = (value - last[0]) / (last[0] - before[0])
-                seed = (last[1] + f * (last[1] - before[1]),
-                        last[2] + f * (last[2] - before[2]))
-            seeds.insert(0, seed)
-        refined = _refine_first(p, seeds, tol, max_iter)
-        if refined is None:
-            rows.append(SweepRow(value, xa, ya, None, None, None,
-                                 "refine-failed"))
-            continue
-        if last is None and fold is None:
-            fold = _branch_fold(family, (refined.x, refined.y), value,
-                                grid[-1])
-        before, last = last, (value, refined.x, refined.y)
-        err = (math.hypot(xa - refined.x, ya - refined.y)
-               if status == "ok" else None)
-        rows.append(SweepRow(value, xa, ya, refined.x, refined.y, err,
-                             status))
-    # the fold toward the start of the grid, from the first refined point
-    first = next((i for i, row in enumerate(rows)
-                  if row.x_refined is not None), 0)
-    back = None
-    if any(row.status == "refine-failed" for row in rows[:first]):
-        u = rows[first]
-        back = _branch_fold(family, (u.x_refined, u.y_refined), u.value,
-                            grid[0])
-        if back is not None:
-            rows[:first] = [_empty_row(row.value, "no-equilibrium")
-                            if row.status == "refine-failed"
-                            and (row.value - back) * (grid[0] - back) > 0
-                            else row for row in rows[:first]]
-    return rows, tuple(at for at in (back, fold) if at is not None)
+            rows.append([p, None, None])
+        except ValueError:
+            rows.append([None, None, "invalid-params"])
 
-
-def _refine_first(p: SystemParams, seeds, tol: float,
-                  max_iter: int) -> EquilibriumPoint | None:
-    # the first seed whose Newton solve converges, or None; a seed inside
-    # the collision guard fails like one that does not converge
-    for seed in seeds:
+    def solve(row: list, seed=None) -> bool:
+        # from the row's own guess unless seeded
+        p, xy, _ = row
+        if seed is None:
+            seed = (xy if xy and _branch_sign(branch) * xy[1] > 0.0
+                    else _base_coords(p, branch))
         try:
-            return refine_equilibrium(p, seed, tol=tol, max_iter=max_iter)
-        except (ConvergenceError, SingularityError):
-            continue
-    return None
+            row[2] = refine_equilibrium(p, seed, tol=tol, max_iter=max_iter)
+        except (ConvergenceError, SingularityError) as exc:
+            row[2] = exc
+        return isinstance(row[2], EquilibriumPoint)
+
+    anchor = next((i for i, row in enumerate(rows)
+                   if row[0] is not None and solve(row)), None)
+    if anchor is None:
+        return rows, ()
+    start, point, folds = grid[anchor], rows[anchor][2], []
+    # the rows before the anchor have failed from their own guess already
+    for end, indices in ((grid[0], range(anchor)),
+                         (grid[-1], range(anchor + 1, len(grid)))):
+        points, fold = _walk(family, (point.x, point.y), start, end)
+        direction = math.copysign(1.0, end - start)
+        if fold is not None and (end - fold) * direction > 0.0:
+            folds.append(fold)
+        keys = [direction * u[2] for u, _ in points]
+        # past the last arc point the cubic is continued up to the fold
+        last = len(keys) if fold is None else len(keys) - 1
+        for i in indices:
+            if rows[i][0] is None:
+                continue
+            k = min(bisect_left(keys, direction * grid[i]), last)
+            if fold is not None and (grid[i] - fold) * direction > 0.0:
+                rows[i][2] = "no-equilibrium"
+            elif 0 < k < len(keys):
+                solve(rows[i], _hermite(points[k - 1], points[k], grid[i]))
+            elif i > anchor:
+                solve(rows[i])
+    return rows, tuple(folds)
+
+
+def _hermite(a, b, value: float) -> tuple[float, float]:
+    # the cubic in the parameter through the arc points a and b with the
+    # slopes of their tangents, at value
+    (ua, ta), (ub, tb) = a, b
+    h = ub[2] - ua[2]
+    s = (value - ua[2]) / h
+    wa, wb = (1.0 + 2.0 * s) * (1.0 - s) ** 2, s * s * (3.0 - 2.0 * s)
+    da, db = s * (1.0 - s) ** 2 * h / ta[2], s * s * (s - 1.0) * h / tb[2]
+    return (wa * ua[0] + wb * ub[0] + da * ta[0] + db * tb[0],
+            wa * ua[1] + wb * ub[1] + da * ta[1] + db * tb[1])
 
 
 def _cross(a, b):
@@ -538,9 +547,9 @@ def _unit(c, sign: float):
     return (sign * c[0] / norm, sign * c[1] / norm, sign * c[2] / norm)
 
 
-def _branch_fold(family, point: tuple[float, float], start: float,
-                 stop: float) -> float | None:
-    """Parameter value of the first fold of a branch between two values.
+def _walk(family, point: tuple[float, float], start: float, stop: float):
+    """Arc points of a branch from one parameter value toward another,
+    and its first fold.
 
     ``family`` maps a parameter value to its ``SystemParams`` (raising
     ``ValueError`` outside its domain) and ``point`` is near a solution of
@@ -549,26 +558,31 @@ def _branch_fold(family, point: tuple[float, float], start: float,
     tolerance ``point`` was refined to. The branch is followed by
     pseudo-arclength steps toward ``stop`` until det J changes sign; the
     fold is then located by a secant on det J along the arc (the Illinois
-    variant of regula falsi, which keeps the bracket). Returns None when
-    the branch reaches ``stop`` without a fold, when the fold lies beyond
-    ``stop``, or when the steps fail (a parameter outside the domain, a
-    point within the collision guard, no convergence).
+    variant of regula falsi, which keeps the bracket).
+
+    Returns the points ((x, y, lam), t) accepted before the fold, t the
+    unit tangent toward ``stop``, and the fold, which may lie beyond
+    ``stop``; None when the walk passes ``stop`` first, or when the steps
+    fail (a parameter outside the domain, a point within the collision
+    guard, no convergence).
     """
+    points = []
     if start == stop:
-        return None
+        return points, None
     arc = _Arc(family, start, stop, _ARC_TOL)
     first = arc.correct((point[0], point[1], start), (0.0, 0.0, 1.0), 0.0)
     if first is None or first[1][2] == 0.0:
-        return None
+        return points, None
     u, c, _ = first
     # orient the tangent toward stop, once
     direction = math.copysign(1.0, stop - start)
     sign = math.copysign(1.0, c[2]) * direction
     t = _unit(c, sign)
+    points.append((u, t))
     ds = _ARC_MAX_STEP
     for _ in range(_ARC_MAX_STEPS):
         if ds < _ARC_MIN_STEP:
-            return None
+            break
         step = arc.correct(u, t, ds)
         tv = None if step is None else _unit(step[1], sign)
         if tv is None or _dot(t, tv) < _ARC_MIN_COS:
@@ -576,14 +590,14 @@ def _branch_fold(family, point: tuple[float, float], start: float,
             continue
         v, cv, corrections = step
         if (cv[2] < 0.0) != (c[2] < 0.0):
-            fold = _secant_fold(arc, u, t, c[2], ds, cv[2], v[2])
-            return fold if (stop - fold) * direction > 0.0 else None
+            return points, _secant_fold(arc, u, t, c[2], ds, cv[2], v[2])
+        points.append((v, tv))
         if (v[2] - stop) * direction >= 0.0:
-            return None
+            break
         u, t, c = v, tv, cv
         if corrections <= 2:
             ds = min(2.0 * ds, _ARC_MAX_STEP)
-    return None
+    return points, None
 
 
 def _secant_fold(arc: _Arc, u, t, det_a: float, ds: float, det_b: float,

@@ -445,9 +445,10 @@ def test_integrate_with_drag_moves_jacobi(tmp_path):
 
 
 def test_nonconvergence_exits_4(capsys):
+    # no residual reaches 1e-300, so every Newton solve fails
     rc = main(["equilibria", "--system.mu", "0.1",
                "--system.q1", "0.98", "--system.w1", "5e-2",
-               "--job.max_iter", "1"])
+               "--job.max_iter", "1", "--job.tol", "1e-300"])
     assert rc == 4
     assert "solver error" in capsys.readouterr().err
 
@@ -455,7 +456,7 @@ def test_nonconvergence_exits_4(capsys):
 def test_point_off_its_side_of_y_is_refined_from_the_base(tmp_path,
                                                          capsys):
     """At this drag the first-order L5 point lands above y = 0: the job
-    skips it, refines L5 from its base point and exits 0 quietly."""
+    skips it, still refines L5 along its branch and exits 0 quietly."""
     out = str(tmp_path / "points.csv")
     assert main(["equilibria", "--system.mu", "0.01", "--system.q1", "0.9",
                  "--system.w1", "0.075", "--output", out]) == 0
@@ -467,6 +468,56 @@ def test_point_off_its_side_of_y_is_refined_from_the_base(tmp_path,
     assert refined["x"] == pytest.approx(0.896816175838735, abs=1e-12)
     assert refined["y"] == pytest.approx(-0.338101725484475, abs=1e-12)
     assert refined["residual_norm"] < 1e-12
+
+
+@pytest.mark.parametrize("w1", ["7.1e-3", "7.15e-3"])
+def test_point_job_just_below_the_fold_exits_0(w1, tmp_path, capsys):
+    """L4 exists up to its fold at w1 = 7.159e-3, ~0.5 away from its
+    first-order point; the job refines it and exits 0."""
+    out = str(tmp_path / "points.csv")
+    assert main(["equilibria", "--system.mu", "0.01", "--system.q1", "0.98",
+                 "--system.w1", w1, "--output", out]) == 0
+    assert capsys.readouterr().err == ""
+    _, rows = read_table(out)
+    l4 = [row for row in rows
+          if (row["branch"], row["method"]) == ("L4", "refined-numeric")]
+    assert len(l4) == 1 and l4[0]["y"] > 0.0
+    assert l4[0]["residual_norm"] < 1e-12
+
+
+def test_point_job_past_the_fold_writes_only_l5_refined(tmp_path):
+    """L4 folds at w1 = 6.86695e-3 here: the job writes no refined L4
+    row, and L5's refined row is the pinned point."""
+    out = str(tmp_path / "points.csv")
+    assert main(["equilibria", "--system.mu", "0.01", "--system.q1", "0.9",
+                 "--system.w1", "0.075", "--output", out]) == 0
+    _, rows = read_table(out)
+    refined = [row for row in rows if row["method"] == "refined-numeric"]
+    assert [row["branch"] for row in refined] == ["L5"]
+    assert refined[0]["x"] == pytest.approx(0.8968161758387347, abs=1e-12)
+    assert refined[0]["y"] == pytest.approx(-0.3381017254844751, abs=1e-12)
+
+
+@pytest.mark.parametrize("count", [3, 4, 5, 6, 8])
+def test_sweep_ending_just_below_the_fold_refines_its_last_row(count,
+                                                              tmp_path,
+                                                              capsys):
+    """The grid ends 1.9e-7 below the fold of L4 at w1 = 7.159e-3: the
+    cubic through the last two arc points, continued toward the fold,
+    seeds the last row."""
+    out = str(tmp_path / "edge.csv")
+    assert main(["sweep", "--system.mu", "0.01", "--system.q1", "0.98",
+                 "--system.w1", "0", "--job.variable", "w1",
+                 "--job.spacing", "linear", "--job.start", "1e-4",
+                 "--job.stop", "7.159e-3", "--job.count", str(count),
+                 "--output", out]) == 0
+    assert capsys.readouterr().out == f"sweep: {count} points, 0 flagged\n"
+    _, rows = read_table(out)
+    assert rows[-1]["value"] == 7.159e-3
+    for row in rows:
+        p = SystemParams(mu=0.01, q1=0.98, w1=row["value"])
+        assert math.hypot(*equilibrium_residual(
+            p, row["x_refined"], row["y_refined"])) < 1e-12
 
 
 def test_sweep_error_scales_quadratically(tmp_path, capsys):
@@ -614,7 +665,8 @@ def test_sweep_classifies_rows_before_the_first_refined_point(tmp_path,
 
 @pytest.mark.parametrize("spacing", ["linear", "geometric"])
 def test_sweep_with_repeated_grid_values(tmp_path, capsys, spacing):
-    # start == stop repeats one value; the secant seed needs two
+    # start == stop repeats one value: no arc is walked, and every row
+    # refines from its own guess
     out = str(tmp_path / "repeat.csv")
     assert main(["sweep", "--system.mu", "0.1", "--system.q1", "0.98",
                  "--system.w1", "0", "--job.variable", "w1",

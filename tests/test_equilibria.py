@@ -207,8 +207,11 @@ REFINED = "refined-numeric"
     # delta^2/2 = mu: no analytic point, and the drag-only form is
     # degenerate too, so the refinement starts from the base point
     (dict(mu=DEGENERATE_MU, q1=0.5), [BASE, REFINED, "limiting-oblate-only"]),
+    # an infinite light speed is drag-free
+    (dict(mu=0.01, q1=0.995, a2=1e-4, cd=math.inf),
+     [BASE, ANALYTIC, REFINED, "limiting-oblate-only"]),
 ], ids=["classical", "oblate-only", "drag-only", "drag-and-oblate",
-        "degenerate-x0"])
+        "degenerate-x0", "light-speed-inf"])
 def test_triangular_points_reports_every_admitted_route(params, methods):
     p = SystemParams(**params)
     points = triangular_points(p)
@@ -224,7 +227,10 @@ def test_triangular_points_reports_every_admitted_route(params, methods):
         seed = row.get(ANALYTIC, row[BASE])
         if ANALYTIC in row:
             assert seed == analytic_triangular_point(p, branch)
-        assert row[REFINED] == refine_equilibrium(p, (seed.x, seed.y))
+        if p.w1 == 0.0:
+            assert row[REFINED] == refine_equilibrium(p, (seed.x, seed.y))
+        else:
+            assert row[REFINED] == _walked(p, branch)
         assert row[REFINED].residual_norm < 1e-12
         for method, pt in row.items():
             if method.startswith("limiting-"):
@@ -232,10 +238,17 @@ def test_triangular_points_reports_every_admitted_route(params, methods):
                     p, method.removeprefix("limiting-"), branch)
 
 
+def _walked(p, branch, **options):
+    # the refined point of the last row of the sweep over w1 in {0, p.w1}
+    rows, _ = follow_branch(p, "w1", [0.0, p.w1], branch, **options)
+    return refine_equilibrium(p, (rows[-1].x_refined, rows[-1].y_refined),
+                              **options)
+
+
 def test_formula_point_off_its_side_of_y_is_degenerate():
     """At this drag the first-order L5 shift moves the point above y = 0:
-    the analytic and drag-only points raise, and L5 is refined from its
-    base point."""
+    the analytic and drag-only points raise, and L5 is still refined
+    along its branch from w1 = 0."""
     p = SystemParams(mu=0.01, q1=0.9, w1=0.075)
     with pytest.raises(DegenerateFormulaError, match="y = 0"):
         analytic_triangular_point(p, "L5")
@@ -243,17 +256,38 @@ def test_formula_point_off_its_side_of_y_is_degenerate():
         limiting_case_point(p, "drag-only", "L5")
     base, refined = triangular_points(p)[-2:]
     assert (base.label, base.method) == ("L5", BASE)
-    assert refined == refine_equilibrium(p, (base.x, base.y))
+    assert refined == _walked(p, "L5")
     assert refined.label == "L5"
     assert refined.residual_norm < 1e-12
+
+
+def test_point_report_stops_at_the_fold():
+    """The L4 branch folds at w1 = 6.86695e-3 here, so the report has no
+    refined L4 point; L5 keeps its rows and is refined at the point the
+    CLI test pins."""
+    points = triangular_points(SystemParams(mu=0.01, q1=0.9, w1=0.075))
+    refined = [pt for pt in points if pt.method == REFINED]
+    assert [pt.label for pt in refined] == ["L5"]
+    assert [pt.method for pt in points if pt.label == "L4"] == [
+        BASE, ANALYTIC, "limiting-drag-only"]
+    assert refined[0].x == pytest.approx(0.8968161758387347, abs=1e-12)
+    assert refined[0].y == pytest.approx(-0.3381017254844751, abs=1e-12)
+    rows, folds = follow_branch(SystemParams(mu=0.01, q1=0.9, w1=0.0), "w1",
+                                [0.0, 0.075])
+    assert rows[-1].status == "no-equilibrium"
+    assert folds == (pytest.approx(6.86695e-3, rel=1e-5),)
 
 
 def test_triangular_points_passes_on_the_newton_options():
     p = SystemParams(**FIXTURE)
     loose = triangular_points(p, tol=1e-6, max_iter=1)
-    analytic = analytic_triangular_point(p, "L4")
-    assert loose[2] == refine_equilibrium(p, (analytic.x, analytic.y),
-                                          tol=1e-6, max_iter=1)
+    assert loose[2] == _walked(p, "L4", tol=1e-6, max_iter=1)
+    assert loose[2] != triangular_points(p)[2]
+    free = SystemParams(mu=0.1, q1=0.9, a2=1e-3)
+    analytic = analytic_triangular_point(free, "L4")
+    assert triangular_points(free, tol=1e-6, max_iter=1)[2] == (
+        refine_equilibrium(free, (analytic.x, analytic.y), tol=1e-6,
+                           max_iter=1))
     with pytest.raises(ValueError, match="tol"):
         triangular_points(p, tol=0.0)
     with pytest.raises(ValueError, match="max_iter"):
@@ -370,16 +404,13 @@ def test_point_record_invariants():
                          method="refined-numeric", residual_norm=0.0)
 
 
-def test_sweep_seed_falls_back_to_the_next():
-    # a seed on the secondary, and one too far to converge in 8 Newton
-    # steps of at most 0.25, fail; the guess after them still converges
-    p = SystemParams(mu=0.1, q1=0.98, w1=1e-3)
-    guess = (0.4, SQRT3_2)
-    expected = refine_equilibrium(p, guess, tol=1e-12, max_iter=8)
-    for bad in ((0.9, 0.0), (5.0, 5.0)):
-        assert equilibria._refine_first(p, [bad], 1e-12, 8) is None
-        got = equilibria._refine_first(p, [bad, guess], 1e-12, 8)
-        assert (got.x, got.y) == (expected.x, expected.y)
+def test_refine_onto_y_zero_is_a_convergence_error():
+    """From y = 0 without drag, Newton stays on the axis and converges to
+    a collinear point, which no triangular-point label fits."""
+    with pytest.raises(ConvergenceError, match="y = 0") as info:
+        refine_equilibrium(SystemParams(mu=0.1, w1=0.0), (0.4, 0.0))
+    assert info.value.y == 0.0
+    assert info.value.residual_norm < 1e-12
 
 
 # (system, variable, start, stop, count) of geometric sweeps

@@ -34,8 +34,7 @@ import sys
 
 from .errors import ConfigError, ConvergenceError, SingularityError
 from .model import (COLLISION_GUARD, ESCAPE_RADIUS, GrainProperties,
-                    PhaseState, SystemParams, _drift_rate, _Record,
-                    mass_reduction_from_grain)
+                    PhaseState, SystemParams, _Record, mass_reduction_from_grain)
 
 _REQUIRED = object()
 
@@ -239,9 +238,11 @@ def build_config(job: str, config_path: str | None,
     out_path = flat.get("output.path")
     if job == "integrate" and out_path is None:
         raise ConfigError("output.path: required for the integrate job")
+    # 17 significant digits round-trip every double
     precision = flat.get("output.precision", 17)
-    if precision < 1:
-        raise ConfigError(f"output.precision: must be >= 1, got {precision}")
+    if not 1 <= precision <= 17:
+        raise ConfigError(
+            f"output.precision: must be in [1, 17], got {precision}")
     return JobConfig(job=job, system=system, args=args, out_path=out_path,
                      out_format=flat.get("output.format", "csv"),
                      precision=precision)
@@ -383,14 +384,12 @@ def run_integrate(cfg: JobConfig) -> int:
 
 
 def _sample_rows(traj):
-    # (t, x, y, vx, vy, C, dCdt) per sample, dCdt with the bits of
-    # jacobi_drift_rate; + 0.0 turns -0.0 into 0.0 for _write_table
-    p = traj.params
+    # the seven floats of each sample as one row; + 0.0 turns -0.0 into
+    # 0.0 for _write_table
     values = iter(traj.sample_values)
-    for t, x, y, vx, vy, c in zip(values, values, values, values, values,
-                                  values):
+    for t, x, y, vx, vy, c, rate in zip(*[values] * 7):
         yield (t + 0.0, x + 0.0, y + 0.0, vx + 0.0, vy + 0.0, c + 0.0,
-               _drift_rate(p, x, y, vx, vy) + 0.0)
+               rate + 0.0)
 
 
 def _write_meta(cfg: JobConfig, record: dict) -> None:

@@ -7,10 +7,11 @@ the collision guard of a primary, on escaping past the escape radius
 from the radiating primary, or on integrator step failure; the time of
 a collision or an escape is located on the dense output.
 
-A trajectory holds its samples as one flat float array, six values per
-sample (t, x, y, vx, vy, C), and the drag's change of C, integrated
-alongside the state; the audit compares the two. Propagation, C and the
-audit run on Python floats and import no NumPy, which is not a
+A trajectory holds its samples as one flat float array, seven values
+per sample (t, x, y, vx, vy, C, dC/dt), C and its drag rate from one
+derivation of the radii in ``model``, and the drag's change of C,
+integrated alongside the state; the audit compares the two. Propagation,
+C and the audit run on Python floats and import no NumPy, which is not a
 dependency; ``Trajectory.samples``, ``.drift`` and ``.arrays()`` import
 it to view the same floats as arrays.
 """
@@ -22,8 +23,8 @@ from array import array
 from typing import TYPE_CHECKING
 
 from .model import (COLLISION_GUARD, ESCAPE_RADIUS, PhaseState,
-                    SystemParams, _accelerations, _check_guard, _jacobi,
-                    _radii, _Record)
+                    SystemParams, _accelerations, _check_radii,
+                    _jacobi_and_rate, _radii, _Record)
 from .dop853 import solve_ivp
 
 if TYPE_CHECKING:
@@ -37,10 +38,11 @@ class Trajectory(_Record):
     """Sampled trajectory with per-sample Jacobi values.
 
     ``sample_values`` holds one sample after the other on a uniform time
-    grid (a shorter final interval may close the span), six floats each:
-    t, x, y, vx, vy, C. ``drift_values`` holds W(t) = integral of
-    -2 (vx Fx + vy Fy) dt from the first sample at each sample, the drag's
-    change of C (zero without drag). ``termination`` is one of
+    grid (a shorter final interval may close the span), seven floats
+    each, the columns of the ``integrate`` table: t, x, y, vx, vy, C and
+    dC/dt = -2 (vx Fx + vy Fy). ``drift_values`` holds W(t), the integral
+    of dC/dt from the first sample at each sample, the drag's change of C
+    (zero without drag). ``termination`` is one of
     ``completed``, ``collision``, ``escape`` or ``step-failure``;
     ``rhs_calls``, ``steps`` and ``rejected_steps`` count the stepper's
     right-hand-side calls and its accepted and rejected steps;
@@ -65,9 +67,9 @@ class Trajectory(_Record):
 
     @property
     def samples(self) -> np.ndarray:
-        """Read-only (N, 6) float view of ``sample_values``, one row per
-        sample; imports NumPy."""
-        return _read_only(self.sample_values).reshape(-1, 6)
+        """Read-only (N, 6) float view of ``sample_values``, one row of
+        (t, x, y, vx, vy, C) per sample; imports NumPy."""
+        return _read_only(self.sample_values).reshape(-1, 7)[:, :6]
 
     @property
     def drift(self) -> np.ndarray:
@@ -142,7 +144,7 @@ def integrate(p: SystemParams, s0: PhaseState, t_end: float,
         raise ValueError(f"sample_dt must leave at most {MAX_SAMPLES} "
                          f"intervals in the span {span}, got {sample_dt}")
     # rejects an initial state already inside the guard
-    _check_guard(p, s0.x, s0.y, collision_guard)
+    _check_radii(s0.x, s0.y, *_radii(p, s0.x, s0.y), collision_guard)
 
     def rhs(t, v):
         x, y, vx, vy = v
@@ -189,8 +191,8 @@ def integrate(p: SystemParams, s0: PhaseState, t_end: float,
     # the guard check of C also rejects samples inside it
     rows = iter(values)
     for t, x, y, vx, vy, w in zip(times, rows, rows, rows, rows, rows):
-        samples.extend((t, x, y, vx, vy,
-                        _jacobi(p, x, y, vx, vy, collision_guard)))
+        c, rate = _jacobi_and_rate(p, x, y, vx, vy, collision_guard)
+        samples.extend((t, x, y, vx, vy, c, rate))
         drift.append(w)
     return Trajectory(params=p, sample_values=samples, drift_values=drift,
                       termination=termination, rhs_calls=sol.nfev,
@@ -206,7 +208,7 @@ def jacobi_audit(traj: Trajectory) -> float:
     without drag (W = 0), so this is the integration error, whatever the
     sample spacing.
     """
-    c = traj.sample_values[5::6]
+    c = traj.sample_values[5::7]
     c0 = c[0]
     worst = 0.0
     for ci, wi in zip(c, traj.drift_values):

@@ -277,19 +277,17 @@ def _check_radii(x, y, r1, r2, guard: float) -> None:
                                f"primary (r1={r1}, r2={r2})")
 
 
-def _check_guard(p: SystemParams, x, y, guard: float) -> None:
-    _check_radii(x, y, *_radii(p, x, y), guard)
-
-
 def _checked_potential(p: SystemParams, x, y, guard: float):
     # amended potential U1 after the guard check, from one derivation of
-    # the radii
-    r1, r2 = _radii(p, x, y)
+    # the radii, with that derivation's x + mu and r1^2 for the drag
+    xm, r1sq, r2sq = _squared_radii(p, x, y)
+    r1 = math.sqrt(r1sq)
+    r2 = math.sqrt(r2sq)
     _check_radii(x, y, r1, r2, guard)
     return (0.5 * p.n * p.n * (x * x + y * y)
             + (1.0 - p.mu) * p.q1 / r1
             + p.mu / r2
-            + p.mu * p.a2 / (2.0 * (r2 * r2 * r2)))
+            + p.mu * p.a2 / (2.0 * (r2 * r2 * r2))), xm, r1sq
 
 
 def _drag(p: SystemParams, xm, y, vx, vy, r1sq):
@@ -383,7 +381,7 @@ def amended_potential(p: SystemParams, x: float, y: float,
         If the point lies within ``guard`` of either primary.
     """
     _check_guard_arg(guard)
-    return _checked_potential(p, x, y, guard)
+    return _checked_potential(p, x, y, guard)[0]
 
 
 def conservative_gradient(p: SystemParams, x: float, y: float,
@@ -403,9 +401,8 @@ def drag_acceleration(p: SystemParams, s: PhaseState,
     azimuthal pair (+w1 n y / r1^2, -w1 n (x+mu) / r1^2).
     """
     _check_guard_arg(guard)
-    _check_guard(p, s.x, s.y, guard)
-    xm, r1sq, _ = _squared_radii(p, s.x, s.y)
-    return AccelVector(*_drag(p, xm, s.y, s.vx, s.vy, r1sq))
+    _, _, fx, fy = _accelerations(p, s.x, s.y, s.vx, s.vy, guard)
+    return AccelVector(fx, fy)
 
 
 def equations_of_motion(p: SystemParams, s: PhaseState,
@@ -434,13 +431,7 @@ def jacobi_constant(p: SystemParams, s: PhaseState,
     by :func:`jacobi_drift_rate`.
     """
     _check_guard_arg(guard)
-    return _jacobi(p, s.x, s.y, s.vx, s.vy, guard)
-
-
-def _jacobi(p: SystemParams, x, y, vx, vy, guard: float):
-    # C after the guard check; the body of jacobi_constant without the
-    # PhaseState, for per-sample loops
-    return 2.0 * _checked_potential(p, x, y, guard) - vx * vx - vy * vy
+    return _jacobi_and_rate(p, s.x, s.y, s.vx, s.vy, guard)[0]
 
 
 def jacobi_drift_rate(p: SystemParams, s: PhaseState,
@@ -451,13 +442,13 @@ def jacobi_drift_rate(p: SystemParams, s: PhaseState,
     Identically zero when w1 = 0 or at rest.
     """
     _check_guard_arg(guard)
-    _check_guard(p, s.x, s.y, guard)
-    return _drift_rate(p, s.x, s.y, s.vx, s.vy)
+    return _jacobi_and_rate(p, s.x, s.y, s.vx, s.vy, guard)[1]
 
 
-def _drift_rate(p: SystemParams, x, y, vx, vy):
-    # dC/dt without the guard check; the body of jacobi_drift_rate for
-    # per-sample loops over checked states
-    xm, r1sq, _ = _squared_radii(p, x, y)
+def _jacobi_and_rate(p: SystemParams, x, y, vx, vy, guard: float):
+    # C and dC/dt after the guard check, from one derivation of the radii;
+    # the body of jacobi_constant and jacobi_drift_rate, and the last two
+    # columns of every integrate sample
+    u, xm, r1sq = _checked_potential(p, x, y, guard)
     fx, fy = _drag(p, xm, y, vx, vy, r1sq)
-    return -2.0 * (vx * fx + vy * fy)
+    return 2.0 * u - vx * vx - vy * vy, -2.0 * (vx * fx + vy * fy)

@@ -90,7 +90,7 @@ def _level(p: SystemParams, x: float, y: float, level_c: float,
     # f = 2*U1 - C at one point, NaN within the guard of a primary (a zero
     # guard lets a node sit on a primary, where U1 divides by zero)
     try:
-        return 2.0 * _checked_potential(p, x, y, guard) - level_c
+        return 2.0 * _checked_potential(p, x, y, guard)[0] - level_c
     except (SingularityError, ZeroDivisionError):
         return math.nan
 
@@ -121,7 +121,7 @@ def _one_signed(p: SystemParams, level_c: float, guard: float, xlo: float,
     r2 = math.hypot(max(abs(xm - 1.0) - hx, 0.0), dy)
     if not (r1 > 2.0 * guard and r2 > 2.0 * guard):
         return False
-    u = _checked_potential(p, cx, cy, guard)
+    u = _checked_potential(p, cx, cy, guard)[0]
     gx, gy, _, _ = _accelerations(p, cx, cy, 0.0, 0.0)
     m = 2.0 * _hessian_bound(p, r1, r2)
     slack = 2.0 * (abs(gx) * hx + abs(gy) * hy) + 0.5 * m * (hx * hx

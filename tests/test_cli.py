@@ -44,6 +44,23 @@ INTEGRATE_DRAG = ["integrate", "--system.mu", "0.01", "--system.q1", "0.9",
                   "--system.w1", "1e-3", "--job.x", "0.45", "--job.y", "0.8",
                   "--job.vx", "0", "--job.vy", "1.3", "--job.t_end", "0.4",
                   "--job.sample_dt", "0.01"]
+# the library call of each integrate argv: params, s0, t_end, sample_dt
+ORBITS = {
+    "drag-free": (INTEGRATE, SystemParams(mu=0.01, w1=0.0),
+                  PhaseState(0.49, 0.86, 0.0, 0.0), 1.0, 0.1),
+    "drag": (INTEGRATE_DRAG, SystemParams(mu=0.01, q1=0.9, w1=1e-3),
+             PhaseState(0.45, 0.8, 0.0, 1.3), 0.4, 0.01),
+}
+EQUILIBRIA = ["equilibria", "--system.mu", "0.1", "--system.w1", "0"]
+ZVC = ["zvc", "--system.mu", "0.1", "--system.w1", "0",
+       "--job.level_c", "3", "--job.xmin=-1.5", "--job.xmax", "1.5",
+       "--job.ymin=-1.5", "--job.ymax", "1.5", "--job.resolution", "32"]
+SWEEP = ["sweep", "--system.mu", "0.1", "--system.q1", "0.98",
+         "--system.w1", "0", "--job.variable", "w1", "--job.start", "1e-4",
+         "--job.stop", "1e-2", "--job.count", "3"]
+GRAIN = ["equilibria", "--system.mu", "0.01", "--system.w1", "0",
+         "--system.grain.radius_a", "1", "--system.grain.density_rho", "1",
+         "--system.grain.efficiency_chi", "1"]
 
 
 def _config(tmp_path, doc, name="job.json"):
@@ -333,19 +350,24 @@ def test_integrate_one_interval_writes_a_numeric_audit(tmp_path):
     assert 0.0 <= meta["jacobi_audit"] < 1e-12
 
 
-@pytest.mark.parametrize("precision", [17, 5])
-def test_integrate_csv_matches_the_row_renderer(precision, tmp_path):
-    # without drag most dCdt values are -0.0, which must print as 0
+@pytest.mark.parametrize("orbit, precision", [
+    ("drag-free", 17), ("drag-free", 5), ("drag", 17), ("drag", 5),
+], ids=["17", "5", "drag-17", "drag-5"])
+def test_integrate_csv_matches_the_row_renderer(orbit, precision, tmp_path):
+    # without drag most dCdt values are -0.0, which must print as 0; with
+    # drag every one is nonzero and keeps the bits of jacobi_drift_rate
+    argv, p, s0, t_end, sample_dt = ORBITS[orbit]
     out = str(tmp_path / "orbit.csv")
-    assert main([*INTEGRATE, "--output", out,
+    assert main([*argv, "--output", out,
                  "--output.precision", str(precision)]) == 0
-    p = SystemParams(mu=0.01, w1=0.0)
-    traj = dynamics.integrate(p, PhaseState(0.49, 0.86, 0.0, 0.0),
-                              t_end=1.0, sample_dt=0.1)
+    traj = dynamics.integrate(p, s0, t_end=t_end, sample_dt=sample_dt)
     samples = traj.samples.tolist()
     dcdt = [jacobi_drift_rate(p, PhaseState(*row[1:5])) for row in samples]
     rows = [[*row, rate] for row, rate in zip(samples, dcdt)]
-    assert any(math.copysign(1.0, v) < 0 for v in dcdt)
+    if orbit == "drag-free":
+        assert any(math.copysign(1.0, v) < 0 for v in dcdt)
+    else:
+        assert all(dcdt)
     expected = _render_csv(("t", "x", "y", "vx", "vy", "C", "dCdt"), rows,
                            precision)
     assert Path(out).read_text(encoding="utf-8") == expected
@@ -773,17 +795,27 @@ def test_sweep_writes_a_negative_zero_grid_end_as_0(fmt, tmp_path):
     assert last == "0"
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_zvc_writes_a_deterministic_sidecar(fmt, tmp_path):
-    argv = ZVC + ["--format", fmt]
+@pytest.mark.parametrize("argv, fmt", [
+    (ZVC, "csv"), (ZVC, "json"), (INTEGRATE, "csv"), (INTEGRATE, "json"),
+    (SWEEP, "csv"),
+], ids=["csv", "json", "integrate-csv", "integrate-json", "sweep-csv"])
+def test_zvc_writes_a_deterministic_sidecar(argv, fmt, tmp_path, capsys):
+    # a rerun writes the same bytes: table, run record (the sweep writes
+    # none) and stdout
+    files = [f"out.{fmt}"] + ([] if argv is SWEEP else ["out.meta.json"])
+    printed = []
     for name in ("a", "b"):
         (tmp_path / name).mkdir()
-        assert main(argv + ["--output",
-                            str(tmp_path / name / f"curve.{fmt}")]) == 0
-    for file in (f"curve.{fmt}", "curve.meta.json"):
+        assert main([*argv, "--format", fmt, "--output",
+                     str(tmp_path / name / files[0])]) == 0
+        printed.append(capsys.readouterr())
+    assert printed[0] == printed[1]
+    for file in files:
         assert (tmp_path / "a" / file).read_bytes() \
             == (tmp_path / "b" / file).read_bytes()
-    work = json.loads((tmp_path / "a" / "curve.meta.json").read_text())
+    if argv is not ZVC:
+        return
+    work = json.loads((tmp_path / "a" / "out.meta.json").read_text())
     assert list(work) == ["grid_nodes", "nodes_evaluated",
                           "blocks_certified", "active_cells", "vertices",
                           "polish_probes", "polish_bisections"]
@@ -801,17 +833,6 @@ def test_zvc_resolution_floor_exits_2(capsys):
     assert rc == 2
     assert "resolution" in capsys.readouterr().err
 
-
-EQUILIBRIA = ["equilibria", "--system.mu", "0.1", "--system.w1", "0"]
-ZVC = ["zvc", "--system.mu", "0.1", "--system.w1", "0",
-       "--job.level_c", "3", "--job.xmin=-1.5", "--job.xmax", "1.5",
-       "--job.ymin=-1.5", "--job.ymax", "1.5", "--job.resolution", "32"]
-SWEEP = ["sweep", "--system.mu", "0.1", "--system.q1", "0.98",
-         "--system.w1", "0", "--job.variable", "w1", "--job.start", "1e-4",
-         "--job.stop", "1e-2", "--job.count", "3"]
-GRAIN = ["equilibria", "--system.mu", "0.01", "--system.w1", "0",
-         "--system.grain.radius_a", "1", "--system.grain.density_rho", "1",
-         "--system.grain.efficiency_chi", "1"]
 
 PROBES = [
     (EQUILIBRIA + ["--job.tol", "-1"], "tol"),
@@ -836,6 +857,10 @@ PROBES = [
     # a NaN grain property fails the grain's own check, not q1's
     (GRAIN + ["--system.grain.radius_a", "nan"], "radius_a"),
     (GRAIN + ["--system.grain.efficiency_chi", "nan"], "efficiency_chi"),
+    # 17 digits round-trip every double; more is rejected before any byte
+    # is written
+    (EQUILIBRIA + ["--output.precision", "3000000000"], "output.precision"),
+    (INTEGRATE + ["--output.precision", "18"], "output.precision"),
 ]
 
 
@@ -854,6 +879,7 @@ def test_invalid_argument_exits_2(argv, field, tmp_path):
     assert done.returncode == 2, done.stderr
     assert field in done.stderr
     assert "Traceback" not in done.stderr
+    assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize("argv, name", [

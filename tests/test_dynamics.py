@@ -206,9 +206,10 @@ def test_samples_view_the_flat_floats():
     with pytest.raises(ValueError):
         samples[0, 0] = 1.0
     flat = traj.sample_values
-    assert len(flat) == 6 * len(samples)
+    assert len(flat) == 7 * len(samples)
     for i, row in enumerate(samples.tolist()):
-        assert row == list(flat[6 * i:6 * i + 6])
+        assert row == list(flat[7 * i:7 * i + 6])
+        assert flat[7 * i + 6] == jacobi_drift_rate(p, PhaseState(*row[1:5]))
     assert traj.drift.tolist() == list(traj.drift_values)
     assert not traj.drift.flags.writeable
 
@@ -219,7 +220,7 @@ def test_audit_is_nan_when_a_term_is():
     assert math.isfinite(jacobi_audit(traj))
     for row in (0, 2, 5):
         values = array("d", traj.sample_values)
-        values[6 * row + 5] = math.nan
+        values[7 * row + 5] = math.nan
         broken = Trajectory(traj.params, values, traj.drift_values,
                             traj.termination, traj.rhs_calls, traj.steps,
                             traj.rejected_steps)

@@ -290,6 +290,36 @@ def _checked_potential(p: SystemParams, x, y, guard: float):
             + p.mu * p.a2 / (2.0 * (r2 * r2 * r2))), xm, r1sq
 
 
+def _level_kernel(p: SystemParams, level_c: float, guard: float):
+    # f(x, y) = 2*U1 - level_c, one curve's values at single points: the
+    # system's constants are bound once, and each value has the bits of
+    # _checked_potential's, by the same operations in the same order. A
+    # point within the guard is NaN, and so is one on a primary when the
+    # guard is 0, where U1 divides by zero
+    mu = p.mu
+    rotation = 0.5 * p.n * p.n
+    radiating = (1.0 - mu) * p.q1
+    oblate = mu * p.a2
+    sqrt = math.sqrt
+    nan = math.nan
+
+    def level(x: float, y: float) -> float:
+        xm = x + mu
+        yy = y * y
+        r1 = sqrt(xm * xm + yy)
+        r2 = sqrt((xm - 1.0) * (xm - 1.0) + yy)
+        if r1 < guard or r2 < guard:
+            return nan
+        try:
+            return 2.0 * (rotation * (x * x + yy) + radiating / r1
+                          + mu / r2 + oblate / (2.0 * (r2 * r2 * r2))
+                          ) - level_c
+        except ZeroDivisionError:
+            return nan
+
+    return level
+
+
 def _drag(p: SystemParams, xm, y, vx, vy, r1sq):
     # Poynting-Robertson drag from the offset (xm, y) to the radiating
     # primary and its squared length r1sq
@@ -354,15 +384,41 @@ def _rest_jacobian(p: SystemParams, x: float, y: float
             uxy - wn + b * xm * xm, uyy + b * xm * y)
 
 
-def _hessian_bound(p: SystemParams, r1: float, r2: float) -> float:
-    # upper bound on the spectral norm of the Hessian of U1 at every point
-    # at least r1 from the radiating primary and r2 from the oblate one:
-    # n^2 from the rotation, 2c/r^3 from each c/r and 12c/r^5 from the
-    # c/r^3 of the oblateness (c = mu A2 / 2), each decreasing in r
-    return (p.n * p.n
-            + 2.0 * (1.0 - p.mu) * p.q1 / (r1 * r1 * r1)
-            + 2.0 * p.mu / (r2 * r2 * r2)
-            + 6.0 * p.mu * p.a2 / (r2 * r2 * r2 * r2 * r2))
+def _taylor_kernel(p: SystemParams):
+    # (dU1/dx, dU1/dy, M) for one system: the gradient at a point, with
+    # the bits of _accelerations' conservative part, and an upper bound M
+    # on the spectral norm of the Hessian of U1 at every point at least d1
+    # from the radiating primary and d2 from the oblate one: n^2 from the
+    # rotation, 2c/r^3 from each c/r and 12c/r^5 from the c/r^3 of the
+    # oblateness (c = mu A2 / 2), each decreasing in r. No guard: the
+    # caller keeps the point away from both primaries
+    mu = p.mu
+    n2 = p.n * p.n
+    radiating = (1.0 - mu) * p.q1
+    oblate = 1.5 * mu * p.a2
+    bound1 = 2.0 * (1.0 - mu) * p.q1
+    bound2 = 2.0 * mu
+    bound3 = 6.0 * mu * p.a2
+    sqrt = math.sqrt
+
+    def taylor(x: float, y: float, d1: float, d2: float
+               ) -> tuple[float, float, float]:
+        xm = x + mu
+        xp = xm - 1.0
+        yy = y * y
+        r1sq = xm * xm + yy
+        r2sq = xp * xp + yy
+        r13 = r1sq * sqrt(r1sq)
+        r23 = r2sq * sqrt(r2sq)
+        r25 = r23 * r2sq
+        return (n2 * x - radiating * xm / r13 - mu * xp / r23
+                - oblate * xp / r25,
+                n2 * y - radiating * y / r13 - mu * y / r23
+                - oblate * y / r25,
+                n2 + bound1 / (d1 * d1 * d1) + bound2 / (d2 * d2 * d2)
+                + bound3 / (d2 * d2 * d2 * d2 * d2))
+
+    return taylor
 
 
 def amended_potential(p: SystemParams, x: float, y: float,

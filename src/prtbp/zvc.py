@@ -6,9 +6,10 @@ the whole grid down to leaves of at most 4x4 cells. A block is skipped
 when a Taylor bound around its centre proves f = 2*U1 - C of one sign on
 all of it, beyond the rounding of f, at least twice the collision guard
 from both primaries: none of its cells can hold the curve. Only the
-nodes of the other leaves are evaluated, each through the model's float
-path, so most of a fine grid is never visited (see the Numerical remarks
-of ``docs/model-notes.md``).
+nodes of the other leaves are evaluated, so most of a fine grid is never
+visited (see the Numerical remarks of ``docs/model-notes.md``). Every
+value of f comes from one kernel per curve, ``model._level_kernel``,
+with the bits of the public ``amended_potential``.
 
 Cells are classified by the corner signs of f. Cells that contain a
 primary, or touch one within the collision guard, are masked, and
@@ -26,10 +27,8 @@ from __future__ import annotations
 
 import math
 
-from .errors import SingularityError
-from .model import (COLLISION_GUARD, SystemParams, _accelerations,
-                    _check_guard_arg, _checked_potential, _hessian_bound,
-                    _Record)
+from .model import (COLLISION_GUARD, SystemParams, _check_guard_arg,
+                    _level_kernel, _Record, _taylor_kernel)
 
 Window = tuple[float, float, float, float]
 
@@ -85,57 +84,59 @@ class ZeroVelocityCurve(_Record):
         object.__setattr__(self, "work", {} if work is None else work)
 
 
-def _level(p: SystemParams, x: float, y: float, level_c: float,
-           guard: float) -> float:
-    # f = 2*U1 - C at one point, NaN within the guard of a primary (a zero
-    # guard lets a node sit on a primary, where U1 divides by zero)
-    try:
-        return 2.0 * _checked_potential(p, x, y, guard)[0] - level_c
-    except (SingularityError, ZeroDivisionError):
-        return math.nan
+def _certifier(p: SystemParams, level_c: float, guard: float):
+    """The test whether f is provably of one sign on a block of one curve.
 
-
-def _one_signed(p: SystemParams, level_c: float, guard: float, xlo: float,
-                xhi: float, ylo: float, yhi: float) -> bool:
-    """Whether f is provably of one sign on the block [xlo, xhi] x [ylo, yhi].
-
-    Around the block's centre c with half-widths (hx, hy), Taylor's
-    theorem bounds |f - f(c)| by the slack |fx| hx + |fy| hy
-    + M (hx^2 + hy^2) / 2, where M bounds the norm of f's Hessian at the
-    block's nearest distances to the primaries. The block passes when
-    |f(c)| exceeds the slack by more than 1e-12 of 2*U1(c) + |C| + slack,
-    which covers the rounding of f at every node, and when both nearest
-    distances exceed twice the guard, so no node lies within it.
+    The returned ``one_signed(xlo, xhi, ylo, yhi)`` decides it for the
+    block [xlo, xhi] x [ylo, yhi]. Around the block's centre c with
+    half-widths (hx, hy), Taylor's theorem bounds |f - f(c)| by the slack
+    |fx| hx + |fy| hy + M (hx^2 + hy^2) / 2, where M bounds the norm of
+    f's Hessian at the block's nearest distances to the primaries. The
+    block passes when |f(c)| exceeds the slack by more than 1e-12 of
+    2*U1(c) + |C| + slack, which covers the rounding of f at every node,
+    and when both nearest distances exceed twice the guard, so no node
+    lies within it.
     """
-    cx = 0.5 * (xlo + xhi)
-    cy = 0.5 * (ylo + yhi)
-    hx = max(cx - xlo, xhi - cx)
-    hy = max(cy - ylo, yhi - cy)
-    pad = _PAD * (abs(cx) + hx + abs(cy) + hy + 1.0)
-    hx += pad
-    hy += pad
-    # nearest distances to the primaries at (-mu, 0) and (1 - mu, 0)
-    xm = cx + p.mu
-    dy = max(abs(cy) - hy, 0.0)
-    r1 = math.hypot(max(abs(xm) - hx, 0.0), dy)
-    r2 = math.hypot(max(abs(xm - 1.0) - hx, 0.0), dy)
-    if not (r1 > 2.0 * guard and r2 > 2.0 * guard):
-        return False
-    u = _checked_potential(p, cx, cy, guard)[0]
-    gx, gy, _, _ = _accelerations(p, cx, cy, 0.0, 0.0)
-    m = 2.0 * _hessian_bound(p, r1, r2)
-    slack = 2.0 * (abs(gx) * hx + abs(gy) * hy) + 0.5 * m * (hx * hx
-                                                             + hy * hy)
-    return (abs(2.0 * u - level_c) - slack
-            > _ROUNDING * (2.0 * u + abs(level_c) + slack))
+    # 2*U1 with the bits of 2.0 * _checked_potential's U1: a centre is
+    # never within the guard of a block that gets that far
+    two_u = _level_kernel(p, 0.0, guard)
+    taylor = _taylor_kernel(p)
+    mu = p.mu
+    hypot = math.hypot
+
+    def one_signed(xlo: float, xhi: float, ylo: float, yhi: float) -> bool:
+        cx = 0.5 * (xlo + xhi)
+        cy = 0.5 * (ylo + yhi)
+        hx = max(cx - xlo, xhi - cx)
+        hy = max(cy - ylo, yhi - cy)
+        pad = _PAD * (abs(cx) + hx + abs(cy) + hy + 1.0)
+        hx += pad
+        hy += pad
+        # nearest distances to the primaries at (-mu, 0) and (1 - mu, 0)
+        xm = cx + mu
+        dy = max(abs(cy) - hy, 0.0)
+        r1 = hypot(max(abs(xm) - hx, 0.0), dy)
+        r2 = hypot(max(abs(xm - 1.0) - hx, 0.0), dy)
+        if not (r1 > 2.0 * guard and r2 > 2.0 * guard):
+            return False
+        u2 = two_u(cx, cy)
+        gx, gy, m = taylor(cx, cy, r1, r2)
+        m *= 2.0
+        slack = 2.0 * (abs(gx) * hx + abs(gy) * hy) + 0.5 * m * (hx * hx
+                                                                 + hy * hy)
+        return (abs(u2 - level_c) - slack
+                > _ROUNDING * (u2 + abs(level_c) + slack))
+
+    return one_signed
 
 
-def _active_cells(p: SystemParams, level_c: float, guard: float, xs, ys,
+def _active_cells(p: SystemParams, level, one_signed, xs, ys,
                   work: dict) -> tuple[list, dict]:
     """Cells (j, i, case) the curve crosses, row-major, and node values.
 
-    The values are f at the nodes evaluated, keyed by j * n + i; every
-    node of an active cell is among them.
+    ``level`` is the curve's kernel f and ``one_signed`` its block
+    certificate. The values are f at the nodes evaluated, keyed by
+    j * n + i; every node of an active cell is among them.
     """
     n = len(xs)
     primaries = (-p.mu, 1.0 - p.mu)
@@ -145,7 +146,7 @@ def _active_cells(p: SystemParams, level_c: float, guard: float, xs, ys,
     blocks = [(0, n - 1, 0, n - 1)]
     while blocks:
         i0, i1, j0, j1 = blocks.pop()
-        if _one_signed(p, level_c, guard, xs[i0], xs[i1], ys[j0], ys[j1]):
+        if one_signed(xs[i0], xs[i1], ys[j0], ys[j1]):
             work["blocks_certified"] += 1
             continue
         if i1 - i0 > _LEAF or j1 - j0 > _LEAF:
@@ -161,8 +162,7 @@ def _active_cells(p: SystemParams, level_c: float, guard: float, xs, ys,
             for i in range(i0, i1 + 1):
                 f = values.get(j * n + i)
                 if f is None:
-                    f = values[j * n + i] = _level(p, xs[i], ys[j],
-                                                   level_c, guard)
+                    f = values[j * n + i] = level(xs[i], ys[j])
                 row.append(f)
             rows.append(row)
         for j, below, above in zip(range(j0, j1), rows, rows[1:]):
@@ -185,12 +185,11 @@ def _active_cells(p: SystemParams, level_c: float, guard: float, xs, ys,
     return cells, values
 
 
-def _polish(p: SystemParams, level_c: float, guard: float, xa: float,
-            ya: float, xb: float, yb: float, fa: float, fb: float,
-            work: dict) -> tuple[float, float]:
+def _polish(level, xa: float, ya: float, xb: float, yb: float, fa: float,
+            fb: float, work: dict) -> tuple[float, float]:
     """Crossing of f = 0 on the edge (xa, ya)-(xb, yb).
 
-    ``fa`` and ``fb`` are the grid values of f at the edge ends, of
+    ``level`` is the curve's kernel f. ``fa`` and ``fb`` are the grid values of f at the edge ends, of
     opposite classification (f < 0 at exactly one end); an end where f
     is zero is the vertex itself. The Illinois method runs on the edge
     parameter s in [0, 1]: a secant step through the bracket's ends, whose
@@ -215,7 +214,7 @@ def _polish(p: SystemParams, level_c: float, guard: float, xa: float,
         if not a < s < b:
             s = 0.5 * (a + b)
             bisections += 1
-        f = _level(p, xa + s * dx, ya + s * dy, level_c, guard)
+        f = level(xa + s * dx, ya + s * dy)
         probes += 1
         if f == 0.0:
             a = b = s
@@ -281,7 +280,9 @@ def zero_velocity_curve(p: SystemParams, level_c: float, window: Window,
     work = {"grid_nodes": n * n, "nodes_evaluated": 0,
             "blocks_certified": 0, "active_cells": 0, "vertices": 0,
             "polish_probes": 0, "polish_bisections": 0}
-    cells, values = _active_cells(p, level_c, guard, xs, ys, work)
+    level = _level_kernel(p, level_c, guard)
+    cells, values = _active_cells(p, level, _certifier(p, level_c, guard),
+                                  xs, ys, work)
 
     raw_segments: list[tuple] = []
     for j, i, cell in cells:
@@ -290,9 +291,8 @@ def zero_velocity_curve(p: SystemParams, level_c: float, window: Window,
         if cell == 5 or cell == 10:
             # a saddle centre inside the guard is NaN, so it counts as
             # outside
-            centre_in = _level(p, 0.5 * (xs[i] + xs[i + 1]),
-                               0.5 * (ys[j] + ys[j + 1]), level_c,
-                               guard) < 0.0
+            centre_in = level(0.5 * (xs[i] + xs[i + 1]),
+                              0.5 * (ys[j] + ys[j + 1])) < 0.0
             if (cell == 5) == centre_in:
                 pairs = ((0, 1), (2, 3))
             else:
@@ -306,8 +306,8 @@ def zero_velocity_curve(p: SystemParams, level_c: float, window: Window,
     for kind, i, j in dict.fromkeys(k for seg in raw_segments for k in seg):
         i2, j2 = (i + 1, j) if kind == "h" else (i, j + 1)
         vertices[kind, i, j] = _polish(
-            p, level_c, guard, xs[i], ys[j], xs[i2], ys[j2],
-            values[j * n + i], values[j2 * n + i2], work)
+            level, xs[i], ys[j], xs[i2], ys[j2], values[j * n + i],
+            values[j2 * n + i2], work)
     work["vertices"] = len(vertices)
     return ZeroVelocityCurve(level_c=level_c,
                              segments=_stitch(raw_segments,

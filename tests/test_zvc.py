@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+import prtbp.zvc
 from prtbp import (
     COLLISION_GUARD,
     PhaseState,
@@ -22,8 +23,8 @@ from prtbp import (
     zero_velocity_curve,
 )
 from prtbp.cli import main
-from prtbp.model import _radii
-from prtbp.zvc import _SEGMENTS, _one_signed, _polish, _stitch
+from prtbp.model import _level_kernel, _radii, _taylor_kernel
+from prtbp.zvc import _SEGMENTS, _certifier, _polish, _stitch
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
 CLASSICAL = SystemParams(mu=0.1)
@@ -43,7 +44,8 @@ def _scalar_level(p, level_c, guard):
 def _polish_edge(p, level_c, guard, pa, pb, fa, fb):
     """One edge polished alone by the extraction's Illinois polish."""
     work = {"polish_probes": 0, "polish_bisections": 0}
-    return _polish(p, level_c, guard, *pa, *pb, fa, fb, work)
+    return _polish(_level_kernel(p, level_c, guard), *pa, *pb, fa, fb,
+                   work)
 
 
 def _numpy_level(p, x, y, level_c, guard):
@@ -354,7 +356,8 @@ def test_polish_bisects_after_a_probe_inside_the_guard():
     fa, fb = 2.0 * ua - level, 2.0 * ub - level
     assert fa / (fa - fb) == 0.8
     work = {"polish_probes": 0, "polish_bisections": 0}
-    x, y = _polish(EQUAL, level, COLLISION_GUARD, *pa, *pb, fa, fb, work)
+    x, y = _polish(_level_kernel(EQUAL, level, COLLISION_GUARD), *pa, *pb,
+                   fa, fb, work)
     assert work["polish_bisections"] >= 1
     assert work["polish_probes"] <= 46
     assert x < -0.5 and y == 0.0
@@ -435,6 +438,83 @@ def test_random_windows_match_scalar_reference(seed):
         {v for seg in curve.segments for v in seg})
 
 
+def _kernel_values(monkeypatch, p, level, window, resolution):
+    """(level_c, x, y, f) of every kernel evaluation of one extraction:
+    grid nodes, saddle centres, polish probes and the certificate's 2*U1
+    at block centres (level 0)."""
+    seen = []
+
+    def recording_kernel(p, level_c, guard):
+        f = _level_kernel(p, level_c, guard)
+
+        def level(x, y):
+            v = f(x, y)
+            seen.append((level_c, x, y, v))
+            return v
+        return level
+
+    monkeypatch.setattr(prtbp.zvc, "_level_kernel", recording_kernel)
+    zero_velocity_curve(p, level, window, resolution)
+    return seen
+
+
+def _assert_public_bits(p, seen):
+    # repr round-trips every float, so equal reprs are equal bits
+    assert seen
+    for level_c, x, y, v in seen:
+        public = _scalar_level(p, level_c, COLLISION_GUARD)(x, y)
+        assert repr(v) == repr(public), (level_c, x, y)
+
+
+@FIXTURES
+def test_kernel_has_the_bits_of_the_public_potential(monkeypatch, p, level,
+                                                     window, resolution):
+    _assert_public_bits(p, _kernel_values(monkeypatch, p, level, window,
+                                          resolution))
+
+
+def test_kernel_has_the_public_bits_on_random_windows(monkeypatch):
+    for seed in range(60):
+        p, level, window, resolution = _random_case(random.Random(seed))
+        _assert_public_bits(p, _kernel_values(monkeypatch, p, level, window,
+                                              resolution))
+
+
+def test_kernel_is_nan_within_the_guard_and_on_a_primary():
+    f = _level_kernel(EQUAL, 3.0, COLLISION_GUARD)
+    public = _scalar_level(EQUAL, 3.0, COLLISION_GUARD)
+    # 5e-7 and 2e-6 from the primary at (-1/2, 0)
+    assert math.isnan(f(-0.5 + 5e-7, 0.0))
+    assert math.isnan(public(-0.5 + 5e-7, 0.0))
+    assert repr(f(-0.5 + 2e-6, 0.0)) == repr(public(-0.5 + 2e-6, 0.0))
+    # with no guard U1 divides by zero on a primary, and the kernel gives
+    # NaN instead
+    with pytest.raises(ZeroDivisionError):
+        amended_potential(EQUAL, -0.5, 0.0, guard=0.0)
+    g = _level_kernel(EQUAL, 3.0, 0.0)
+    assert math.isnan(g(-0.5, 0.0)) and math.isnan(g(0.5, 0.0))
+    assert repr(g(0.0, 0.0)) == repr(f(0.0, 0.0))
+
+
+def test_taylor_kernel_has_the_bits_of_the_gradient():
+    rng = random.Random(7)
+    for _ in range(2000):
+        p, _, window, _ = _random_case(rng)
+        x, y = rng.uniform(*window[:2]), rng.uniform(*window[2:])
+        r1, r2 = _radii(p, x, y)
+        if min(r1, r2) <= COLLISION_GUARD:
+            continue
+        d1, d2 = r1 * rng.uniform(0.1, 1.0), r2 * rng.uniform(0.1, 1.0)
+        gx, gy, m = _taylor_kernel(p)(x, y, d1, d2)
+        g = conservative_gradient(p, x, y)
+        assert (repr(gx), repr(gy)) == (repr(g.ax), repr(g.ay))
+        assert repr(m) == repr(p.n * p.n
+                               + 2.0 * (1.0 - p.mu) * p.q1 / (d1 * d1 * d1)
+                               + 2.0 * p.mu / (d2 * d2 * d2)
+                               + 6.0 * p.mu * p.a2
+                               / (d2 * d2 * d2 * d2 * d2))
+
+
 def test_one_signed_window_evaluates_no_node():
     # 2*U1 >= C_L4 everywhere, so f >= 0.01 on the window around L4: the
     # blocks are certified before any leaf is reached
@@ -472,7 +552,7 @@ def test_certified_blocks_are_one_signed():
         except SingularityError:
             continue
         level = near * (1.0 + rng.choice((1e-2, 1e-4, -1e-4, -1e-2)))
-        if not _one_signed(p, level, guard, xs[i0], xs[i1], ys[j0], ys[j1]):
+        if not _certifier(p, level, guard)(xs[i0], xs[i1], ys[j0], ys[j1]):
             failed += 1
             continue
         passed += 1

@@ -15,12 +15,13 @@ Cells are classified by the corner signs of f. Cells that contain a
 primary, or touch one within the collision guard, are masked, and
 ambiguous saddle cells are split by the sign of f at the cell centre.
 
-Each crossing is then polished along its grid edge by the Illinois
-method, a regula falsi that keeps its bracket, so emitted vertices
-satisfy f = 0 to near machine precision rather than to the
-linear-interpolation error of the raw grid. A probe inside the collision
-guard has no value of f; it counts as f > 0, since U1 grows without bound
-at a primary, so the bracket keeps to the crossing on the far side of it.
+Each crossing is then polished along its grid edge by the
+Anderson-Bjorck method, a regula falsi that keeps its bracket, in about
+five probes of f per edge, so emitted vertices satisfy f = 0 to near
+machine precision rather than to the linear-interpolation error of the
+raw grid. A probe inside the collision guard has no value of f; it
+counts as f > 0, since U1 grows without bound at a primary, so the
+bracket keeps to the crossing on the far side of it.
 """
 
 from __future__ import annotations
@@ -189,16 +190,20 @@ def _polish(level, xa: float, ya: float, xb: float, yb: float, fa: float,
             fb: float, work: dict) -> tuple[float, float]:
     """Crossing of f = 0 on the edge (xa, ya)-(xb, yb).
 
-    ``level`` is the curve's kernel f. ``fa`` and ``fb`` are the grid values of f at the edge ends, of
-    opposite classification (f < 0 at exactly one end); an end where f
-    is zero is the vertex itself. The Illinois method runs on the edge
-    parameter s in [0, 1]: a secant step through the bracket's ends, whose
-    retained end has its value halved when the same end is kept twice in a
-    row. A secant point outside the open bracket, or one from an end
-    inside the guard, gives way to a bisection step. A probe inside the
-    guard is NaN, which fails ``f < 0`` and so counts as f > 0, as it is
-    near a primary. The polish stops at f = 0, at a bracket width of
-    2**-46 or after 46 probes, and returns the bracket's midpoint.
+    ``level`` is the curve's kernel f. ``fa`` and ``fb`` are the grid
+    values of f at the edge ends, of opposite classification (f < 0 at
+    exactly one end); an end where f is zero is the vertex itself. The
+    Anderson-Bjorck method runs on the edge parameter s in [0, 1]: a
+    secant step through the bracket's ends. When the same end is kept
+    twice in a row, its value is scaled by m = 1 - f_new / f_replaced,
+    the new probe's value over that of the end it replaces, or by 1/2
+    when m is not positive (the Illinois factor). A secant point outside
+    the open bracket, or one from an end inside the guard, gives way to a
+    bisection step. A probe inside the guard is NaN, which fails
+    ``f < 0`` and so counts as f > 0, as it is near a primary; its m is
+    NaN, so the kept end is halved. The polish stops at f = 0, at a
+    bracket width of 2**-46 or after 46 probes, and returns the bracket's
+    midpoint.
     """
     if fa == 0.0:
         return xa, ya
@@ -219,15 +224,19 @@ def _polish(level, xa: float, ya: float, xb: float, yb: float, fa: float,
         if f == 0.0:
             a = b = s
             break
+        # an end kept twice in a row means the end replaced is the last
+        # probe, whose value is nonzero
         if (f < 0.0) == neg:
-            a, fa = s, f
             if kept > 0:
-                fb *= 0.5
+                m = 1.0 - f / fa
+                fb *= m if m > 0.0 else 0.5
+            a, fa = s, f
             kept = 1
         else:
-            b, fb = s, f
             if kept < 0:
-                fa *= 0.5
+                m = 1.0 - f / fb
+                fa *= m if m > 0.0 else 0.5
+            b, fb = s, f
             kept = -1
     work["polish_probes"] += probes
     work["polish_bisections"] += bisections

@@ -42,7 +42,7 @@ def _scalar_level(p, level_c, guard):
 
 
 def _polish_edge(p, level_c, guard, pa, pb, fa, fb):
-    """One edge polished alone by the extraction's Illinois polish."""
+    """One edge polished alone by the extraction's polish."""
     work = {"polish_probes": 0, "polish_bisections": 0}
     return _polish(_level_kernel(p, level_c, guard), *pa, *pb, fa, fb,
                    work)
@@ -346,6 +346,15 @@ def test_polish_probe_inside_the_guard_stays_on_the_curve():
     assert curve == _reference_curve(EQUAL, level, window, 17)
 
 
+def test_polish_probe_budget_on_the_readme_curve():
+    # the README's curve: Anderson-Bjorck takes 5.61 probes per vertex
+    # here, Illinois took 7.38 and bisection 46, so a silent fallback to
+    # either shows
+    work = zero_velocity_curve(CLASSICAL, 2.92, WIDE, 256).work
+    assert work["vertices"] == 204
+    assert work["polish_probes"] <= 5.8 * work["vertices"]
+
+
 def test_polish_bisects_after_a_probe_inside_the_guard():
     # the level puts the first secant point of the edge from x = -0.75 to
     # -0.4375 exactly on the primary at (-1/2, 0): that probe counts as
@@ -384,8 +393,8 @@ def test_nodes_on_both_primaries_are_masked():
 
 @FIXTURES
 def test_vertices_match_the_numpy_bisection(p, level, window, resolution):
-    # the earlier NumPy bisection, edge by edge, against the Illinois
-    # polish: within 1e-13 of each other, plus the band eps*|C|/|fb - fa|
+    # the earlier NumPy bisection, edge by edge, against the
+    # Anderson-Bjorck polish: within 1e-13 of each other, plus the band eps*|C|/|fb - fa|
     # of the edge where f is flat along it (see test_polish_matches_brentq)
     excess = []
 

@@ -325,7 +325,12 @@ def zero_velocity_curve(p: SystemParams, level_c: float, window: Window,
 
 
 def _stitch(raw_segments, vertex) -> tuple:
-    """Chain per-cell segments that share edge crossings into polylines."""
+    """Chain per-cell segments that share edge crossings into polylines.
+
+    Where the level passes exactly through a grid node, the crossings of
+    the edges that meet there are all that node; a polyline holds it
+    once, so no segment has zero length.
+    """
     adjacency: dict = {}
     for a, b in raw_segments:
         adjacency.setdefault(a, []).append(b)
@@ -345,18 +350,28 @@ def _stitch(raw_segments, vertex) -> tuple:
             chain.append(nxt)
             visited.add(nxt)
 
+    def points(chain):
+        # the chain's vertices, each run of equal ones kept once
+        out = [vertex(chain[0])]
+        for key in chain[1:]:
+            v = vertex(key)
+            if v != out[-1]:
+                out.append(v)
+        return out
+
     endpoints = [k for k, nbs in adjacency.items() if len(nbs) == 1]
     for key in endpoints:
         if key in visited:
             continue
-        chain = walk(key)
-        polylines.append(tuple(vertex(k) for k in chain))
+        polylines.append(tuple(points(walk(key))))
     for key in adjacency:
         if key in visited:
             continue
         chain = walk(key)
         if len(chain) > 1:
             # closed loop: repeat the first vertex to close the polyline
-            polylines.append(tuple(vertex(k) for k in chain)
-                             + (vertex(chain[0]),))
+            loop = points(chain)
+            if len(loop) > 1 and loop[-1] == loop[0]:
+                loop.pop()
+            polylines.append(tuple(loop) + (loop[0],))
     return tuple(polylines)

@@ -253,6 +253,35 @@ def test_closed_loops_repeat_their_first_vertex():
     assert all(len(seg) >= 5 for seg in loops)
 
 
+def test_a_level_through_a_grid_node_has_no_zero_length_segment():
+    # the level passes exactly through the node (40, 40) of a 65^2 grid,
+    # and by symmetry in y through (40, 24): every edge crossing that
+    # meets one of them is the node itself, held once by its polyline
+    n = 65
+    xs = [WIDE[0] + (WIDE[1] - WIDE[0]) * i / (n - 1) for i in range(n)]
+    level = 2.0 * amended_potential(CLASSICAL, xs[40], xs[40])
+    curve = zero_velocity_curve(CLASSICAL, level, WIDE, n)
+    assert len(curve.segments) == 3
+    for seg in curve.segments:
+        assert all(a != b for a, b in zip(seg, seg[1:]))
+    pts = [v for seg in curve.segments for v in seg]
+    assert pts.count((xs[40], xs[40])) == 1
+    assert pts.count((xs[40], xs[24])) == 1
+    loops = [seg for seg in curve.segments if seg[0] == seg[-1]]
+    assert loops
+    assert all(len(set(seg)) == len(seg) - 1 for seg in loops)
+    assert curve == _reference_curve(CLASSICAL, level, WIDE, n)
+
+
+def test_stitch_closes_a_loop_that_ends_on_its_first_vertex_once():
+    # crossings "a" and "d" are one grid node, where the loop wraps round
+    where = {"a": (0.0, 0.0), "b": (1.0, 0.0), "c": (1.0, 1.0),
+             "d": (0.0, 0.0)}
+    loops = _stitch([("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")],
+                    where.__getitem__)
+    assert loops == (((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 0.0)),)
+
+
 def test_vertices_stay_inside_the_window():
     window = (0.0, 1.5, 0.0, 1.5)
     curve = zero_velocity_curve(CLASSICAL, 3.2, window, 64)

@@ -303,7 +303,7 @@ def _level_kernel(p: SystemParams, level_c: float, guard: float):
     sqrt = math.sqrt
     nan = math.nan
 
-    def level(x: float, y: float) -> float:
+    def level(x, y):
         xm = x + mu
         yy = y * y
         r1 = sqrt(xm * xm + yy)
@@ -401,8 +401,7 @@ def _taylor_kernel(p: SystemParams):
     bound3 = 6.0 * mu * p.a2
     sqrt = math.sqrt
 
-    def taylor(x: float, y: float, d1: float, d2: float
-               ) -> tuple[float, float, float]:
+    def taylor(x, y, d1, d2):
         xm = x + mu
         xp = xm - 1.0
         yy = y * y

@@ -68,7 +68,8 @@ class ZeroVelocityCurve(_Record):
     """Polyline decomposition of one zero-velocity level set.
 
     ``segments`` is a tuple of polylines, each a tuple of (x, y)
-    vertices; closed loops repeat their first vertex at the end.
+    vertices, no two in a row equal; closed loops repeat their first
+    vertex at the end.
     ``work`` counts what the extraction did: ``grid_nodes``,
     ``nodes_evaluated``, ``blocks_certified``, ``active_cells``,
     ``vertices`` (crossings polished), ``polish_probes`` and
@@ -105,7 +106,7 @@ def _certifier(p: SystemParams, level_c: float, guard: float):
     mu = p.mu
     hypot = math.hypot
 
-    def one_signed(xlo: float, xhi: float, ylo: float, yhi: float) -> bool:
+    def one_signed(xlo, xhi, ylo, yhi):
         cx = 0.5 * (xlo + xhi)
         cy = 0.5 * (ylo + yhi)
         hx = max(cx - xlo, xhi - cx)
@@ -121,8 +122,9 @@ def _certifier(p: SystemParams, level_c: float, guard: float):
         if not (r1 > 2.0 * guard and r2 > 2.0 * guard):
             return False
         u2 = two_u(cx, cy)
-        gx, gy, m = taylor(cx, cy, r1, r2)
-        m *= 2.0
+        gx, gy, bound = taylor(cx, cy, r1, r2)
+        # f's gradient and Hessian are twice U1's
+        m = 2.0 * bound
         slack = 2.0 * (abs(gx) * hx + abs(gy) * hy) + 0.5 * m * (hx * hx
                                                                  + hy * hy)
         return (abs(u2 - level_c) - slack
@@ -196,10 +198,10 @@ def _polish(level, xa: float, ya: float, xb: float, yb: float, fa: float,
     Anderson-Bjorck method runs on the edge parameter s in [0, 1]: a
     secant step through the bracket's ends. When the same end is kept
     twice in a row, its value is scaled by m = 1 - f_new / f_replaced,
-    the new probe's value over that of the end it replaces, or by 1/2
-    when m is not positive (the Illinois factor). A secant point outside
-    the open bracket, or one from an end inside the guard, gives way to a
-    bisection step. A probe inside the guard is NaN, which fails
+    with the values of the new probe and of the end it replaces, or by
+    1/2 when m is not positive (the Illinois factor). A secant point
+    outside the open bracket, or one from an end inside the guard, gives
+    way to a bisection step. A probe inside the guard is NaN, which fails
     ``f < 0`` and so counts as f > 0, as it is near a primary; its m is
     NaN, so the kept end is halved. The polish stops at f = 0, at a
     bracket width of 2**-46 or after 46 probes, and returns the bracket's

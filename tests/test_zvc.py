@@ -423,8 +423,9 @@ def test_nodes_on_both_primaries_are_masked():
 @FIXTURES
 def test_vertices_match_the_numpy_bisection(p, level, window, resolution):
     # the earlier NumPy bisection, edge by edge, against the
-    # Anderson-Bjorck polish: within 1e-13 of each other, plus the band eps*|C|/|fb - fa|
-    # of the edge where f is flat along it (see test_polish_matches_brentq)
+    # Anderson-Bjorck polish: within 1e-13 of each other, plus the band
+    # eps*|C|/|fb - fa| of the edge where f is flat along it (see
+    # test_polish_matches_brentq)
     excess = []
 
     def both(p, level_c, guard, pa, pb, fa, fb):

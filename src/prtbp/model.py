@@ -384,40 +384,15 @@ def _rest_jacobian(p: SystemParams, x: float, y: float
             uxy - wn + b * xm * xm, uyy + b * xm * y)
 
 
-def _taylor_kernel(p: SystemParams):
-    # (dU1/dx, dU1/dy, M) for one system: the gradient at a point, with
-    # the bits of _accelerations' conservative part, and an upper bound M
-    # on the spectral norm of the Hessian of U1 at every point at least d1
-    # from the radiating primary and d2 from the oblate one: n^2 from the
-    # rotation, 2c/r^3 from each c/r and 12c/r^5 from the c/r^3 of the
-    # oblateness (c = mu A2 / 2), each decreasing in r. No guard: the
-    # caller keeps the point away from both primaries
-    mu = p.mu
-    n2 = p.n * p.n
-    radiating = (1.0 - mu) * p.q1
-    oblate = 1.5 * mu * p.a2
-    bound1 = 2.0 * (1.0 - mu) * p.q1
-    bound2 = 2.0 * mu
-    bound3 = 6.0 * mu * p.a2
-    sqrt = math.sqrt
-
-    def taylor(x, y, d1, d2):
-        xm = x + mu
-        xp = xm - 1.0
-        yy = y * y
-        r1sq = xm * xm + yy
-        r2sq = xp * xp + yy
-        r13 = r1sq * sqrt(r1sq)
-        r23 = r2sq * sqrt(r2sq)
-        r25 = r23 * r2sq
-        return (n2 * x - radiating * xm / r13 - mu * xp / r23
-                - oblate * xp / r25,
-                n2 * y - radiating * y / r13 - mu * y / r23
-                - oblate * y / r25,
-                n2 + bound1 / (d1 * d1 * d1) + bound2 / (d2 * d2 * d2)
-                + bound3 / (d2 * d2 * d2 * d2 * d2))
-
-    return taylor
+def _hessian_bound(p: SystemParams, r1: float, r2: float) -> float:
+    # upper bound on the spectral norm of the Hessian of U1 at every point
+    # at least r1 from the radiating primary and r2 from the oblate one:
+    # n^2 from the rotation, 2c/r^3 from each c/r and 12c/r^5 from the
+    # c/r^3 of the oblateness (c = mu A2 / 2), each decreasing in r
+    return (p.n * p.n
+            + 2.0 * (1.0 - p.mu) * p.q1 / (r1 * r1 * r1)
+            + 2.0 * p.mu / (r2 * r2 * r2)
+            + 6.0 * p.mu * p.a2 / (r2 * r2 * r2 * r2 * r2))
 
 
 def amended_potential(p: SystemParams, x: float, y: float,

@@ -28,8 +28,9 @@ from __future__ import annotations
 
 import math
 
-from .model import (COLLISION_GUARD, SystemParams, _check_guard_arg,
-                    _level_kernel, _Record, _taylor_kernel)
+from .model import (COLLISION_GUARD, SystemParams, _accelerations,
+                    _check_guard_arg, _hessian_bound, _level_kernel,
+                    _Record)
 
 Window = tuple[float, float, float, float]
 
@@ -67,9 +68,9 @@ _SEGMENTS = {
 class ZeroVelocityCurve(_Record):
     """Polyline decomposition of one zero-velocity level set.
 
-    ``segments`` is a tuple of polylines, each a tuple of (x, y)
-    vertices, no two in a row equal; closed loops repeat their first
-    vertex at the end.
+    ``segments`` is a tuple of polylines, each a tuple of at least two
+    (x, y) vertices, no two in a row equal; closed loops repeat their
+    first vertex at the end.
     ``work`` counts what the extraction did: ``grid_nodes``,
     ``nodes_evaluated``, ``blocks_certified``, ``active_cells``,
     ``vertices`` (crossings polished), ``polish_probes`` and
@@ -102,7 +103,6 @@ def _certifier(p: SystemParams, level_c: float, guard: float):
     # 2*U1 with the bits of 2.0 * _checked_potential's U1: a centre is
     # never within the guard of a block that gets that far
     two_u = _level_kernel(p, 0.0, guard)
-    taylor = _taylor_kernel(p)
     mu = p.mu
     hypot = math.hypot
 
@@ -122,9 +122,8 @@ def _certifier(p: SystemParams, level_c: float, guard: float):
         if not (r1 > 2.0 * guard and r2 > 2.0 * guard):
             return False
         u2 = two_u(cx, cy)
-        gx, gy, bound = taylor(cx, cy, r1, r2)
-        # f's gradient and Hessian are twice U1's
-        m = 2.0 * bound
+        gx, gy, _, _ = _accelerations(p, cx, cy, 0.0, 0.0)
+        m = 2.0 * _hessian_bound(p, r1, r2)
         slack = 2.0 * (abs(gx) * hx + abs(gy) * hy) + 0.5 * m * (hx * hx
                                                                  + hy * hy)
         return (abs(u2 - level_c) - slack
@@ -331,7 +330,9 @@ def _stitch(raw_segments, vertex) -> tuple:
 
     Where the level passes exactly through a grid node, the crossings of
     the edges that meet there are all that node; a polyline holds it
-    once, so no segment has zero length.
+    once, so no segment has zero length. A chain left with one point,
+    such as the level touching the window only at a corner node, has no
+    segment and is dropped.
     """
     adjacency: dict = {}
     for a, b in raw_segments:
@@ -365,15 +366,16 @@ def _stitch(raw_segments, vertex) -> tuple:
     for key in endpoints:
         if key in visited:
             continue
-        polylines.append(tuple(points(walk(key))))
+        line = points(walk(key))
+        if len(line) > 1:
+            polylines.append(tuple(line))
     for key in adjacency:
         if key in visited:
             continue
-        chain = walk(key)
-        if len(chain) > 1:
-            # closed loop: repeat the first vertex to close the polyline
-            loop = points(chain)
-            if len(loop) > 1 and loop[-1] == loop[0]:
-                loop.pop()
+        # closed loop: repeat the first vertex to close the polyline
+        loop = points(walk(key))
+        if len(loop) > 1 and loop[-1] == loop[0]:
+            loop.pop()
+        if len(loop) > 1:
             polylines.append(tuple(loop) + (loop[0],))
     return tuple(polylines)

@@ -24,7 +24,7 @@ from prtbp import (
     mean_motion,
     oblateness_from_radii,
 )
-from prtbp.model import _radii, _rest_jacobian, _taylor_kernel
+from prtbp.model import _hessian_bound, _radii, _rest_jacobian
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
 
@@ -497,7 +497,6 @@ def test_hessian_bound_covers_the_hessian(p):
     norm stays below the bound at the point's own radii, at distances
     from 1e-4 to 10 of either primary."""
     rng = np.random.default_rng(11)
-    taylor = _taylor_kernel(p)
     worst = 0.0
     for _ in range(2000):
         centre = -p.mu if rng.random() < 0.5 else 1.0 - p.mu
@@ -507,7 +506,7 @@ def test_hessian_bound_covers_the_hessian(p):
         uxx, uxy, _, uyy = _rest_jacobian(p, x, y)
         mid, half = 0.5 * (uxx + uyy), math.hypot(0.5 * (uxx - uyy), uxy)
         norm = abs(mid) + half
-        bound = taylor(x, y, *_radii(p, x, y))[2]
+        bound = _hessian_bound(p, *_radii(p, x, y))
         assert norm <= bound * (1.0 + 1e-12)
         worst = max(worst, norm / bound)
     # the bound is tight to a factor of two where one term dominates

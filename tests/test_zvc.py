@@ -23,7 +23,7 @@ from prtbp import (
     zero_velocity_curve,
 )
 from prtbp.cli import main
-from prtbp.model import _level_kernel, _radii, _taylor_kernel
+from prtbp.model import _level_kernel, _radii
 from prtbp.zvc import _SEGMENTS, _certifier, _polish, _stitch
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
@@ -271,15 +271,27 @@ def test_a_level_through_a_grid_node_has_no_zero_length_segment():
     assert loops
     assert all(len(set(seg)) == len(seg) - 1 for seg in loops)
     assert curve == _reference_curve(CLASSICAL, level, WIDE, n)
+    # U1 grows toward the window's corner (1.5, 1.5), and the level meets
+    # the window there only: the corner cell's one segment joins two
+    # crossings that are both the corner node, which leaves no segment
+    corner = (1.0, 1.5, 1.0, 1.5)
+    level = 2.0 * amended_potential(CLASSICAL, 1.5, 1.5)
+    curve = zero_velocity_curve(CLASSICAL, level, corner, 17)
+    assert curve.work["active_cells"] == 1
+    assert curve.segments == ()
+    assert curve == _reference_curve(CLASSICAL, level, corner, 17)
 
 
-def test_stitch_closes_a_loop_that_ends_on_its_first_vertex_once():
+def test_stitch_holds_a_repeated_node_once():
     # crossings "a" and "d" are one grid node, where the loop wraps round
     where = {"a": (0.0, 0.0), "b": (1.0, 0.0), "c": (1.0, 1.0),
              "d": (0.0, 0.0)}
-    loops = _stitch([("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")],
-                    where.__getitem__)
+    square = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")]
+    loops = _stitch(square, where.__getitem__)
     assert loops == (((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 0.0)),)
+    # a loop whose crossings are all one node, where f = 0 and f < 0 at
+    # the four neighbours, has no segment
+    assert _stitch(square, lambda key: (0.5, 0.5)) == ()
 
 
 def test_vertices_stay_inside_the_window():
@@ -533,25 +545,6 @@ def test_kernel_is_nan_within_the_guard_and_on_a_primary():
     g = _level_kernel(EQUAL, 3.0, 0.0)
     assert math.isnan(g(-0.5, 0.0)) and math.isnan(g(0.5, 0.0))
     assert repr(g(0.0, 0.0)) == repr(f(0.0, 0.0))
-
-
-def test_taylor_kernel_has_the_bits_of_the_gradient():
-    rng = random.Random(7)
-    for _ in range(2000):
-        p, _, window, _ = _random_case(rng)
-        x, y = rng.uniform(*window[:2]), rng.uniform(*window[2:])
-        r1, r2 = _radii(p, x, y)
-        if min(r1, r2) <= COLLISION_GUARD:
-            continue
-        d1, d2 = r1 * rng.uniform(0.1, 1.0), r2 * rng.uniform(0.1, 1.0)
-        gx, gy, m = _taylor_kernel(p)(x, y, d1, d2)
-        g = conservative_gradient(p, x, y)
-        assert (repr(gx), repr(gy)) == (repr(g.ax), repr(g.ay))
-        assert repr(m) == repr(p.n * p.n
-                               + 2.0 * (1.0 - p.mu) * p.q1 / (d1 * d1 * d1)
-                               + 2.0 * p.mu / (d2 * d2 * d2)
-                               + 6.0 * p.mu * p.a2
-                               / (d2 * d2 * d2 * d2 * d2))
 
 
 def test_one_signed_window_evaluates_no_node():

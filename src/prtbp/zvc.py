@@ -43,6 +43,17 @@ MAX_RESOLUTION = 4096
 # quadtree leaves hold at most this many cells per axis
 _LEAF = 4
 
+# a block where f is certified monotone along one axis is scanned line
+# by line once it holds at most this many cells per axis; a larger one
+# is split, as splitting is the cheaper way through the parts of it
+# that are one-signed
+_SCAN = 16
+
+# verdicts of the block certificate besides 0, nothing proved
+_ONE_SIGNED = 1
+_ALONG_X = 2
+_ALONG_Y = 3
+
 # a certified margin exceeds this share of 2*U1 + |C| + slack, far above
 # the few ulps by which f is rounded at a node
 _ROUNDING = 1e-12
@@ -87,18 +98,27 @@ class ZeroVelocityCurve(_Record):
         object.__setattr__(self, "work", {} if work is None else work)
 
 
-def _certifier(p: SystemParams, level_c: float, guard: float):
-    """The test whether f is provably of one sign on a block of one curve.
+def _certifier(p: SystemParams, level_c: float, guard: float, dx: float,
+               dy: float):
+    """The test of what f provably does on a block of one curve.
 
-    The returned ``one_signed(xlo, xhi, ylo, yhi)`` decides it for the
-    block [xlo, xhi] x [ylo, yhi]. Around the block's centre c with
-    half-widths (hx, hy), Taylor's theorem bounds |f - f(c)| by the slack
+    The returned ``certify(xlo, xhi, ylo, yhi)`` judges the block
+    [xlo, xhi] x [ylo, yhi] of a grid whose node gaps are at least dx
+    along x and dy along y. Around the block's centre c with half-widths
+    (hx, hy), Taylor's theorem bounds |f - f(c)| by the slack
     |fx| hx + |fy| hy + M (hx^2 + hy^2) / 2, where M bounds the norm of
-    f's Hessian at the block's nearest distances to the primaries. The
-    block passes when |f(c)| exceeds the slack by more than 1e-12 of
-    2*U1(c) + |C| + slack, which covers the rounding of f at every node,
-    and when both nearest distances exceed twice the guard, so no node
-    lies within it.
+    f's Hessian at the block's nearest distances to the primaries. Both
+    verdicts need both nearest distances beyond twice the guard, so no
+    node lies within it, and R = 1e-12 (2*U1(c) + |C| + slack) bounds
+    the rounding of f at every node.
+
+    It returns ``_ONE_SIGNED`` when |f(c)| exceeds the slack by more than
+    R. Otherwise it returns +-``_ALONG_X`` when f_x keeps its sign on the
+    block, |fx(c)| - M hypot(hx, hy) > 0, and the least change of f
+    between two nodes of a grid row, that times dx, exceeds 2 R: the
+    computed f is then strictly monotone along every row, rising for +
+    and falling for -. +-``_ALONG_Y`` is the same along the columns, for
+    the axis along which f changes more per node gap. Else it returns 0.
     """
     # 2*U1 with the bits of 2.0 * _checked_potential's U1: a centre is
     # never within the guard of a block that gets that far
@@ -106,7 +126,7 @@ def _certifier(p: SystemParams, level_c: float, guard: float):
     mu = p.mu
     hypot = math.hypot
 
-    def one_signed(xlo, xhi, ylo, yhi):
+    def certify(xlo, xhi, ylo, yhi):
         cx = 0.5 * (xlo + xhi)
         cy = 0.5 * (ylo + yhi)
         hx = max(cx - xlo, xhi - cx)
@@ -116,45 +136,65 @@ def _certifier(p: SystemParams, level_c: float, guard: float):
         hy += pad
         # nearest distances to the primaries at (-mu, 0) and (1 - mu, 0)
         xm = cx + mu
-        dy = max(abs(cy) - hy, 0.0)
-        r1 = hypot(max(abs(xm) - hx, 0.0), dy)
-        r2 = hypot(max(abs(xm - 1.0) - hx, 0.0), dy)
+        dy0 = max(abs(cy) - hy, 0.0)
+        r1 = hypot(max(abs(xm) - hx, 0.0), dy0)
+        r2 = hypot(max(abs(xm - 1.0) - hx, 0.0), dy0)
         if not (r1 > 2.0 * guard and r2 > 2.0 * guard):
-            return False
+            return 0
         u2 = two_u(cx, cy)
         gx, gy, _, _ = _accelerations(p, cx, cy, 0.0, 0.0)
+        fx = 2.0 * gx
+        fy = 2.0 * gy
         m = 2.0 * _hessian_bound(p, r1, r2)
-        slack = 2.0 * (abs(gx) * hx + abs(gy) * hy) + 0.5 * m * (hx * hx
-                                                                 + hy * hy)
-        return (abs(u2 - level_c) - slack
-                > _ROUNDING * (u2 + abs(level_c) + slack))
+        slack = abs(fx) * hx + abs(fy) * hy + 0.5 * m * (hx * hx + hy * hy)
+        rounding = _ROUNDING * (u2 + abs(level_c) + slack)
+        if abs(u2 - level_c) - slack > rounding:
+            return _ONE_SIGNED
+        # the effective points of two neighbouring nodes are at least a
+        # node gap less the padding on each side apart
+        reach = m * hypot(hx, hy)
+        if abs(fx) * dx >= abs(fy) * dy:
+            if (abs(fx) - reach) * (dx - 2.0 * pad) > 2.0 * rounding:
+                return _ALONG_X if fx > 0.0 else -_ALONG_X
+        elif (abs(fy) - reach) * (dy - 2.0 * pad) > 2.0 * rounding:
+            return _ALONG_Y if fy > 0.0 else -_ALONG_Y
+        return 0
 
-    return one_signed
+    return certify
 
 
-def _active_cells(p: SystemParams, level, one_signed, xs, ys,
+def _active_cells(p: SystemParams, level, certify, xs, ys,
                   work: dict) -> tuple[list, dict]:
-    """Cells (j, i, case) the curve crosses, row-major, and node values.
+    """Cells the curve crosses, row-major, and node values.
 
-    ``level`` is the curve's kernel f and ``one_signed`` its block
-    certificate. The values are f at the nodes evaluated, keyed by
-    j * n + i; every node of an active cell is among them.
+    ``level`` is the curve's kernel f and ``certify`` its block
+    certificate. Nodes (i, j) are keyed by j * n + i, and each cell by
+    its lower left node: the cells are pairs (key, corner-sign case).
+    The values are f at the nodes evaluated; every node of an active
+    cell is among them.
     """
     n = len(xs)
     primaries = (-p.mu, 1.0 - p.mu)
     values: dict[int, float] = {}
     cells = []
-    # blocks of cells [i0, i1) x [j0, j1)
-    blocks = [(0, n - 1, 0, n - 1)]
+    # blocks of cells [i0, i1) x [j0, j1), with the monotone verdict
+    # inherited from a parent block (0 for none)
+    blocks = [(0, n - 1, 0, n - 1, 0)]
     while blocks:
-        i0, i1, j0, j1 = blocks.pop()
-        if one_signed(xs[i0], xs[i1], ys[j0], ys[j1]):
+        i0, i1, j0, j1, along = blocks.pop()
+        verdict = certify(xs[i0], xs[i1], ys[j0], ys[j1])
+        if verdict == _ONE_SIGNED:
             work["blocks_certified"] += 1
+            continue
+        along = along or verdict
+        if along and i1 - i0 <= _SCAN and j1 - j0 <= _SCAN:
+            work["blocks_scanned"] += 1
+            _scan(level, xs, ys, values, cells, i0, i1, j0, j1, along)
             continue
         if i1 - i0 > _LEAF or j1 - j0 > _LEAF:
             icuts = (i0, (i0 + i1) // 2, i1) if i1 - i0 > _LEAF else (i0, i1)
             jcuts = (j0, (j0 + j1) // 2, j1) if j1 - j0 > _LEAF else (j0, j1)
-            blocks += [(a, b, c, d) for c, d in zip(jcuts, jcuts[1:])
+            blocks += [(a, b, c, d, along) for c, d in zip(jcuts, jcuts[1:])
                        for a, b in zip(icuts, icuts[1:])]
             continue
         # the leaf's node values, row by row, then its cells
@@ -180,11 +220,83 @@ def _active_cells(p: SystemParams, level, one_signed, xs, ys,
                 if ys[j] <= 0.0 <= ys[j + 1] and any(
                         xs[i] <= px <= xs[i + 1] for px in primaries):
                     continue
-                cells.append((j, i, case))
+                cells.append((j * n + i, case))
     work["nodes_evaluated"] = len(values)
     work["active_cells"] = len(cells)
     cells.sort()
     return cells, values
+
+
+def _scan(level, xs, ys, values, cells, i0, i1, j0, j1, along) -> None:
+    """The active cells of a block where f is monotone along one axis.
+
+    ``along`` is the block's verdict: f strictly rising (+) or falling
+    (-) along each grid row (``_ALONG_X``) or column (``_ALONG_Y``). The
+    scan runs over those lines. On each, the negative nodes are one run
+    at the line's start (rising) or end (falling), so the line changes
+    sign at most once: at k, the first node of the other run, found by a
+    walk from the previous line's k. Between two lines with changes k
+    and k', the active cells are those from min(k, k') - 1 to
+    max(k, k') - 1; their corners are evaluated and no other node is.
+    No node lies within the guard, no cell holds a primary, and no cell
+    is a saddle.
+    """
+    n = len(xs)
+    rows = abs(along) == _ALONG_X
+    # node pos of line l has the key l * stride + pos * step
+    if rows:
+        lo, hi, l0, l1, stride, step = i0, i1, j0, j1, n, 1
+    else:
+        lo, hi, l0, l1, stride, step = j0, j1, i0, i1, 1, n
+
+    def negative(line, pos):
+        key = line * stride + pos * step
+        f = values.get(key)
+        if f is None:
+            f = values[key] = (level(xs[pos], ys[line]) if rows
+                               else level(xs[line], ys[pos]))
+        return f < 0.0
+
+    # on every line, node pos is negative when (pos < k) == first_neg
+    first_neg = along > 0
+    k = (lo + hi + 1) // 2
+    prev = None
+    for line in range(l0, l1 + 1):
+        # k moves to the first node of the second run, or to hi + 1
+        k = min(k, hi)
+        if negative(line, k) != first_neg:
+            while k > lo and negative(line, k - 1) != first_neg:
+                k -= 1
+        else:
+            k += 1
+            while k <= hi and negative(line, k) == first_neg:
+                k += 1
+        if prev is not None:
+            a = max(lo, min(k, prev) - 1)
+            b = min(hi - 1, max(k, prev) - 1)
+            # the corners of the band's cells, on both lines
+            for corner_line in (line - 1, line):
+                base = corner_line * stride
+                for pos in range(a, b + 2):
+                    key = base + pos * step
+                    if key not in values:
+                        values[key] = (
+                            level(xs[pos], ys[corner_line]) if rows
+                            else level(xs[corner_line], ys[pos]))
+            for pos in range(a, b + 1):
+                # corner signs: s0, s1 at pos and pos + 1 on the previous
+                # line, t0, t1 on this one
+                s0 = (pos < prev) == first_neg
+                s1 = (pos + 1 < prev) == first_neg
+                t0 = (pos < k) == first_neg
+                t1 = (pos + 1 < k) == first_neg
+                if rows:
+                    cells.append(((line - 1) * n + pos,
+                                  s0 | s1 << 1 | t1 << 2 | t0 << 3))
+                else:
+                    cells.append((pos * n + line - 1,
+                                  s0 | t0 << 1 | t1 << 2 | s1 << 3))
+        prev = k
 
 
 def _polish(level, xa: float, ya: float, xb: float, yb: float, fa: float,
@@ -289,35 +401,49 @@ def zero_velocity_curve(p: SystemParams, level_c: float, window: Window,
     ys = [ymin + (ymax - ymin) * j / (n - 1) for j in range(n)]
     work = {"grid_nodes": n * n, "nodes_evaluated": 0,
             "blocks_certified": 0, "active_cells": 0, "vertices": 0,
-            "polish_probes": 0, "polish_bisections": 0}
+            "polish_probes": 0, "polish_bisections": 0, "blocks_scanned": 0}
     level = _level_kernel(p, level_c, guard)
-    cells, values = _active_cells(p, level, _certifier(p, level_c, guard),
-                                  xs, ys, work)
+    # the least node gap per axis: rounding leaves the gaps a few ulps
+    # apart
+    certify = _certifier(p, level_c, guard,
+                         min(b - a for a, b in zip(xs, xs[1:])),
+                         min(b - a for a, b in zip(ys, ys[1:])))
+    cells, values = _active_cells(p, level, certify, xs, ys, work)
 
-    raw_segments: list[tuple] = []
-    for j, i, cell in cells:
-        edge_keys = (("h", i, j), ("v", i + 1, j),
-                     ("h", i, j + 1), ("v", i, j))
+    # an edge's key is 2 * (j * n + i) + 0 for the edge from node (i, j)
+    # to the right, + 1 for the edge up from it; a cell's bottom, right,
+    # top and left edges lie at these offsets from twice its node's key
+    offsets = (0, 3, 2 * n, 1)
+    joins = {case: tuple((offsets[a], offsets[b]) for a, b in pairs)
+             for case, pairs in _SEGMENTS.items()}
+    # the two ways to join a saddle's crossings
+    lower = ((offsets[0], offsets[1]), (offsets[2], offsets[3]))
+    upper = ((offsets[3], offsets[0]), (offsets[1], offsets[2]))
+    raw_segments: list[tuple[int, int]] = []
+    for node, cell in cells:
+        base = 2 * node
         if cell == 5 or cell == 10:
             # a saddle centre inside the guard is NaN, so it counts as
             # outside
+            j, i = divmod(node, n)
             centre_in = level(0.5 * (xs[i] + xs[i + 1]),
                               0.5 * (ys[j] + ys[j + 1])) < 0.0
-            if (cell == 5) == centre_in:
-                pairs = ((0, 1), (2, 3))
-            else:
-                pairs = ((3, 0), (1, 2))
+            pairs = lower if (cell == 5) == centre_in else upper
         else:
-            pairs = _SEGMENTS[cell]
-        raw_segments += [(edge_keys[a], edge_keys[b]) for a, b in pairs]
+            pairs = joins[cell]
+        raw_segments += [(base + a, base + b) for a, b in pairs]
 
-    # every crossing edge once, in first-seen order
     vertices = {}
-    for kind, i, j in dict.fromkeys(k for seg in raw_segments for k in seg):
-        i2, j2 = (i + 1, j) if kind == "h" else (i, j + 1)
-        vertices[kind, i, j] = _polish(
-            level, xs[i], ys[j], xs[i2], ys[j2], values[j * n + i],
-            values[j2 * n + i2], work)
+    for segment in raw_segments:
+        for key in segment:
+            if key in vertices:
+                continue
+            node = key >> 1
+            other = node + n if key & 1 else node + 1
+            j, i = divmod(node, n)
+            j2, i2 = divmod(other, n)
+            vertices[key] = _polish(level, xs[i], ys[j], xs[i2], ys[j2],
+                                    values[node], values[other], work)
     work["vertices"] = len(vertices)
     return ZeroVelocityCurve(level_c=level_c,
                              segments=_stitch(raw_segments,

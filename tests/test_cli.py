@@ -818,7 +818,8 @@ def test_zvc_writes_a_deterministic_sidecar(argv, fmt, tmp_path, capsys):
     work = json.loads((tmp_path / "a" / "out.meta.json").read_text())
     assert list(work) == ["grid_nodes", "nodes_evaluated",
                           "blocks_certified", "active_cells", "vertices",
-                          "polish_probes", "polish_bisections"]
+                          "polish_probes", "polish_bisections",
+                          "blocks_scanned"]
     assert work["grid_nodes"] == 32 * 32
     assert 0 < work["nodes_evaluated"] < work["grid_nodes"]
     assert work["vertices"] <= work["polish_probes"] <= 46 * work["vertices"]

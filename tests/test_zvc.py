@@ -24,7 +24,8 @@ from prtbp import (
 )
 from prtbp.cli import main
 from prtbp.model import _level_kernel, _radii
-from prtbp.zvc import _SEGMENTS, _certifier, _polish, _stitch
+from prtbp.zvc import (_ALONG_X, _ALONG_Y, _ONE_SIGNED, _SEGMENTS,
+                       _certifier, _polish, _stitch)
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
 CLASSICAL = SystemParams(mu=0.1)
@@ -558,14 +559,12 @@ def test_one_signed_window_evaluates_no_node():
     assert curve.work["nodes_evaluated"] == 0
 
 
-def test_certified_blocks_are_one_signed():
-    """Every block the Taylor bound certifies has f of the certified sign
-    at all of its nodes, each more than twice the guard from both
-    primaries; levels are set from a node near the block, so many blocks
-    sit close to the curve or to a primary."""
-    rng = random.Random(2024)
-    passed = failed = 0
-    for _ in range(400):
+def _random_blocks(rng, draws):
+    """Random blocks of random grids, each with a level set from a node
+    near the block, so many blocks sit close to the curve or to a
+    primary: (p, level, guard, xs, ys, i0, i1, j0, j1, verdict), with
+    the verdict of the curve's block certificate."""
+    for _ in range(draws):
         p, _, window, resolution = _random_case(rng)
         resolution = 4 * resolution
         xmin, xmax, ymin, ymax = window
@@ -584,7 +583,21 @@ def test_certified_blocks_are_one_signed():
         except SingularityError:
             continue
         level = near * (1.0 + rng.choice((1e-2, 1e-4, -1e-4, -1e-2)))
-        if not _certifier(p, level, guard)(xs[i0], xs[i1], ys[j0], ys[j1]):
+        certify = _certifier(p, level, guard,
+                             min(b - a for a, b in zip(xs, xs[1:])),
+                             min(b - a for a, b in zip(ys, ys[1:])))
+        verdict = certify(xs[i0], xs[i1], ys[j0], ys[j1])
+        yield p, level, guard, xs, ys, i0, i1, j0, j1, verdict
+
+
+def test_certified_blocks_are_one_signed():
+    """Every block the Taylor bound certifies has f of the certified sign
+    at all of its nodes, each more than twice the guard from both
+    primaries."""
+    passed = failed = 0
+    for p, level, guard, xs, ys, i0, i1, j0, j1, verdict in _random_blocks(
+            random.Random(2024), 400):
+        if verdict != _ONE_SIGNED:
             failed += 1
             continue
         passed += 1
@@ -596,6 +609,31 @@ def test_certified_blocks_are_one_signed():
                 f = 2.0 * amended_potential(p, x, y, guard) - level
                 assert f != 0.0 and (f > 0.0) == sign
     assert passed > 50 and failed > 50
+
+
+def test_monotone_blocks_change_sign_once():
+    """Every block certified monotone along an axis has f strictly rising
+    or falling, as certified, along each grid line of that axis at every
+    node, each node more than twice the guard from both primaries: so
+    each line changes sign at most once."""
+    passed = failed = 0
+    for p, level, guard, xs, ys, i0, i1, j0, j1, verdict in _random_blocks(
+            random.Random(2025), 400):
+        if abs(verdict) not in (_ALONG_X, _ALONG_Y):
+            failed += 1
+            continue
+        passed += 1
+        grid = [[2.0 * amended_potential(p, x, y, guard) - level
+                 for x in xs[i0:i1 + 1]] for y in ys[j0:j1 + 1]]
+        for y in ys[j0:j1 + 1]:
+            for x in xs[i0:i1 + 1]:
+                assert min(_radii(p, x, y)) > 2.0 * guard
+        lines = grid if abs(verdict) == _ALONG_X else list(zip(*grid))
+        for line in lines:
+            if verdict < 0:
+                line = line[::-1]
+            assert all(a < b for a, b in zip(line, line[1:]))
+    assert passed >= 50 and failed >= 50
 
 
 def test_l4_window_evaluates_under_one_percent(tmp_path):

@@ -249,54 +249,59 @@ def _scan(level, xs, ys, values, cells, i0, i1, j0, j1, along) -> None:
     else:
         lo, hi, l0, l1, stride, step = j0, j1, i0, i1, 1, n
 
-    def negative(line, pos):
+    def value(line, pos):
         key = line * stride + pos * step
         f = values.get(key)
         if f is None:
             f = values[key] = (level(xs[pos], ys[line]) if rows
                                else level(xs[line], ys[pos]))
-        return f < 0.0
+        return f
 
     # on every line, node pos is negative when (pos < k) == first_neg
     first_neg = along > 0
     k = (lo + hi + 1) // 2
-    prev = None
     for line in range(l0, l1 + 1):
         # k moves to the first node of the second run, or to hi + 1
-        k = min(k, hi)
-        if negative(line, k) != first_neg:
-            while k > lo and negative(line, k - 1) != first_neg:
+        prev = k
+        if k > hi:
+            k = hi
+        if (value(line, k) < 0.0) != first_neg:
+            while k > lo and (value(line, k - 1) < 0.0) != first_neg:
                 k -= 1
         else:
             k += 1
-            while k <= hi and negative(line, k) == first_neg:
+            while k <= hi and (value(line, k) < 0.0) == first_neg:
                 k += 1
-        if prev is not None:
-            a = max(lo, min(k, prev) - 1)
-            b = min(hi - 1, max(k, prev) - 1)
-            # the corners of the band's cells, on both lines
-            for corner_line in (line - 1, line):
-                base = corner_line * stride
-                for pos in range(a, b + 2):
-                    key = base + pos * step
-                    if key not in values:
-                        values[key] = (
-                            level(xs[pos], ys[corner_line]) if rows
-                            else level(xs[corner_line], ys[pos]))
+        if line == l0:
+            continue
+        # the band's cells run from a to b - 1, and their corners from a
+        # to b on both lines
+        a, b = (k - 1, prev) if k < prev else (prev - 1, k)
+        if a < lo:
+            a = lo
+        if b > hi:
+            b = hi
+        for corner_line in (line - 1, line):
+            base = corner_line * stride
             for pos in range(a, b + 1):
-                # corner signs: s0, s1 at pos and pos + 1 on the previous
-                # line, t0, t1 on this one
-                s0 = (pos < prev) == first_neg
-                s1 = (pos + 1 < prev) == first_neg
-                t0 = (pos < k) == first_neg
-                t1 = (pos + 1 < k) == first_neg
-                if rows:
-                    cells.append(((line - 1) * n + pos,
-                                  s0 | s1 << 1 | t1 << 2 | t0 << 3))
-                else:
-                    cells.append((pos * n + line - 1,
-                                  s0 | t0 << 1 | t1 << 2 | s1 << 3))
-        prev = k
+                key = base + pos * step
+                if key not in values:
+                    values[key] = (
+                        level(xs[pos], ys[corner_line]) if rows
+                        else level(xs[corner_line], ys[pos]))
+        for pos in range(a, b):
+            # corner signs: s0, s1 at pos and pos + 1 on the previous
+            # line, t0, t1 on this one
+            s0 = (pos < prev) == first_neg
+            s1 = (pos + 1 < prev) == first_neg
+            t0 = (pos < k) == first_neg
+            t1 = (pos + 1 < k) == first_neg
+            if rows:
+                cells.append(((line - 1) * n + pos,
+                              s0 | s1 << 1 | t1 << 2 | t0 << 3))
+            else:
+                cells.append((pos * n + line - 1,
+                              s0 | t0 << 1 | t1 << 2 | s1 << 3))
 
 
 def _polish(level, xa: float, ya: float, xb: float, yb: float, fa: float,

@@ -67,6 +67,11 @@ _PAD = 2.0 ** -50
 _WIDTH = 2.0 ** -46
 _PROBES = 46
 
+# or at a probe where |f| <= _BAND * |C|: near the curve, where
+# 2*U1 + |C| ~ 2|C|, that is within the unit roundoff 2**-53 of it, below
+# the rounding of f, and the sign of f there is noise
+_BAND = 2.0 ** -52
+
 # per-cell segments by corner-sign case; corners c0..c3 run counter-
 # clockwise from the lower left, edges 0..3 are bottom,right,top,left
 _SEGMENTS = {
@@ -305,7 +310,7 @@ def _scan(level, xs, ys, values, cells, i0, i1, j0, j1, along) -> None:
 
 
 def _polish(level, xa: float, ya: float, xb: float, yb: float, fa: float,
-            fb: float, work: dict) -> tuple[float, float]:
+            fb: float, stop: float, work: dict) -> tuple[float, float]:
     """Crossing of f = 0 on the edge (xa, ya)-(xb, yb).
 
     ``level`` is the curve's kernel f. ``fa`` and ``fb`` are the grid
@@ -319,9 +324,10 @@ def _polish(level, xa: float, ya: float, xb: float, yb: float, fa: float,
     outside the open bracket, or one from an end inside the guard, gives
     way to a bisection step. A probe inside the guard is NaN, which fails
     ``f < 0`` and so counts as f > 0, as it is near a primary; its m is
-    NaN, so the kept end is halved. The polish stops at f = 0, at a
-    bracket width of 2**-46 or after 46 probes, and returns the bracket's
-    midpoint.
+    NaN, so the kept end is halved. The polish returns the first probe
+    where |f| <= ``stop``, the curve's rounding band; else it stops at a
+    bracket width of 2**-46 or after 46 probes, and returns the
+    bracket's midpoint.
     """
     if fa == 0.0:
         return xa, ya
@@ -339,7 +345,7 @@ def _polish(level, xa: float, ya: float, xb: float, yb: float, fa: float,
             bisections += 1
         f = level(xa + s * dx, ya + s * dy)
         probes += 1
-        if f == 0.0:
+        if abs(f) <= stop:
             a = b = s
             break
         # an end kept twice in a row means the end replaced is the last
@@ -438,6 +444,7 @@ def zero_velocity_curve(p: SystemParams, level_c: float, window: Window,
             pairs = joins[cell]
         raw_segments += [(base + a, base + b) for a, b in pairs]
 
+    stop = _BAND * abs(level_c)
     vertices = {}
     for segment in raw_segments:
         for key in segment:
@@ -448,7 +455,7 @@ def zero_velocity_curve(p: SystemParams, level_c: float, window: Window,
             j, i = divmod(node, n)
             j2, i2 = divmod(other, n)
             vertices[key] = _polish(level, xs[i], ys[j], xs[i2], ys[j2],
-                                    values[node], values[other], work)
+                                    values[node], values[other], stop, work)
     work["vertices"] = len(vertices)
     return ZeroVelocityCurve(level_c=level_c,
                              segments=_stitch(raw_segments,

@@ -5,11 +5,16 @@ can reach. The cells of the sampling grid are split by a quadtree, from
 the whole grid down to leaves of at most 4x4 cells. A block is skipped
 when a Taylor bound around its centre proves f = 2*U1 - C of one sign on
 all of it, beyond the rounding of f, at least twice the collision guard
-from both primaries: none of its cells can hold the curve. Only the
-nodes of the other leaves are evaluated, so most of a fine grid is never
-visited (see the Numerical remarks of ``docs/model-notes.md``). Every
-value of f comes from one kernel per curve, ``model._level_kernel``,
-with the bits of the public ``amended_potential``.
+from both primaries: none of its cells can hold the curve. Where the
+bound proves instead that f is strictly monotone along each grid row (or
+column) of a block, the curve is a graph there: each line changes sign
+at most once, and a block of at most 16x16 cells is scanned line by
+line, evaluating only the corners of the cells between two lines'
+changes. Only those nodes and the nodes of the other leaves are
+evaluated, so most of a fine grid is never visited (see the Numerical
+remarks of ``docs/model-notes.md``). Every value of f comes from one
+kernel per curve, ``model._level_kernel``, with the bits of the public
+``amended_potential``.
 
 Cells are classified by the corner signs of f. Cells that contain a
 primary, or touch one within the collision guard, are masked, and
@@ -17,7 +22,7 @@ ambiguous saddle cells are split by the sign of f at the cell centre.
 
 Each crossing is then polished along its grid edge by the
 Anderson-Bjorck method, a regula falsi that keeps its bracket, in about
-five probes of f per edge, so emitted vertices satisfy f = 0 to near
+four probes of f per edge, so emitted vertices satisfy f = 0 to near
 machine precision rather than to the linear-interpolation error of the
 raw grid. A probe inside the collision guard has no value of f; it
 counts as f > 0, since U1 grows without bound at a primary, so the
@@ -89,8 +94,9 @@ class ZeroVelocityCurve(_Record):
     first vertex at the end.
     ``work`` counts what the extraction did: ``grid_nodes``,
     ``nodes_evaluated``, ``blocks_certified``, ``active_cells``,
-    ``vertices`` (crossings polished), ``polish_probes`` and
-    ``polish_bisections``. It is deterministic and takes no part in
+    ``vertices`` (crossings polished), ``polish_probes``,
+    ``polish_bisections`` and ``blocks_scanned`` (blocks scanned line by
+    line where f is monotone). It is deterministic and takes no part in
     equality.
     """
 
@@ -103,13 +109,13 @@ class ZeroVelocityCurve(_Record):
         object.__setattr__(self, "work", {} if work is None else work)
 
 
-def _certifier(p: SystemParams, level_c: float, guard: float, dx: float,
-               dy: float):
+def _certifier(p: SystemParams, level_c: float, guard: float, gap_x: float,
+               gap_y: float):
     """The test of what f provably does on a block of one curve.
 
     The returned ``certify(xlo, xhi, ylo, yhi)`` judges the block
-    [xlo, xhi] x [ylo, yhi] of a grid whose node gaps are at least dx
-    along x and dy along y. Around the block's centre c with half-widths
+    [xlo, xhi] x [ylo, yhi] of a grid whose node gaps are at least gap_x
+    along x and gap_y along y. Around the block's centre c with half-widths
     (hx, hy), Taylor's theorem bounds |f - f(c)| by the slack
     |fx| hx + |fy| hy + M (hx^2 + hy^2) / 2, where M bounds the norm of
     f's Hessian at the block's nearest distances to the primaries. Both
@@ -120,7 +126,7 @@ def _certifier(p: SystemParams, level_c: float, guard: float, dx: float,
     It returns ``_ONE_SIGNED`` when |f(c)| exceeds the slack by more than
     R. Otherwise it returns +-``_ALONG_X`` when f_x keeps its sign on the
     block, |fx(c)| - M hypot(hx, hy) > 0, and the least change of f
-    between two nodes of a grid row, that times dx, exceeds 2 R: the
+    between two nodes of a grid row, that times gap_x, exceeds 2 R: the
     computed f is then strictly monotone along every row, rising for +
     and falling for -. +-``_ALONG_Y`` is the same along the columns, for
     the axis along which f changes more per node gap. Else it returns 0.
@@ -141,9 +147,9 @@ def _certifier(p: SystemParams, level_c: float, guard: float, dx: float,
         hy += pad
         # nearest distances to the primaries at (-mu, 0) and (1 - mu, 0)
         xm = cx + mu
-        dy0 = max(abs(cy) - hy, 0.0)
-        r1 = hypot(max(abs(xm) - hx, 0.0), dy0)
-        r2 = hypot(max(abs(xm - 1.0) - hx, 0.0), dy0)
+        dy = max(abs(cy) - hy, 0.0)
+        r1 = hypot(max(abs(xm) - hx, 0.0), dy)
+        r2 = hypot(max(abs(xm - 1.0) - hx, 0.0), dy)
         if not (r1 > 2.0 * guard and r2 > 2.0 * guard):
             return 0
         u2 = two_u(cx, cy)
@@ -158,10 +164,10 @@ def _certifier(p: SystemParams, level_c: float, guard: float, dx: float,
         # the effective points of two neighbouring nodes are at least a
         # node gap less the padding on each side apart
         reach = m * hypot(hx, hy)
-        if abs(fx) * dx >= abs(fy) * dy:
-            if (abs(fx) - reach) * (dx - 2.0 * pad) > 2.0 * rounding:
+        if abs(fx) * gap_x >= abs(fy) * gap_y:
+            if (abs(fx) - reach) * (gap_x - 2.0 * pad) > 2.0 * rounding:
                 return _ALONG_X if fx > 0.0 else -_ALONG_X
-        elif (abs(fy) - reach) * (dy - 2.0 * pad) > 2.0 * rounding:
+        elif (abs(fy) - reach) * (gap_y - 2.0 * pad) > 2.0 * rounding:
             return _ALONG_Y if fy > 0.0 else -_ALONG_Y
         return 0
 

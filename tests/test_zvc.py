@@ -478,6 +478,42 @@ def _random_case(rng):
     return p, level, window, rng.choice((16, 17, 24, 33, 48))
 
 
+NEAR_L4 = (0.3, 0.5, SQRT3_2 - 0.1, SQRT3_2 + 0.1)
+# the level through the node (0.375, 0.375) of a 257^2 grid on WIDE
+NODE_LEVEL = 2.0 * amended_potential(CLASSICAL, 0.375, 0.375)
+
+
+@pytest.mark.parametrize("p, level, window, resolution", [
+    # an oval around L4, where the gradient cancels
+    (CLASSICAL, C_L4 + 1e-4, NEAR_L4, 257),
+    # closed around each primary, and an outer loop
+    (CLASSICAL, 3.9, WIDE, 512),
+    (CLASSICAL, 8.0, (-0.4, 0.2, -0.3, 0.3), 257),
+    (CLASSICAL, 4.0, (0.7, 1.1, -0.2, 0.2), 257),
+    # across the window's edges
+    (CLASSICAL, 3.2, (0.0, 1.5, 0.0, 1.5), 512),
+    (CLASSICAL, NODE_LEVEL, WIDE, 257),
+], ids=["near-l4", "both-primaries", "primary-1", "primary-2", "window-edge",
+        "through-a-node"])
+def test_scanned_blocks_match_scalar_reference(p, level, window, resolution):
+    # fine grids, where blocks are scanned line by line
+    curve = zero_velocity_curve(p, level, window, resolution)
+    assert curve.work["blocks_scanned"] > 0
+    assert curve == _reference_curve(p, level, window, resolution)
+
+
+def test_no_monotone_verdict_at_l4():
+    # the gradient of U1 vanishes at L4: a block around it is never
+    # certified monotone along an axis, however small
+    x4 = 0.5 - CLASSICAL.mu
+    for level in (C_L4, C_L4 + 1e-4):
+        for h in (1e-2, 1e-4, 1e-6):
+            certify = _certifier(CLASSICAL, level, COLLISION_GUARD, h / 8,
+                                 h / 8)
+            verdict = certify(x4 - h, x4 + h, SQRT3_2 - h, SQRT3_2 + h)
+            assert verdict in (0, _ONE_SIGNED)
+
+
 @pytest.mark.parametrize("seed", range(60))
 def test_random_windows_match_scalar_reference(seed):
     rng = random.Random(seed)

@@ -9,8 +9,8 @@ from both primaries: none of its cells can hold the curve. Where the
 bound proves instead that f is strictly monotone along each grid row (or
 column) of a block, the curve is a graph there: each line changes sign
 at most once, and a block of at most 16x16 cells is scanned line by
-line, evaluating only the corners of the cells between two lines'
-changes. Only those nodes and the nodes of the other leaves are
+line, evaluating little more than the corners of the cells between two
+lines' changes. Only those nodes and the nodes of the other leaves are
 evaluated, so most of a fine grid is never visited (see the Numerical
 remarks of ``docs/model-notes.md``). Every value of f comes from one
 kernel per curve, ``model._level_kernel``, with the bits of the public
@@ -248,9 +248,10 @@ def _scan(level, xs, ys, values, cells, i0, i1, j0, j1, along) -> None:
     sign at most once: at k, the first node of the other run, found by a
     walk from the previous line's k. Between two lines with changes k
     and k', the active cells are those from min(k, k') - 1 to
-    max(k, k') - 1; their corners are evaluated and no other node is.
-    No node lies within the guard, no cell holds a primary, and no cell
-    is a saddle.
+    max(k, k') - 1. Besides the first line's walk, only the nodes in
+    that range of both lines are evaluated: the corners of those cells,
+    or one node a line where the curve misses both. No node lies within
+    the guard, no cell holds a primary, and no cell is a saddle.
     """
     n = len(xs)
     rows = abs(along) == _ALONG_X
@@ -292,14 +293,9 @@ def _scan(level, xs, ys, values, cells, i0, i1, j0, j1, along) -> None:
             a = lo
         if b > hi:
             b = hi
-        for corner_line in (line - 1, line):
-            base = corner_line * stride
-            for pos in range(a, b + 1):
-                key = base + pos * step
-                if key not in values:
-                    values[key] = (
-                        level(xs[pos], ys[corner_line]) if rows
-                        else level(xs[corner_line], ys[pos]))
+        for pos in range(a, b + 1):
+            value(line - 1, pos)
+            value(line, pos)
         for pos in range(a, b):
             # corner signs: s0, s1 at pos and pos + 1 on the previous
             # line, t0, t1 on this one

@@ -124,12 +124,13 @@ def _certifier(p: SystemParams, level_c: float, guard: float, gap_x: float,
     the rounding of f at every node.
 
     It returns ``_ONE_SIGNED`` when |f(c)| exceeds the slack by more than
-    R. Otherwise it returns +-``_ALONG_X`` when f_x keeps its sign on the
-    block, |fx(c)| - M hypot(hx, hy) > 0, and the least change of f
-    between two nodes of a grid row, that times gap_x, exceeds 2 R: the
-    computed f is then strictly monotone along every row, rising for +
-    and falling for -. +-``_ALONG_Y`` is the same along the columns, for
-    the axis along which f changes more per node gap. Else it returns 0.
+    R. Otherwise it returns +-``_ALONG_X`` when g = |fx(c)| - M hypot(hx,
+    hy) > 0, so f_x keeps its sign on the block, and g (gap_x - 2 pad)
+    > 2 R, so two neighbouring nodes of a grid row differ by more than
+    their rounding: the computed f then rises (+) or falls (-) strictly
+    along every row. +-``_ALONG_Y`` is the same along the columns; only
+    the axis along which f changes more per node gap is tried. Else it
+    returns 0.
     """
     # 2*U1 with the bits of 2.0 * _checked_potential's U1: a centre is
     # never within the guard of a block that gets that far

@@ -492,6 +492,7 @@ NODE_LEVEL = 2.0 * amended_potential(CLASSICAL, 0.375, 0.375)
     (CLASSICAL, 4.0, (0.7, 1.1, -0.2, 0.2), 257),
     # across the window's edges
     (CLASSICAL, 3.2, (0.0, 1.5, 0.0, 1.5), 512),
+    # through a grid node, in a scanned block
     (CLASSICAL, NODE_LEVEL, WIDE, 257),
 ], ids=["near-l4", "both-primaries", "primary-1", "primary-2", "window-edge",
         "through-a-node"])
@@ -659,11 +660,11 @@ def test_monotone_blocks_change_sign_once():
             failed += 1
             continue
         passed += 1
-        grid = [[2.0 * amended_potential(p, x, y, guard) - level
-                 for x in xs[i0:i1 + 1]] for y in ys[j0:j1 + 1]]
         for y in ys[j0:j1 + 1]:
             for x in xs[i0:i1 + 1]:
                 assert min(_radii(p, x, y)) > 2.0 * guard
+        grid = [[2.0 * amended_potential(p, x, y, guard) - level
+                 for x in xs[i0:i1 + 1]] for y in ys[j0:j1 + 1]]
         lines = grid if abs(verdict) == _ALONG_X else list(zip(*grid))
         for line in lines:
             if verdict < 0:

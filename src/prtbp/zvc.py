@@ -73,8 +73,8 @@ _WIDTH = 2.0 ** -46
 _PROBES = 46
 
 # or at a probe where |f| <= _BAND * |C|: near the curve, where
-# 2*U1 + |C| ~ 2|C|, that is within the unit roundoff 2**-53 of it, below
-# the rounding of f, and the sign of f there is noise
+# 2*U1 + |C| ~ 2|C|, that is the unit roundoff 2**-53 of 2*U1 + |C|,
+# within the rounding of f, where the sign of f is noise
 _BAND = 2.0 ** -52
 
 # per-cell segments by corner-sign case; corners c0..c3 run counter-

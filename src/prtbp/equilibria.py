@@ -368,20 +368,20 @@ def follow_branch(base: SystemParams, variable: str, grid,
                   ) -> tuple[list[SweepRow], tuple[float, ...]]:
     """Follow the analytic and refined points over a parameter grid.
 
-    ``variable``, one of w1, a2, q1 and mu, takes the values of ``grid``;
-    the other parameters and the drag spec come from ``base``. The first
-    grid point that refines from its own guess (the analytic point on its
-    branch's side of y = 0, else the base point) anchors the branch, which
-    is followed from there by pseudo-arclength steps toward both ends of
-    the grid. Where det J changes sign along it the branch folds, and
-    every row past the fold reads ``no-equilibrium`` without a solve. The
-    other rows refine from the cubic through the nearest two points of
-    the arc, continued up to the fold past its last point, or from their
-    own guess where the arc does not reach them.
+    ``variable``, one of w1, a2, q1 and mu, takes the values of ``grid``,
+    which must be non-decreasing or non-increasing; the other parameters
+    and the drag spec come from ``base``. The first grid point that
+    refines from its own guess (the analytic point on its branch's side of
+    y = 0, else the base point) anchors the branch, which is followed from
+    there by pseudo-arclength steps toward both ends of the grid. Where
+    det J changes sign along it the branch folds, and every row past the
+    fold reads ``no-equilibrium`` without a solve. The others, outward
+    from the anchor, refine from the cubic in the variable through the
+    four nearest solved points: arc points and rows refined before them.
 
-    Returns the rows and the folds found: the one toward the start of the
-    grid, then the one toward its end. Raises ``ValueError`` naming
-    ``variable``, ``branch``, ``tol`` or ``max_iter``, before any solve.
+    Returns the rows and the folds found, toward the grid's start then its
+    end. Raises ``ValueError`` naming ``variable``, ``grid``, ``branch``,
+    ``tol`` or ``max_iter``, before any solve.
     """
     if variable not in ("w1", "a2", "q1", "mu"):
         raise ValueError(f"variable must be 'w1', 'a2', 'q1' or 'mu', got "
@@ -389,6 +389,9 @@ def follow_branch(base: SystemParams, variable: str, grid,
     _branch_sign(branch)
     _check_newton_args(tol, max_iter)
     grid = list(grid)
+    pairs = list(zip(grid, grid[1:]))
+    if not (all(a <= b for a, b in pairs) or all(a >= b for a, b in pairs)):
+        raise ValueError("grid must be non-decreasing or non-increasing")
     solved, folds = _solve_grid(base, variable, grid, branch, tol, max_iter)
     rows = []
     for value, (_, xy, out) in zip(grid, solved):
@@ -441,40 +444,40 @@ def _solve_grid(base: SystemParams, variable: str, grid: list,
                    if row[0] is not None and solve(row)), None)
     if anchor is None:
         return rows, ()
-    start, point, folds = grid[anchor], rows[anchor][2], []
-    # the rows before the anchor have failed from their own guess already
-    for end, indices in ((grid[0], range(anchor)),
+    start, xy, folds = grid[anchor], (rows[anchor][2].x, rows[anchor][2].y), []
+    # each side's rows outward from the anchor, from its nearest knots
+    for end, indices in ((grid[0], range(anchor - 1, -1, -1)),
                          (grid[-1], range(anchor + 1, len(grid)))):
-        points, fold = _walk(family, (point.x, point.y), start, end)
-        direction = math.copysign(1.0, end - start)
-        if fold is not None and (end - fold) * direction > 0.0:
+        knots, fold = _walk(family, xy, start, end)
+        knots = sorted(knots or [(*xy, start)], key=lambda u: u[2])
+        reach = math.inf if fold is None else abs(fold - start)
+        if reach < abs(end - start):
             folds.append(fold)
-        keys = [direction * u[2] for u, _ in points]
-        # past the last arc point the cubic is continued up to the fold
-        last = len(keys) if fold is None else len(keys) - 1
-        for i in indices:
-            if rows[i][0] is None:
+        for row, value in ((rows[i], grid[i]) for i in indices
+                           if rows[i][0] is not None):
+            if abs(value - start) > reach:
+                row[2] = "no-equilibrium"
                 continue
-            k = min(bisect_left(keys, direction * grid[i]), last)
-            if fold is not None and (grid[i] - fold) * direction > 0.0:
-                rows[i][2] = "no-equilibrium"
-            elif 0 < k < len(keys):
-                solve(rows[i], _hermite(points[k - 1], points[k], grid[i]))
-            elif i > anchor:
-                solve(rows[i])
+            k = bisect_left(knots, value, key=lambda u: u[2])
+            near = sorted(knots[max(k - 4, 0):k + 4],
+                          key=lambda u: abs(u[2] - value))[:4]
+            # a row left at its seed would add only its residual as a knot
+            if solve(row, seed := _lagrange(near, value)) \
+                    and (row[2].x, row[2].y) != seed and near[0][2] != value:
+                knots.insert(k, (row[2].x, row[2].y, value))
     return rows, tuple(folds)
 
 
-def _hermite(a, b, value: float) -> tuple[float, float]:
-    # the cubic in the parameter through the arc points a and b with the
-    # slopes of their tangents, at value
-    (ua, ta), (ub, tb) = a, b
-    h = ub[2] - ua[2]
-    s = (value - ua[2]) / h
-    wa, wb = (1.0 + 2.0 * s) * (1.0 - s) ** 2, s * s * (3.0 - 2.0 * s)
-    da, db = s * (1.0 - s) ** 2 * h / ta[2], s * s * (s - 1.0) * h / tb[2]
-    return (wa * ua[0] + wb * ub[0] + da * ta[0] + db * tb[0],
-            wa * ua[1] + wb * ub[1] + da * ta[1] + db * tb[1])
+def _lagrange(knots, value: float) -> tuple[float, float]:
+    # the polynomial through the (x, y, lam) knots, of distinct lam, at value
+    x = y = 0.0
+    for xi, yi, li in knots:
+        w = 1.0
+        for _, _, lj in knots:
+            if lj != li:
+                w *= (value - lj) / (li - lj)
+        x, y = x + w * xi, y + w * yi
+    return x, y
 
 
 def _cross(a, b):
@@ -548,8 +551,7 @@ def _unit(c, sign: float):
 
 
 def _walk(family, point: tuple[float, float], start: float, stop: float):
-    """Arc points of a branch from one parameter value toward another,
-    and its first fold.
+    """The arc points of a branch from ``start`` toward ``stop``, and its fold.
 
     ``family`` maps a parameter value to its ``SystemParams`` (raising
     ``ValueError`` outside its domain) and ``point`` is near a solution of
@@ -560,25 +562,23 @@ def _walk(family, point: tuple[float, float], start: float, stop: float):
     fold is then located by a secant on det J along the arc (the Illinois
     variant of regula falsi, which keeps the bracket).
 
-    Returns the points ((x, y, lam), t) accepted before the fold, t the
-    unit tangent toward ``stop``, and the fold, which may lie beyond
-    ``stop``; None when the walk passes ``stop`` first, or when the steps
-    fail (a parameter outside the domain, a point within the collision
-    guard, no convergence).
+    Returns the points (x, y, lam) accepted before the fold and the fold,
+    which may lie beyond ``stop``; None when the walk passes ``stop``
+    first, or when the steps fail (a parameter outside the domain, a point
+    within the collision guard, no convergence).
     """
-    points = []
     if start == stop:
-        return points, None
+        return [], None
     arc = _Arc(family, start, stop, _ARC_TOL)
     first = arc.correct((point[0], point[1], start), (0.0, 0.0, 1.0), 0.0)
     if first is None or first[1][2] == 0.0:
-        return points, None
+        return [], None
     u, c, _ = first
     # orient the tangent toward stop, once
     direction = math.copysign(1.0, stop - start)
     sign = math.copysign(1.0, c[2]) * direction
     t = _unit(c, sign)
-    points.append((u, t))
+    points = [u]
     ds = _ARC_MAX_STEP
     for _ in range(_ARC_MAX_STEPS):
         if ds < _ARC_MIN_STEP:
@@ -591,7 +591,7 @@ def _walk(family, point: tuple[float, float], start: float, stop: float):
         v, cv, corrections = step
         if (cv[2] < 0.0) != (c[2] < 0.0):
             return points, _secant_fold(arc, u, t, c[2], ds, cv[2], v[2])
-        points.append((v, tv))
+        points.append(v)
         if (v[2] - stop) * direction >= 0.0:
             break
         u, t, c = v, tv, cv

@@ -525,8 +525,7 @@ def test_sweep_ending_just_below_the_fold_refines_its_last_row(count,
                                                               tmp_path,
                                                               capsys):
     """The grid ends 1.9e-7 below the fold of L4 at w1 = 7.159e-3: the
-    cubic through the last two arc points, continued toward the fold,
-    seeds the last row."""
+    cubic through the four solved points nearest it seeds the last row."""
     out = str(tmp_path / "edge.csv")
     assert main(["sweep", "--system.mu", "0.01", "--system.q1", "0.98",
                  "--system.w1", "0", "--job.variable", "w1",
@@ -688,7 +687,7 @@ def test_sweep_classifies_rows_before_the_first_refined_point(tmp_path,
 @pytest.mark.parametrize("spacing", ["linear", "geometric"])
 def test_sweep_with_repeated_grid_values(tmp_path, capsys, spacing):
     # start == stop repeats one value: no arc is walked, and every row
-    # refines from its own guess
+    # after the first refines from the first row's point
     out = str(tmp_path / "repeat.csv")
     assert main(["sweep", "--system.mu", "0.1", "--system.q1", "0.98",
                  "--system.w1", "0", "--job.variable", "w1",

@@ -458,6 +458,9 @@ def test_follow_branch_gives_the_sweep_job_rows(system, variable, start,
     ("tol", dict(tol=-1.0)),
     ("tol", dict(tol=math.nan)),
     ("max_iter", dict(max_iter=0)),
+    # a grid that falls and rises again could hide a fold from the walk
+    ("grid", dict(grid=[1e-3, 9e-3, 2e-3, 7e-3])),
+    ("grid", dict(grid=[1e-4, math.nan, 1e-3])),
 ])
 def test_follow_branch_checks_its_arguments_before_any_solve(name, kwargs):
     # q1 = 1 admits no drag, so every grid point is invalid and no solve
@@ -470,3 +473,57 @@ def test_follow_branch_checks_its_arguments_before_any_solve(name, kwargs):
     assert folds == ()
     with pytest.raises(ValueError, match=name):
         follow_branch(base, **{**args, **kwargs})
+
+
+# (system, variable, start, stop, branch) of 200-row geometric sweeps
+WORK_SWEEPS = [
+    (dict(mu=0.03, q1=0.98, cd=2000.0), "a2", 1e-5, 1e-2, "L5"),
+    (dict(mu=0.03, q1=0.95, cd=2000.0), "q1", 0.9, 0.999, "L4"),
+    (dict(mu=0.1, q1=0.98, w1=0.0), "w1", 1e-4, 1e-2, "L4"),
+]
+
+
+@pytest.mark.parametrize("system, variable, start, stop, branch",
+                         WORK_SWEEPS, ids=["a2", "q1", "w1"])
+def test_sweep_rows_mostly_stop_at_their_seed(system, variable, start, stop,
+                                              branch, monkeypatch):
+    """Each row refines from the cubic through the four nearest solved
+    points, so most rows stop at their seed after one residual: 1.19,
+    1.64 and 1.56 residual calls a row here, arc included, where seeds
+    between arc points 0.05 apart took 2.04, 2.11 and 2.29."""
+    residual = equilibria.equilibrium_residual
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return residual(*args, **kwargs)
+
+    monkeypatch.setattr(equilibria, "equilibrium_residual", counted)
+    grid = _sweep_grid({"start": start, "stop": stop, "count": 200,
+                        "spacing": "geometric"})
+    rows, folds = follow_branch(SystemParams(**system), variable, grid,
+                                branch)
+    assert {row.status for row in rows} == {"ok"} and folds == ()
+    assert len(calls) / len(grid) < 1.8
+
+
+# the L4 systems of docs/model-notes.md whose branch folds in w1
+FOLD_SYSTEMS = [(0.01, 0.98), (0.01004, 0.9805), (0.012, 0.97), (0.1, 0.98)]
+
+
+@pytest.mark.parametrize("mu, q1", FOLD_SYSTEMS)
+def test_sweep_reaches_just_below_the_fold(mu, q1):
+    """Grids that end 1e-11 below the fold refine every row, and their
+    last rows lie on the near branch, whatever the grid."""
+    base = SystemParams(mu=mu, q1=q1, w1=0.0)
+    (fold,) = follow_branch(base, "w1", [1e-4, 0.5])[1]
+    last = []
+    for count in (3, 8):
+        grid = _sweep_grid({"start": 1e-4, "stop": fold * (1.0 - 1e-11),
+                            "count": count, "spacing": "linear"})
+        rows, folds = follow_branch(base, "w1", grid)
+        assert [row.status for row in rows] == ["ok"] * count
+        assert folds == ()
+        last.append(rows[-1])
+    assert last[0].x_refined == pytest.approx(last[1].x_refined, abs=1e-7)
+    assert last[0].y_refined == pytest.approx(last[1].y_refined, abs=1e-7)

@@ -12,7 +12,7 @@ library module it calls when it runs, so a job loads only its own.
 Configuration comes from an optional JSON file (``--config``) merged
 with command-line flags named after the dotted field paths, for example
 ``--system.mu 0.01``. Outputs are deterministic: identical configuration
-yields byte-identical files, and one streaming writer serves every table.
+yields byte-identical files; one rule formats every table row and run record.
 
 Each library entry point checks its own arguments; the CLI checks only
 the fields no library function receives and maps exception types to exit
@@ -248,34 +248,28 @@ def build_config(job: str, config_path: str | None,
                      precision=precision)
 
 
-def _fmt(value, precision: int) -> str:
-    # + 0.0 turns -0.0 into 0.0
-    return format(value + 0.0, f".{precision}g")
+def _row_format(kinds: tuple[type, ...], precision: int,
+                keys: tuple[str, ...] | None = None) -> str:
+    # the % format of a row of cells of types kinds: a CSV line, or with
+    # keys (fixed identifiers, free of %) a JSON object. A float prints at
+    # precision significant digits, so it may not be -0.0, and None as an
+    # empty cell; a JSON row comes through _json_cells
+    cell = {float: f"%.{precision}g", int: "%d", str: "%s",
+            type(None): "%.0s"}
+    if keys is None:
+        return ",".join(cell[kind] for kind in kinds)
+    return "{" + ", ".join(f"{json.dumps(key)}: {cell[kind]}"
+                           for key, kind in zip(keys, kinds)) + "}"
 
 
-def _json_token(value, precision: int) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        if math.isnan(value) or math.isinf(value):
-            return "null"
-        return _fmt(value, precision)
-    return json.dumps(value)
-
-
-def _dump_json(obj, precision: int) -> str:
-    # fixed-order, fixed-precision serializer so outputs are byte-stable
-    if isinstance(obj, dict):
-        inner = ", ".join(f"{json.dumps(k)}: {_dump_json(v, precision)}"
-                          for k, v in obj.items())
-        return "{" + inner + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_dump_json(v, precision) for v in obj) + "]"
-    return _json_token(obj, precision)
+def _json_cells(cells) -> tuple:
+    # cells as a JSON row takes them: + 0.0 turns -0.0 into 0.0, a
+    # non-finite float and None are null, and a str goes through
+    # json.dumps, so a quote cannot break the document
+    return tuple([(v + 0.0 if -math.inf < v < math.inf else "null")
+                  if v.__class__ is float else json.dumps(v)
+                  if v.__class__ is str else "null" if v is None else v
+                  for v in cells])
 
 
 def _open_output(path: str | None):
@@ -286,29 +280,29 @@ def _open_output(path: str | None):
 
 
 def _write_table(cfg: JobConfig, columns: tuple[str, ...], rows) -> None:
-    # rows stream one at a time. A JSON row has the bytes _dump_json gives
-    # the whole {"job", "rows"} payload. A CSV line takes one % format per
-    # sequence of cell types, so no float cell may be -0.0; None prints as
-    # an empty cell, and the str cells are fixed identifiers that need no
-    # quoting
+    # rows stream one at a time, each through the _row_format of its
+    # sequence of cell types, built once. A CSV row goes in as it is, so
+    # its str cells are fixed identifiers that need no quoting; a JSON row
+    # goes through _json_cells
+    lines: dict[tuple[type, ...], str] = {}
     with _open_output(cfg.out_path) as fh:
         if cfg.out_format == "json":
             fh.write(f'{{"job": {json.dumps(cfg.job)}, "rows": [')
             sep = ""
             for row in rows:
-                fh.write(sep + _dump_json(dict(zip(columns, row)),
-                                          cfg.precision))
+                row = _json_cells(row)
+                kinds = tuple(map(type, row))
+                if kinds not in lines:
+                    lines[kinds] = _row_format(kinds, cfg.precision, columns)
+                fh.write(sep + lines[kinds] % row)
                 sep = ", "
             fh.write("]}\n")
             return
-        cell = {float: f"%.{cfg.precision}g", int: "%d", str: "%s",
-                type(None): "%.0s"}
-        lines: dict[tuple[type, ...], str] = {}
         fh.write(",".join(columns) + "\n")
         for row in rows:
             kinds = tuple(map(type, row))
             if kinds not in lines:
-                lines[kinds] = ",".join(cell[k] for k in kinds) + "\n"
+                lines[kinds] = _row_format(kinds, cfg.precision) + "\n"
             fh.write(lines[kinds] % row)
 
 
@@ -395,8 +389,10 @@ def _sample_rows(traj):
 def _write_meta(cfg: JobConfig, record: dict) -> None:
     # the job's run record, next to its output file
     path = os.path.splitext(cfg.out_path)[0] + ".meta.json"
+    cells = _json_cells(record.values())
+    line = _row_format(tuple(map(type, cells)), cfg.precision, tuple(record))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_dump_json(record, cfg.precision) + "\n")
+        fh.write(line % cells + "\n")
 
 
 def run_zvc(cfg: JobConfig) -> int:
@@ -456,9 +452,9 @@ def run_sweep(cfg: JobConfig) -> int:
     _write_table(cfg, SweepRow._fields,
                  ((row.value + 0.0, *row[1:]) for row in rows))
     flagged = sum(row.status != "ok" for row in rows)
+    fold = _row_format((float,), cfg.precision)
     summary = f"sweep: {len(rows)} points, {flagged} flagged" + "".join(
-        f", fold at {a['variable']} = {_fmt(at, cfg.precision)}"
-        for at in folds)
+        f", fold at {a['variable']} = " + fold % (at + 0.0) for at in folds)
     print(summary, file=sys.stderr if cfg.out_path is None else sys.stdout)
     return 0
 

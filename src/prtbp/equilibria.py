@@ -257,6 +257,10 @@ def refine_equilibrium(p: SystemParams, guess: tuple[float, float],
         ``tol`` is not finite and > 0, ``max_iter`` is below 1, ``guess``
         is not finite, or ``guard`` is not finite and >= 0; the message
         names the argument.
+    SingularityError
+        The guess lies within ``guard`` of a primary, or, with a guard of
+        0, so near one that the residual divides by zero; a Newton probe
+        there is skipped like one inside the guard.
     ConvergenceError
         Tolerance not reached within ``max_iter`` iterations, or reached on
         y = 0, off both triangular points; carries the last iterate and
@@ -500,15 +504,14 @@ class _Arc:
     (Keller 1977; Allgower & Georg 1990, ch. 2). J is exact; dR/dlam is a
     one-sided difference through ``family``, taken back toward ``lam0``,
     inside the swept range. Its error moves only the predictor and the
-    corrector's rate, never the points, which solve R = 0 to ``tol``.
+    corrector's rate, never the points, which solve R = 0 to ``_ARC_TOL``.
     """
 
-    def __init__(self, family, lam0: float, stop: float, tol: float):
+    def __init__(self, family, lam0: float, stop: float):
         self.family = family
         self.lam0 = lam0
         self.h = math.copysign(_SQRT_EPS * max(abs(lam0), abs(stop - lam0)),
                                stop - lam0)
-        self.tol = tol
 
     def correct(self, u, t, ds):
         """Newton from u + ds*t on R = 0 and t.(v - u) = ds.
@@ -532,7 +535,7 @@ class _Arc:
             a = (j11, j12, (res_h[0] - res[0]) / h)
             b = (j21, j22, (res_h[1] - res[1]) / h)
             c = _cross(a, b)
-            if math.hypot(*res) < self.tol:
+            if math.hypot(*res) < _ARC_TOL:
                 return tuple(v), c, corrections
             # Cramer's rule on the rows a, b, t
             det = _dot(c, t)
@@ -569,7 +572,7 @@ def _walk(family, point: tuple[float, float], start: float, stop: float):
     """
     if start == stop:
         return [], None
-    arc = _Arc(family, start, stop, _ARC_TOL)
+    arc = _Arc(family, start, stop)
     first = arc.correct((point[0], point[1], start), (0.0, 0.0, 1.0), 0.0)
     if first is None or first[1][2] == 0.0:
         return [], None

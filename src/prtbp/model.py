@@ -277,6 +277,13 @@ def _check_radii(x, y, r1, r2, guard: float) -> None:
                                f"primary (r1={r1}, r2={r2})")
 
 
+def _on_primary(x, y, r1, r2) -> SingularityError:
+    # a guard of 0 admits a point on a primary, or one so near it that a
+    # power of its distance underflows to 0, where a term divides by zero
+    return SingularityError(f"point ({x}, {y}) is too near a primary to "
+                            f"evaluate (r1={r1}, r2={r2})")
+
+
 def _checked_potential(p: SystemParams, x, y, guard: float):
     # amended potential U1 after the guard check, from one derivation of
     # the radii, with that derivation's x + mu and r1^2 for the drag
@@ -284,10 +291,13 @@ def _checked_potential(p: SystemParams, x, y, guard: float):
     r1 = math.sqrt(r1sq)
     r2 = math.sqrt(r2sq)
     _check_radii(x, y, r1, r2, guard)
-    return (0.5 * p.n * p.n * (x * x + y * y)
-            + (1.0 - p.mu) * p.q1 / r1
-            + p.mu / r2
-            + p.mu * p.a2 / (2.0 * (r2 * r2 * r2))), xm, r1sq
+    try:
+        return (0.5 * p.n * p.n * (x * x + y * y)
+                + (1.0 - p.mu) * p.q1 / r1
+                + p.mu / r2
+                + p.mu * p.a2 / (2.0 * (r2 * r2 * r2))), xm, r1sq
+    except ZeroDivisionError:
+        raise _on_primary(x, y, r1, r2) from None
 
 
 def _level_kernel(p: SystemParams, level_c: float, guard: float):
@@ -345,14 +355,20 @@ def _accelerations(p: SystemParams, x: float, y: float, vx: float,
     r13 = r1sq * r1
     r23 = r2sq * r2
     r25 = r23 * r2sq
-    gx = (p.n * p.n * x
-          - (1.0 - p.mu) * p.q1 * xm / r13
-          - p.mu * (xm - 1.0) / r23
-          - 1.5 * p.mu * p.a2 * (xm - 1.0) / r25)
-    gy = (p.n * p.n * y
-          - (1.0 - p.mu) * p.q1 * y / r13
-          - p.mu * y / r23
-          - 1.5 * p.mu * p.a2 * y / r25)
+    try:
+        gx = (p.n * p.n * x
+              - (1.0 - p.mu) * p.q1 * xm / r13
+              - p.mu * (xm - 1.0) / r23
+              - 1.5 * p.mu * p.a2 * (xm - 1.0) / r25)
+        gy = (p.n * p.n * y
+              - (1.0 - p.mu) * p.q1 * y / r13
+              - p.mu * y / r23
+              - 1.5 * p.mu * p.a2 * y / r25)
+    except ZeroDivisionError:
+        if guard is None:
+            raise
+        raise _on_primary(x, y, r1, r2) from None
+    # r1sq > 0 here, since r13 > 0
     fx, fy = _drag(p, xm, y, vx, vy, r1sq)
     return gx, gy, fx, fy
 
@@ -408,7 +424,8 @@ def amended_potential(p: SystemParams, x: float, y: float,
     ValueError
         If ``guard`` is not finite and >= 0.
     SingularityError
-        If the point lies within ``guard`` of either primary.
+        If the point lies within ``guard`` of either primary, or, with a
+        guard of 0, so near one that a term divides by zero.
     """
     _check_guard_arg(guard)
     return _checked_potential(p, x, y, guard)[0]

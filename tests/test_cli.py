@@ -86,6 +86,25 @@ def _render_csv(columns, rows, precision):
     return buf.getvalue()
 
 
+def _render_json(columns, rows, precision):
+    """Reference bytes of the JSON objects of rows, comma-separated: keys
+    and str cells through json.dumps, each finite float through format()
+    with -0.0 written as 0, and null for None, NaN and infinity."""
+    def token(v):
+        if isinstance(v, str):
+            return json.dumps(v)
+        if v is None or isinstance(v, float) and not math.isfinite(v):
+            return "null"
+        if isinstance(v, float):
+            return format(v + 0.0, f".{precision}g")
+        return str(v)
+
+    return ", ".join(
+        "{" + ", ".join(f"{json.dumps(k)}: {token(v)}"
+                        for k, v in zip(columns, row)) + "}"
+        for row in rows)
+
+
 def test_missing_drag_spec_exits_2(capsys):
     rc = main(["equilibria", "--system.mu", "0.1", "--system.q1", "0.98"])
     assert rc == 2
@@ -376,17 +395,18 @@ def test_integrate_csv_matches_the_row_renderer(orbit, precision, tmp_path):
 @pytest.mark.parametrize("argv", [INTEGRATE, INTEGRATE_DRAG],
                          ids=["drag-free", "drag"])
 def test_integrate_json_matches_the_payload_dump(argv, tmp_path):
-    # the rows streamed one at a time have the bytes of the whole payload
-    # through _dump_json, with the CSV's values and -0.0 written as 0
+    # the rows streamed one at a time have the bytes of the reference
+    # rendering of the whole payload, with the CSV's values and -0.0
+    # written as 0
     out = tmp_path / "orbit.json"
     assert main([*argv, "--output", str(out), "--format", "json"]) == 0
     # 17 digits read back the CSV's floats exactly
     assert main([*argv, "--output", str(tmp_path / "orbit.csv")]) == 0
     columns, rows = read_table(str(tmp_path / "orbit.csv"))
     assert any(v == 0.0 for row in rows for v in row.values())
-    payload = {"job": "integrate", "rows": rows}
+    rendered = _render_json(columns, [row.values() for row in rows], 17)
     assert out.read_text(encoding="utf-8") == (
-        cli._dump_json(payload, 17) + "\n")
+        f'{{"job": "integrate", "rows": [{rendered}]}}\n')
 
 
 def test_integrate_sidecar_sits_next_to_the_output(tmp_path):
@@ -758,14 +778,36 @@ def test_zvc_csv_matches_the_row_renderer(precision, tmp_path):
 
 
 def test_table_writer_matches_the_row_renderer_on_mixed_cells(tmp_path):
-    # str, int, float and None cells, in changing orders of types
+    # str, int, float and None cells, in changing orders of types, in
+    # both formats
     rows = [("L4", 3, 0.1, None), ("L5", -2, None, 1e300),
             ("ok", 0, math.inf, math.nan), ("L4", 7, 2.5e-17, -1.0)]
-    out = tmp_path / "table.csv"
-    cfg = JobConfig("sweep", SystemParams(mu=0.1), {}, str(out), "csv", 17)
-    cli._write_table(cfg, ("a", "b", "c", "d"), iter(rows))
-    assert out.read_text(encoding="utf-8") == _render_csv(
-        ("a", "b", "c", "d"), rows, 17)
+    columns = ("a", "b", "c", "d")
+    rendered = {"csv": _render_csv(columns, rows, 17),
+                "json": f'{{"job": "sweep", "rows": '
+                        f'[{_render_json(columns, rows, 17)}]}}\n'}
+    for fmt, expected in rendered.items():
+        out = tmp_path / f"table.{fmt}"
+        cfg = JobConfig("sweep", SystemParams(mu=0.1), {}, str(out), fmt,
+                        17)
+        cli._write_table(cfg, columns, iter(rows))
+        assert out.read_text(encoding="utf-8") == expected
+
+
+def test_run_record_matches_the_json_renderer(tmp_path):
+    # one JSON object with the record's keys, in order, as its columns
+    record = {"termination": 'a "quoted" cause', "samples": 6285,
+              "jacobi_audit": math.nan, "event_time": -0.0,
+              "escape_time": math.inf, "drift": -math.inf, "ratio": 1 / 3}
+    cfg = JobConfig("integrate", SystemParams(mu=0.1), {},
+                    str(tmp_path / "orbit.csv"), "csv", 5)
+    cli._write_meta(cfg, record)
+    text = (tmp_path / "orbit.meta.json").read_text(encoding="utf-8")
+    assert text == _render_json(tuple(record), [record.values()], 5) + "\n"
+    assert text == ('{"termination": "a \\"quoted\\" cause", '
+                    '"samples": 6285, "jacobi_audit": null, '
+                    '"event_time": 0, "escape_time": null, "drift": null, '
+                    '"ratio": 0.33333}\n')
 
 
 @pytest.mark.parametrize("count", [10**6 + 1, 10**12])

@@ -23,6 +23,7 @@ from prtbp import (
     mass_reduction_from_grain,
     mean_motion,
     oblateness_from_radii,
+    refine_equilibrium,
 )
 from prtbp.model import _hessian_bound, _radii, _rest_jacobian
 
@@ -220,6 +221,8 @@ GUARDED = {
     "jacobi_drift_rate": lambda p, g: jacobi_drift_rate(p, AT_PRIMARY, g),
     "equilibrium_residual":
         lambda p, g: equilibrium_residual(p, 0.99, 0.0, g),
+    "refine_equilibrium":
+        lambda p, g: refine_equilibrium(p, (0.99, 0.0), guard=g),
 }
 
 
@@ -229,6 +232,18 @@ def test_public_functions_check_their_guard(name, guard):
     p = SystemParams(mu=0.01, q1=0.98, w1=1e-3)
     with pytest.raises(ValueError, match="guard must be finite and >= 0"):
         GUARDED[name](p, guard)
+
+
+@pytest.mark.parametrize("call", [
+    *GUARDED.values(),
+    # 1e-110 from the radiating primary at (-mu, 0), where r1^3 underflows
+    lambda p, g: conservative_gradient(p, -0.01, 1e-110, g),
+], ids=[*GUARDED, "r1-cubed-underflows"])
+def test_zero_guard_at_a_primary_raises_singularity_error(call):
+    # a guard of 0 admits a point where a term divides by zero
+    p = SystemParams(mu=0.01, q1=0.98, w1=1e-3)
+    with pytest.raises(SingularityError, match="too near a primary"):
+        call(p, 0.0)
 
 
 def test_amended_potential_duplicate_evaluation():

@@ -576,9 +576,9 @@ def test_kernel_is_nan_within_the_guard_and_on_a_primary():
     assert math.isnan(f(-0.5 + 5e-7, 0.0))
     assert math.isnan(public(-0.5 + 5e-7, 0.0))
     assert repr(f(-0.5 + 2e-6, 0.0)) == repr(public(-0.5 + 2e-6, 0.0))
-    # with no guard U1 divides by zero on a primary, and the kernel gives
-    # NaN instead
-    with pytest.raises(ZeroDivisionError):
+    # with no guard U1 divides by zero on a primary: the public function
+    # raises SingularityError there, and the kernel gives NaN instead
+    with pytest.raises(SingularityError, match="too near a primary"):
         amended_potential(EQUAL, -0.5, 0.0, guard=0.0)
     g = _level_kernel(EQUAL, 3.0, 0.0)
     assert math.isnan(g(-0.5, 0.0)) and math.isnan(g(0.5, 0.0))

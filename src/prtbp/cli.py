@@ -33,15 +33,16 @@ import os
 import sys
 
 from .errors import ConfigError, ConvergenceError, SingularityError
-from .model import (COLLISION_GUARD, ESCAPE_RADIUS, GrainProperties,
-                    PhaseState, SystemParams, _Record, mass_reduction_from_grain)
+from .model import (GrainProperties, PhaseState, SystemParams, _Record,
+                    mass_reduction_from_grain)
 
 _REQUIRED = object()
 
 #: Most grid points a sweep job may ask for: its rows take ~0.55 KB each.
 MAX_SWEEP_POINTS = 10**6
 
-_SYSTEM_FIELDS = {
+# the fields every job reads, with their types
+_FIELDS = {
     "system.mu": float,
     "system.q1": float,
     "system.a2": float,
@@ -50,50 +51,9 @@ _SYSTEM_FIELDS = {
     "system.grain.radius_a": float,
     "system.grain.density_rho": float,
     "system.grain.efficiency_chi": float,
-}
-
-_OUTPUT_FIELDS = {
     "output.path": str,
     "output.format": str,
     "output.precision": int,
-}
-
-_JOB_FIELDS: dict[str, dict[str, tuple[type, object]]] = {
-    "equilibria": {
-        "job.tol": (float, 1e-12),
-        "job.max_iter": (int, 50),
-    },
-    "integrate": {
-        "job.x": (float, _REQUIRED),
-        "job.y": (float, _REQUIRED),
-        "job.vx": (float, _REQUIRED),
-        "job.vy": (float, _REQUIRED),
-        "job.t0": (float, 0.0),
-        "job.t_end": (float, _REQUIRED),
-        "job.sample_dt": (float, _REQUIRED),
-        "job.rtol": (float, 1e-12),
-        "job.atol": (float, 1e-12),
-        "job.collision_guard": (float, COLLISION_GUARD),
-        "job.escape_radius": (float, ESCAPE_RADIUS),
-    },
-    "zvc": {
-        "job.level_c": (float, _REQUIRED),
-        "job.xmin": (float, _REQUIRED),
-        "job.xmax": (float, _REQUIRED),
-        "job.ymin": (float, _REQUIRED),
-        "job.ymax": (float, _REQUIRED),
-        "job.resolution": (int, _REQUIRED),
-    },
-    "sweep": {
-        "job.variable": (str, _REQUIRED),
-        "job.start": (float, _REQUIRED),
-        "job.stop": (float, _REQUIRED),
-        "job.count": (int, _REQUIRED),
-        "job.spacing": (str, "geometric"),
-        "job.branch": (str, "L4"),
-        "job.tol": (float, 1e-12),
-        "job.max_iter": (int, 50),
-    },
 }
 
 # allowed values of the string fields no library function receives
@@ -101,6 +61,11 @@ _CHOICES = {
     "output.format": ("csv", "json"),
     "job.spacing": ("linear", "geometric"),
 }
+
+
+def _field_types(own: dict) -> dict:
+    # the type of every field a job reads: the shared ones and its own
+    return {**_FIELDS, **{path: typ for path, (typ, _) in own.items()}}
 
 
 class JobConfig(_Record):
@@ -196,11 +161,8 @@ def build_config(job: str, config_path: str | None,
             f"job.type: config declares {declared!r} but the "
             f"{job!r} subcommand was invoked")
 
-    fields = dict(_SYSTEM_FIELDS)
-    fields.update(_OUTPUT_FIELDS)
-    job_fields = _JOB_FIELDS[job]
-    for path, (typ, _) in job_fields.items():
-        fields[path] = typ
+    job_fields = _JOBS[job][2]
+    fields = _field_types(job_fields)
     for path in flat:
         if path not in fields:
             raise ConfigError(f"{path}: unknown field")
@@ -213,13 +175,14 @@ def build_config(job: str, config_path: str | None,
 
     system = _build_system(flat)
 
+    # a field without a default here is left to the job's library call
     args = {}
-    for path, (typ, default) in job_fields.items():
+    for path, (_, default) in job_fields.items():
         if path in flat:
             args[path.removeprefix("job.")] = flat[path]
         elif default is _REQUIRED:
             raise ConfigError(f"{path}: required field is missing")
-        else:
+        elif default is not None:
             args[path.removeprefix("job.")] = default
 
     if job == "sweep":
@@ -343,8 +306,7 @@ def run_equilibria(cfg: JobConfig) -> int:
     """Write the rows of ``equilibria.triangular_points``."""
     from .equilibria import triangular_points
 
-    points = triangular_points(cfg.system, cfg.args["tol"],
-                               cfg.args["max_iter"])
+    points = triangular_points(cfg.system, **cfg.args)
     _write_table(cfg, ("branch", "method", "x", "y", "residual_norm"),
                  map(_point_row, points))
     return 0
@@ -354,13 +316,10 @@ def run_integrate(cfg: JobConfig) -> int:
     """Propagate one trajectory and write samples plus a metadata sidecar."""
     from .dynamics import integrate, jacobi_audit
 
-    p = cfg.system
-    a = cfg.args
-    s0 = PhaseState(x=a["x"], y=a["y"], vx=a["vx"], vy=a["vy"], t=a["t0"])
-    traj = integrate(p, s0, t_end=a["t_end"], sample_dt=a["sample_dt"],
-                     rtol=a["rtol"], atol=a["atol"],
-                     collision_guard=a["collision_guard"],
-                     escape_radius=a["escape_radius"])
+    a = dict(cfg.args)
+    s0 = PhaseState(x=a.pop("x"), y=a.pop("y"), vx=a.pop("vx"),
+                    vy=a.pop("vy"), t=a.pop("t0"))
+    traj = integrate(cfg.system, s0, **a)
     _write_table(cfg, ("t", "x", "y", "vx", "vy", "C", "dCdt"),
                  _sample_rows(traj))
     meta = {"termination": traj.termination,
@@ -445,9 +404,10 @@ def run_sweep(cfg: JobConfig) -> int:
     line, on stderr when the table itself goes to stdout."""
     from .equilibria import SweepRow, follow_branch
 
-    a = cfg.args
-    rows, folds = follow_branch(cfg.system, a["variable"], _sweep_grid(a),
-                                a["branch"], a["tol"], a["max_iter"])
+    a = dict(cfg.args)
+    grid = _sweep_grid({key: a.pop(key)
+                        for key in ("start", "stop", "count", "spacing")})
+    rows, folds = follow_branch(cfg.system, grid=grid, **a)
     # + 0.0 turns a -0.0 grid value into 0.0 for _write_table
     _write_table(cfg, SweepRow._fields,
                  ((row.value + 0.0, *row[1:]) for row in rows))
@@ -459,25 +419,47 @@ def run_sweep(cfg: JobConfig) -> int:
     return 0
 
 
-_RUNNERS = {
-    "equilibria": run_equilibria,
-    "integrate": run_integrate,
-    "zvc": run_zvc,
-    "sweep": run_sweep,
+# each job's runner, help line and own fields: their types and defaults,
+# None where the job's library call has the default
+_JOBS = {
+    "equilibria": (run_equilibria,
+                   "locate the triangular equilibrium points", {
+        "job.tol": (float, None),
+        "job.max_iter": (int, None),
+    }),
+    "integrate": (run_integrate, "propagate a trajectory", {
+        "job.x": (float, _REQUIRED),
+        "job.y": (float, _REQUIRED),
+        "job.vx": (float, _REQUIRED),
+        "job.vy": (float, _REQUIRED),
+        "job.t0": (float, 0.0),
+        "job.t_end": (float, _REQUIRED),
+        "job.sample_dt": (float, _REQUIRED),
+        "job.rtol": (float, None),
+        "job.atol": (float, None),
+        "job.collision_guard": (float, None),
+        "job.escape_radius": (float, None),
+    }),
+    "zvc": (run_zvc, "extract a zero-velocity curve", {
+        "job.level_c": (float, _REQUIRED),
+        "job.xmin": (float, _REQUIRED),
+        "job.xmax": (float, _REQUIRED),
+        "job.ymin": (float, _REQUIRED),
+        "job.ymax": (float, _REQUIRED),
+        "job.resolution": (int, _REQUIRED),
+    }),
+    "sweep": (run_sweep,
+              "track the triangular point over a parameter grid", {
+        "job.variable": (str, _REQUIRED),
+        "job.start": (float, _REQUIRED),
+        "job.stop": (float, _REQUIRED),
+        "job.count": (int, _REQUIRED),
+        "job.spacing": (str, "geometric"),
+        "job.branch": (str, None),
+        "job.tol": (float, None),
+        "job.max_iter": (int, None),
+    }),
 }
-
-
-def _add_field_flags(parser: argparse.ArgumentParser, job: str) -> None:
-    fields = dict(_SYSTEM_FIELDS)
-    for path, (typ, _) in _JOB_FIELDS[job].items():
-        fields[path] = typ
-    for path, typ in sorted(fields.items()):
-        parser.add_argument(f"--{path}", type=typ, default=None,
-                            dest=path.replace(".", "__"), metavar="V",
-                            help=f"override config field {path}")
-    parser.add_argument("--output.precision", type=int, default=None,
-                        dest="output__precision", metavar="N",
-                        help="significant digits for floats (default 17)")
 
 
 def _make_parser() -> argparse.ArgumentParser:
@@ -486,34 +468,32 @@ def _make_parser() -> argparse.ArgumentParser:
         description="Planar photogravitational restricted three-body "
                     "problem with drag and an oblate secondary")
     sub = parser.add_subparsers(dest="job", required=True)
-    helps = {
-        "equilibria": "locate the triangular equilibrium points",
-        "integrate": "propagate a trajectory",
-        "zvc": "extract a zero-velocity curve",
-        "sweep": "track the triangular point over a parameter grid",
-    }
-    for job, text in helps.items():
+    for job, (_, text, own) in _JOBS.items():
         sp = sub.add_parser(job, help=text)
         sp.add_argument("--config", metavar="PATH",
                         help="JSON configuration file")
-        sp.add_argument("--output", "--output.path", dest="output__path",
+        sp.add_argument("--output", "--output.path", dest="output.path",
                         metavar="PATH", help="output file (default stdout)")
-        sp.add_argument("--format", "--output.format", dest="output__format",
+        sp.add_argument("--format", "--output.format", dest="output.format",
                         choices=_CHOICES["output.format"],
                         help="output format (default csv)")
-        _add_field_flags(sp, job)
+        # every other field's flag is its path; argparse keeps the dots
+        for path, typ in sorted(_field_types(own).items()):
+            if path not in ("output.path", "output.format"):
+                sp.add_argument(f"--{path}", type=typ, metavar="V",
+                                help=f"override config field {path}")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _make_parser().parse_args(argv)
-    overrides = {key.replace("__", "."): value
-                 for key, value in vars(args).items()
-                 if key not in ("job", "config") and value is not None}
+    flags = vars(_make_parser().parse_args(argv))
+    job, config = flags.pop("job"), flags.pop("config")
+    overrides = {path: value for path, value in flags.items()
+                 if value is not None}
     # SingularityError is a ValueError, so it is caught first
     try:
-        cfg = build_config(args.job, args.config, overrides)
-        return _RUNNERS[cfg.job](cfg)
+        cfg = build_config(job, config, overrides)
+        return _JOBS[job][0](cfg)
     except SingularityError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3

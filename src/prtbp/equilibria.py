@@ -167,8 +167,10 @@ def analytic_triangular_point(p: SystemParams, branch: Branch
     Raises
     ------
     DegenerateFormulaError
-        When |x0| is too small for the correction to be meaningful, or
-        the point falls on the other side of y = 0 than its branch.
+        When |x0| is too small for the correction to be meaningful, the
+        form divides by zero or gives a point that is not finite (at a
+        subnormal mu or q1), or the point falls on the other side of
+        y = 0 than its branch.
     """
     return _point(p, *_analytic_coords(p, branch), branch, METHOD_ANALYTIC)
 
@@ -191,16 +193,29 @@ def _analytic_coords(p: SystemParams, branch: Branch) -> tuple[float, float]:
     mu = p.mu
     a2 = p.a2
     d2h = p.delta * p.delta / 2.0
-    drag_x = (p.n * p.w1
-              * ((1.0 - mu) * (1.0 - 2.5 * a2) + mu * (1.0 - 0.5 * a2) * d2h)
-              / (3.0 * mu * (1.0 - mu) * y0))
-    x = x0 - drag_x - d2h * a2
-    drag_y = (p.n * p.w1 * p.delta * p.delta
-              * (2.0 * mu - 1.0 - mu * (1.0 - 1.5 * a2) * d2h
-                 + 3.5 * (1.0 - mu) * a2)
-              / (6.0 * mu * (1.0 - mu) * y0**3))
-    obl_y = d2h * (1.0 - d2h) * a2 / (y0 * y0)
-    return x, y0 * (1.0 - drag_y - obl_y)
+    try:
+        drag_x = (p.n * p.w1 * ((1.0 - mu) * (1.0 - 2.5 * a2)
+                                + mu * (1.0 - 0.5 * a2) * d2h)
+                  / (3.0 * mu * (1.0 - mu) * y0))
+        drag_y = (p.n * p.w1 * p.delta * p.delta
+                  * (2.0 * mu - 1.0 - mu * (1.0 - 1.5 * a2) * d2h
+                     + 3.5 * (1.0 - mu) * a2)
+                  / (6.0 * mu * (1.0 - mu) * y0**3))
+        obl_y = d2h * (1.0 - d2h) * a2 / (y0 * y0)
+    except ZeroDivisionError:
+        # a denominator underflows to 0, as at a subnormal mu or q1
+        raise DegenerateFormulaError(
+            f"{METHOD_ANALYTIC} form divides by zero") from None
+    return _finite(METHOD_ANALYTIC, x0 - drag_x - d2h * a2,
+                   y0 * (1.0 - drag_y - obl_y))
+
+
+def _finite(method: str, x: float, y: float) -> tuple[float, float]:
+    # the point of a closed form, which a tiny denominator can overflow
+    if not (-math.inf < x < math.inf and -math.inf < y < math.inf):
+        raise DegenerateFormulaError(f"{method} point ({x}, {y}) is not "
+                                     "finite")
+    return x, y
 
 
 def limiting_case_point(p: SystemParams, case: str, branch: Branch
@@ -211,8 +226,8 @@ def limiting_case_point(p: SystemParams, case: str, branch: Branch
     ``classical`` needs w1 = 0, a2 = 0, q1 = 1. Each case evaluates its
     own published closed form rather than zeroing terms of the general
     one, so the agreement of the two routes is a meaningful check. Unmet
-    conditions, a degenerate form or a point off its branch's side of
-    y = 0 raise ``DegenerateFormulaError``.
+    conditions, a degenerate form, a point that is not finite or one off
+    its branch's side of y = 0 raise ``DegenerateFormulaError``.
     """
     if case not in CASES:
         raise ValueError(f"case must be one of {CASES}, got {case!r}")
@@ -224,19 +239,25 @@ def limiting_case_point(p: SystemParams, case: str, branch: Branch
     x0, y0 = _base_coords(p, branch)
     mu = p.mu
     d2h = p.delta * p.delta / 2.0
-    if case == "oblate-only":
-        x = x0 - d2h * p.a2
-        y = y0 * (1.0 - d2h * (1.0 - d2h) * p.a2 / (y0 * y0))
-    elif case == "drag-only":
-        x0, y0 = _relative_base(p, branch)
-        x = x0 * (1.0 - p.w1 * ((1.0 - mu) + mu * d2h)
-                  / (3.0 * mu * (1.0 - mu) * x0 * y0))
-        y = y0 * (1.0 - p.w1 * p.delta * p.delta * (2.0 * mu - 1.0 - mu * d2h)
-                  / (6.0 * mu * (1.0 - mu) * y0**3))
-    else:
-        x = 0.5 - mu
-        y = _branch_sign(branch) * (math.sqrt(3.0) / 2.0)
-    return _point(p, x, y, branch, f"limiting-{case}")
+    method = f"limiting-{case}"
+    try:
+        if case == "oblate-only":
+            x = x0 - d2h * p.a2
+            y = y0 * (1.0 - d2h * (1.0 - d2h) * p.a2 / (y0 * y0))
+        elif case == "drag-only":
+            x0, y0 = _relative_base(p, branch)
+            x = x0 * (1.0 - p.w1 * ((1.0 - mu) + mu * d2h)
+                      / (3.0 * mu * (1.0 - mu) * x0 * y0))
+            y = y0 * (1.0 - p.w1 * p.delta * p.delta
+                      * (2.0 * mu - 1.0 - mu * d2h)
+                      / (6.0 * mu * (1.0 - mu) * y0**3))
+        else:
+            x = 0.5 - mu
+            y = _branch_sign(branch) * (math.sqrt(3.0) / 2.0)
+    except ZeroDivisionError:
+        raise DegenerateFormulaError(f"{method} form divides by zero") \
+            from None
+    return _point(p, *_finite(method, x, y), branch, method)
 
 
 def refine_equilibrium(p: SystemParams, guess: tuple[float, float],

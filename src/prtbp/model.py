@@ -90,6 +90,9 @@ class _Record:
     _fields: tuple[str, ...] = ()
 
     def _freeze(self, *values) -> None:
+        # not self.__dict__.update: reading __dict__ makes CPython (3.11+)
+        # give up the instance's inline values, and every later field read
+        # gets slower
         for name, value in zip(self._fields, values):
             object.__setattr__(self, name, value)
 

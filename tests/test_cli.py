@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import inspect
 import io
 import json
 import math
@@ -922,6 +923,86 @@ def test_invalid_argument_exits_2(argv, field, tmp_path):
     assert field in done.stderr
     assert "Traceback" not in done.stderr
     assert not (tmp_path / "out.csv").exists()
+
+
+# subnormal mu or q1, where the first-order forms overflow or divide by 0
+BREAKDOWNS = [
+    ["equilibria", "--system.mu", "5e-324", "--system.q1", "0.9",
+     "--system.w1", "1e-3"],
+    ["sweep", "--system.mu", "5e-324", "--system.q1", "0.9", "--system.w1",
+     "1e-3", "--job.variable", "a2", "--job.start", "1e-5", "--job.stop",
+     "1e-3", "--job.count", "3"],
+    ["equilibria", "--system.mu", "5e-324", "--system.q1", "1e-12",
+     "--system.a2", "1e-6", "--system.w1", "1.0"],
+    ["sweep", "--system.mu", "0.01", "--system.q1", "5e-324", "--system.w1",
+     "0", "--job.variable", "a2", "--job.start", "1e-5", "--job.stop",
+     "1e-3", "--job.count", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", BREAKDOWNS, ids=[
+    "equilibria-overflow", "sweep-overflow", "equilibria-mu-underflow",
+    "sweep-q1-underflow"])
+def test_first_order_breakdown_exits_0_with_finite_rows(argv, tmp_path):
+    # the breakdown is no fault of the configuration: the point job leaves
+    # the formula's row out, the sweep row has no analytic point
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (
+        str(Path(prtbp.__file__).resolve().parent.parent),
+        env.get("PYTHONPATH"))))
+    out = tmp_path / "out.csv"
+    done = subprocess.run(
+        [sys.executable, "-m", "prtbp.cli", *argv, "--output", str(out)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr
+    for row in read_table(str(out))[1]:
+        for key in ("x", "y", "x_analytic", "y_analytic"):
+            assert row.get(key) is None or math.isfinite(row[key]), row
+
+
+# each job's library call, whose defaults the job's optional fields take
+LIBRARY_CALLS = {
+    # just below the fold of L4 in w1, where Newton takes several steps
+    "equilibria": (["equilibria", "--system.mu", "0.01", "--system.q1",
+                    "0.98", "--system.w1", "7.1e-3"],
+                   "equilibria", "triangular_points"),
+    "sweep": (SWEEP, "equilibria", "follow_branch"),
+    "integrate": (INTEGRATE_DRAG, "dynamics", "integrate"),
+}
+
+
+@pytest.mark.parametrize("job", list(LIBRARY_CALLS))
+def test_cli_defaults_are_the_library_defaults(job, tmp_path, capsys,
+                                               monkeypatch):
+    # the job passes no optional field it was not given, and giving each
+    # the library's default changes no byte
+    argv, module, name = LIBRARY_CALLS[job]
+    call = getattr(getattr(prtbp, module), name)
+    signature = inspect.signature(call)
+    defaults = {field: param.default
+                for field, param in signature.parameters.items()
+                if param.default is not param.empty}
+    passed = []
+
+    def spy(*args, **kwargs):
+        passed.append(set(signature.bind(*args, **kwargs).arguments))
+        return call(*args, **kwargs)
+
+    monkeypatch.setattr(getattr(prtbp, module), name, spy)
+    given = [arg for field, value in defaults.items()
+             for arg in (f"--job.{field}", str(value))]
+    outputs = []
+    for run, extra in (("left-out", []), ("given", given)):
+        (tmp_path / run).mkdir()
+        assert main([*argv, *extra, "--output",
+                     str(tmp_path / run / "out.csv")]) == 0
+        outputs.append((capsys.readouterr(), {
+            path.name: path.read_bytes()
+            for path in sorted((tmp_path / run).iterdir())}))
+    assert not passed[0] & set(defaults)
+    assert passed[-1] >= set(defaults)
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("argv, name", [

@@ -195,6 +195,30 @@ ANALYTIC = "analytic-first-order"
 REFINED = "refined-numeric"
 
 
+# at a subnormal mu or q1 the denominators 3mu(1-mu)y0 and 6mu(1-mu)y0^3
+# of the first-order forms overflow their point or underflow to 0
+SUBNORMAL = [dict(mu=5e-324, q1=0.9, w1=1e-3),
+             dict(mu=5e-324, q1=1e-12, w1=1.0),
+             dict(mu=0.01, q1=5e-324, w1=0.0)]
+
+
+@pytest.mark.parametrize("params", SUBNORMAL,
+                         ids=["overflow", "mu-underflow", "q1-underflow"])
+def test_closed_form_that_is_not_finite_is_degenerate(params):
+    p = SystemParams(**params)
+    for branch in ("L4", "L5"):
+        with pytest.raises(DegenerateFormulaError,
+                           match="not finite|divides by zero"):
+            analytic_triangular_point(p, branch)
+        with pytest.raises(DegenerateFormulaError,
+                           match="drag-only .*(not finite|divides by zero)"):
+            limiting_case_point(p, "drag-only", branch)
+    # the sweep rows have no analytic point and refine from the base point
+    rows, _ = follow_branch(p, "a2", [1e-5, 1e-4, 1e-3])
+    assert [(row.x_analytic, row.y_analytic) for row in rows] == \
+        [(None, None)] * 3
+
+
 @pytest.mark.parametrize("params, methods", [
     # classical: every limiting case holds
     (dict(mu=0.1), [BASE, ANALYTIC, REFINED, "limiting-oblate-only",

@@ -23,8 +23,7 @@ from array import array
 from typing import TYPE_CHECKING
 
 from .model import (COLLISION_GUARD, ESCAPE_RADIUS, PhaseState,
-                    SystemParams, _accelerations, _check_radii,
-                    _jacobi_and_rate, _radii, _Record)
+                    SystemParams, _radii, _Record, _state_kernel)
 from .dop853 import solve_ivp
 
 if TYPE_CHECKING:
@@ -124,7 +123,8 @@ def integrate(p: SystemParams, s0: PhaseState, t_end: float,
         holds more than ``MAX_SAMPLES`` sampling intervals; the message
         names the argument.
     SingularityError
-        ``s0`` or a sample lies within the collision guard.
+        ``s0`` or a sample lies within the collision guard, or a state
+        of the run is too near a primary to evaluate.
     """
     for name in ("x", "y", "vx", "vy", "t"):
         value = getattr(s0, name)
@@ -143,12 +143,15 @@ def integrate(p: SystemParams, s0: PhaseState, t_end: float,
     if not span / sample_dt <= MAX_SAMPLES:
         raise ValueError(f"sample_dt must leave at most {MAX_SAMPLES} "
                          f"intervals in the span {span}, got {sample_dt}")
-    # rejects an initial state already inside the guard
-    _check_radii(s0.x, s0.y, *_radii(p, s0.x, s0.y), collision_guard)
+    # the samples are checked against the guard, and so is s0 first; the
+    # stages of a step probe freely, as the collision event ends the run
+    checked = _state_kernel(p, collision_guard)
+    checked(s0.x, s0.y, s0.vx, s0.vy)
+    free = _state_kernel(p, 0.0)
 
     def rhs(t, v):
         x, y, vx, vy = v
-        gx, gy, fx, fy = _accelerations(p, x, y, vx, vy)
+        _, gx, gy, fx, fy = free(x, y, vx, vy)
         # the trailing rate is the drag law's dC/dt, a quadrature
         return (vx, vy,
                 2.0 * p.n * vy + gx + fx,
@@ -188,11 +191,11 @@ def integrate(p: SystemParams, s0: PhaseState, t_end: float,
 
     samples = array("d")
     drift = array("d")
-    # the guard check of C also rejects samples inside it
     rows = iter(values)
     for t, x, y, vx, vy, w in zip(times, rows, rows, rows, rows, rows):
-        c, rate = _jacobi_and_rate(p, x, y, vx, vy, collision_guard)
-        samples.extend((t, x, y, vx, vy, c, rate))
+        u, _, _, fx, fy = checked(x, y, vx, vy)
+        samples.extend((t, x, y, vx, vy, 2.0 * u - vx * vx - vy * vy,
+                        -2.0 * (vx * fx + vy * fy)))
         drift.append(w)
     return Trajectory(params=p, sample_values=samples, drift_values=drift,
                       termination=termination, rhs_calls=sol.nfev,

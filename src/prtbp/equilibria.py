@@ -17,8 +17,8 @@ from typing import Literal, NamedTuple
 
 from .errors import (ConvergenceError, DegenerateFormulaError,
                      SingularityError, SingularJacobianError)
-from .model import (COLLISION_GUARD, SystemParams, _accelerations,
-                    _check_guard_arg, _Record, _rest_jacobian)
+from .model import (COLLISION_GUARD, SystemParams, _check_guard_arg,
+                    _Record, _rest_jacobian, _state_kernel)
 
 Branch = Literal["L4", "L5"]
 BRANCHES: tuple[Branch, Branch] = ("L4", "L5")
@@ -135,10 +135,22 @@ def analytic_epsilons(p: SystemParams, branch: Branch) -> PerturbationTerms:
     L4 and L5 branches. The returned base point (x0, y0), with r1 = delta
     and r2 = 1, solves the equilibrium equations exactly when both drag
     and oblateness vanish.
+
+    Raises
+    ------
+    DegenerateFormulaError
+        When a shift divides by zero or is not finite (subnormal mu, q1).
     """
     x0, y0 = _base_coords(p, branch)
-    eps2 = p.n * p.w1 * (1.0 - 2.5 * p.a2) / (3.0 * p.mu * y0)
-    eps1 = -p.n * p.w1 / (6.0 * (1.0 - p.mu) * y0) - p.a2 / 2.0
+    try:
+        eps2 = p.n * p.w1 * (1.0 - 2.5 * p.a2) / (3.0 * p.mu * y0)
+        eps1 = -p.n * p.w1 / (6.0 * (1.0 - p.mu) * y0) - p.a2 / 2.0
+    except ZeroDivisionError:
+        raise DegenerateFormulaError("first-order shifts divide by zero") \
+            from None
+    if not (-math.inf < eps1 < math.inf and -math.inf < eps2 < math.inf):
+        raise DegenerateFormulaError(f"first-order shifts eps1={eps1}, "
+                                     f"eps2={eps2} are not finite")
     return PerturbationTerms(eps1=eps1, eps2=eps2, x0=x0, y0=y0)
 
 
@@ -148,10 +160,16 @@ def equilibrium_residual(p: SystemParams, x: float, y: float,
     """Rest-state accelerations at (x, y); zero exactly at an equilibrium.
 
     Identical, component by component, to the accelerations of
-    ``equations_of_motion`` evaluated with zero velocity.
+    ``equations_of_motion`` evaluated with zero velocity. Raises what
+    :func:`prtbp.model.amended_potential` raises.
     """
     _check_guard_arg(guard)
-    gx, gy, fx, fy = _accelerations(p, x, y, 0.0, 0.0, guard)
+    return _rest_residual(_state_kernel(p, guard), x, y)
+
+
+def _rest_residual(state, x: float, y: float) -> tuple[float, float]:
+    # the rest-state accelerations at (x, y) of a _state_kernel
+    _, gx, gy, fx, fy = state(x, y, 0.0, 0.0)
     return gx + fx, gy + fy
 
 
@@ -294,7 +312,8 @@ def refine_equilibrium(p: SystemParams, guess: tuple[float, float],
     x, y = float(guess[0]), float(guess[1])
     if not (-math.inf < x < math.inf and -math.inf < y < math.inf):
         raise ValueError(f"guess must be finite, got {tuple(guess)}")
-    res = equilibrium_residual(p, x, y, guard)
+    state = _state_kernel(p, guard)
+    res = _rest_residual(state, x, y)
     rnorm = math.hypot(*res)
     iterations = 0
     while rnorm >= tol:
@@ -323,7 +342,7 @@ def refine_equilibrium(p: SystemParams, guess: tuple[float, float],
             yt = y + lam * sy
             lam *= 0.5
             try:
-                rt = equilibrium_residual(p, xt, yt, guard)
+                rt = _rest_residual(state, xt, yt)
             except SingularityError:
                 continue
             rtnorm = math.hypot(*rt)

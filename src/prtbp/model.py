@@ -274,41 +274,12 @@ def _check_guard_arg(guard: float) -> None:
         raise ValueError(f"guard must be finite and >= 0, got {guard}")
 
 
-def _check_radii(x, y, r1, r2, guard: float) -> None:
-    if r1 < guard or r2 < guard:
-        raise SingularityError(f"point ({x}, {y}) is within {guard} of a "
-                               f"primary (r1={r1}, r2={r2})")
-
-
-def _on_primary(x, y, r1, r2) -> SingularityError:
-    # a guard of 0 admits a point on a primary, or one so near it that a
-    # power of its distance underflows to 0, where a term divides by zero
-    return SingularityError(f"point ({x}, {y}) is too near a primary to "
-                            f"evaluate (r1={r1}, r2={r2})")
-
-
-def _checked_potential(p: SystemParams, x, y, guard: float):
-    # amended potential U1 after the guard check, from one derivation of
-    # the radii, with that derivation's x + mu and r1^2 for the drag
-    xm, r1sq, r2sq = _squared_radii(p, x, y)
-    r1 = math.sqrt(r1sq)
-    r2 = math.sqrt(r2sq)
-    _check_radii(x, y, r1, r2, guard)
-    try:
-        return (0.5 * p.n * p.n * (x * x + y * y)
-                + (1.0 - p.mu) * p.q1 / r1
-                + p.mu / r2
-                + p.mu * p.a2 / (2.0 * (r2 * r2 * r2))), xm, r1sq
-    except ZeroDivisionError:
-        raise _on_primary(x, y, r1, r2) from None
-
-
 def _level_kernel(p: SystemParams, level_c: float, guard: float):
     # f(x, y) = 2*U1 - level_c, one curve's values at single points: the
-    # system's constants are bound once, and each value has the bits of
-    # _checked_potential's, by the same operations in the same order. A
-    # point within the guard is NaN, and so is one on a primary when the
-    # guard is 0, where U1 divides by zero
+    # system's constants are bound once, and U1 has the bits of
+    # _state_kernel's, by the same operations in the same order. A point
+    # within the guard is NaN, and so is one on a primary when the guard
+    # is 0, where U1 divides by zero
     mu = p.mu
     rotation = 0.5 * p.n * p.n
     radiating = (1.0 - mu) * p.q1
@@ -333,53 +304,60 @@ def _level_kernel(p: SystemParams, level_c: float, guard: float):
     return level
 
 
-def _drag(p: SystemParams, xm, y, vx, vy, r1sq):
-    # Poynting-Robertson drag from the offset (xm, y) to the radiating
-    # primary and its squared length r1sq
-    if p.w1 == 0.0:
-        return 0.0, 0.0
-    k = p.w1 / r1sq
-    radial = (xm * vx + y * vy) / r1sq
-    return (-k * (xm * radial + vx - p.n * y),
-            -k * (y * radial + vy + p.n * xm))
+def _state_kernel(p: SystemParams, guard: float):
+    # state(x, y, vx, vy) -> (U1, gx, gy, fx, fy) from one derivation of
+    # the radii, the system's constants bound once. A point within the
+    # guard raises SingularityError, and so does one so near a primary
+    # that a term divides by zero; a guard of 0 admits every other point
+    mu = p.mu
+    n = p.n
+    nn = n * n
+    rotation = 0.5 * n * n
+    radiating = (1.0 - mu) * p.q1
+    oblate = mu * p.a2
+    oblate_grad = 1.5 * mu * p.a2
+    w1 = p.w1
+    sqrt = math.sqrt
 
+    def state(x, y, vx, vy):
+        xm = x + mu
+        xp = xm - 1.0
+        yy = y * y
+        r1sq = xm * xm + yy
+        r1 = sqrt(r1sq)
+        r2sq = xp * xp + yy
+        r2 = sqrt(r2sq)
+        if r1 < guard or r2 < guard:
+            raise SingularityError(f"point ({x}, {y}) is within {guard} of "
+                                   f"a primary (r1={r1}, r2={r2})")
+        r13 = r1sq * r1
+        r23 = r2sq * r2
+        r25 = r23 * r2sq
+        try:
+            u = (rotation * (x * x + yy) + radiating / r1 + mu / r2
+                 + oblate / (2.0 * (r2 * r2 * r2)))
+            gx = (nn * x - radiating * xm / r13 - mu * xp / r23
+                  - oblate_grad * xp / r25)
+            gy = (nn * y - radiating * y / r13 - mu * y / r23
+                  - oblate_grad * y / r25)
+        except ZeroDivisionError:
+            raise SingularityError(f"point ({x}, {y}) is too near a primary "
+                                   f"to evaluate (r1={r1}, r2={r2})") from None
+        if w1 == 0.0:
+            return u, gx, gy, 0.0, 0.0
+        # r1sq > 0 here, since r13 > 0
+        k = w1 / r1sq
+        radial = (xm * vx + y * vy) / r1sq
+        return (u, gx, gy, -k * (xm * radial + vx - n * y),
+                -k * (y * radial + vy + n * xm))
 
-def _accelerations(p: SystemParams, x: float, y: float, vx: float,
-                   vy: float, guard: float | None = None
-                   ) -> tuple[float, float, float, float]:
-    # shared scalar core: conservative gradient (gx, gy) and drag (fx, fy);
-    # the integrator passes no guard so it can probe freely, the public
-    # entry points pass theirs and the check reuses these radii
-    xm, r1sq, r2sq = _squared_radii(p, x, y)
-    r1 = math.sqrt(r1sq)
-    r2 = math.sqrt(r2sq)
-    if guard is not None:
-        _check_radii(x, y, r1, r2, guard)
-    r13 = r1sq * r1
-    r23 = r2sq * r2
-    r25 = r23 * r2sq
-    try:
-        gx = (p.n * p.n * x
-              - (1.0 - p.mu) * p.q1 * xm / r13
-              - p.mu * (xm - 1.0) / r23
-              - 1.5 * p.mu * p.a2 * (xm - 1.0) / r25)
-        gy = (p.n * p.n * y
-              - (1.0 - p.mu) * p.q1 * y / r13
-              - p.mu * y / r23
-              - 1.5 * p.mu * p.a2 * y / r25)
-    except ZeroDivisionError:
-        if guard is None:
-            raise
-        raise _on_primary(x, y, r1, r2) from None
-    # r1sq > 0 here, since r13 > 0
-    fx, fy = _drag(p, xm, y, vx, vy, r1sq)
-    return gx, gy, fx, fy
+    return state
 
 
 def _rest_jacobian(p: SystemParams, x: float, y: float
                    ) -> tuple[float, float, float, float]:
     # closed-form derivative (j11, j12, j21, j22) of the rest-state
-    # residual (gx + fx, gy + fy) of _accelerations with respect to
+    # residual (gx + fx, gy + fy) of _state_kernel with respect to
     # (x, y): the Hessian of U1 plus that of the drag at rest,
     # (fx, fy) = w1 n (y, -(x + mu)) / r1^2; floats only, no guard
     xm, r1sq, r2sq = _squared_radii(p, x, y)
@@ -427,18 +405,19 @@ def amended_potential(p: SystemParams, x: float, y: float,
     ValueError
         If ``guard`` is not finite and >= 0.
     SingularityError
-        If the point lies within ``guard`` of either primary, or, with a
-        guard of 0, so near one that a term divides by zero.
+        If the point lies within ``guard`` of either primary, or so near
+        one (r1 < ~1.4e-108, r2 < ~1.9e-65) that a term divides by zero.
     """
     _check_guard_arg(guard)
-    return _checked_potential(p, x, y, guard)[0]
+    return _state_kernel(p, guard)(x, y, 0.0, 0.0)[0]
 
 
 def conservative_gradient(p: SystemParams, x: float, y: float,
                           guard: float = COLLISION_GUARD) -> AccelVector:
-    """Gradient of the amended potential, (dU1/dx, dU1/dy), in closed form."""
+    """Gradient of the amended potential, (dU1/dx, dU1/dy), in closed form;
+    raises what :func:`amended_potential` raises."""
     _check_guard_arg(guard)
-    gx, gy, _, _ = _accelerations(p, x, y, 0.0, 0.0, guard)
+    _, gx, gy, _, _ = _state_kernel(p, guard)(x, y, 0.0, 0.0)
     return AccelVector(gx, gy)
 
 
@@ -448,10 +427,11 @@ def drag_acceleration(p: SystemParams, s: PhaseState,
 
     Both components are linear in the drag strength w1 and vanish
     identically when w1 = 0. At rest the drag reduces to the purely
-    azimuthal pair (+w1 n y / r1^2, -w1 n (x+mu) / r1^2).
+    azimuthal pair (+w1 n y / r1^2, -w1 n (x+mu) / r1^2). Raises what
+    :func:`amended_potential` raises.
     """
     _check_guard_arg(guard)
-    _, _, fx, fy = _accelerations(p, s.x, s.y, s.vx, s.vy, guard)
+    _, _, _, fx, fy = _state_kernel(p, guard)(s.x, s.y, s.vx, s.vy)
     return AccelVector(fx, fy)
 
 
@@ -460,14 +440,15 @@ def equations_of_motion(p: SystemParams, s: PhaseState,
                         ) -> tuple[float, float, float, float]:
     """Rotating-frame state derivative (dx/dt, dy/dt, dvx/dt, dvy/dt).
 
-    The accelerations combine the Coriolis terms, the amended-potential
-    gradient, and the drag:
+    Raises what :func:`amended_potential` raises. The accelerations
+    combine the Coriolis terms, the amended-potential gradient, and the
+    drag:
 
         dvx/dt =  2 n vy + dU1/dx + Fx
         dvy/dt = -2 n vx + dU1/dy + Fy
     """
     _check_guard_arg(guard)
-    gx, gy, fx, fy = _accelerations(p, s.x, s.y, s.vx, s.vy, guard)
+    _, gx, gy, fx, fy = _state_kernel(p, guard)(s.x, s.y, s.vx, s.vy)
     ax = 2.0 * p.n * s.vy + gx + fx
     ay = -2.0 * p.n * s.vx + gy + fy
     return s.vx, s.vy, ax, ay
@@ -478,10 +459,12 @@ def jacobi_constant(p: SystemParams, s: PhaseState,
     """Jacobi integral C = 2*U1 - vx^2 - vy^2.
 
     Conserved exactly when w1 = 0; with drag it evolves at the rate given
-    by :func:`jacobi_drift_rate`.
+    by :func:`jacobi_drift_rate`. Raises what :func:`amended_potential`
+    raises.
     """
     _check_guard_arg(guard)
-    return _jacobi_and_rate(p, s.x, s.y, s.vx, s.vy, guard)[0]
+    u = _state_kernel(p, guard)(s.x, s.y, s.vx, s.vy)[0]
+    return 2.0 * u - s.vx * s.vx - s.vy * s.vy
 
 
 def jacobi_drift_rate(p: SystemParams, s: PhaseState,
@@ -489,16 +472,9 @@ def jacobi_drift_rate(p: SystemParams, s: PhaseState,
     """Instantaneous rate of change of the Jacobi integral.
 
     dC/dt = -2 (vx Fx + vy Fy), where (Fx, Fy) is the drag acceleration.
-    Identically zero when w1 = 0 or at rest.
+    Identically zero when w1 = 0 or at rest. Raises what
+    :func:`amended_potential` raises.
     """
     _check_guard_arg(guard)
-    return _jacobi_and_rate(p, s.x, s.y, s.vx, s.vy, guard)[1]
-
-
-def _jacobi_and_rate(p: SystemParams, x, y, vx, vy, guard: float):
-    # C and dC/dt after the guard check, from one derivation of the radii;
-    # the body of jacobi_constant and jacobi_drift_rate, and the last two
-    # columns of every integrate sample
-    u, xm, r1sq = _checked_potential(p, x, y, guard)
-    fx, fy = _drag(p, xm, y, vx, vy, r1sq)
-    return 2.0 * u - vx * vx - vy * vy, -2.0 * (vx * fx + vy * fy)
+    _, _, _, fx, fy = _state_kernel(p, guard)(s.x, s.y, s.vx, s.vy)
+    return -2.0 * (s.vx * fx + s.vy * fy)

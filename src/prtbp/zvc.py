@@ -33,9 +33,8 @@ from __future__ import annotations
 
 import math
 
-from .model import (COLLISION_GUARD, SystemParams, _accelerations,
-                    _check_guard_arg, _hessian_bound, _level_kernel,
-                    _Record)
+from .model import (COLLISION_GUARD, SystemParams, _check_guard_arg,
+                    _hessian_bound, _level_kernel, _Record, _state_kernel)
 
 Window = tuple[float, float, float, float]
 
@@ -132,9 +131,8 @@ def _certifier(p: SystemParams, level_c: float, guard: float, gap_x: float,
     the axis along which f changes more per node gap is tried. Else it
     returns 0.
     """
-    # 2*U1 with the bits of 2.0 * _checked_potential's U1: a centre is
-    # never within the guard of a block that gets that far
-    two_u = _level_kernel(p, 0.0, guard)
+    # a centre is never within the guard of a block that gets that far
+    state = _state_kernel(p, guard)
     mu = p.mu
     hypot = math.hypot
 
@@ -153,8 +151,8 @@ def _certifier(p: SystemParams, level_c: float, guard: float, gap_x: float,
         r2 = hypot(max(abs(xm - 1.0) - hx, 0.0), dy)
         if not (r1 > 2.0 * guard and r2 > 2.0 * guard):
             return 0
-        u2 = two_u(cx, cy)
-        gx, gy, _, _ = _accelerations(p, cx, cy, 0.0, 0.0)
+        u, gx, gy, _, _ = state(cx, cy, 0.0, 0.0)
+        u2 = 2.0 * u
         fx = 2.0 * gx
         fy = 2.0 * gy
         m = 2.0 * _hessian_bound(p, r1, r2)

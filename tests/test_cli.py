@@ -465,6 +465,20 @@ def test_integrate_singular_start_exits_3(tmp_path, capsys):
     assert "runtime error" in capsys.readouterr().err
 
 
+def test_integrate_start_too_near_a_primary_exits_3(tmp_path, capsys):
+    # 1e-150 from the radiating primary, outside a guard of 1e-300, r1^3
+    # underflows to 0
+    out = str(tmp_path / "never.csv")
+    rc = main(["integrate", "--system.mu", "0.01", "--system.w1", "0",
+               "--job.x", "-0.01", "--job.y", "1e-150", "--job.vx", "0",
+               "--job.vy", "0", "--job.t_end", "1", "--job.sample_dt", "0.1",
+               "--job.collision_guard", "1e-300", "--output", out])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "too near a primary" in err
+    assert "Traceback" not in err
+
+
 def test_integrate_bad_time_range_exits_2(tmp_path):
     out = str(tmp_path / "never.csv")
     rc = main(["integrate", "--system.mu", "0.1", "--system.w1", "0",

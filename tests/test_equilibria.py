@@ -15,6 +15,7 @@ from prtbp import (
     DegenerateFormulaError,
     EquilibriumPoint,
     PhaseState,
+    SingularityError,
     SweepRow,
     SystemParams,
     analytic_epsilons,
@@ -219,6 +220,17 @@ def test_closed_form_that_is_not_finite_is_degenerate(params):
         [(None, None)] * 3
 
 
+@pytest.mark.parametrize("params", [
+    SUBNORMAL[0], dict(mu=5e-324, q1=1e-12, a2=1e-6, w1=1.0)],
+    ids=["overflow", "mu-underflow"])
+def test_first_order_shifts_that_are_not_finite_are_degenerate(params):
+    p = SystemParams(**params)
+    for branch in ("L4", "L5"):
+        with pytest.raises(DegenerateFormulaError,
+                           match="not finite|divide by zero"):
+            analytic_epsilons(p, branch)
+
+
 @pytest.mark.parametrize("params, methods", [
     # classical: every limiting case holds
     (dict(mu=0.1), [BASE, ANALYTIC, REFINED, "limiting-oblate-only",
@@ -370,6 +382,35 @@ def test_refine_converges_from_rough_guess():
     assert point.y == pytest.approx(SQRT3_2, abs=1e-12)
 
 
+def test_refine_skips_a_probe_inside_the_guard(monkeypatch):
+    """From (0.525, 0.375) the first full Newton step of mu = 0.1 lands
+    0.296 from the smaller primary, inside a guard of 0.3. That probe is
+    skipped like one that fails to decrease the residual, and the halved
+    step goes on to L4."""
+    kernel = equilibria._state_kernel
+    skipped = []
+
+    def spied_kernel(p, guard):
+        state = kernel(p, guard)
+
+        def spied(*args):
+            try:
+                return state(*args)
+            except SingularityError:
+                skipped.append(args)
+                raise
+
+        return spied
+
+    monkeypatch.setattr(equilibria, "_state_kernel", spied_kernel)
+    point = refine_equilibrium(SystemParams(mu=0.1), (0.525, 0.375),
+                               guard=0.3)
+    assert len(skipped) == 1
+    assert point.label == "L4"
+    assert point.x == pytest.approx(0.4, abs=1e-12)
+    assert point.y == pytest.approx(SQRT3_2, abs=1e-12)
+
+
 def test_refine_far_guess_raises():
     p = SystemParams(**FIXTURE)
     with pytest.raises(ConvergenceError) as excinfo:
@@ -513,16 +554,22 @@ def test_sweep_rows_mostly_stop_at_their_seed(system, variable, start, stop,
                                               branch, monkeypatch):
     """Each row refines from the cubic through the four nearest solved
     points, so most rows stop at their seed after one residual: 1.19,
-    1.64 and 1.56 residual calls a row here, arc included, where seeds
-    between arc points 0.05 apart took 2.04, 2.11 and 2.29."""
-    residual = equilibria.equilibrium_residual
+    1.64 and 1.56 residuals a row here, arc included, where seeds
+    between arc points 0.05 apart took 2.04, 2.11 and 2.29. Every
+    residual is one call of a state kernel that equilibria binds."""
+    kernel = equilibria._state_kernel
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return residual(*args, **kwargs)
+    def counted_kernel(p, guard):
+        state = kernel(p, guard)
 
-    monkeypatch.setattr(equilibria, "equilibrium_residual", counted)
+        def counted(*args):
+            calls.append(args)
+            return state(*args)
+
+        return counted
+
+    monkeypatch.setattr(equilibria, "_state_kernel", counted_kernel)
     grid = _sweep_grid({"start": start, "stop": stop, "count": 200,
                         "spacing": "geometric"})
     rows, folds = follow_branch(SystemParams(**system), variable, grid,

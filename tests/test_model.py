@@ -206,23 +206,30 @@ def test_amended_potential_guard():
     amended_potential(p, 0.9, 1e-3)
 
 
-AT_PRIMARY = PhaseState(0.99, 0.0, 0.1, -0.2)
+# the primary at (1-mu, 0) of mu = 0.01, where an unchecked guard divides
+# by zero, and a point 1e-110 from the one at (-mu, 0), where r1^3
+# underflows to 0
+AT_PRIMARY = (0.99, 0.0)
+R1_CUBED_UNDERFLOWS = (-0.01, 1e-110)
 
-# every public function with a guard, called at the primary at (1-mu, 0)
-# of mu = 0.01, where an unchecked guard divides by zero
+# every public function with a guard, called at (x, y)
 GUARDED = {
-    "amended_potential": lambda p, g: amended_potential(p, 0.99, 0.0, g),
+    "amended_potential":
+        lambda p, g, x, y: amended_potential(p, x, y, g),
     "conservative_gradient":
-        lambda p, g: conservative_gradient(p, 0.99, 0.0, g),
-    "drag_acceleration": lambda p, g: drag_acceleration(p, AT_PRIMARY, g),
-    "equations_of_motion":
-        lambda p, g: equations_of_motion(p, AT_PRIMARY, g),
-    "jacobi_constant": lambda p, g: jacobi_constant(p, AT_PRIMARY, g),
-    "jacobi_drift_rate": lambda p, g: jacobi_drift_rate(p, AT_PRIMARY, g),
+        lambda p, g, x, y: conservative_gradient(p, x, y, g),
+    "drag_acceleration": lambda p, g, x, y: drag_acceleration(
+        p, PhaseState(x, y, 0.1, -0.2), g),
+    "equations_of_motion": lambda p, g, x, y: equations_of_motion(
+        p, PhaseState(x, y, 0.1, -0.2), g),
+    "jacobi_constant": lambda p, g, x, y: jacobi_constant(
+        p, PhaseState(x, y, 0.1, -0.2), g),
+    "jacobi_drift_rate": lambda p, g, x, y: jacobi_drift_rate(
+        p, PhaseState(x, y, 0.1, -0.2), g),
     "equilibrium_residual":
-        lambda p, g: equilibrium_residual(p, 0.99, 0.0, g),
+        lambda p, g, x, y: equilibrium_residual(p, x, y, g),
     "refine_equilibrium":
-        lambda p, g: refine_equilibrium(p, (0.99, 0.0), guard=g),
+        lambda p, g, x, y: refine_equilibrium(p, (x, y), guard=g),
 }
 
 
@@ -231,19 +238,18 @@ GUARDED = {
 def test_public_functions_check_their_guard(name, guard):
     p = SystemParams(mu=0.01, q1=0.98, w1=1e-3)
     with pytest.raises(ValueError, match="guard must be finite and >= 0"):
-        GUARDED[name](p, guard)
+        GUARDED[name](p, guard, *AT_PRIMARY)
 
 
-@pytest.mark.parametrize("call", [
-    *GUARDED.values(),
-    # 1e-110 from the radiating primary at (-mu, 0), where r1^3 underflows
-    lambda p, g: conservative_gradient(p, -0.01, 1e-110, g),
-], ids=[*GUARDED, "r1-cubed-underflows"])
-def test_zero_guard_at_a_primary_raises_singularity_error(call):
+@pytest.mark.parametrize("name, point", [
+    *((name, AT_PRIMARY) for name in GUARDED),
+    *((name, R1_CUBED_UNDERFLOWS) for name in GUARDED),
+], ids=[*GUARDED, *(f"{name}-r1-cubed-underflows" for name in GUARDED)])
+def test_zero_guard_at_a_primary_raises_singularity_error(name, point):
     # a guard of 0 admits a point where a term divides by zero
     p = SystemParams(mu=0.01, q1=0.98, w1=1e-3)
     with pytest.raises(SingularityError, match="too near a primary"):
-        call(p, 0.0)
+        GUARDED[name](p, 0.0, *point)
 
 
 def test_amended_potential_duplicate_evaluation():

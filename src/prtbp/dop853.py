@@ -443,7 +443,9 @@ def _initial_step(fun, t0, y0, f0, t_bound, rtol, atol, sqrt_n) -> float:
     d0 = _norm([v / s for v, s in zip(y0, scale)], sqrt_n)
     d1 = _norm([v / s for v, s in zip(f0, scale)], sqrt_n)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, interval)
+    # an h0 that underflows (d1 huge, as next to a primary) is raised to
+    # the stepping loop's own smallest step before d2 divides by it
+    h0 = min(max(h0, 10 * abs(math.nextafter(t0, math.inf) - t0)), interval)
     f1 = fun(t0 + h0, [v + h0 * d for v, d in zip(y0, f0)])
     d2 = _norm([(a - b) / s for a, b, s in zip(f1, f0, scale)], sqrt_n) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:

@@ -18,7 +18,7 @@ from typing import Literal, NamedTuple
 from .errors import (ConvergenceError, DegenerateFormulaError,
                      SingularityError, SingularJacobianError)
 from .model import (COLLISION_GUARD, SystemParams, _check_guard_arg,
-                    _Record, _rest_jacobian, _state_kernel)
+                    _family_fields, _family_kernel, _Record, _state_kernel)
 
 Branch = Literal["L4", "L5"]
 BRANCHES: tuple[Branch, Branch] = ("L4", "L5")
@@ -35,7 +35,6 @@ EPS_VALIDITY = 0.1
 #: Below this the base abscissa counts as degenerate for the relative forms.
 _DEGENERATE_X0 = 1e-9
 
-_SQRT_EPS = math.sqrt(2.220446049250313e-16)
 _MAX_NEWTON_STEP = 0.25
 _MAX_HALVINGS = 20
 
@@ -164,12 +163,7 @@ def equilibrium_residual(p: SystemParams, x: float, y: float,
     :func:`prtbp.model.amended_potential` raises.
     """
     _check_guard_arg(guard)
-    return _rest_residual(_state_kernel(p, guard), x, y)
-
-
-def _rest_residual(state, x: float, y: float) -> tuple[float, float]:
-    # the rest-state accelerations at (x, y) of a _state_kernel
-    _, gx, gy, fx, fy = state(x, y, 0.0, 0.0)
+    _, gx, gy, fx, fy = _state_kernel(p, guard)(x, y, 0.0, 0.0)
     return gx + fx, gy + fy
 
 
@@ -312,8 +306,22 @@ def refine_equilibrium(p: SystemParams, guess: tuple[float, float],
     x, y = float(guess[0]), float(guess[1])
     if not (-math.inf < x < math.inf and -math.inf < y < math.inf):
         raise ValueError(f"guess must be finite, got {tuple(guess)}")
-    state = _state_kernel(p, guard)
-    res = _rest_residual(state, x, y)
+    return _refined(*_newton(_family_kernel(p, "w1", guard), p.w1, x, y,
+                             tol, max_iter))
+
+
+def _refined(x: float, y: float, rnorm: float) -> EquilibriumPoint:
+    # the record of a point that _newton returns
+    return EquilibriumPoint(x=x, y=y, label="L4" if y > 0 else "L5",
+                            method=METHOD_REFINED, residual_norm=rnorm)
+
+
+def _newton(rest, lam: float, x: float, y: float, tol: float,
+            max_iter: int) -> tuple[float, float, float]:
+    # the Newton loop of refine_equilibrium on the rest state of a
+    # _family_kernel at lam, from (x, y), whose arguments the callers
+    # check: the refined (x, y) and its residual norm
+    res, jac, _ = rest(x, y, lam)
     rnorm = math.hypot(*res)
     iterations = 0
     while rnorm >= tol:
@@ -322,7 +330,7 @@ def refine_equilibrium(p: SystemParams, guess: tuple[float, float],
                 f"no convergence after {max_iter} iterations; last iterate "
                 f"({x}, {y}) has residual norm {rnorm:.3e}",
                 x=x, y=y, residual_norm=rnorm, iterations=iterations)
-        j11, j12, j21, j22 = _rest_jacobian(p, x, y)
+        j11, j12, j21, j22 = jac
         det = j11 * j22 - j12 * j21
         scale = math.hypot(j11, j12) * math.hypot(j21, j22)
         if abs(det) <= 1e-14 * max(scale, 1e-300):
@@ -336,13 +344,13 @@ def refine_equilibrium(p: SystemParams, guess: tuple[float, float],
             sx *= _MAX_NEWTON_STEP / snorm
             sy *= _MAX_NEWTON_STEP / snorm
         iterations += 1
-        lam = 1.0
+        damping = 1.0
         for _ in range(_MAX_HALVINGS + 1):
-            xt = x + lam * sx
-            yt = y + lam * sy
-            lam *= 0.5
+            xt = x + damping * sx
+            yt = y + damping * sy
+            damping *= 0.5
             try:
-                rt = _rest_residual(state, xt, yt)
+                rt, jt, _ = rest(xt, yt, lam)
             except SingularityError:
                 continue
             rtnorm = math.hypot(*rt)
@@ -353,13 +361,11 @@ def refine_equilibrium(p: SystemParams, guess: tuple[float, float],
                 f"residual norm stalled at {rnorm:.3e} after {iterations} "
                 f"iterations near ({x}, {y})",
                 x=x, y=y, residual_norm=rnorm, iterations=iterations)
-        x, y, res, rnorm = xt, yt, rt, rtnorm
+        x, y, res, jac, rnorm = xt, yt, rt, jt, rtnorm
     if y == 0.0:
         raise ConvergenceError(f"converged onto y = 0 at x = {x}", x=x, y=y,
                                residual_norm=rnorm, iterations=iterations)
-    label: Branch = "L4" if y > 0 else "L5"
-    return EquilibriumPoint(x=x, y=y, label=label, method=METHOD_REFINED,
-                            residual_norm=rnorm)
+    return x, y, rnorm
 
 
 def triangular_points(p: SystemParams, tol: float = 1e-12,
@@ -370,6 +376,7 @@ def triangular_points(p: SystemParams, tol: float = 1e-12,
     point is the last row of ``follow_branch`` over w1 in {0, p.w1}, so a
     branch that folds before p.w1 has none. Raises what
     ``refine_equilibrium`` raises."""
+    _check_newton_args(tol, max_iter)
     points = []
     for branch in BRANCHES:
         points.append(_point(p, *_base_coords(p, branch), branch,
@@ -382,8 +389,8 @@ def triangular_points(p: SystemParams, tol: float = 1e-12,
                               max_iter)[0][-1][2]
         if isinstance(refined, Exception):
             raise refined
-        if isinstance(refined, EquilibriumPoint):
-            points.append(refined)
+        if isinstance(refined, tuple):
+            points.append(_refined(*refined))
         for case in CASES:
             try:
                 points.append(limiting_case_point(p, case, branch))
@@ -440,9 +447,9 @@ def follow_branch(base: SystemParams, variable: str, grid,
     rows = []
     for value, (_, xy, out) in zip(grid, solved):
         xa, ya = (None, None) if isinstance(out, str) or xy is None else xy
-        if isinstance(out, EquilibriumPoint):
-            err = None if xy is None else math.hypot(xa - out.x, ya - out.y)
-            rows.append(SweepRow(value, xa, ya, out.x, out.y, err, "ok"
+        if isinstance(out, tuple):
+            err = None if xy is None else math.hypot(xa - out[0], ya - out[1])
+            rows.append(SweepRow(value, xa, ya, out[0], out[1], err, "ok"
                                  if xy else "degenerate-analytic"))
         else:
             rows.append(SweepRow(value, xa, ya, None, None, None, out
@@ -453,14 +460,19 @@ def follow_branch(base: SystemParams, variable: str, grid,
 def _solve_grid(base: SystemParams, variable: str, grid: list,
                 branch: Branch, tol: float, max_iter: int):
     # [params, analytic (x, y) or None, outcome: a status, the refined
-    # point or the error of its solve] of each grid value, and the folds in
-    # the grid; the base keeps its drag spec unless w1 is the variable
-    drag = "cd" if base.cd is not None and variable != "w1" else "w1"
-    fields = {"mu": base.mu, "q1": base.q1, "a2": base.a2,
-              drag: getattr(base, drag)}
+    # (x, y, residual norm) or the error of its solve] of each grid value,
+    # and the folds in the grid; the callers check the arguments, and
+    # every solve goes through one kernel
+    fields = _family_fields(base, variable)
+    rest = _family_kernel(base, variable, COLLISION_GUARD)
 
     def family(value: float) -> SystemParams:
         return SystemParams(**{**fields, variable: value})
+
+    def arc_rest(x: float, y: float, lam: float):
+        # the kernel at a lam the family admits; ValueError at any other
+        family(lam)
+        return rest(x, y, lam)
 
     rows = []
     for value in grid:
@@ -472,27 +484,27 @@ def _solve_grid(base: SystemParams, variable: str, grid: list,
         except ValueError:
             rows.append([None, None, "invalid-params"])
 
-    def solve(row: list, seed=None) -> bool:
+    def solve(row: list, value: float, seed=None) -> bool:
         # from the row's own guess unless seeded
         p, xy, _ = row
         if seed is None:
             seed = (xy if xy and _branch_sign(branch) * xy[1] > 0.0
                     else _base_coords(p, branch))
         try:
-            row[2] = refine_equilibrium(p, seed, tol=tol, max_iter=max_iter)
+            row[2] = _newton(rest, value, *seed, tol, max_iter)
         except (ConvergenceError, SingularityError) as exc:
             row[2] = exc
-        return isinstance(row[2], EquilibriumPoint)
+        return isinstance(row[2], tuple)
 
     anchor = next((i for i, row in enumerate(rows)
-                   if row[0] is not None and solve(row)), None)
+                   if row[0] is not None and solve(row, grid[i])), None)
     if anchor is None:
         return rows, ()
-    start, xy, folds = grid[anchor], (rows[anchor][2].x, rows[anchor][2].y), []
+    start, xy, folds = grid[anchor], rows[anchor][2][:2], []
     # each side's rows outward from the anchor, from its nearest knots
     for end, indices in ((grid[0], range(anchor - 1, -1, -1)),
                          (grid[-1], range(anchor + 1, len(grid)))):
-        knots, fold = _walk(family, xy, start, end)
+        knots, fold = _walk(arc_rest, xy, start, end)
         knots = sorted(knots or [(*xy, start)], key=lambda u: u[2])
         reach = math.inf if fold is None else abs(fold - start)
         if reach < abs(end - start):
@@ -506,9 +518,9 @@ def _solve_grid(base: SystemParams, variable: str, grid: list,
             near = sorted(knots[max(k - 4, 0):k + 4],
                           key=lambda u: abs(u[2] - value))[:4]
             # a row left at its seed would add only its residual as a knot
-            if solve(row, seed := _lagrange(near, value)) \
-                    and (row[2].x, row[2].y) != seed and near[0][2] != value:
-                knots.insert(k, (row[2].x, row[2].y, value))
+            if solve(row, value, seed := _lagrange(near, value)) \
+                    and row[2][:2] != seed and near[0][2] != value:
+                knots.insert(k, (*row[2][:2], value))
     return rows, tuple(folds)
 
 
@@ -533,59 +545,41 @@ def _dot(a, b):
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-class _Arc:
-    """Pseudo-arclength steps along one branch of rest-state solutions.
+def _correct(rest, u, t, ds):
+    """Newton from u + ds*t on R = 0 and t.(v - u) = ds.
 
     A point of the branch is u = (x, y, lam) with R(x, y; lam) = 0, where
-    R is the rest-state residual of ``family(lam)``. The cross product c
-    of the two rows of [J | dR/dlam] spans the branch's tangent and its
-    last component is det J. So c keeps its orientation along the branch,
-    and det J changes sign exactly where lam turns back, at a fold
-    (Keller 1977; Allgower & Georg 1990, ch. 2). J is exact; dR/dlam is a
-    one-sided difference through ``family``, taken back toward ``lam0``,
-    inside the swept range. Its error moves only the predictor and the
-    corrector's rate, never the points, which solve R = 0 to ``_ARC_TOL``.
+    R, J and dR/dlam, both exact, come from one call of the family kernel
+    ``rest``, which raises ``ValueError`` at a lam outside the family's
+    domain. The cross product c of the two rows of [J | dR/dlam] spans the
+    branch's tangent and its last component is det J. So c keeps its
+    orientation along the branch, and det J changes sign exactly where
+    lam turns back, at a fold (Keller 1977; Allgower & Georg 1990, ch. 2).
+
+    Returns the point v, the cross product c there and the number of
+    corrections, or None when ``_ARC_CORRECTIONS`` do not converge, a
+    parameter leaves the family's domain or a point the collision guard.
     """
-
-    def __init__(self, family, lam0: float, stop: float):
-        self.family = family
-        self.lam0 = lam0
-        self.h = math.copysign(_SQRT_EPS * max(abs(lam0), abs(stop - lam0)),
-                               stop - lam0)
-
-    def correct(self, u, t, ds):
-        """Newton from u + ds*t on R = 0 and t.(v - u) = ds.
-
-        Returns the point v, the cross product c there and the number of
-        corrections, or None when ``_ARC_CORRECTIONS`` do not converge or
-        a parameter leaves the family's domain.
-        """
-        v = [u[0] + ds * t[0], u[1] + ds * t[1], u[2] + ds * t[2]]
-        for corrections in range(_ARC_CORRECTIONS + 1):
-            # dR/dlam forward from lam0, backward everywhere else
-            h = self.h if abs(v[2] - self.lam0) <= abs(self.h) else -self.h
-            try:
-                p = self.family(v[2])
-                res = equilibrium_residual(p, v[0], v[1])
-                res_h = equilibrium_residual(self.family(v[2] + h),
-                                             v[0], v[1])
-            except ValueError:
-                return None
-            j11, j12, j21, j22 = _rest_jacobian(p, v[0], v[1])
-            a = (j11, j12, (res_h[0] - res[0]) / h)
-            b = (j21, j22, (res_h[1] - res[1]) / h)
-            c = _cross(a, b)
-            if math.hypot(*res) < _ARC_TOL:
-                return tuple(v), c, corrections
-            # Cramer's rule on the rows a, b, t
-            det = _dot(c, t)
-            if corrections == _ARC_CORRECTIONS or det == 0.0:
-                return None
-            g = ds - _dot(t, (v[0] - u[0], v[1] - u[1], v[2] - u[2]))
-            bt = _cross(b, t)
-            ta = _cross(t, a)
-            for i in range(3):
-                v[i] += (g * c[i] - res[0] * bt[i] - res[1] * ta[i]) / det
+    v = [u[0] + ds * t[0], u[1] + ds * t[1], u[2] + ds * t[2]]
+    for corrections in range(_ARC_CORRECTIONS + 1):
+        try:
+            res, (j11, j12, j21, j22), (lx, ly) = rest(*v)
+        except ValueError:
+            return None
+        a = (j11, j12, lx)
+        b = (j21, j22, ly)
+        c = _cross(a, b)
+        if math.hypot(*res) < _ARC_TOL:
+            return tuple(v), c, corrections
+        # Cramer's rule on the rows a, b, t
+        det = _dot(c, t)
+        if corrections == _ARC_CORRECTIONS or det == 0.0:
+            return None
+        g = ds - _dot(t, (v[0] - u[0], v[1] - u[1], v[2] - u[2]))
+        bt = _cross(b, t)
+        ta = _cross(t, a)
+        for i in range(3):
+            v[i] += (g * c[i] - res[0] * bt[i] - res[1] * ta[i]) / det
 
 
 def _unit(c, sign: float):
@@ -593,17 +587,16 @@ def _unit(c, sign: float):
     return (sign * c[0] / norm, sign * c[1] / norm, sign * c[2] / norm)
 
 
-def _walk(family, point: tuple[float, float], start: float, stop: float):
+def _walk(rest, point: tuple[float, float], start: float, stop: float):
     """The arc points of a branch from ``start`` toward ``stop``, and its fold.
 
-    ``family`` maps a parameter value to its ``SystemParams`` (raising
-    ``ValueError`` outside its domain) and ``point`` is near a solution of
-    the rest-state equations of ``family(start)``; it is first corrected
-    onto the branch. Every arc point solves them to ``_ARC_TOL``, whatever
-    tolerance ``point`` was refined to. The branch is followed by
-    pseudo-arclength steps toward ``stop`` until det J changes sign; the
-    fold is then located by a secant on det J along the arc (the Illinois
-    variant of regula falsi, which keeps the bracket).
+    ``rest`` is the family kernel of ``_correct`` and ``point`` is near a
+    solution of the rest-state equations at ``start``; it is first
+    corrected onto the branch. Every arc point solves them to
+    ``_ARC_TOL``, whatever tolerance ``point`` was refined to. The branch
+    is followed by pseudo-arclength steps toward ``stop`` until det J
+    changes sign; the fold is then located by a secant on det J along the
+    arc (the Illinois variant of regula falsi, which keeps the bracket).
 
     Returns the points (x, y, lam) accepted before the fold and the fold,
     which may lie beyond ``stop``; None when the walk passes ``stop``
@@ -612,8 +605,8 @@ def _walk(family, point: tuple[float, float], start: float, stop: float):
     """
     if start == stop:
         return [], None
-    arc = _Arc(family, start, stop)
-    first = arc.correct((point[0], point[1], start), (0.0, 0.0, 1.0), 0.0)
+    first = _correct(rest, (point[0], point[1], start), (0.0, 0.0, 1.0),
+                     0.0)
     if first is None or first[1][2] == 0.0:
         return [], None
     u, c, _ = first
@@ -626,14 +619,14 @@ def _walk(family, point: tuple[float, float], start: float, stop: float):
     for _ in range(_ARC_MAX_STEPS):
         if ds < _ARC_MIN_STEP:
             break
-        step = arc.correct(u, t, ds)
+        step = _correct(rest, u, t, ds)
         tv = None if step is None else _unit(step[1], sign)
         if tv is None or _dot(t, tv) < _ARC_MIN_COS:
             ds *= 0.5
             continue
         v, cv, corrections = step
         if (cv[2] < 0.0) != (c[2] < 0.0):
-            return points, _secant_fold(arc, u, t, c[2], ds, cv[2], v[2])
+            return points, _secant_fold(rest, u, t, c[2], ds, cv[2], v[2])
         points.append(v)
         if (v[2] - stop) * direction >= 0.0:
             break
@@ -643,7 +636,7 @@ def _walk(family, point: tuple[float, float], start: float, stop: float):
     return points, None
 
 
-def _secant_fold(arc: _Arc, u, t, det_a: float, ds: float, det_b: float,
+def _secant_fold(rest, u, t, det_a: float, ds: float, det_b: float,
                  lam: float) -> float:
     # det J changes sign between arclength 0 (det_a) and ds (det_b) from
     # u along t; lam is stationary at the fold, so its error is quadratic
@@ -653,7 +646,7 @@ def _secant_fold(arc: _Arc, u, t, det_a: float, ds: float, det_b: float,
         if abs(sb - sa) <= 1e-12 * ds:
             break
         s = sb - det_b * (sb - sa) / (det_b - det_a)
-        step = arc.correct(u, t, s)
+        step = _correct(rest, u, t, s)
         if step is None:
             break
         lam = step[0][2]

@@ -254,17 +254,12 @@ class AccelVector(_Record):
         self._freeze(ax, ay)
 
 
-def _squared_radii(p: SystemParams, x, y):
-    # x + mu and the squared distances to the primaries at (-mu, 0) and
-    # (1-mu, 0)
-    xm = x + p.mu
-    return xm, xm * xm + y * y, (xm - 1.0) * (xm - 1.0) + y * y
-
-
 def _radii(p: SystemParams, x, y):
-    # math.sqrt is correctly rounded, which ** and hypot do not promise
-    _, r1sq, r2sq = _squared_radii(p, x, y)
-    return math.sqrt(r1sq), math.sqrt(r2sq)
+    # the distances to the primaries at (-mu, 0) and (1-mu, 0); math.sqrt
+    # is correctly rounded, which ** and hypot do not promise
+    xm = x + p.mu
+    return (math.sqrt(xm * xm + y * y),
+            math.sqrt((xm - 1.0) * (xm - 1.0) + y * y))
 
 
 def _check_guard_arg(guard: float) -> None:
@@ -354,31 +349,111 @@ def _state_kernel(p: SystemParams, guard: float):
     return state
 
 
-def _rest_jacobian(p: SystemParams, x: float, y: float
-                   ) -> tuple[float, float, float, float]:
-    # closed-form derivative (j11, j12, j21, j22) of the rest-state
-    # residual (gx + fx, gy + fy) of _state_kernel with respect to
-    # (x, y): the Hessian of U1 plus that of the drag at rest,
-    # (fx, fy) = w1 n (y, -(x + mu)) / r1^2; floats only, no guard
-    xm, r1sq, r2sq = _squared_radii(p, x, y)
-    xp = xm - 1.0
-    r1 = math.sqrt(r1sq)
-    r2 = math.sqrt(r2sq)
-    # gx holds -k1 xm - k2 xp - k3 xp with k = c / r^m (m = 3, 3, 5), and
-    # d(-c a / r^m)/da = -c / r^m + m c a^2 / r^(m+2)
-    k1 = (1.0 - p.mu) * p.q1 / (r1sq * r1)
-    k2 = p.mu / (r2sq * r2)
-    k3 = 1.5 * p.mu * p.a2 / (r2sq * r2sq * r2)
-    c1 = 3.0 * k1 / r1sq
-    c2 = (3.0 * k2 + 5.0 * k3) / r2sq
-    diag = p.n * p.n - k1 - k2 - k3
-    uxx = diag + c1 * xm * xm + c2 * xp * xp
-    uyy = diag + (c1 + c2) * y * y
-    uxy = (c1 * xm + c2 * xp) * y
-    wn = p.w1 * p.n / r1sq
-    b = 2.0 * wn / r1sq
-    return (uxx - b * xm * y, uxy + wn - b * y * y,
-            uxy - wn + b * xm * xm, uyy + b * xm * y)
+def _family_fields(base: SystemParams, variable: str) -> dict:
+    # the SystemParams arguments of the family of systems over variable,
+    # one of w1, a2, q1 and mu, each system taking its own value of it:
+    # the other parameters are base's, and base keeps its drag spec, cd
+    # held fixed when it has one, unless w1 is the variable
+    drag = "cd" if base.cd is not None and variable != "w1" else "w1"
+    return {"mu": base.mu, "q1": base.q1, "a2": base.a2,
+            drag: getattr(base, drag)}
+
+
+def _family_kernel(base: SystemParams, variable: str, guard: float):
+    # rest(x, y, lam) -> ((rx, ry), (j11, j12, j21, j22), (lx, ly)): the
+    # rest-state residual R of the family's system at lam, its Jacobian in
+    # (x, y) and its derivative in lam, from one derivation of the radii.
+    # The constants at lam are those that SystemParams(**{**fields,
+    # variable: lam}) and _state_kernel derive, and R has the bits of that
+    # state kernel at vx = vy = 0, by the same operations in the same
+    # order. lam is trusted to lie in the family's domain; a point raises
+    # what _state_kernel raises
+    fields = _family_fields(base, variable)
+    cd = fields.get("cd")
+    sqrt = math.sqrt
+
+    def rest(x, y, lam):
+        mu = lam if variable == "mu" else fields["mu"]
+        q1 = lam if variable == "q1" else fields["q1"]
+        a2 = lam if variable == "a2" else fields["a2"]
+        w1 = (lam if variable == "w1" else fields["w1"] if cd is None
+              else (1.0 - mu) * (1.0 - q1) / cd)
+        n = sqrt(1.0 + 1.5 * a2)
+        nn = n * n
+        radiating = (1.0 - mu) * q1
+        oblate_grad = 1.5 * mu * a2
+        xm = x + mu
+        xp = xm - 1.0
+        yy = y * y
+        r1sq = xm * xm + yy
+        r1 = sqrt(r1sq)
+        r2sq = xp * xp + yy
+        r2 = sqrt(r2sq)
+        if r1 < guard or r2 < guard:
+            raise SingularityError(f"point ({x}, {y}) is within {guard} of "
+                                   f"a primary (r1={r1}, r2={r2})")
+        r13 = r1sq * r1
+        r23 = r2sq * r2
+        r25 = r23 * r2sq
+        try:
+            gx = (nn * x - radiating * xm / r13 - mu * xp / r23
+                  - oblate_grad * xp / r25)
+            gy = (nn * y - radiating * y / r13 - mu * y / r23
+                  - oblate_grad * y / r25)
+            # gx holds -k1 xm - k2 xp - k3 xp with k = c / r^m (m = 3, 3,
+            # 5), and d(-c a / r^m)/da = -c / r^m + m c a^2 / r^(m+2)
+            k1 = radiating / r13
+            k2 = mu / r23
+            k3 = oblate_grad / (r2sq * r2sq * r2)
+        except ZeroDivisionError:
+            raise SingularityError(f"point ({x}, {y}) is too near a primary "
+                                   f"to evaluate (r1={r1}, r2={r2})") from None
+        # the drag at rest, (fx, fy) = w1 n (y, -(x + mu)) / r1^2, with the
+        # signed zeros of _state_kernel's at vx = vy = 0
+        fx = fy = 0.0
+        if w1 != 0.0:
+            k = w1 / r1sq
+            fx = -k * (0.0 - n * y)
+            fy = -k * (0.0 + n * xm)
+        # J: the Hessian of U1 plus the derivative of the drag at rest
+        c1 = 3.0 * k1 / r1sq
+        c2 = (3.0 * k2 + 5.0 * k3) / r2sq
+        diag = nn - k1 - k2 - k3
+        uxx = diag + c1 * xm * xm + c2 * xp * xp
+        uyy = diag + (c1 + c2) * y * y
+        uxy = (c1 * xm + c2 * xp) * y
+        wn = w1 * n / r1sq
+        b = 2.0 * wn / r1sq
+        j11 = uxx - b * xm * y
+        j21 = uxy - wn + b * xm * xm
+        # dR/dlam = dn2 (x, y) - dk1 (xm, y)/r1^3 - dm (xp, y)/r2^3
+        # - dc (xp, y)/r2^5 + dwn (y, -xm)/r1^2, the derivatives in lam of
+        # n^2, (1 - mu) q1, mu, 1.5 mu a2 and w1 n; w1 moves with q1 and mu
+        # when cd is held, and n with a2
+        dn2 = dk1 = dm = dc = 0.0
+        if variable == "w1":
+            dwn = n
+        elif variable == "a2":
+            dn2, dc, dwn = 1.5, 1.5 * mu, w1 * 0.75 / n
+        elif variable == "q1":
+            dk1 = 1.0 - mu
+            dwn = 0.0 if cd is None else -(1.0 - mu) * n / cd
+        else:
+            dk1, dm, dc = -q1, 1.0, 1.5 * a2
+            dwn = 0.0 if cd is None else -(1.0 - q1) * n / cd
+        lx = (dn2 * x - dk1 * xm / r13 - dm * xp / r23 - dc * xp / r25
+              + dwn * y / r1sq)
+        ly = (dn2 * y - dk1 * y / r13 - dm * y / r23 - dc * y / r25
+              - dwn * xm / r1sq)
+        if variable == "mu":
+            # x + mu moves with mu as with x, save in the rotation's n^2 x
+            lx += j11 - nn
+            ly += j21
+        return ((gx + fx, gy + fy),
+                (j11, uxy + wn - b * y * y, j21, uyy + b * xm * y),
+                (lx, ly))
+
+    return rest
 
 
 def _hessian_bound(p: SystemParams, r1: float, r2: float) -> float:

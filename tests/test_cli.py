@@ -479,6 +479,46 @@ def test_integrate_start_too_near_a_primary_exits_3(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_integrate_start_whose_first_step_underflows_exits_0(tmp_path,
+                                                             capsys):
+    """1e-90 from the radiating primary the initial step estimate
+    0.01 d0/d1 underflows to 0; it is raised to the stepping loop's
+    smallest step, so the run ends on a termination of its own."""
+    out = str(tmp_path / "near.csv")
+    rc = main(["integrate", "--system.mu", "0.01", "--system.w1", "0",
+               "--job.x", "-0.01", "--job.y", "1e-90", "--job.vx", "0",
+               "--job.vy", "0", "--job.t_end", "1", "--job.sample_dt", "0.1",
+               "--job.collision_guard", "1e-300", "--output", out])
+    assert rc == 0
+    assert "Traceback" not in capsys.readouterr().err
+    with open(tmp_path / "near.meta.json", encoding="utf-8") as fh:
+        assert json.load(fh)["termination"] in ("collision", "step-failure")
+
+
+# a grid whose span is subnormal: the equilibria job walks w1 over
+# {0, 5e-324}, the sweep a2 over three subnormal values
+SUBNORMAL_SPANS = {
+    "equilibria": ["equilibria", "--system.mu", "0.1", "--system.q1", "0.9",
+                   "--system.w1", "5e-324"],
+    "sweep": ["sweep", "--system.mu", "0.1", "--system.q1", "0.9",
+              "--system.w1", "0", "--job.variable", "a2", "--job.start",
+              "5e-324", "--job.stop", "1e-322", "--job.count", "3",
+              "--job.spacing", "linear"],
+}
+
+
+@pytest.mark.parametrize("job", SUBNORMAL_SPANS)
+def test_subnormal_span_refines_every_row(job, tmp_path, capsys):
+    out = str(tmp_path / "rows.csv")
+    assert main([*SUBNORMAL_SPANS[job], "--output", out]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    rows = read_table(out)[1]
+    if job == "sweep":
+        assert [row["status"] for row in rows] == ["ok"] * 3
+    else:
+        assert [row["method"] for row in rows].count("refined-numeric") == 2
+
+
 def test_integrate_bad_time_range_exits_2(tmp_path):
     out = str(tmp_path / "never.csv")
     rc = main(["integrate", "--system.mu", "0.1", "--system.w1", "0",

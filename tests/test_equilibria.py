@@ -387,22 +387,22 @@ def test_refine_skips_a_probe_inside_the_guard(monkeypatch):
     0.296 from the smaller primary, inside a guard of 0.3. That probe is
     skipped like one that fails to decrease the residual, and the halved
     step goes on to L4."""
-    kernel = equilibria._state_kernel
+    kernel = equilibria._family_kernel
     skipped = []
 
-    def spied_kernel(p, guard):
-        state = kernel(p, guard)
+    def spied_kernel(p, variable, guard):
+        rest = kernel(p, variable, guard)
 
         def spied(*args):
             try:
-                return state(*args)
+                return rest(*args)
             except SingularityError:
                 skipped.append(args)
                 raise
 
         return spied
 
-    monkeypatch.setattr(equilibria, "_state_kernel", spied_kernel)
+    monkeypatch.setattr(equilibria, "_family_kernel", spied_kernel)
     point = refine_equilibrium(SystemParams(mu=0.1), (0.525, 0.375),
                                guard=0.3)
     assert len(skipped) == 1
@@ -540,6 +540,24 @@ def test_follow_branch_checks_its_arguments_before_any_solve(name, kwargs):
         follow_branch(base, **{**args, **kwargs})
 
 
+@pytest.mark.parametrize("variable, grid", [
+    ("w1", [0.0, 5e-324]),
+    ("a2", [5e-324, 5.434722104253712e-323, 1e-322]),
+], ids=["w1", "a2"])
+def test_subnormal_span_is_followed(variable, grid):
+    """The arc's dR/dlam is exact, so a span of subnormal parameter values
+    (which once made a difference step of 0) is walked like any other,
+    and every row is the drag-free, oblateness-free point."""
+    base = SystemParams(mu=0.1, q1=0.9, w1=0.0)
+    rows, folds = follow_branch(base, variable, grid)
+    assert folds == ()
+    terms = analytic_epsilons(base, "L4")
+    point = refine_equilibrium(base, (terms.x0, terms.y0))
+    for row in rows:
+        assert row.status == "ok"
+        assert (row.x_refined, row.y_refined) == (point.x, point.y)
+
+
 # (system, variable, start, stop, branch) of 200-row geometric sweeps
 WORK_SWEEPS = [
     (dict(mu=0.03, q1=0.98, cd=2000.0), "a2", 1e-5, 1e-2, "L5"),
@@ -553,23 +571,24 @@ WORK_SWEEPS = [
 def test_sweep_rows_mostly_stop_at_their_seed(system, variable, start, stop,
                                               branch, monkeypatch):
     """Each row refines from the cubic through the four nearest solved
-    points, so most rows stop at their seed after one residual: 1.19,
-    1.64 and 1.56 residuals a row here, arc included, where seeds
+    points, so most rows stop at their seed after one residual: 1.16,
+    1.58 and 1.54 residuals a row here, arc included, where seeds
     between arc points 0.05 apart took 2.04, 2.11 and 2.29. Every
-    residual is one call of a state kernel that equilibria binds."""
-    kernel = equilibria._state_kernel
+    residual is one call of the family kernel that the sweep binds, one
+    per arc correction too."""
+    kernel = equilibria._family_kernel
     calls = []
 
-    def counted_kernel(p, guard):
-        state = kernel(p, guard)
+    def counted_kernel(p, variable, guard):
+        rest = kernel(p, variable, guard)
 
         def counted(*args):
             calls.append(args)
-            return state(*args)
+            return rest(*args)
 
         return counted
 
-    monkeypatch.setattr(equilibria, "_state_kernel", counted_kernel)
+    monkeypatch.setattr(equilibria, "_family_kernel", counted_kernel)
     grid = _sweep_grid({"start": start, "stop": stop, "count": 200,
                         "spacing": "geometric"})
     rows, folds = follow_branch(SystemParams(**system), variable, grid,

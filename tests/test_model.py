@@ -25,7 +25,8 @@ from prtbp import (
     oblateness_from_radii,
     refine_equilibrium,
 )
-from prtbp.model import _hessian_bound, _radii, _rest_jacobian
+from prtbp.model import (_family_fields, _family_kernel, _hessian_bound,
+                         _radii, _state_kernel)
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
 
@@ -484,6 +485,11 @@ def test_arrays_of_points_are_rejected():
         jacobi_drift_rate(p, PhaseState(x, x, x, x))
 
 
+def _jacobian(p, x, y):
+    # the rest Jacobian of p, as the family kernel over w1 gives it
+    return _family_kernel(p, "w1", 0.0)(x, y, p.w1)[1]
+
+
 @pytest.mark.parametrize("p, x, y", [
     (SystemParams(mu=0.1), 0.4, SQRT3_2),
     (SystemParams(mu=0.01, q1=0.98, a2=1e-3), 0.47, -0.85),
@@ -497,7 +503,7 @@ def test_rest_jacobian_matches_central_differences(p, x, y):
     """The closed-form Jacobian of the rest-state residual against a
     central difference of the residual itself, with and without drag and
     oblateness, above and below the axis."""
-    j = _rest_jacobian(p, x, y)
+    j = _jacobian(p, x, y)
     h = 1e-5
     px, mx = (equilibrium_residual(p, x + d, y) for d in (h, -h))
     py, my = (equilibrium_residual(p, x, y + d) for d in (h, -h))
@@ -524,7 +530,7 @@ def test_hessian_bound_covers_the_hessian(p):
         dist = 10.0 ** rng.uniform(-4.0, 1.0)
         angle = rng.uniform(0.0, 2.0 * math.pi)
         x, y = centre + dist * math.cos(angle), dist * math.sin(angle)
-        uxx, uxy, _, uyy = _rest_jacobian(p, x, y)
+        uxx, uxy, _, uyy = _jacobian(p, x, y)
         mid, half = 0.5 * (uxx + uyy), math.hypot(0.5 * (uxx - uyy), uxy)
         norm = abs(mid) + half
         bound = _hessian_bound(p, *_radii(p, x, y))
@@ -532,3 +538,74 @@ def test_hessian_bound_covers_the_hessian(p):
         worst = max(worst, norm / bound)
     # the bound is tight to a factor of two where one term dominates
     assert worst > 0.5
+
+
+# the bases of the families: cd held fixed (finite and infinite), and w1
+# held fixed, which a base has only without drag
+FAMILY_BASES = {
+    "cd": SystemParams(mu=0.03, q1=0.95, a2=2e-3, cd=500.0),
+    "cd-inf": SystemParams(mu=0.03, q1=0.95, a2=2e-3, cd=math.inf),
+    "w1": SystemParams(mu=0.03, q1=0.95, a2=2e-3, w1=0.0),
+}
+# each variable's values: both ends of its domain and two inside it
+FAMILY_VALUES = {
+    "w1": [0.0, 1e-3, 0.05, 1e300],
+    "a2": [0.0, 1e-3, 0.05, 1e300],
+    "q1": [5e-324, 0.5, 0.98, 1.0],
+    "mu": [5e-324, 0.01, 0.2, 0.5],
+}
+
+
+def _family_system(base, variable, value):
+    return SystemParams(**{**_family_fields(base, variable), variable: value})
+
+
+@pytest.mark.parametrize("spec", FAMILY_BASES)
+@pytest.mark.parametrize("variable", FAMILY_VALUES)
+def test_family_kernel_has_the_bits_of_the_state_kernel(variable, spec):
+    """R of the family kernel is, bit for bit, the rest-state residual of
+    _state_kernel on the SystemParams of the same value, at random points,
+    on the axis (y = +-0) and at the domain's ends; a point within the
+    guard or too near a primary raises the same error."""
+    base = FAMILY_BASES[spec]
+    rng = np.random.default_rng(7)
+    points = [*rng.uniform(-1.5, 1.5, (40, 2)), (0.4, 0.0), (0.4, -0.0),
+              (-0.03, 1e-110)]
+    for guard in (1e-6, 0.0):
+        rest = _family_kernel(base, variable, guard)
+        for value in FAMILY_VALUES[variable]:
+            state = _state_kernel(_family_system(base, variable, value),
+                                  guard)
+            for x, y in points:
+                x, y = float(x), float(y)
+                try:
+                    _, gx, gy, fx, fy = state(x, y, 0.0, 0.0)
+                except SingularityError as exc:
+                    with pytest.raises(SingularityError) as caught:
+                        rest(x, y, value)
+                    assert str(caught.value) == str(exc)
+                    continue
+                residual = rest(x, y, value)[0]
+                assert (_bits(residual) == _bits((gx + fx, gy + fy))).all()
+
+
+@pytest.mark.parametrize("spec", FAMILY_BASES)
+@pytest.mark.parametrize("variable, value", [
+    ("w1", 2e-3), ("a2", 1e-2), ("q1", 0.9), ("mu", 0.1)])
+def test_family_kernel_derivative_matches_central_differences(variable,
+                                                               value, spec):
+    """dR/dlam in closed form, with W1's dependence on q1 and mu at a held
+    cd and n's on A2, against a central difference of the residual
+    through SystemParams, near L4 and L5 and off them."""
+    base = FAMILY_BASES[spec]
+    rest = _family_kernel(base, variable, 0.0)
+    h = 1e-6 * value
+    plus, minus = (_family_system(base, variable, value + d)
+                   for d in (h, -h))
+    for x, y in [(0.45, 0.85), (0.45, -0.86), (0.2, 0.3), (1.3, -0.4)]:
+        exact = rest(x, y, value)[2]
+        rp = equilibrium_residual(plus, x, y)
+        rm = equilibrium_residual(minus, x, y)
+        fd = [(a - b) / (2 * h) for a, b in zip(rp, rm)]
+        scale = max(1.0, *map(abs, fd))
+        assert max(abs(a - b) for a, b in zip(exact, fd)) <= 1e-7 * scale

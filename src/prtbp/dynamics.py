@@ -148,21 +148,24 @@ def integrate(p: SystemParams, s0: PhaseState, t_end: float,
     checked = _state_kernel(p, collision_guard)
     checked(s0.x, s0.y, s0.vx, s0.vy)
     free = _state_kernel(p, 0.0)
+    # the system's constants, bound once per trajectory
+    two_n = 2.0 * p.n
+    radii = _radii(p)
 
     def rhs(t, v):
         x, y, vx, vy = v
         _, gx, gy, fx, fy = free(x, y, vx, vy)
         # the trailing rate is the drag law's dC/dt, a quadrature
         return (vx, vy,
-                2.0 * p.n * vy + gx + fx,
-                -2.0 * p.n * vx + gy + fy,
+                two_n * vy + gx + fx,
+                -two_n * vx + gy + fy,
                 -2.0 * (vx * fx + vy * fy))
 
     def collision(t, v):
-        return min(_radii(p, v[0], v[1])) - collision_guard
+        return min(radii(v[0], v[1])) - collision_guard
 
     def escape(t, v):
-        return _radii(p, v[0], v[1])[0] - escape_radius
+        return radii(v[0], v[1])[0] - escape_radius
 
     collision.direction = -1.0
     escape.direction = 1.0

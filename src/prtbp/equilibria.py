@@ -103,19 +103,14 @@ class EquilibriumPoint(_Record):
         self._freeze(x, y, label, method, residual_norm)
 
 
-def _base_coords(p: SystemParams, branch: Branch) -> tuple[float, float]:
-    # r1 = delta and r2 = 1 with unit primary separation pin the point:
-    # x + mu = delta^2/2 and y^2 = delta^2 - delta^4/4
-    d = p.delta
-    x0 = d * d / 2.0 - p.mu
+def _base_coords(mu: float, d: float, branch: Branch,
+                 relative: bool = False) -> tuple[float, float]:
+    # r1 = delta = d and r2 = 1 with unit primary separation pin the point:
+    # x + mu = delta^2/2 and y^2 = delta^2 - delta^4/4; x0 must not vanish
+    # for a correction relative to it
+    x0 = d * d / 2.0 - mu
     y0 = _branch_sign(branch) * d * math.sqrt(1.0 - d * d / 4.0)
-    return x0, y0
-
-
-def _relative_base(p: SystemParams, branch: Branch) -> tuple[float, float]:
-    # the base point of a correction relative to x0, which must not vanish
-    x0, y0 = _base_coords(p, branch)
-    if abs(x0) < _DEGENERATE_X0:
+    if relative and abs(x0) < _DEGENERATE_X0:
         raise DegenerateFormulaError(
             f"base abscissa x0={x0} is degenerate (delta^2/2 = mu); "
             "use refine_equilibrium instead")
@@ -140,7 +135,7 @@ def analytic_epsilons(p: SystemParams, branch: Branch) -> PerturbationTerms:
     DegenerateFormulaError
         When a shift divides by zero or is not finite (subnormal mu, q1).
     """
-    x0, y0 = _base_coords(p, branch)
+    x0, y0 = _base_coords(p.mu, p.delta, branch)
     try:
         eps2 = p.n * p.w1 * (1.0 - 2.5 * p.a2) / (3.0 * p.mu * y0)
         eps1 = -p.n * p.w1 / (6.0 * (1.0 - p.mu) * y0) - p.a2 / 2.0
@@ -162,7 +157,6 @@ def equilibrium_residual(p: SystemParams, x: float, y: float,
     ``equations_of_motion`` evaluated with zero velocity. Raises what
     :func:`prtbp.model.amended_potential` raises.
     """
-    _check_guard_arg(guard)
     _, gx, gy, fx, fy = _state_kernel(p, guard)(x, y, 0.0, 0.0)
     return gx + fx, gy + fy
 
@@ -184,7 +178,9 @@ def analytic_triangular_point(p: SystemParams, branch: Branch
         subnormal mu or q1), or the point falls on the other side of
         y = 0 than its branch.
     """
-    return _point(p, *_analytic_coords(p, branch), branch, METHOD_ANALYTIC)
+    return _point(p, *_analytic_coords(
+        (p.mu, p.q1, p.a2, p.w1, p.n, p.delta), branch), branch,
+        METHOD_ANALYTIC)
 
 
 def _point(p: SystemParams, x: float, y: float, branch: Branch,
@@ -199,17 +195,17 @@ def _point(p: SystemParams, x: float, y: float, branch: Branch,
                             residual_norm=rn)
 
 
-def _analytic_coords(p: SystemParams, branch: Branch) -> tuple[float, float]:
-    # the (x, y) of analytic_triangular_point, without its residual
-    x0, y0 = _relative_base(p, branch)
-    mu = p.mu
-    a2 = p.a2
-    d2h = p.delta * p.delta / 2.0
+def _analytic_coords(c: tuple, branch: Branch) -> tuple[float, float]:
+    # the (x, y) of analytic_triangular_point on the system of constants
+    # c = (mu, q1, a2, w1, n, delta), without its residual
+    mu, _, a2, w1, n, delta = c
+    x0, y0 = _base_coords(mu, delta, branch, relative=True)
+    d2h = delta * delta / 2.0
     try:
-        drag_x = (p.n * p.w1 * ((1.0 - mu) * (1.0 - 2.5 * a2)
-                                + mu * (1.0 - 0.5 * a2) * d2h)
+        drag_x = (n * w1 * ((1.0 - mu) * (1.0 - 2.5 * a2)
+                            + mu * (1.0 - 0.5 * a2) * d2h)
                   / (3.0 * mu * (1.0 - mu) * y0))
-        drag_y = (p.n * p.w1 * p.delta * p.delta
+        drag_y = (n * w1 * delta * delta
                   * (2.0 * mu - 1.0 - mu * (1.0 - 1.5 * a2) * d2h
                      + 3.5 * (1.0 - mu) * a2)
                   / (6.0 * mu * (1.0 - mu) * y0**3))
@@ -248,7 +244,7 @@ def limiting_case_point(p: SystemParams, case: str, branch: Branch
     if any(getattr(p, name) != value for name, value in needs.items()):
         raise DegenerateFormulaError(f"{case} case requires {needs}, got "
                                      f"w1={p.w1}, a2={p.a2}, q1={p.q1}")
-    x0, y0 = _base_coords(p, branch)
+    x0, y0 = _base_coords(p.mu, p.delta, branch)
     mu = p.mu
     d2h = p.delta * p.delta / 2.0
     method = f"limiting-{case}"
@@ -257,7 +253,7 @@ def limiting_case_point(p: SystemParams, case: str, branch: Branch
             x = x0 - d2h * p.a2
             y = y0 * (1.0 - d2h * (1.0 - d2h) * p.a2 / (y0 * y0))
         elif case == "drag-only":
-            x0, y0 = _relative_base(p, branch)
+            x0, y0 = _base_coords(mu, p.delta, branch, relative=True)
             x = x0 * (1.0 - p.w1 * ((1.0 - mu) + mu * d2h)
                       / (3.0 * mu * (1.0 - mu) * x0 * y0))
             y = y0 * (1.0 - p.w1 * p.delta * p.delta
@@ -295,9 +291,9 @@ def refine_equilibrium(p: SystemParams, guess: tuple[float, float],
         0, so near one that the residual divides by zero; a Newton probe
         there is skipped like one inside the guard.
     ConvergenceError
-        Tolerance not reached within ``max_iter`` iterations, or reached on
-        y = 0, off both triangular points; carries the last iterate and
-        its residual norm.
+        Tolerance not reached within ``max_iter`` iterations, a residual
+        norm that is not finite, or convergence on y = 0, off both
+        triangular points; carries the last iterate and its residual norm.
     SingularJacobianError
         The Jacobian is singular to working precision.
     """
@@ -306,8 +302,9 @@ def refine_equilibrium(p: SystemParams, guess: tuple[float, float],
     x, y = float(guess[0]), float(guess[1])
     if not (-math.inf < x < math.inf and -math.inf < y < math.inf):
         raise ValueError(f"guess must be finite, got {tuple(guess)}")
-    return _refined(*_newton(_family_kernel(p, "w1", guard), p.w1, x, y,
-                             tol, max_iter))
+    _, rest = _family_kernel(p, "w1", guard)
+    return _refined(*_newton(rest, (p.mu, p.q1, p.a2, p.w1, p.n, p.delta),
+                             x, y, tol, max_iter))
 
 
 def _refined(x: float, y: float, rnorm: float) -> EquilibriumPoint:
@@ -316,13 +313,17 @@ def _refined(x: float, y: float, rnorm: float) -> EquilibriumPoint:
                             method=METHOD_REFINED, residual_norm=rnorm)
 
 
-def _newton(rest, lam: float, x: float, y: float, tol: float,
+def _newton(rest, c: tuple, x: float, y: float, tol: float,
             max_iter: int) -> tuple[float, float, float]:
     # the Newton loop of refine_equilibrium on the rest state of a
-    # _family_kernel at lam, from (x, y), whose arguments the callers
-    # check: the refined (x, y) and its residual norm
-    res, jac, _ = rest(x, y, lam)
+    # _family_kernel at the constants c, from (x, y), whose arguments the
+    # callers check: the refined (x, y) and its residual norm
+    res, jac, _ = rest(x, y, c, tol)
     rnorm = math.hypot(*res)
+    if not rnorm < math.inf:
+        # NaN fails rnorm >= tol too; later norms are taken only if smaller
+        raise ConvergenceError(f"residual norm {rnorm} is not finite", x=x,
+                               y=y, residual_norm=rnorm, iterations=0)
     iterations = 0
     while rnorm >= tol:
         if iterations >= max_iter:
@@ -350,7 +351,7 @@ def _newton(rest, lam: float, x: float, y: float, tol: float,
             yt = y + damping * sy
             damping *= 0.5
             try:
-                rt, jt, _ = rest(xt, yt, lam)
+                rt, jt, _ = rest(xt, yt, c, tol)
             except SingularityError:
                 continue
             rtnorm = math.hypot(*rt)
@@ -379,14 +380,14 @@ def triangular_points(p: SystemParams, tol: float = 1e-12,
     _check_newton_args(tol, max_iter)
     points = []
     for branch in BRANCHES:
-        points.append(_point(p, *_base_coords(p, branch), branch,
-                             METHOD_BASE))
+        points.append(_point(p, *_base_coords(p.mu, p.delta, branch),
+                             branch, METHOD_BASE))
         try:
             points.append(analytic_triangular_point(p, branch))
         except DegenerateFormulaError:
             pass
         refined = _solve_grid(p, "w1", sorted({0.0, p.w1}), branch, tol,
-                              max_iter)[0][-1][2]
+                              max_iter)[1][-1]
         if isinstance(refined, Exception):
             raise refined
         if isinstance(refined, tuple):
@@ -443,89 +444,148 @@ def follow_branch(base: SystemParams, variable: str, grid,
     pairs = list(zip(grid, grid[1:]))
     if not (all(a <= b for a, b in pairs) or all(a >= b for a, b in pairs)):
         raise ValueError("grid must be non-decreasing or non-increasing")
-    solved, folds = _solve_grid(base, variable, grid, branch, tol, max_iter)
+    analytic, outcomes, folds = _solve_grid(base, variable, grid, branch,
+                                            tol, max_iter)
     rows = []
-    for value, (_, xy, out) in zip(grid, solved):
+    for value, xy, out in zip(grid, analytic, outcomes):
         xa, ya = (None, None) if isinstance(out, str) or xy is None else xy
         if isinstance(out, tuple):
-            err = None if xy is None else math.hypot(xa - out[0], ya - out[1])
-            rows.append(SweepRow(value, xa, ya, out[0], out[1], err, "ok"
-                                 if xy else "degenerate-analytic"))
+            x, y, _ = out
+            err = None if xy is None else math.hypot(xa - x, ya - y)
+            status = "ok" if xy else "degenerate-analytic"
         else:
-            rows.append(SweepRow(value, xa, ya, None, None, None, out
-                                 if isinstance(out, str) else "refine-failed"))
+            x = y = err = None
+            status = out if isinstance(out, str) else "refine-failed"
+        rows.append(SweepRow._make((value, xa, ya, x, y, err, status)))
     return rows, folds
 
 
 def _solve_grid(base: SystemParams, variable: str, grid: list,
                 branch: Branch, tol: float, max_iter: int):
-    # [params, analytic (x, y) or None, outcome: a status, the refined
-    # (x, y, residual norm) or the error of its solve] of each grid value,
-    # and the folds in the grid; the callers check the arguments, and
-    # every solve goes through one kernel
+    # the analytic (x, y) or None and the outcome (a status, the refined
+    # (x, y, residual norm) or the error of its solve) of each grid value,
+    # and the folds in the grid; the callers check the arguments. Every
+    # solve goes through one kernel, and a row takes its system's
+    # constants from the kernel's at(value), not from a SystemParams
     fields = _family_fields(base, variable)
-    rest = _family_kernel(base, variable, COLLISION_GUARD)
+    at, rest = _family_kernel(base, variable, COLLISION_GUARD)
+    sign = _branch_sign(branch)
+    n = len(grid)
+    analytic = [None] * n
+    outcomes = ["invalid-params"] * n
 
-    def family(value: float) -> SystemParams:
-        return SystemParams(**{**fields, variable: value})
+    def admits(value: float) -> bool:
+        try:
+            SystemParams(**{**fields, variable: value})
+        except ValueError:
+            return False
+        return True
 
     def arc_rest(x: float, y: float, lam: float):
         # the kernel at a lam the family admits; ValueError at any other
-        family(lam)
-        return rest(x, y, lam)
+        if not admits(lam):
+            raise ValueError(f"{variable}={lam} is outside the domain")
+        return rest(x, y, at(lam))
 
-    rows = []
-    for value in grid:
-        try:
-            p = family(value)
-            rows.append([p, _analytic_coords(p, branch), None])
-        except DegenerateFormulaError:
-            rows.append([p, None, None])
-        except ValueError:
-            rows.append([None, None, "invalid-params"])
-
-    def solve(row: list, value: float, seed=None) -> bool:
+    def solve(i: int, seed=None) -> bool:
         # from the row's own guess unless seeded
-        p, xy, _ = row
-        if seed is None:
-            seed = (xy if xy and _branch_sign(branch) * xy[1] > 0.0
-                    else _base_coords(p, branch))
+        c = at(grid[i])
         try:
-            row[2] = _newton(rest, value, *seed, tol, max_iter)
+            analytic[i] = xy = _analytic_coords(c, branch)
+        except DegenerateFormulaError:
+            xy = None
+        if seed is None:
+            seed = (xy if xy and sign * xy[1] > 0.0
+                    else _base_coords(c[0], c[5], branch))
+        try:
+            outcomes[i] = _newton(rest, c, *seed, tol, max_iter)
         except (ConvergenceError, SingularityError) as exc:
-            row[2] = exc
-        return isinstance(row[2], tuple)
+            outcomes[i] = exc
+            return False
+        return True
 
-    anchor = next((i for i, row in enumerate(rows)
-                   if row[0] is not None and solve(row, grid[i])), None)
+    # The values SystemParams admits form an interval and the grid is
+    # monotone, so the rows it admits are one run: those nearest the base's
+    # own value on either side of it, each end found by a bisection. Should
+    # the base's value be rejected, each row is asked
+    inside = getattr(base, variable)
+    if admits(inside):
+        up = not grid or grid[0] <= grid[-1]
+        s = bisect_left(grid, True, key=lambda v: v >= inside if up
+                        else v <= inside)
+        run = range(bisect_left(grid, True, 0, s, key=admits),
+                    bisect_left(grid, True, s, n, key=lambda v: not admits(v)))
+    else:
+        run = [i for i, value in enumerate(grid) if admits(value)]
+        run = range(run[0], run[-1] + 1) if run else range(0)
+    anchor = next((i for i in run if solve(i)), None)
     if anchor is None:
-        return rows, ()
-    start, xy, folds = grid[anchor], rows[anchor][2][:2], []
+        return analytic, outcomes, ()
+    start, xy, folds = grid[anchor], outcomes[anchor][:2], []
     # each side's rows outward from the anchor, from its nearest knots
-    for end, indices in ((grid[0], range(anchor - 1, -1, -1)),
-                         (grid[-1], range(anchor + 1, len(grid)))):
+    for end, indices in ((grid[0], range(anchor - 1, run.start - 1, -1)),
+                         (grid[-1], range(anchor + 1, run.stop))):
         knots, fold = _walk(arc_rest, xy, start, end)
         knots = sorted(knots or [(*xy, start)], key=lambda u: u[2])
         reach = math.inf if fold is None else abs(fold - start)
         if reach < abs(end - start):
             folds.append(fold)
-        for row, value in ((rows[i], grid[i]) for i in indices
-                           if rows[i][0] is not None):
+        k = 0
+        for i in indices:
+            value = grid[i]
             if abs(value - start) > reach:
-                row[2] = "no-equilibrium"
+                outcomes[i] = "no-equilibrium"
                 continue
-            k = bisect_left(knots, value, key=lambda u: u[2])
-            near = sorted(knots[max(k - 4, 0):k + 4],
-                          key=lambda u: abs(u[2] - value))[:4]
+            k, near = _nearest(knots, k, value)
             # a row left at its seed would add only its residual as a knot
-            if solve(row, value, seed := _lagrange(near, value)) \
-                    and row[2][:2] != seed and near[0][2] != value:
-                knots.insert(k, (*row[2][:2], value))
-    return rows, tuple(folds)
+            if solve(i, seed := _lagrange(near, value)) \
+                    and outcomes[i][:2] != seed and near[0][2] != value:
+                knots.insert(k, (*outcomes[i][:2], value))
+    return analytic, outcomes, tuple(folds)
+
+
+def _nearest(knots: list, k: int, value: float):
+    # (k, near): k moved to bisect_left of value among the lams of the
+    # knots (x, y, lam), sorted by lam, and the four knots nearest value,
+    # in the order of sorted(knots[max(k - 4, 0):k + 4], key=lambda u:
+    # abs(u[2] - value))[:4]. Rows come in order, so k moves a step or
+    # none. Distances fall toward k from the left and rise from it, so a
+    # merge outward picks the knots, a tie going left; a tie on the left,
+    # which the stable sort takes in the order of knots, falls back to it
+    n = len(knots)
+    while k < n and knots[k][2] < value:
+        k += 1
+    while k and knots[k - 1][2] >= value:
+        k -= 1
+    lo, i, j, hi = max(k - 4, 0), k - 1, k, min(k + 4, n)
+    near = []
+    for _ in range(min(hi - lo, 4)):
+        if j < hi and (i < lo or knots[j][2] - value < value - knots[i][2]):
+            near.append(knots[j])
+            j += 1
+        elif i > lo and knots[i - 1][2] - value == knots[i][2] - value:
+            return k, sorted(knots[lo:hi],
+                             key=lambda u: abs(u[2] - value))[:4]
+        else:
+            near.append(knots[i])
+            i -= 1
+    return k, near
 
 
 def _lagrange(knots, value: float) -> tuple[float, float]:
-    # the polynomial through the (x, y, lam) knots, of distinct lam, at value
+    # the polynomial through the (x, y, lam) knots, of distinct lam, at
+    # value; four knots, the common case, unrolled with the loop's
+    # operations in its order, as 1.0 * w == w
+    if len(knots) == 4:
+        (x0, y0, l0), (x1, y1, l1), (x2, y2, l2), (x3, y3, l3) = knots
+        if len({l0, l1, l2, l3}) == 4:
+            d0, d1, d2, d3 = value - l0, value - l1, value - l2, value - l3
+            w0 = d1 / (l0 - l1) * (d2 / (l0 - l2)) * (d3 / (l0 - l3))
+            w1 = d0 / (l1 - l0) * (d2 / (l1 - l2)) * (d3 / (l1 - l3))
+            w2 = d0 / (l2 - l0) * (d1 / (l2 - l1)) * (d3 / (l2 - l3))
+            w3 = d0 / (l3 - l0) * (d1 / (l3 - l1)) * (d2 / (l3 - l2))
+            return (0.0 + w0 * x0 + w1 * x1 + w2 * x2 + w3 * x3,
+                    0.0 + w0 * y0 + w1 * y1 + w2 * y2 + w3 * y3)
     x = y = 0.0
     for xi, yi, li in knots:
         w = 1.0

@@ -254,17 +254,18 @@ class AccelVector(_Record):
         self._freeze(ax, ay)
 
 
-def _radii(p: SystemParams, x, y):
-    # the distances to the primaries at (-mu, 0) and (1-mu, 0); math.sqrt
-    # is correctly rounded, which ** and hypot do not promise
-    xm = x + p.mu
-    return (math.sqrt(xm * xm + y * y),
-            math.sqrt((xm - 1.0) * (xm - 1.0) + y * y))
+def _radii(p: SystemParams):
+    # radii(x, y), the distances to the primaries at (-mu, 0) and (1-mu, 0);
+    # math.sqrt is correctly rounded, which ** and hypot do not promise
+    mu = p.mu
+    sqrt = math.sqrt
+    return lambda x, y: (sqrt((x + mu) * (x + mu) + y * y),
+                         sqrt((x + mu - 1.0) * (x + mu - 1.0) + y * y))
 
 
 def _check_guard_arg(guard: float) -> None:
-    # the guard argument of every public entry point; the per-point
-    # kernels below trust theirs
+    # the guard argument of every public entry point, checked where it is
+    # bound to a kernel; the per-point kernels trust theirs
     if not 0.0 <= guard < math.inf:
         raise ValueError(f"guard must be finite and >= 0, got {guard}")
 
@@ -304,6 +305,7 @@ def _state_kernel(p: SystemParams, guard: float):
     # the radii, the system's constants bound once. A point within the
     # guard raises SingularityError, and so does one so near a primary
     # that a term divides by zero; a guard of 0 admits every other point
+    _check_guard_arg(guard)
     mu = p.mu
     n = p.n
     nn = n * n
@@ -360,25 +362,26 @@ def _family_fields(base: SystemParams, variable: str) -> dict:
 
 
 def _family_kernel(base: SystemParams, variable: str, guard: float):
-    # rest(x, y, lam) -> ((rx, ry), (j11, j12, j21, j22), (lx, ly)): the
-    # rest-state residual R of the family's system at lam, its Jacobian in
-    # (x, y) and its derivative in lam, from one derivation of the radii.
-    # The constants at lam are those that SystemParams(**{**fields,
-    # variable: lam}) and _state_kernel derive, and R has the bits of that
-    # state kernel at vx = vy = 0, by the same operations in the same
-    # order. lam is trusted to lie in the family's domain; a point raises
-    # what _state_kernel raises
+    # (at, rest). at(lam) -> c = (mu, q1, a2, w1, n, delta): the fields of
+    # SystemParams(**{**fields, variable: lam}), bit for bit, lam trusted
+    # to lie in the family's domain. rest(x, y, c, tol=None) -> ((rx, ry),
+    # (j11, j12, j21, j22), (lx, ly)): the rest-state residual R of system
+    # c, its Jacobian J and its derivative in lam, from one derivation of
+    # the radii; R has the bits of _state_kernel's at vx = vy = 0, and a
+    # point raises what it raises. Given Newton's tol, the derivative in
+    # lam is None, and so is J where |R| < tol
     fields = _family_fields(base, variable)
     cd = fields.get("cd")
     sqrt = math.sqrt
 
-    def rest(x, y, lam):
-        mu = lam if variable == "mu" else fields["mu"]
-        q1 = lam if variable == "q1" else fields["q1"]
-        a2 = lam if variable == "a2" else fields["a2"]
-        w1 = (lam if variable == "w1" else fields["w1"] if cd is None
-              else (1.0 - mu) * (1.0 - q1) / cd)
-        n = sqrt(1.0 + 1.5 * a2)
+    def at(lam):
+        c = {**fields, variable: lam}
+        mu, q1, a2 = c["mu"], c["q1"], c["a2"]
+        w1 = c["w1"] if cd is None else (1.0 - mu) * (1.0 - q1) / cd
+        return mu, q1, a2, w1, sqrt(1.0 + 1.5 * a2), q1 ** (1.0 / 3.0)
+
+    def rest(x, y, c, tol=None):
+        mu, q1, a2, w1, n, _ = c
         nn = n * n
         radiating = (1.0 - mu) * q1
         oblate_grad = 1.5 * mu * a2
@@ -415,6 +418,9 @@ def _family_kernel(base: SystemParams, variable: str, guard: float):
             k = w1 / r1sq
             fx = -k * (0.0 - n * y)
             fy = -k * (0.0 + n * xm)
+        res = (gx + fx, gy + fy)
+        if tol is not None and not math.hypot(*res) >= tol:
+            return res, None, None
         # J: the Hessian of U1 plus the derivative of the drag at rest
         c1 = 3.0 * k1 / r1sq
         c2 = (3.0 * k2 + 5.0 * k3) / r2sq
@@ -426,10 +432,12 @@ def _family_kernel(base: SystemParams, variable: str, guard: float):
         b = 2.0 * wn / r1sq
         j11 = uxx - b * xm * y
         j21 = uxy - wn + b * xm * xm
-        # dR/dlam = dn2 (x, y) - dk1 (xm, y)/r1^3 - dm (xp, y)/r2^3
-        # - dc (xp, y)/r2^5 + dwn (y, -xm)/r1^2, the derivatives in lam of
-        # n^2, (1 - mu) q1, mu, 1.5 mu a2 and w1 n; w1 moves with q1 and mu
-        # when cd is held, and n with a2
+        jac = (j11, uxy + wn - b * y * y, j21, uyy + b * xm * y)
+        if tol is not None:
+            return res, jac, None
+        # dR/dlam = dn2 (x, y) - dk1 (xm, y)/r1^3 - dm (xp, y)/r2^3 - dc
+        # (xp, y)/r2^5 + dwn (y, -xm)/r1^2: d/dlam of n^2, (1 - mu) q1, mu,
+        # 1.5 mu a2 and w1 n; w1 moves with q1, mu at a held cd, n with a2
         dn2 = dk1 = dm = dc = 0.0
         if variable == "w1":
             dwn = n
@@ -449,11 +457,9 @@ def _family_kernel(base: SystemParams, variable: str, guard: float):
             # x + mu moves with mu as with x, save in the rotation's n^2 x
             lx += j11 - nn
             ly += j21
-        return ((gx + fx, gy + fy),
-                (j11, uxy + wn - b * y * y, j21, uyy + b * xm * y),
-                (lx, ly))
+        return res, jac, (lx, ly)
 
-    return rest
+    return at, rest
 
 
 def _hessian_bound(p: SystemParams, r1: float, r2: float) -> float:
@@ -483,7 +489,6 @@ def amended_potential(p: SystemParams, x: float, y: float,
         If the point lies within ``guard`` of either primary, or so near
         one (r1 < ~1.4e-108, r2 < ~1.9e-65) that a term divides by zero.
     """
-    _check_guard_arg(guard)
     return _state_kernel(p, guard)(x, y, 0.0, 0.0)[0]
 
 
@@ -491,7 +496,6 @@ def conservative_gradient(p: SystemParams, x: float, y: float,
                           guard: float = COLLISION_GUARD) -> AccelVector:
     """Gradient of the amended potential, (dU1/dx, dU1/dy), in closed form;
     raises what :func:`amended_potential` raises."""
-    _check_guard_arg(guard)
     _, gx, gy, _, _ = _state_kernel(p, guard)(x, y, 0.0, 0.0)
     return AccelVector(gx, gy)
 
@@ -505,7 +509,6 @@ def drag_acceleration(p: SystemParams, s: PhaseState,
     azimuthal pair (+w1 n y / r1^2, -w1 n (x+mu) / r1^2). Raises what
     :func:`amended_potential` raises.
     """
-    _check_guard_arg(guard)
     _, _, _, fx, fy = _state_kernel(p, guard)(s.x, s.y, s.vx, s.vy)
     return AccelVector(fx, fy)
 
@@ -522,7 +525,6 @@ def equations_of_motion(p: SystemParams, s: PhaseState,
         dvx/dt =  2 n vy + dU1/dx + Fx
         dvy/dt = -2 n vx + dU1/dy + Fy
     """
-    _check_guard_arg(guard)
     _, gx, gy, fx, fy = _state_kernel(p, guard)(s.x, s.y, s.vx, s.vy)
     ax = 2.0 * p.n * s.vy + gx + fx
     ay = -2.0 * p.n * s.vx + gy + fy
@@ -537,7 +539,6 @@ def jacobi_constant(p: SystemParams, s: PhaseState,
     by :func:`jacobi_drift_rate`. Raises what :func:`amended_potential`
     raises.
     """
-    _check_guard_arg(guard)
     u = _state_kernel(p, guard)(s.x, s.y, s.vx, s.vy)[0]
     return 2.0 * u - s.vx * s.vx - s.vy * s.vy
 
@@ -550,6 +551,5 @@ def jacobi_drift_rate(p: SystemParams, s: PhaseState,
     Identically zero when w1 = 0 or at rest. Raises what
     :func:`amended_potential` raises.
     """
-    _check_guard_arg(guard)
     _, _, _, fx, fy = _state_kernel(p, guard)(s.x, s.y, s.vx, s.vy)
     return -2.0 * (s.vx * fx + s.vy * fy)

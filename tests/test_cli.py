@@ -519,6 +519,22 @@ def test_subnormal_span_refines_every_row(job, tmp_path, capsys):
         assert [row["method"] for row in rows].count("refined-numeric") == 2
 
 
+def test_sweep_rows_with_a_nan_residual_read_refine_failed(tmp_path):
+    """Past a2 ~ 1e72 the cubic seeds overflow to NaN, and so does the
+    residual there, which Newton once took for converged (rows of
+    nan,nan,nan,ok); such rows now read refine-failed, with no nan."""
+    out = str(tmp_path / "rows.csv")
+    assert main(["sweep", "--system.mu", "0.1", "--system.q1", "0.98",
+                 "--system.w1", "0", "--job.variable", "a2", "--job.start",
+                 "1e-3", "--job.stop", "1e300", "--job.count", "5",
+                 "--output", out]) == 0
+    with open(out, encoding="utf-8") as fh:
+        text = fh.read()
+    assert "nan" not in text
+    statuses = [row["status"] for row in read_table(out)[1]]
+    assert statuses == ["ok"] + ["refine-failed"] * 4
+
+
 def test_integrate_bad_time_range_exits_2(tmp_path):
     out = str(tmp_path / "never.csv")
     rc = main(["integrate", "--system.mu", "0.1", "--system.w1", "0",

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import math
+import random
 import re
 import warnings
+from bisect import bisect_left
 
 import pytest
 
 from prtbp import equilibria
 from prtbp.cli import _sweep_grid, main, read_table
+from prtbp.model import _family_fields
 from prtbp import (
     ConvergenceError,
     DegenerateFormulaError,
@@ -391,7 +394,7 @@ def test_refine_skips_a_probe_inside_the_guard(monkeypatch):
     skipped = []
 
     def spied_kernel(p, variable, guard):
-        rest = kernel(p, variable, guard)
+        at, rest = kernel(p, variable, guard)
 
         def spied(*args):
             try:
@@ -400,7 +403,7 @@ def test_refine_skips_a_probe_inside_the_guard(monkeypatch):
                 skipped.append(args)
                 raise
 
-        return spied
+        return at, spied
 
     monkeypatch.setattr(equilibria, "_family_kernel", spied_kernel)
     point = refine_equilibrium(SystemParams(mu=0.1), (0.525, 0.375),
@@ -580,13 +583,13 @@ def test_sweep_rows_mostly_stop_at_their_seed(system, variable, start, stop,
     calls = []
 
     def counted_kernel(p, variable, guard):
-        rest = kernel(p, variable, guard)
+        at, rest = kernel(p, variable, guard)
 
         def counted(*args):
             calls.append(args)
             return rest(*args)
 
-        return counted
+        return at, counted
 
     monkeypatch.setattr(equilibria, "_family_kernel", counted_kernel)
     grid = _sweep_grid({"start": start, "stop": stop, "count": 200,
@@ -617,3 +620,135 @@ def test_sweep_reaches_just_below_the_fold(mu, q1):
         last.append(rows[-1])
     assert last[0].x_refined == pytest.approx(last[1].x_refined, abs=1e-7)
     assert last[0].y_refined == pytest.approx(last[1].y_refined, abs=1e-7)
+
+
+def test_a_nan_residual_is_no_convergence():
+    """The seeds of rows 2 and 3 overflow, and their residual norm is NaN,
+    which fails rnorm >= tol: Newton once returned such a row as ok with
+    NaN coordinates. A residual norm that is not finite raises
+    ConvergenceError, so the rows read refine-failed."""
+    rows, folds = follow_branch(SystemParams(mu=0.1, q1=0.98, w1=0.0), "a2",
+                                [1e-3, 5.6e72, 3.2e148])
+    assert [row.status for row in rows] == ["ok"] + ["refine-failed"] * 2
+    assert all(row.x_refined is None for row in rows[1:])
+
+
+NEXT = math.nextafter
+# each variable's domain edges with their neighbours, subnormals, 1e308
+# and values inside; a grid made all of values outside the domain
+EDGE_VALUES = [-1.0, -5e-324, -0.0, 0.0, 5e-324, 1e-310, 1e-3,
+               NEXT(0.5, 0.0), 0.5, NEXT(0.5, 1.0), NEXT(1.0, 0.0), 1.0,
+               NEXT(1.0, 2.0), 2.0, 1e308]
+OUTSIDE = {"w1": [-1e308, -1.0, -5e-324], "a2": [-1e308, -1.0, -5e-324],
+           "q1": [-1.0, 0.0, NEXT(1.0, 2.0), 1e308],
+           "mu": [-5e-324, 0.0, NEXT(0.5, 1.0), 1.0, 1e308]}
+# cd held, drag off with cd = inf held, w1 = 0 held, and a base whose own
+# w1 (inf, from a subnormal cd) no system of its family admits
+VALIDITY_BASES = {
+    "cd": SystemParams(mu=0.1, q1=0.98, a2=1e-3, cd=500.0),
+    "cd-inf": SystemParams(mu=0.1, q1=0.98, a2=1e-3, cd=math.inf),
+    "w1": SystemParams(mu=0.1, q1=0.98, a2=1e-3, w1=0.0),
+    "w1-inf": SystemParams(mu=0.1, q1=0.98, a2=1e-3, cd=5e-324),
+}
+
+
+def _admits(base, variable, value):
+    try:
+        SystemParams(**{**_family_fields(base, variable), variable: value})
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("spec", VALIDITY_BASES)
+@pytest.mark.parametrize("variable", ["w1", "a2", "q1", "mu"])
+def test_rows_are_invalid_exactly_where_system_params_raises(variable, spec):
+    """The rows SystemParams admits are found by bisection, not asked one
+    by one; on ascending and descending grids across the domain's edges,
+    with repeated values, and on a grid wholly outside the domain, a row
+    reads invalid-params exactly where SystemParams raises."""
+    base = VALIDITY_BASES[spec]
+    up = sorted(EDGE_VALUES + [0.5, 1e-3])
+    for grid in (up, up[::-1], OUTSIDE[variable],
+                 OUTSIDE[variable][::-1]):
+        rows, _ = follow_branch(base, variable, grid)
+        assert [row.status == "invalid-params" for row in rows] \
+            == [not _admits(base, variable, value) for value in grid]
+
+
+# 2,000-row sweeps that cross an edge of their variable's domain
+EDGE_SWEEPS = {"w1": (-1e-3, 5e-3), "a2": (-1e-3, 1e-2), "q1": (0.9, 1.05),
+               "mu": (0.3, 0.6)}
+
+
+@pytest.mark.parametrize("variable", EDGE_SWEEPS)
+def test_sweep_builds_system_params_for_the_arc_and_the_bisection_only(
+        variable, monkeypatch):
+    """A row takes its constants from the family kernel; SystemParams is
+    built once per arc correction, to check the domain, and O(log n)
+    times to find the valid rows."""
+    built, corrections = [], []
+
+    class CountedParams(SystemParams):
+        def __init__(self, **kwargs):
+            built.append(kwargs)
+            super().__init__(**kwargs)
+
+    walk = equilibria._walk
+
+    def counted_walk(rest, *args):
+        def counted(*point):
+            corrections.append(point)
+            return rest(*point)
+        return walk(counted, *args)
+
+    monkeypatch.setattr(equilibria, "SystemParams", CountedParams)
+    monkeypatch.setattr(equilibria, "_walk", counted_walk)
+    start, stop = EDGE_SWEEPS[variable]
+    grid = _sweep_grid({"start": start, "stop": stop, "count": 2000,
+                        "spacing": "linear"})
+    base = SystemParams(mu=0.03, q1=0.98, a2=1e-4, cd=1000.0)
+    rows, _ = follow_branch(base, variable, grid)
+    invalid = [row.status == "invalid-params" for row in rows]
+    assert invalid == [not _admits(base, variable, v) for v in grid]
+    assert 0 < sum(invalid) < len(grid)
+    bound = len(corrections) + 2 * math.ceil(math.log2(len(grid))) + 4
+    assert len(built) <= bound
+
+
+def _knot_sets(rng):
+    # lams on a dyadic lattice, so that values between two knots are at
+    # exactly equal distances from both, with repeats and with neighbours
+    # one ulp apart, whose distances from a far value round alike
+    for _ in range(300):
+        lams = sorted(rng.choice([rng.randrange(-16, 17) / 8.0,
+                                  rng.uniform(-2.0, 2.0),
+                                  NEXT(1.0, 2.0), 1.0, NEXT(1.0, 0.0)])
+                      for _ in range(rng.randrange(1, 14)))
+        values = [rng.choice([rng.randrange(-40, 41) / 16.0,
+                              rng.uniform(-3.0, 3.0), 1e16, -1e16,
+                              rng.choice(lams)])
+                  for _ in range(rng.randrange(1, 30))]
+        values.sort(reverse=rng.random() < 0.5)
+        # the rows repeat grid values
+        yield lams, [v for v in values for _ in range(rng.randrange(1, 3))]
+
+
+def test_knot_window_picks_as_the_stable_sort():
+    """From any start the window moves to bisect_left of the row's value
+    and picks the knots, and their order, of the stable sort of the eight
+    around it by distance: ties between the two sides, repeated lams, and
+    distances that round alike included. Knots are added at the window as
+    the sweep adds refined rows."""
+    rng = random.Random(27)
+    for lams, values in _knot_sets(rng):
+        knots = [(rng.random(), rng.random(), lam) for lam in lams]
+        k = rng.randrange(len(knots) + 1)
+        for value in values:
+            k, near = equilibria._nearest(knots, k, value)
+            assert k == bisect_left(knots, value, key=lambda u: u[2])
+            expected = sorted(knots[max(k - 4, 0):k + 4],
+                              key=lambda u: abs(u[2] - value))[:4]
+            assert [id(u) for u in near] == [id(u) for u in expected]
+            if rng.random() < 0.3 and near[0][2] != value:
+                knots.insert(k, (rng.random(), rng.random(), value))

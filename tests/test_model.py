@@ -487,7 +487,8 @@ def test_arrays_of_points_are_rejected():
 
 def _jacobian(p, x, y):
     # the rest Jacobian of p, as the family kernel over w1 gives it
-    return _family_kernel(p, "w1", 0.0)(x, y, p.w1)[1]
+    at, rest = _family_kernel(p, "w1", 0.0)
+    return rest(x, y, at(p.w1))[1]
 
 
 @pytest.mark.parametrize("p, x, y", [
@@ -533,7 +534,7 @@ def test_hessian_bound_covers_the_hessian(p):
         uxx, uxy, _, uyy = _jacobian(p, x, y)
         mid, half = 0.5 * (uxx + uyy), math.hypot(0.5 * (uxx - uyy), uxy)
         norm = abs(mid) + half
-        bound = _hessian_bound(p, *_radii(p, x, y))
+        bound = _hessian_bound(p, *_radii(p)(x, y))
         assert norm <= bound * (1.0 + 1e-12)
         worst = max(worst, norm / bound)
     # the bound is tight to a factor of two where one term dominates
@@ -563,30 +564,40 @@ def _family_system(base, variable, value):
 @pytest.mark.parametrize("spec", FAMILY_BASES)
 @pytest.mark.parametrize("variable", FAMILY_VALUES)
 def test_family_kernel_has_the_bits_of_the_state_kernel(variable, spec):
-    """R of the family kernel is, bit for bit, the rest-state residual of
-    _state_kernel on the SystemParams of the same value, at random points,
-    on the axis (y = +-0) and at the domain's ends; a point within the
-    guard or too near a primary raises the same error."""
+    """The family's constants at a value are, bit for bit, the fields of
+    the SystemParams of that value, and R of the family kernel is its
+    rest-state residual by _state_kernel, at random points, on the axis
+    (y = +-0) and at the domain's ends, also in Newton's mode, which adds
+    J only where |R| reaches tol; a point within the guard or too near a
+    primary raises the same error."""
     base = FAMILY_BASES[spec]
     rng = np.random.default_rng(7)
     points = [*rng.uniform(-1.5, 1.5, (40, 2)), (0.4, 0.0), (0.4, -0.0),
               (-0.03, 1e-110)]
     for guard in (1e-6, 0.0):
-        rest = _family_kernel(base, variable, guard)
+        at, rest = _family_kernel(base, variable, guard)
         for value in FAMILY_VALUES[variable]:
-            state = _state_kernel(_family_system(base, variable, value),
-                                  guard)
+            p = _family_system(base, variable, value)
+            c = at(value)
+            assert (_bits(c) == _bits((p.mu, p.q1, p.a2, p.w1, p.n,
+                                       p.delta))).all()
+            state = _state_kernel(p, guard)
             for x, y in points:
                 x, y = float(x), float(y)
                 try:
                     _, gx, gy, fx, fy = state(x, y, 0.0, 0.0)
                 except SingularityError as exc:
                     with pytest.raises(SingularityError) as caught:
-                        rest(x, y, value)
+                        rest(x, y, c)
                     assert str(caught.value) == str(exc)
                     continue
-                residual = rest(x, y, value)[0]
+                residual, jac, _ = rest(x, y, c)
                 assert (_bits(residual) == _bits((gx + fx, gy + fy))).all()
+                # Newton's mode: the same R, J only where |R| >= tol
+                tol = math.hypot(*residual) * 2.0 ** rng.choice([-1, 1])
+                r, j, lam = rest(x, y, c, tol)
+                assert (_bits(r) == _bits(residual)).all() and lam is None
+                assert j == (jac if tol <= math.hypot(*r) else None)
 
 
 @pytest.mark.parametrize("spec", FAMILY_BASES)
@@ -598,12 +609,12 @@ def test_family_kernel_derivative_matches_central_differences(variable,
     cd and n's on A2, against a central difference of the residual
     through SystemParams, near L4 and L5 and off them."""
     base = FAMILY_BASES[spec]
-    rest = _family_kernel(base, variable, 0.0)
+    at, rest = _family_kernel(base, variable, 0.0)
     h = 1e-6 * value
     plus, minus = (_family_system(base, variable, value + d)
                    for d in (h, -h))
     for x, y in [(0.45, 0.85), (0.45, -0.86), (0.2, 0.3), (1.3, -0.4)]:
-        exact = rest(x, y, value)[2]
+        exact = rest(x, y, at(value))[2]
         rp = equilibrium_residual(plus, x, y)
         rm = equilibrium_residual(minus, x, y)
         fd = [(a - b) / (2 * h) for a, b in zip(rp, rm)]

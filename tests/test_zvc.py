@@ -642,7 +642,7 @@ def test_certified_blocks_are_one_signed():
         sign = 2.0 * amended_potential(p, cx, cy) - level > 0.0
         for y in ys[j0:j1 + 1]:
             for x in xs[i0:i1 + 1]:
-                assert min(_radii(p, x, y)) > 2.0 * guard
+                assert min(_radii(p)(x, y)) > 2.0 * guard
                 f = 2.0 * amended_potential(p, x, y, guard) - level
                 assert f != 0.0 and (f > 0.0) == sign
     assert passed > 50 and failed > 50
@@ -662,7 +662,7 @@ def test_monotone_blocks_change_sign_once():
         passed += 1
         for y in ys[j0:j1 + 1]:
             for x in xs[i0:i1 + 1]:
-                assert min(_radii(p, x, y)) > 2.0 * guard
+                assert min(_radii(p)(x, y)) > 2.0 * guard
         grid = [[2.0 * amended_potential(p, x, y, guard) - level
                  for x in xs[i0:i1 + 1]] for y in ys[j0:j1 + 1]]
         lines = grid if abs(verdict) == _ALONG_X else list(zip(*grid))

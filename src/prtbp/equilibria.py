@@ -504,20 +504,16 @@ def _solve_grid(base: SystemParams, variable: str, grid: list,
             return False
         return True
 
-    # The values SystemParams admits form an interval and the grid is
-    # monotone, so the rows it admits are one run: those nearest the base's
-    # own value on either side of it, each end found by a bisection. Should
-    # the base's value be rejected, each row is asked
+    # The values SystemParams admits form an interval that holds the base's
+    # own value, and the grid is monotone, so the rows it admits are one
+    # run: those nearest that value on either side of it, each end found by
+    # a bisection
     inside = getattr(base, variable)
-    if admits(inside):
-        up = not grid or grid[0] <= grid[-1]
-        s = bisect_left(grid, True, key=lambda v: v >= inside if up
-                        else v <= inside)
-        run = range(bisect_left(grid, True, 0, s, key=admits),
-                    bisect_left(grid, True, s, n, key=lambda v: not admits(v)))
-    else:
-        run = [i for i, value in enumerate(grid) if admits(value)]
-        run = range(run[0], run[-1] + 1) if run else range(0)
+    up = not grid or grid[0] <= grid[-1]
+    s = bisect_left(grid, True, key=lambda v: v >= inside if up
+                    else v <= inside)
+    run = range(bisect_left(grid, True, 0, s, key=admits),
+                bisect_left(grid, True, s, n, key=lambda v: not admits(v)))
     anchor = next((i for i in run if solve(i)), None)
     if anchor is None:
         return analytic, outcomes, ()
@@ -546,12 +542,12 @@ def _solve_grid(base: SystemParams, variable: str, grid: list,
 
 def _nearest(knots: list, k: int, value: float):
     # (k, near): k moved to bisect_left of value among the lams of the
-    # knots (x, y, lam), sorted by lam, and the four knots nearest value,
-    # in the order of sorted(knots[max(k - 4, 0):k + 4], key=lambda u:
-    # abs(u[2] - value))[:4]. Rows come in order, so k moves a step or
-    # none. Distances fall toward k from the left and rise from it, so a
-    # merge outward picks the knots, a tie going left; a tie on the left,
-    # which the stable sort takes in the order of knots, falls back to it
+    # knots (x, y, lam), sorted by lam, and the four knots of
+    # knots[max(k - 4, 0):k + 4] nearest value, nearest first. Rows come
+    # in order, so k moves a step or none. Distances fall toward k from
+    # the left and rise from it, so a merge outward picks the knots: a tie
+    # across the window goes left, and a tie on one side to the knot
+    # nearer the window
     n = len(knots)
     while k < n and knots[k][2] < value:
         k += 1
@@ -563,9 +559,6 @@ def _nearest(knots: list, k: int, value: float):
         if j < hi and (i < lo or knots[j][2] - value < value - knots[i][2]):
             near.append(knots[j])
             j += 1
-        elif i > lo and knots[i - 1][2] - value == knots[i][2] - value:
-            return k, sorted(knots[lo:hi],
-                             key=lambda u: abs(u[2] - value))[:4]
         else:
             near.append(knots[i])
             i -= 1

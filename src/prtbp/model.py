@@ -169,10 +169,13 @@ def mass_reduction_from_grain(grain: GrainProperties) -> float:
 class SystemParams(_Record):
     """Parameter set of one dust-particle system.
 
-    Exactly one of ``cd`` and ``w1`` may be supplied; the other is derived.
-    With neither supplied the drag is switched off (w1 = 0). A finite light
-    speed cannot reproduce w1 = 0 when q1 < 1, so ``cd`` stays ``None`` in
-    that drag-free limit, and q1 = 1 forces w1 = 0.
+    Exactly one of ``cd`` and ``w1`` may be supplied; the other is derived,
+    and obeys the rules a given one does: a ``cd`` so small that w1
+    overflows, or a ``w1`` so large that cd underflows to 0, raises
+    ``ValueError``. With neither supplied the drag is switched off
+    (w1 = 0). A finite light speed cannot reproduce w1 = 0 when q1 < 1, so
+    ``cd`` stays ``None`` in that drag-free limit, and q1 = 1 forces
+    w1 = 0.
 
     Attributes
     ----------
@@ -211,6 +214,8 @@ class SystemParams(_Record):
             raise ValueError("specify cd or w1, not both")
         if cd is not None:
             w1 = drag_coefficient(mu, q1, cd)
+            if w1 == math.inf:
+                raise ValueError(f"light speed cd={cd} gives w1 = inf")
         elif w1 is not None:
             if w1 < 0:
                 raise ValueError(f"drag strength must be >= 0, got {w1}")
@@ -220,6 +225,8 @@ class SystemParams(_Record):
                     f"w1 must be 0, got {w1}")
             if w1 > 0.0:
                 cd = (1.0 - mu) * (1.0 - q1) / w1
+                if cd == 0.0:
+                    raise ValueError(f"drag strength w1={w1} gives cd = 0")
         else:
             w1 = 0.0
         # mean_motion rejects a2 < 0

@@ -33,8 +33,8 @@ from __future__ import annotations
 
 import math
 
-from .model import (COLLISION_GUARD, SystemParams, _check_guard_arg,
-                    _hessian_bound, _level_kernel, _Record, _state_kernel)
+from .model import (COLLISION_GUARD, SystemParams, _hessian_bound,
+                    _level_kernel, _Record, _state_kernel)
 
 Window = tuple[float, float, float, float]
 
@@ -405,7 +405,6 @@ def zero_velocity_curve(p: SystemParams, level_c: float, window: Window,
         raise ValueError(f"resolution must be a whole number in "
                          f"[{MIN_RESOLUTION}, {MAX_RESOLUTION}], got "
                          f"{resolution}")
-    _check_guard_arg(guard)
 
     n = int(resolution)
     # NumPy's xmin + (xmax - xmin) * arange(n) / (n - 1), bit for bit
@@ -416,7 +415,8 @@ def zero_velocity_curve(p: SystemParams, level_c: float, window: Window,
             "polish_probes": 0, "polish_bisections": 0, "blocks_scanned": 0}
     level = _level_kernel(p, level_c, guard)
     # the least node gap per axis: rounding leaves the gaps a few ulps
-    # apart
+    # apart. The certifier binds the state kernel, which checks the guard
+    # before any node is evaluated
     certify = _certifier(p, level_c, guard,
                          min(b - a for a, b in zip(xs, xs[1:])),
                          min(b - a for a, b in zip(ys, ys[1:])))

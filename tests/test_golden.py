@@ -130,6 +130,13 @@ JOBS = [
     ("sweep-bad-variable", ["sweep", *FOLD_W1[:6], "--job.variable", "cd",
                             "--job.start", "1", "--job.stop", "2",
                             "--job.count", "3"], None),
+    # exit 2: a light speed whose w1 overflows, and a w1 whose light speed
+    # underflows to 0; the message names the field given
+    ("points-cd-subnormal", ["equilibria", "--system.mu", "0.1",
+                             "--system.q1", "0.9", "--system.cd", "5e-324"],
+     None),
+    ("points-w1-huge", ["equilibria", "--system.mu", "0.1", "--system.q1",
+                        "0.9999999999999999", "--system.w1", "1e308"], None),
 ]
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -182,6 +183,39 @@ def test_system_params_derived_fields():
     p = SystemParams(mu=0.2, q1=0.8, a2=0.01)
     assert p.n == math.sqrt(1.015)
     assert p.delta == 0.8 ** (1.0 / 3.0)
+
+
+# subnormals, +-1e+-308, 0, 1/2 and 1, each with its neighbours, NaN
+# and +-inf
+DRAWS = [v for c in (0.0, 5e-324, 1e-310, 1e-308, -1e-308, 0.5, 1.0, 1e308,
+                     -1e308)
+         for v in (math.nextafter(c, -math.inf), c,
+                   math.nextafter(c, math.inf))] + [math.nan, math.inf,
+                                                    -math.inf]
+
+
+def test_derived_drag_obeys_the_rules_of_a_given_one():
+    """Whatever the draw, a system that constructs holds a finite w1 >= 0
+    and a cd that is None, inf or finite > 0, whether it derived w1 from
+    cd or cd from w1; and the family of every variable admits the
+    system's own value, as the sweep's bisection assumes."""
+    rng = random.Random(28)
+    built = 0
+    for _ in range(20000):
+        drag = rng.choice(("cd", "w1"))
+        fields = {name: rng.choice(DRAWS)
+                  for name in ("mu", "q1", "a2", drag)}
+        try:
+            p = SystemParams(**fields)
+        except ValueError:
+            continue
+        built += 1
+        assert 0.0 <= p.w1 < math.inf, fields
+        assert p.cd is None or 0.0 < p.cd <= math.inf, fields
+        for variable in ("w1", "a2", "q1", "mu"):
+            SystemParams(**{**_family_fields(p, variable),
+                            variable: getattr(p, variable)})
+    assert built > 1000
 
 
 def test_system_params_from_grain():

@@ -185,6 +185,10 @@ def test_zero_velocity_curve_work_takes_no_part():
      "got 0.001"),
     (lambda: SystemParams(0.1, q1=0.9, cd=-1.0),
      "dimensionless light speed cd must be > 0, got -1.0"),
+    (lambda: SystemParams(0.1, q1=0.9, cd=5e-324),
+     "light speed cd=5e-324 gives w1 = inf"),
+    (lambda: SystemParams(0.1, q1=1.0 - 1e-16, w1=1e308),
+     r"drag strength w1=1e\+308 gives cd = 0"),
     (lambda: GrainProperties(0.0, 1.0, 1.0),
      "grain radius_a must be finite and > 0, got 0.0"),
     (lambda: GrainProperties(1.0, math.inf, 1.0),

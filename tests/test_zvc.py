@@ -186,7 +186,13 @@ def test_window_and_resolution_validation():
 
 
 @pytest.mark.parametrize("guard", [math.nan, -1.0, math.inf])
-def test_guard_validation(guard):
+def test_guard_validation(guard, monkeypatch):
+    """The guard is checked once, where the certifier binds the state
+    kernel, before any node is evaluated."""
+    def no_nodes(*args):
+        raise AssertionError("a node was evaluated")
+
+    monkeypatch.setattr(prtbp.zvc, "_active_cells", no_nodes)
     p = SystemParams(mu=0.1, w1=0.0)
     with pytest.raises(ValueError, match="guard must be finite and >= 0"):
         zero_velocity_curve(p, 3.5, (-1.5, 1.5, -1.5, 1.5), 64, guard=guard)

@@ -33,8 +33,7 @@ import os
 import sys
 
 from .errors import ConfigError, ConvergenceError, SingularityError
-from .model import (GrainProperties, PhaseState, SystemParams, _Record,
-                    mass_reduction_from_grain)
+from .model import GrainProperties, PhaseState, SystemParams, _Record
 
 _REQUIRED = object()
 
@@ -108,9 +107,9 @@ def _build_system(flat: dict) -> SystemParams:
     grain_keys = [k for k in flat if k.startswith("system.grain.")]
     if "system.mu" not in flat:
         raise ConfigError("system.mu: required field is missing")
-    q1 = flat.get("system.q1")
+    grain = None
     if grain_keys:
-        if q1 is not None:
+        if "system.q1" in flat:
             raise ConfigError(
                 "system.q1/system.grain: give an explicit mass reduction "
                 "factor or grain properties, not both")
@@ -118,19 +117,20 @@ def _build_system(flat: dict) -> SystemParams:
                   "system.grain.efficiency_chi"):
             if k not in flat:
                 raise ConfigError(f"{k}: required with the grain block")
-        q1 = mass_reduction_from_grain(GrainProperties(
+        grain = GrainProperties(
             radius_a=flat["system.grain.radius_a"],
             density_rho=flat["system.grain.density_rho"],
-            efficiency_chi=flat["system.grain.efficiency_chi"]))
-    elif q1 is None:
-        q1 = 1.0
+            efficiency_chi=flat["system.grain.efficiency_chi"])
     cd = flat.get("system.cd")
     w1 = flat.get("system.w1")
     if (cd is None) == (w1 is None):
         raise ConfigError(
             "system.cd/system.w1: exactly one of the two must be given")
-    return SystemParams(mu=flat["system.mu"], q1=q1,
-                        a2=flat.get("system.a2", 0.0), cd=cd, w1=w1)
+    fields = {"mu": flat["system.mu"], "a2": flat.get("system.a2", 0.0),
+              "cd": cd, "w1": w1}
+    if grain is None:
+        return SystemParams(q1=flat.get("system.q1", 1.0), **fields)
+    return SystemParams.from_grain(grain=grain, **fields)
 
 
 def build_config(job: str, config_path: str | None,

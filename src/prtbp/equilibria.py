@@ -17,8 +17,8 @@ from typing import Literal, NamedTuple
 
 from .errors import (ConvergenceError, DegenerateFormulaError,
                      SingularityError, SingularJacobianError)
-from .model import (COLLISION_GUARD, SystemParams, _check_guard_arg,
-                    _family_fields, _family_kernel, _Record, _state_kernel)
+from .model import (COLLISION_GUARD, SystemParams, _family_fields,
+                    _family_kernel, _Record, _state_kernel)
 
 Branch = Literal["L4", "L5"]
 BRANCHES: tuple[Branch, Branch] = ("L4", "L5")
@@ -186,13 +186,21 @@ def analytic_triangular_point(p: SystemParams, branch: Branch
 def _point(p: SystemParams, x: float, y: float, branch: Branch,
            method: str) -> EquilibriumPoint:
     # the point (x, y) of a formula with the norm of its residual
-    if not _branch_sign(branch) * y > 0.0:
-        raise DegenerateFormulaError(
-            f"{method} point has y={y}, on the wrong side of y = 0 for "
-            f"{branch}")
     rn = math.hypot(*equilibrium_residual(p, x, y))
     return EquilibriumPoint(x=x, y=y, label=branch, method=method,
                             residual_norm=rn)
+
+
+def _formula(method: str, branch: Branch, x: float,
+             y: float) -> tuple[float, float]:
+    # the point of a closed form, wherever it is evaluated: a tiny
+    # denominator can overflow it, and a large shift move it across y = 0
+    if not (-math.inf < x < math.inf
+            and 0.0 < _branch_sign(branch) * y < math.inf):
+        raise DegenerateFormulaError(
+            f"{method} point ({x}, {y}) is not finite or off the {branch} "
+            "side of y = 0")
+    return x, y
 
 
 def _analytic_coords(c: tuple, branch: Branch) -> tuple[float, float]:
@@ -214,16 +222,8 @@ def _analytic_coords(c: tuple, branch: Branch) -> tuple[float, float]:
         # a denominator underflows to 0, as at a subnormal mu or q1
         raise DegenerateFormulaError(
             f"{METHOD_ANALYTIC} form divides by zero") from None
-    return _finite(METHOD_ANALYTIC, x0 - drag_x - d2h * a2,
-                   y0 * (1.0 - drag_y - obl_y))
-
-
-def _finite(method: str, x: float, y: float) -> tuple[float, float]:
-    # the point of a closed form, which a tiny denominator can overflow
-    if not (-math.inf < x < math.inf and -math.inf < y < math.inf):
-        raise DegenerateFormulaError(f"{method} point ({x}, {y}) is not "
-                                     "finite")
-    return x, y
+    return _formula(METHOD_ANALYTIC, branch, x0 - drag_x - d2h * a2,
+                    y0 * (1.0 - drag_y - obl_y))
 
 
 def limiting_case_point(p: SystemParams, case: str, branch: Branch
@@ -265,7 +265,7 @@ def limiting_case_point(p: SystemParams, case: str, branch: Branch
     except ZeroDivisionError:
         raise DegenerateFormulaError(f"{method} form divides by zero") \
             from None
-    return _point(p, *_finite(method, x, y), branch, method)
+    return _point(p, *_formula(method, branch, x, y), branch, method)
 
 
 def refine_equilibrium(p: SystemParams, guess: tuple[float, float],
@@ -278,7 +278,9 @@ def refine_equilibrium(p: SystemParams, guess: tuple[float, float],
     halved (up to 20 times) whenever it fails to decrease the residual,
     which keeps the iteration from wandering off from poor guesses; a
     guess outside the convergence basin exhausts the iteration budget and
-    raises instead of silently returning a far-away answer.
+    raises instead of silently returning a far-away answer. The point
+    returned lies on the guess's side of y = 0 (above it for a guess on
+    it), and is labelled by that side.
 
     Raises
     ------
@@ -292,19 +294,19 @@ def refine_equilibrium(p: SystemParams, guess: tuple[float, float],
         there is skipped like one inside the guard.
     ConvergenceError
         Tolerance not reached within ``max_iter`` iterations, a residual
-        norm that is not finite, or convergence on y = 0, off both
-        triangular points; carries the last iterate and its residual norm.
+        norm that is not finite, or convergence on y = 0 or beyond it,
+        off the guess's side; carries the last iterate and its residual
+        norm.
     SingularJacobianError
         The Jacobian is singular to working precision.
     """
     _check_newton_args(tol, max_iter)
-    _check_guard_arg(guard)
+    _, rest = _family_kernel(p, "w1", guard)
     x, y = float(guess[0]), float(guess[1])
     if not (-math.inf < x < math.inf and -math.inf < y < math.inf):
         raise ValueError(f"guess must be finite, got {tuple(guess)}")
-    _, rest = _family_kernel(p, "w1", guard)
     return _refined(*_newton(rest, (p.mu, p.q1, p.a2, p.w1, p.n, p.delta),
-                             x, y, tol, max_iter))
+                             x, y, tol, max_iter, -1.0 if y < 0.0 else 1.0))
 
 
 def _refined(x: float, y: float, rnorm: float) -> EquilibriumPoint:
@@ -313,11 +315,12 @@ def _refined(x: float, y: float, rnorm: float) -> EquilibriumPoint:
                             method=METHOD_REFINED, residual_norm=rnorm)
 
 
-def _newton(rest, c: tuple, x: float, y: float, tol: float,
-            max_iter: int) -> tuple[float, float, float]:
+def _newton(rest, c: tuple, x: float, y: float, tol: float, max_iter: int,
+            sign: float) -> tuple[float, float, float]:
     # the Newton loop of refine_equilibrium on the rest state of a
     # _family_kernel at the constants c, from (x, y), whose arguments the
-    # callers check: the refined (x, y) and its residual norm
+    # callers check: the refined (x, y), on the side of y = 0 of sign, and
+    # its residual norm
     res, jac, _ = rest(x, y, c, tol)
     rnorm = math.hypot(*res)
     if not rnorm < math.inf:
@@ -363,9 +366,10 @@ def _newton(rest, c: tuple, x: float, y: float, tol: float,
                 f"iterations near ({x}, {y})",
                 x=x, y=y, residual_norm=rnorm, iterations=iterations)
         x, y, res, jac, rnorm = xt, yt, rt, jt, rtnorm
-    if y == 0.0:
-        raise ConvergenceError(f"converged onto y = 0 at x = {x}", x=x, y=y,
-                               residual_norm=rnorm, iterations=iterations)
+    if not sign * y > 0.0:
+        raise ConvergenceError(f"converged at ({x}, {y}), off its side of "
+                               "y = 0", x=x, y=y, residual_norm=rnorm,
+                               iterations=iterations)
     return x, y, rnorm
 
 
@@ -377,7 +381,6 @@ def triangular_points(p: SystemParams, tol: float = 1e-12,
     point is the last row of ``follow_branch`` over w1 in {0, p.w1}, so a
     branch that folds before p.w1 has none. Raises what
     ``refine_equilibrium`` raises."""
-    _check_newton_args(tol, max_iter)
     points = []
     for branch in BRANCHES:
         points.append(_point(p, *_base_coords(p.mu, p.delta, branch),
@@ -402,8 +405,11 @@ def triangular_points(p: SystemParams, tol: float = 1e-12,
 
 class SweepRow(NamedTuple):
     """One grid point of :func:`follow_branch`, None where not computed;
-    ``status`` is ``ok``, ``degenerate-analytic``, ``invalid-params``,
-    ``refine-failed`` or ``no-equilibrium`` (past a fold of the branch)."""
+    ``status`` is ``ok``, ``degenerate-analytic`` (no analytic point: it
+    is degenerate, not finite or off the branch's side of y = 0),
+    ``invalid-params``, ``refine-failed`` (no refined point on the
+    branch's side) or ``no-equilibrium`` (past a fold of the branch).
+    Every y written lies on the branch's side."""
 
     value: float
     x_analytic: float | None
@@ -423,23 +429,20 @@ def follow_branch(base: SystemParams, variable: str, grid,
     ``variable``, one of w1, a2, q1 and mu, takes the values of ``grid``,
     which must be non-decreasing or non-increasing; the other parameters
     and the drag spec come from ``base``. The first grid point that
-    refines from its own guess (the analytic point on its branch's side of
-    y = 0, else the base point) anchors the branch, which is followed from
-    there by pseudo-arclength steps toward both ends of the grid. Where
-    det J changes sign along it the branch folds, and every row past the
-    fold reads ``no-equilibrium`` without a solve. The others, outward
-    from the anchor, refine from the cubic in the variable through the
-    four nearest solved points: arc points and rows refined before them.
+    refines from its own guess (the analytic point, else the base point)
+    anchors the branch, which is followed from there by pseudo-arclength
+    steps toward both ends of the grid. Where det J changes sign along it
+    the branch folds, and every row past the fold reads
+    ``no-equilibrium`` without a solve. The others, outward from the
+    anchor, refine from the cubic in the variable through the four
+    nearest solved points: arc points and rows refined before them. A
+    refined point must end on the branch's side of y = 0, and an analytic
+    point lie there, as in :func:`triangular_points`.
 
     Returns the rows and the folds found, toward the grid's start then its
     end. Raises ``ValueError`` naming ``variable``, ``grid``, ``branch``,
     ``tol`` or ``max_iter``, before any solve.
     """
-    if variable not in ("w1", "a2", "q1", "mu"):
-        raise ValueError(f"variable must be 'w1', 'a2', 'q1' or 'mu', got "
-                         f"{variable!r}")
-    _branch_sign(branch)
-    _check_newton_args(tol, max_iter)
     grid = list(grid)
     pairs = list(zip(grid, grid[1:]))
     if not (all(a <= b for a, b in pairs) or all(a >= b for a, b in pairs)):
@@ -464,12 +467,14 @@ def _solve_grid(base: SystemParams, variable: str, grid: list,
                 branch: Branch, tol: float, max_iter: int):
     # the analytic (x, y) or None and the outcome (a status, the refined
     # (x, y, residual norm) or the error of its solve) of each grid value,
-    # and the folds in the grid; the callers check the arguments. Every
-    # solve goes through one kernel, and a row takes its system's
-    # constants from the kernel's at(value), not from a SystemParams
-    fields = _family_fields(base, variable)
+    # and the folds in the grid, after checking variable, branch, tol and
+    # max_iter; the callers check the grid. Every solve goes through one
+    # kernel, and a row takes its system's constants from the kernel's
+    # at(value), not from a SystemParams
     at, rest = _family_kernel(base, variable, COLLISION_GUARD)
     sign = _branch_sign(branch)
+    _check_newton_args(tol, max_iter)
+    fields = _family_fields(base, variable)
     n = len(grid)
     analytic = [None] * n
     outcomes = ["invalid-params"] * n
@@ -488,17 +493,16 @@ def _solve_grid(base: SystemParams, variable: str, grid: list,
         return rest(x, y, at(lam))
 
     def solve(i: int, seed=None) -> bool:
-        # from the row's own guess unless seeded
+        # from the seed, else the row's own guess: its analytic point, else
+        # its base point
         c = at(grid[i])
         try:
             analytic[i] = xy = _analytic_coords(c, branch)
         except DegenerateFormulaError:
             xy = None
-        if seed is None:
-            seed = (xy if xy and sign * xy[1] > 0.0
-                    else _base_coords(c[0], c[5], branch))
+        seed = seed or xy or _base_coords(c[0], c[5], branch)
         try:
-            outcomes[i] = _newton(rest, c, *seed, tol, max_iter)
+            outcomes[i] = _newton(rest, c, *seed, tol, max_iter, sign)
         except (ConvergenceError, SingularityError) as exc:
             outcomes[i] = exc
             return False

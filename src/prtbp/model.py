@@ -376,7 +376,12 @@ def _family_kernel(base: SystemParams, variable: str, guard: float):
     # c, its Jacobian J and its derivative in lam, from one derivation of
     # the radii; R has the bits of _state_kernel's at vx = vy = 0, and a
     # point raises what it raises. Given Newton's tol, the derivative in
-    # lam is None, and so is J where |R| < tol
+    # lam is None, and so is J where |R| < tol. The variable, one of w1,
+    # a2, q1 and mu, and the guard are checked here, where they are bound
+    if variable not in ("w1", "a2", "q1", "mu"):
+        raise ValueError(f"variable must be 'w1', 'a2', 'q1' or 'mu', got "
+                         f"{variable!r}")
+    _check_guard_arg(guard)
     fields = _family_fields(base, variable)
     cd = fields.get("cd")
     sqrt = math.sqrt

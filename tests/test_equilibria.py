@@ -481,6 +481,35 @@ def test_refine_onto_y_zero_is_a_convergence_error():
     assert info.value.residual_norm < 1e-12
 
 
+def test_refine_that_crosses_y_zero_is_a_convergence_error():
+    """From 1.2e-6 above the axis Newton converges to a point 2.9e-4
+    below it; a refinement ends on its guess's side of y = 0 or raises."""
+    with pytest.raises(ConvergenceError, match="y = 0") as info:
+        refine_equilibrium(SystemParams(mu=0.1, q1=0.9, w1=1e-3),
+                           (0.35940214808982596, 1.198629984172291e-06))
+    assert info.value.y < 0.0
+    assert info.value.residual_norm < 1e-12
+
+
+@pytest.mark.parametrize("branch", ["L4", "L5"])
+def test_sweep_rows_stay_on_their_side_of_y_zero(branch):
+    """At mu = 0.1, q1 = 0.98 the first-order y of L4 crosses y = 0
+    between a2 = 2.6 and 5.3, and past the walk's last point (a2 ~ 50)
+    the cubic seed of the row at a2 ~ 386 carries Newton across it. Those
+    rows once read ok with a point off the branch's side; now the rows at
+    a2 ~ 5.3 to 189 read degenerate-analytic and the one at 386
+    refine-failed. L5 mirrors L4."""
+    grid = _sweep_grid({"start": 1e-3, "stop": 1e6, "count": 30,
+                        "spacing": "geometric"})
+    rows, _ = follow_branch(SystemParams(mu=0.1, q1=0.98, w1=0.0), "a2",
+                            grid, branch)
+    sign = 1.0 if branch == "L4" else -1.0
+    assert all(sign * y > 0.0 for row in rows
+               for y in (row.y_analytic, row.y_refined) if y is not None)
+    assert [row.status for row in rows[11:19]] == [
+        "ok", *["degenerate-analytic"] * 6, "refine-failed"]
+
+
 # (system, variable, start, stop, count) of geometric sweeps
 BRANCH_SWEEPS = [
     # L4 in w1 folds inside the grid, and the rows past it read
@@ -503,7 +532,10 @@ def test_follow_branch_gives_the_sweep_job_rows(system, variable, start,
     assert main(["sweep", *flags, "--job.variable", variable,
                  "--job.start", repr(start), "--job.stop", repr(stop),
                  "--job.count", str(count), "--output", str(out)]) == 0
-    summary = capsys.readouterr().out
+    captured = capsys.readouterr()
+    # rows beyond first order print nothing on stderr
+    assert captured.err == ""
+    summary = captured.out
     columns, table = read_table(str(out))
     grid = _sweep_grid({"start": start, "stop": stop, "count": count,
                         "spacing": "geometric"})

@@ -31,6 +31,9 @@ CFG_Q1 = {"system": {"mu": 0.03, "q1": 0.95, "a2": 2e-4, "cd": 2000.0},
                   "stop": 1.05, "count": 40, "spacing": "linear"}}
 FOLD_W1 = ["--system.mu", "0.01", "--system.q1", "0.98", "--system.w1",
            "0", "--job.variable", "w1"]
+A2_FAR = ["--system.mu", "0.1", "--system.q1", "0.98", "--system.w1", "0",
+          "--job.variable", "a2", "--job.start", "1e-3", "--job.stop",
+          "1e6", "--job.count", "30"]
 
 # (id, argv, config written to job.json or None); each output path is
 # named after the id, and an --output of None leaves the table on stdout
@@ -87,6 +90,12 @@ JOBS = [
                           "--job.stop", "0.3149802624737183",
                           "--job.count", "3", "--job.spacing", "linear"],
      None),
+    # a2 up to 1e6, L4 in CSV and L5 in JSON: past a2 ~ 5.3 the first-order
+    # point is off its branch's side (degenerate-analytic), and from a2 ~
+    # 386 Newton ends off it or fails (refine-failed)
+    ("sweep-a2-far", ["sweep", *A2_FAR], None),
+    ("sweep-a2-far-l5", ["sweep", *A2_FAR, "--job.branch", "L5",
+                         "--format", "json"], None),
     # one Newton step cannot reach the tolerance: refine-failed
     ("sweep-failed", ["sweep", "--system.mu", "0.1", "--system.q1", "0.98",
                       "--system.w1", "0", "--job.variable", "w1",

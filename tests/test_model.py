@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -632,6 +633,18 @@ def test_family_kernel_has_the_bits_of_the_state_kernel(variable, spec):
                 r, j, lam = rest(x, y, c, tol)
                 assert (_bits(r) == _bits(residual)).all() and lam is None
                 assert j == (jac if tol <= math.hypot(*r) else None)
+
+
+@pytest.mark.parametrize("variable, guard, message", [
+    ("cd", 1e-6, "variable must be 'w1', 'a2', 'q1' or 'mu', got 'cd'"),
+    ("w1", math.nan, "guard must be finite and >= 0"),
+], ids=["variable", "guard"])
+def test_family_kernel_checks_its_arguments_where_it_is_bound(
+        variable, guard, message):
+    # before any point is evaluated, as _state_kernel checks its guard
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _family_kernel(SystemParams(mu=0.1, q1=0.98, w1=1e-3), variable,
+                       guard)
 
 
 @pytest.mark.parametrize("spec", FAMILY_BASES)

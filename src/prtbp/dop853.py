@@ -2,12 +2,13 @@
 
 A port of SciPy's ``DOP853`` together with the parts of ``solve_ivp`` that
 propagation uses: the same tableau, initial step, error estimate,
-step-size controller, dense output and event rules, so it takes the same
-steps and makes the same number of right-hand-side calls. The state is a
-list of Python floats, which costs a fraction of NumPy's per-call overhead
-on a system of four equations. The samples on the output grid are
-evaluated on Python floats as well, step by step, into one flat float
-array.
+step-size controller and dense output, so it takes the same steps and
+makes the same number of right-hand-side calls. The state is a list of
+Python floats, which costs a fraction of NumPy's per-call overhead on a
+system of four equations. Each sample on the output grid is evaluated
+on Python floats as well, and handed to the caller as soon as the step
+that holds it is taken. An event ends the run where it falls through
+zero, SciPy's terminal event with ``direction = -1``.
 
 References: P. J. Prince and J. R. Dormand, "High order embedded
 Runge-Kutta formulae", J. Comput. Appl. Math. 7 (1981) 67-75; E. Hairer,
@@ -27,24 +28,13 @@ EPS = sys.float_info.epsilon
 
 # The coefficients of SciPy's dop853_coefficients, which takes them from
 # Hairer's DOP853. Names count stages from 1: Ai_j weighs stage j in the
-# input of stage i, whose node is Ci. The twelfth stage sits at the end
-# of the step (node 1), and so does k13 = f(t + h, y_new), the first
-# stage of the next step; Bj are the eighth-order weights (row 13 of A).
-# Stages 2 to 5 have zero weight in B, in the error rows and in the
-# dense output, so only stages 1 and 6 to 16 appear there.
-C2 = 0.526001519587677318785587544488e-01
-C3 = 0.789002279381515978178381316732e-01
-C4 = 0.118350341907227396726757197510
-C5 = 0.281649658092772603273242802490
-C6 = 0.333333333333333333333333333333
-C7 = 0.25
-C8 = 0.307692307692307692307692307692
-C9 = 0.651282051282051282051282051282
-C10 = 0.6
-C11 = 0.857142857142857142857142857142
-# the three extra stages of the dense output
-C14, C15, C16 = 0.1, 0.2, 0.777777777777777777777777777778
-
+# input of stage i. The equations of motion do not depend on t, so the
+# stages' nodes (their times within the step) are left out. The twelfth
+# stage sits at the end of the step, and so does k13 = f(y_new), the
+# first stage of the next step; Bj are the eighth-order weights (row 13
+# of A). Stages 2 to 5 have zero weight in B, in the error rows and in
+# the dense output, so only stages 1 and 6 to 16 appear there; stages 14
+# to 16 serve the dense output alone.
 A2_1 = 5.26001519587677318785587544488e-2
 A3_1 = 1.97250569845378994544595329183e-2
 A3_2 = 5.91751709536136983633785987549e-2
@@ -199,85 +189,74 @@ MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
 EXPONENT = -1 / 8
 
-MESSAGES = {0: "The solver successfully reached the end of the "
-               "integration interval.",
-            1: "A termination event occurred.",
-            -1: "Required step size is less than spacing between numbers."}
+#: Why a run with ``status`` -1 ended.
+STEP_FAILURE = "Required step size is less than spacing between numbers."
 
 
 class OdeResult(NamedTuple):
     """Outcome of :func:`solve_ivp`.
 
-    ``times`` holds the output times reached and ``values`` the states and
-    then the quadratures there, ``width`` floats per time, one time after
-    the other. ``status`` is 0 at the end of the interval, 1
-    after an event and -1 when the step size fell below 10 ulp of t or is
-    NaN; ``steps`` and ``rejected_steps`` count the accepted and rejected
-    steps, and ``nfev`` the calls of ``fun``: 2 + 12 (steps +
-    rejected_steps), plus 3 for each step that held an output time or
-    located an event; ``t_events`` lists each event's time, if it ended
-    the run.
+    ``status`` is 0 at the end of the interval, 1 after an event and -1
+    when the step size fell below 10 ulp of t or is NaN (for the reason
+    :data:`STEP_FAILURE`); ``steps`` and ``rejected_steps`` count the
+    accepted and rejected steps, and ``nfev`` the calls of ``fun``:
+    2 + 12 (steps + rejected_steps), plus 3 for each step that held an
+    output time or located an event. ``event`` is (index, time) of the
+    event that ended the run, or None.
     """
 
-    times: array
-    values: array
-    width: int
     status: int
-    message: str
     nfev: int
     steps: int
     rejected_steps: int
-    t_events: tuple[list[float], ...]
+    event: tuple[int, float] | None
 
 
-def solve_ivp(fun, t_span, y0, t_eval, rtol, atol, events=()):
-    """Integrate ``y' = fun(t, y)`` forward over ``t_span``.
+def solve_ivp(fun, t_span, y0, t_eval, sample, rtol, atol, events=()):
+    """Integrate the autonomous system ``y' = fun(y)`` over ``t_span``.
 
     Parameters
     ----------
     fun : callable
-        ``fun(t, y)`` takes a time and the state as a list of floats and
-        returns its rates. Rates past the state's length are quadratures,
-        integrated from 0 on the same stages, but left out of the error
-        control and of what ``fun`` and the events receive.
+        ``fun(y)`` takes the state as a list of floats and returns its
+        rates. Rates past the state's length are quadratures, integrated
+        from 0 on the same stages, but left out of the error control and
+        of what ``fun`` and the events receive.
     t_span : (float, float)
-        Initial and final time; the final one must be the larger.
+        Initial and final time, the final one the larger.
     y0 : sequence of float
         Initial state.
     t_eval : sequence of float
         Increasing output times inside ``t_span``.
+    sample : callable
+        ``sample(t, v)`` receives each output time reached, in order, and
+        the states and then the quadratures there, as soon as the step
+        that holds it is taken.
     rtol, atol : float
-        Tolerances; ``atol`` must be positive, ``rtol`` is raised to
-        100 eps if smaller.
+        Tolerances; ``atol`` is positive, ``rtol`` is raised to 100 eps
+        if smaller.
     events : sequence of callables
-        ``event(t, y)`` returns a float. Its zero, crossed in the sense
-        of its ``direction`` attribute (0, the default, for either), ends
-        the run; the first in time wins.
+        ``event(y)`` returns a float. Falling through zero ends the run;
+        the first in time wins.
 
     Returns
     -------
     OdeResult
     """
     t, t_bound = float(t_span[0]), float(t_span[1])
-    if not t_bound > t:
-        raise ValueError(f"t_span must increase, got {tuple(t_span)}")
-    if not atol > 0:
-        raise ValueError(f"atol must be > 0, got {atol}")
     rtol = max(rtol, 100 * EPS)
     y = [float(v) for v in y0]
     n = len(y)
     t_eval = array("d", t_eval)
-    directions = [getattr(event, "direction", 0) for event in events]
 
-    f = fun(t, y)
+    f = fun(y)
     # the quadratures of the rates past the state, from 0
     w = [0.0] * (len(f) - n)
     h_abs = _initial_step(fun, t, y, f, t_bound, rtol, atol, math.sqrt(n))
     steps = rejections = dense_steps = 0
-    g = [event(t, y) for event in events]
-    t_events = tuple([] for _ in events)
-    # the states and quadratures at t_eval[:sampled], time after time
-    values = array("d")
+    g = [event(y) for event in events]
+    ended = None
+    # t_eval[:sampled] went to sample
     sampled = 0
     status = None
     while status is None:
@@ -294,58 +273,52 @@ def solve_ivp(fun, t_span, y0, t_eval, rtol, atol, events=()):
             h_abs = abs(h)
             # zj is a component of the stage kj
             k1 = f
-            k2 = fun(t + C2 * h, [yi + z1 * A2_1 * h
-                                  for yi, z1 in zip(y, k1)])
-            k3 = fun(t + C3 * h, [yi + (z1 * A3_1 + z2 * A3_2) * h
-                                  for yi, z1, z2 in zip(y, k1, k2)])
-            k4 = fun(t + C4 * h, [yi + (z1 * A4_1 + z3 * A4_3) * h
-                                  for yi, z1, z3 in zip(y, k1, k3)])
-            k5 = fun(t + C5 * h, [yi + (z1 * A5_1 + z3 * A5_3 + z4 * A5_4) * h
-                                  for yi, z1, z3, z4 in zip(y, k1, k3, k4)])
-            k6 = fun(t + C6 * h, [yi + (z1 * A6_1 + z4 * A6_4 + z5 * A6_5) * h
-                                  for yi, z1, z4, z5 in zip(y, k1, k4, k5)])
-            k7 = fun(t + C7 * h, [yi + (z1 * A7_1 + z4 * A7_4 + z5 * A7_5
-                                        + z6 * A7_6) * h
-                                  for yi, z1, z4, z5, z6
-                                  in zip(y, k1, k4, k5, k6)])
-            k8 = fun(t + C8 * h, [yi + (z1 * A8_1 + z4 * A8_4 + z5 * A8_5
-                                        + z6 * A8_6 + z7 * A8_7) * h
-                                  for yi, z1, z4, z5, z6, z7
-                                  in zip(y, k1, k4, k5, k6, k7)])
-            k9 = fun(t + C9 * h, [yi + (z1 * A9_1 + z4 * A9_4 + z5 * A9_5
-                                        + z6 * A9_6 + z7 * A9_7
-                                        + z8 * A9_8) * h
-                                  for yi, z1, z4, z5, z6, z7, z8
-                                  in zip(y, k1, k4, k5, k6, k7, k8)])
-            k10 = fun(t + C10 * h, [yi + (z1 * A10_1 + z4 * A10_4
-                                          + z5 * A10_5 + z6 * A10_6
-                                          + z7 * A10_7 + z8 * A10_8
-                                          + z9 * A10_9) * h
-                                    for yi, z1, z4, z5, z6, z7, z8, z9
-                                    in zip(y, k1, k4, k5, k6, k7, k8, k9)])
-            k11 = fun(t + C11 * h, [yi + (z1 * A11_1 + z4 * A11_4
-                                          + z5 * A11_5 + z6 * A11_6
-                                          + z7 * A11_7 + z8 * A11_8
-                                          + z9 * A11_9 + z10 * A11_10) * h
-                                    for yi, z1, z4, z5, z6, z7, z8, z9, z10
-                                    in zip(y, k1, k4, k5, k6, k7, k8, k9,
-                                           k10)])
-            k12 = fun(t + h, [yi + (z1 * A12_1 + z4 * A12_4 + z5 * A12_5
-                                    + z6 * A12_6 + z7 * A12_7 + z8 * A12_8
-                                    + z9 * A12_9 + z10 * A12_10
-                                    + z11 * A12_11) * h
-                              for yi, z1, z4, z5, z6, z7, z8, z9, z10, z11
-                              in zip(y, k1, k4, k5, k6, k7, k8, k9, k10,
-                                     k11)])
+            k2 = fun([yi + z1 * A2_1 * h for yi, z1 in zip(y, k1)])
+            k3 = fun([yi + (z1 * A3_1 + z2 * A3_2) * h
+                      for yi, z1, z2 in zip(y, k1, k2)])
+            k4 = fun([yi + (z1 * A4_1 + z3 * A4_3) * h
+                      for yi, z1, z3 in zip(y, k1, k3)])
+            k5 = fun([yi + (z1 * A5_1 + z3 * A5_3 + z4 * A5_4) * h
+                      for yi, z1, z3, z4 in zip(y, k1, k3, k4)])
+            k6 = fun([yi + (z1 * A6_1 + z4 * A6_4 + z5 * A6_5) * h
+                      for yi, z1, z4, z5 in zip(y, k1, k4, k5)])
+            k7 = fun([yi + (z1 * A7_1 + z4 * A7_4 + z5 * A7_5
+                            + z6 * A7_6) * h
+                      for yi, z1, z4, z5, z6 in zip(y, k1, k4, k5, k6)])
+            k8 = fun([yi + (z1 * A8_1 + z4 * A8_4 + z5 * A8_5 + z6 * A8_6
+                            + z7 * A8_7) * h
+                      for yi, z1, z4, z5, z6, z7
+                      in zip(y, k1, k4, k5, k6, k7)])
+            k9 = fun([yi + (z1 * A9_1 + z4 * A9_4 + z5 * A9_5 + z6 * A9_6
+                            + z7 * A9_7 + z8 * A9_8) * h
+                      for yi, z1, z4, z5, z6, z7, z8
+                      in zip(y, k1, k4, k5, k6, k7, k8)])
+            k10 = fun([yi + (z1 * A10_1 + z4 * A10_4 + z5 * A10_5
+                             + z6 * A10_6 + z7 * A10_7 + z8 * A10_8
+                             + z9 * A10_9) * h
+                       for yi, z1, z4, z5, z6, z7, z8, z9
+                       in zip(y, k1, k4, k5, k6, k7, k8, k9)])
+            k11 = fun([yi + (z1 * A11_1 + z4 * A11_4 + z5 * A11_5
+                             + z6 * A11_6 + z7 * A11_7 + z8 * A11_8
+                             + z9 * A11_9 + z10 * A11_10) * h
+                       for yi, z1, z4, z5, z6, z7, z8, z9, z10
+                       in zip(y, k1, k4, k5, k6, k7, k8, k9, k10)])
+            k12 = fun([yi + (z1 * A12_1 + z4 * A12_4 + z5 * A12_5
+                             + z6 * A12_6 + z7 * A12_7 + z8 * A12_8
+                             + z9 * A12_9 + z10 * A12_10
+                             + z11 * A12_11) * h
+                       for yi, z1, z4, z5, z6, z7, z8, z9, z10, z11
+                       in zip(y, k1, k4, k5, k6, k7, k8, k9, k10, k11)])
             y_new = [yi + h * (z1 * B1 + z6 * B6 + z7 * B7 + z8 * B8
                                + z9 * B9 + z10 * B10 + z11 * B11
                                + z12 * B12)
                      for yi, z1, z6, z7, z8, z9, z10, z11, z12
                      in zip(y + w, k1, k6, k7, k8, k9, k10, k11, k12)]
-            k13 = fun(t + h, y_new[:n])
+            k13 = fun(y_new[:n])
             # the fifth-order estimate, damped where the third-order one
             # is larger (Hairer, Norsett & Wanner, section II.10)
             err5 = err3 = 0.0
+            terms = []
             for yi, zi, z1, z6, z7, z8, z9, z10, z11, z12 in zip(
                     y, y_new, k1, k6, k7, k8, k9, k10, k11, k12):
                 scale = atol + max(abs(yi), abs(zi)) * rtol
@@ -354,13 +327,17 @@ def solve_ivp(fun, t_span, y0, t_eval, rtol, atol, events=()):
                       + z12 * E5_12) / scale
                 e3 = (z1 * E3_1 + z6 * B6 + z7 * B7 + z8 * B8 + z9 * E3_9
                       + z10 * B10 + z11 * B11 + z12 * E3_12) / scale
+                terms += e5, e3
                 err5 += e5 * e5
                 err3 += e3 * e3
+            root = (err5 + 0.01 * err3) * n
             if err5 == 0 and err3 == 0:
                 error_norm = 0.0
+            elif root < math.inf:
+                error_norm = h_abs * err5 / math.sqrt(root)
             else:
-                error_norm = h_abs * err5 / math.sqrt((err5 + 0.01 * err3)
-                                                      * n)
+                # a NaN term also lands here, and keeps the norm NaN
+                error_norm = _overflowed_norm(h_abs, terms, n)
             if error_norm < 1:
                 factor = (MAX_FACTOR if error_norm == 0 else
                           min(MAX_FACTOR, SAFETY * error_norm ** EXPONENT))
@@ -379,60 +356,47 @@ def solve_ivp(fun, t_span, y0, t_eval, rtol, atol, events=()):
             status = 0
         t_old, y_old, w_old = t, y, w
         t, y, w, f = t_new, y_new[:n], y_new[n:], k13
-        active = ()
-        if events:
-            g_new = [event(t, y) for event in events]
-            active = [i for i in range(len(events))
-                      if _crosses(g[i], g_new[i], directions[i])]
-            g = g_new
+        g_new = [event(y) for event in events]
+        falling = [i for i, (a, b) in enumerate(zip(g, g_new))
+                   if a >= 0 >= b]
+        g = g_new
         end = bisect_right(t_eval, t, sampled)
-        if not (active or end > sampled):
+        if not (falling or end > sampled):
             continue
         # the three extra stages, only on a step that needs the dense
         # output
-        k14 = fun(t_old + C14 * h, [yi + (z1 * A14_1 + z7 * A14_7
-                                          + z8 * A14_8 + z9 * A14_9
-                                          + z10 * A14_10 + z11 * A14_11
-                                          + z12 * A14_12
-                                          + z13 * A14_13) * h
-                                    for yi, z1, z7, z8, z9, z10, z11, z12,
-                                    z13 in zip(y_old, k1, k7, k8, k9, k10,
-                                               k11, k12, k13)])
-        k15 = fun(t_old + C15 * h, [yi + (z1 * A15_1 + z6 * A15_6
-                                          + z7 * A15_7 + z8 * A15_8
-                                          + z11 * A15_11 + z12 * A15_12
-                                          + z13 * A15_13
-                                          + z14 * A15_14) * h
-                                    for yi, z1, z6, z7, z8, z11, z12, z13,
-                                    z14 in zip(y_old, k1, k6, k7, k8, k11,
-                                               k12, k13, k14)])
-        k16 = fun(t_old + C16 * h, [yi + (z1 * A16_1 + z6 * A16_6
-                                          + z7 * A16_7 + z8 * A16_8
-                                          + z9 * A16_9 + z13 * A16_13
-                                          + z14 * A16_14
-                                          + z15 * A16_15) * h
-                                    for yi, z1, z6, z7, z8, z9, z13, z14,
-                                    z15 in zip(y_old, k1, k6, k7, k8, k9,
-                                               k13, k14, k15)])
+        k14 = fun([yi + (z1 * A14_1 + z7 * A14_7 + z8 * A14_8
+                         + z9 * A14_9 + z10 * A14_10 + z11 * A14_11
+                         + z12 * A14_12 + z13 * A14_13) * h
+                   for yi, z1, z7, z8, z9, z10, z11, z12, z13
+                   in zip(y_old, k1, k7, k8, k9, k10, k11, k12, k13)])
+        k15 = fun([yi + (z1 * A15_1 + z6 * A15_6 + z7 * A15_7
+                         + z8 * A15_8 + z11 * A15_11 + z12 * A15_12
+                         + z13 * A15_13 + z14 * A15_14) * h
+                   for yi, z1, z6, z7, z8, z11, z12, z13, z14
+                   in zip(y_old, k1, k6, k7, k8, k11, k12, k13, k14)])
+        k16 = fun([yi + (z1 * A16_1 + z6 * A16_6 + z7 * A16_7
+                         + z8 * A16_8 + z9 * A16_9 + z13 * A16_13
+                         + z14 * A16_14 + z15 * A16_15) * h
+                   for yi, z1, z6, z7, z8, z9, z13, z14, z15
+                   in zip(y_old, k1, k6, k7, k8, k9, k13, k14, k15)])
         dense_steps += 1
         rows = _dense_rows(y_old + w_old, y_new, h,
                            (k1, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15,
                             k16))
-        if active:
+        if falling:
             t, i = min((_locate(events[i], t_old, h, rows[:n], t), i)
-                       for i in active)
-            t_events[i].append(t)
+                       for i in falling)
+            ended = i, t
             status = 1
             end = bisect_right(t_eval, t, sampled)
         for ti in t_eval[sampled:end]:
-            values.extend(_interpolate(ti, t_old, h, rows))
+            sample(ti, _interpolate(ti, t_old, h, rows))
         sampled = end
 
-    return OdeResult(times=t_eval[:sampled], values=values, width=len(f),
-                     status=status, message=MESSAGES[status],
+    return OdeResult(status=status,
                      nfev=2 + 12 * (steps + rejections) + 3 * dense_steps,
-                     steps=steps, rejected_steps=rejections,
-                     t_events=t_events)
+                     steps=steps, rejected_steps=rejections, event=ended)
 
 
 def _initial_step(fun, t0, y0, f0, t_bound, rtol, atol, sqrt_n) -> float:
@@ -446,7 +410,7 @@ def _initial_step(fun, t0, y0, f0, t_bound, rtol, atol, sqrt_n) -> float:
     # an h0 that underflows (d1 huge, as next to a primary) is raised to
     # the stepping loop's own smallest step before d2 divides by it
     h0 = min(max(h0, 10 * abs(math.nextafter(t0, math.inf) - t0)), interval)
-    f1 = fun(t0 + h0, [v + h0 * d for v, d in zip(y0, f0)])
+    f1 = fun([v + h0 * d for v, d in zip(y0, f0)])
     d2 = _norm([(a - b) / s for a, b, s in zip(f1, f0, scale)], sqrt_n) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -460,11 +424,16 @@ def _norm(values, sqrt_n) -> float:
     return math.sqrt(sum(v * v for v in values)) / sqrt_n
 
 
-def _crosses(g, g_new, direction) -> bool:
-    up = g <= 0 <= g_new
-    down = g >= 0 >= g_new
-    return (up and direction > 0 or down and direction < 0
-            or (up or down) and direction == 0)
+def _overflowed_norm(h_abs, terms, n) -> float:
+    # the step's error norm where the sums of squares of the scaled error
+    # terms (e5, e3, e5, e3, ...) overflow, as next to a primary: the
+    # same norm from the terms divided by the largest of them
+    big = max(map(abs, terms))
+    err5 = err3 = 0.0
+    for e5, e3 in zip(terms[::2], terms[1::2]):
+        err5 += (e5 / big) ** 2
+        err3 += (e3 / big) ** 2
+    return h_abs * err5 / math.sqrt((err5 + 0.01 * err3) * n) * big
 
 
 def _locate(event, t_old, h, rows, b) -> float:
@@ -476,7 +445,7 @@ def _locate(event, t_old, h, rows, b) -> float:
     zero lies at the very end of the step) the bisection closes on b.
     """
     def g(t):
-        return event(t, _interpolate(t, t_old, h, rows))
+        return event(_interpolate(t, t_old, h, rows))
 
     a = t_old
     ga = g(a)

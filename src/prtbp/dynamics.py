@@ -8,10 +8,12 @@ from the radiating primary, or on integrator step failure; the time of
 a collision or an escape is located on the dense output.
 
 A trajectory holds its samples as one flat float array, seven values
-per sample (t, x, y, vx, vy, C, dC/dt), C and its drag rate from one
-derivation of the radii in ``model``, and the drag's change of C,
-integrated alongside the state; the audit compares the two. Propagation,
-C and the audit run on Python floats and import no NumPy, which is not a
+per sample (t, x, y, vx, vy, C, dC/dt), and the drag's change of C,
+integrated alongside the state. The stepper hands over each sample as
+it interpolates it; C and its drag rate are formed there, from one
+derivation of the radii in ``model``, straight into those arrays, and
+the audit compares C with the drag's change. Propagation, C and the
+audit run on Python floats and import no NumPy, which is not a
 dependency; ``Trajectory.samples``, ``.drift`` and ``.arrays()`` import
 it to view the same floats as arrays.
 """
@@ -24,7 +26,7 @@ from typing import TYPE_CHECKING
 
 from .model import (COLLISION_GUARD, ESCAPE_RADIUS, PhaseState,
                     SystemParams, _radii, _Record, _state_kernel)
-from .dop853 import solve_ivp
+from .dop853 import STEP_FAILURE, solve_ivp
 
 if TYPE_CHECKING:
     import numpy as np
@@ -152,7 +154,7 @@ def integrate(p: SystemParams, s0: PhaseState, t_end: float,
     two_n = 2.0 * p.n
     radii = _radii(p)
 
-    def rhs(t, v):
+    def rhs(v):
         x, y, vx, vy = v
         _, gx, gy, fx, fy = free(x, y, vx, vy)
         # the trailing rate is the drag law's dC/dt, a quadrature
@@ -161,14 +163,23 @@ def integrate(p: SystemParams, s0: PhaseState, t_end: float,
                 -two_n * vx + gy + fy,
                 -2.0 * (vx * fx + vy * fy))
 
-    def collision(t, v):
+    # each event falls through zero where it ends the run
+    def collision(v):
         return min(radii(v[0], v[1])) - collision_guard
 
-    def escape(t, v):
-        return radii(v[0], v[1])[0] - escape_radius
+    def escape(v):
+        return escape_radius - radii(v[0], v[1])[0]
 
-    collision.direction = -1.0
-    escape.direction = 1.0
+    samples = array("d")
+    drift = array("d")
+    extend, append = samples.extend, drift.append
+
+    def sample(t, v):
+        x, y, vx, vy, w = v
+        u, _, _, fx, fy = checked(x, y, vx, vy)
+        extend((t, x, y, vx, vy, 2.0 * u - vx * vx - vy * vy,
+                -2.0 * (vx * fx + vy * fy)))
+        append(w)
 
     nsteps = max(1, math.ceil(span / sample_dt - 1e-9))
     # s0.t + sample_dt * k has the bits of np.arange's grid
@@ -176,30 +187,19 @@ def integrate(p: SystemParams, s0: PhaseState, t_end: float,
     grid.append(t_end)
 
     sol = solve_ivp(rhs, (s0.t, t_end), (s0.x, s0.y, s0.vx, s0.vy),
-                    t_eval=grid, rtol=rtol, atol=atol,
+                    t_eval=grid, sample=sample, rtol=rtol, atol=atol,
                     events=(collision, escape))
+    if not samples:
+        # the initial state alone stands in when no step succeeds
+        sample(s0.t, (s0.x, s0.y, s0.vx, s0.vy, 0.0))
     message = event_time = None
     if sol.status == 0:
         termination = "completed"
     elif sol.status == 1:
-        collided, escaped = sol.t_events
-        termination = "collision" if collided else "escape"
-        event_time, = collided or escaped
+        which, event_time = sol.event
+        termination = ("collision", "escape")[which]
     else:
-        termination, message = "step-failure", sol.message
-    times, values = sol.times, sol.values
-    if not times:
-        # the initial state alone stands in when no step succeeds
-        times, values = [s0.t], [s0.x, s0.y, s0.vx, s0.vy, 0.0]
-
-    samples = array("d")
-    drift = array("d")
-    rows = iter(values)
-    for t, x, y, vx, vy, w in zip(times, rows, rows, rows, rows, rows):
-        u, _, _, fx, fy = checked(x, y, vx, vy)
-        samples.extend((t, x, y, vx, vy, 2.0 * u - vx * vx - vy * vy,
-                        -2.0 * (vx * fx + vy * fy)))
-        drift.append(w)
+        termination, message = "step-failure", STEP_FAILURE
     return Trajectory(params=p, sample_values=samples, drift_values=drift,
                       termination=termination, rhs_calls=sol.nfev,
                       steps=sol.steps, rejected_steps=sol.rejected_steps,

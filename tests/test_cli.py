@@ -352,7 +352,7 @@ def test_integrate_sidecar_counts_the_stepper_work(argv, rejects, tmp_path,
         return
     # the collision's time, after the last sample and within one interval
     sol, = runs
-    assert [meta["event_time"]] == sol.t_events[0]
+    assert sol.event == (0, meta["event_time"])
     _, rows = read_table(out)
     assert rows[-1]["t"] < meta["event_time"] <= rows[-1]["t"] + 0.002
 
@@ -423,11 +423,9 @@ def test_integrate_sidecar_sits_next_to_the_output(tmp_path):
 def test_integrate_step_failure_keeps_its_cause(tmp_path, monkeypatch):
     # no orbit of the model fails a step at these tolerances, so the
     # stepper gets x' = x^2 instead, which blows up at t = 1/x0
-    def blow_up(fun, t_span, y0, t_eval, rtol, atol, events=()):
-        return dop853.solve_ivp(lambda t, v: (v[0] * v[0], 0.0, 0.0, 0.0,
-                                              0.0),
-                                t_span, y0, t_eval=t_eval, rtol=rtol,
-                                atol=atol)
+    def blow_up(fun, t_span, y0, events, **kwargs):
+        return dop853.solve_ivp(lambda v: (v[0] * v[0], 0.0, 0.0, 0.0, 0.0),
+                                t_span, y0, **kwargs)
 
     monkeypatch.setattr(dynamics, "solve_ivp", blow_up)
     out = str(tmp_path / "orbit.csv")
@@ -493,6 +491,22 @@ def test_integrate_start_whose_first_step_underflows_exits_0(tmp_path,
     assert "Traceback" not in capsys.readouterr().err
     with open(tmp_path / "near.meta.json", encoding="utf-8") as fh:
         assert json.load(fh)["termination"] in ("collision", "step-failure")
+
+
+def test_integrate_next_to_a_primary_takes_steps(tmp_path, capsys):
+    """1e-90 from the radiating primary the squares of the scaled error
+    terms (~1e192) overflow; the error norm is formed from the terms
+    scaled by the largest, so the run steps on rather than failing its
+    first step on a NaN norm."""
+    out = str(tmp_path / "near.csv")
+    rc = main(["integrate", "--system.mu", "0.01", "--system.w1", "0",
+               "--job.x", "-0.01", "--job.y", "1e-90", "--job.vx", "0",
+               "--job.vy", "0", "--job.t_end", "1", "--job.sample_dt", "0.1",
+               "--job.collision_guard", "1e-300", "--output", out])
+    assert rc == 0
+    assert "Traceback" not in capsys.readouterr().err
+    with open(tmp_path / "near.meta.json", encoding="utf-8") as fh:
+        assert json.load(fh)["steps"] >= 1
 
 
 # a grid whose span is subnormal: the equilibria job walks w1 over

@@ -323,19 +323,20 @@ def test_near_l4_drag_orbit_takes_few_rhs_calls():
 
 
 def _scipy_reference(fun, t_span, y0, t_eval, rtol, atol, events=()):
-    """SciPy's DOP853 on the same right-hand side and events."""
+    """SciPy's DOP853 on the same right-hand side and events, each event
+    terminal and counted only where it falls through zero."""
     def floats(g):
-        # SciPy passes arrays, and the initial state as given
-        return lambda t, v: g(t, np.asarray(v, dtype=float).tolist())
+        # SciPy passes the time and arrays, and the initial state as given
+        return lambda t, v: g(np.asarray(v, dtype=float).tolist())
 
-    def state_rates(t, v):
+    def state_rates(v):
         # SciPy has no quadratures, so the rates past the state are dropped
-        return fun(t, v)[:len(y0)]
+        return fun(v)[:len(y0)]
 
     def wrap(event):
         wrapped = floats(event)
         wrapped.terminal = True
-        wrapped.direction = getattr(event, "direction", 0)
+        wrapped.direction = -1.0
         return wrapped
 
     return scipy.integrate.solve_ivp(
@@ -356,21 +357,35 @@ REFERENCE_CASES = [
 ]
 
 
-def _arrays(sol):
-    """The output times, and the values with one column per time."""
-    t = np.frombuffer(sol.times, dtype=float)
-    return t, np.frombuffer(sol.values, dtype=float).reshape(-1, sol.width).T
+def _solve(fun, t_span, y0, **kwargs):
+    """The stepper's result, and the :func:`_arrays` of its samples."""
+    got = []
+    sol = dop853.solve_ivp(fun, t_span, y0,
+                           sample=lambda t, v: got.append((t, v)), **kwargs)
+    return sol, *_arrays(got)
+
+
+def _arrays(got):
+    """The sampled times, and the values with one column per time."""
+    t = np.array([t for t, _ in got])
+    return t, np.array([v for _, v in got], dtype=float).T
 
 
 @pytest.fixture
 def solve_calls(monkeypatch):
-    """The (fun, t_span, y0, kwargs, sol) of each stepper run of
-    ``integrate``."""
+    """The (fun, t_span, y0, kwargs, sol, samples) of each stepper run of
+    ``integrate``, ``samples`` holding each (t, values) handed over."""
     calls = []
 
-    def spy(fun, t_span, y0, **kwargs):
-        sol = dop853.solve_ivp(fun, t_span, y0, **kwargs)
-        calls.append((fun, t_span, y0, kwargs, sol))
+    def spy(fun, t_span, y0, sample, **kwargs):
+        got = []
+
+        def record(t, v):
+            got.append((t, v))
+            sample(t, v)
+
+        sol = dop853.solve_ivp(fun, t_span, y0, sample=record, **kwargs)
+        calls.append((fun, t_span, y0, kwargs, sol, got))
         return sol
 
     monkeypatch.setattr(dynamics, "solve_ivp", spy)
@@ -382,17 +397,20 @@ def test_stepper_matches_scipy_dop853(p, s0, t_end, dt, tol, expected,
                                      solve_calls):
     traj = integrate(p, s0, t_end=t_end, sample_dt=dt, rtol=tol, atol=tol)
     assert traj.termination == expected
-    (fun, t_span, y0, kwargs, sol), = solve_calls
+    (fun, t_span, y0, kwargs, sol, got), = solve_calls
     ref = _scipy_reference(fun, t_span, y0, **kwargs)
     assert sol.status == ref.status
     assert sol.nfev == ref.nfev
     # a collision or an escape reports the time the stepper located
-    located = sol.t_events[0] + sol.t_events[1]
-    assert traj.event_time == (located[0] if located else None)
-    for ours, theirs in zip(sol.t_events, ref.t_events, strict=True):
-        assert len(ours) == len(theirs)
-        assert np.allclose(ours, theirs, rtol=1e-12, atol=0.0)
-    t, y = _arrays(sol)
+    assert traj.event_time == (sol.event[1] if sol.event else None)
+    # the event that ended the run, at SciPy's time to 1e-12
+    ours = [[] for _ in ref.t_events]
+    if sol.event:
+        ours[sol.event[0]].append(sol.event[1])
+    for mine, theirs in zip(ours, ref.t_events, strict=True):
+        assert len(mine) == len(theirs)
+        assert np.allclose(mine, theirs, rtol=1e-12, atol=0.0)
+    t, y = _arrays(got)
     assert np.array_equal(t, ref.t)
     assert np.abs(y[:len(y0)] - ref.y).max() <= 1e-10
 
@@ -410,7 +428,7 @@ def test_stepper_rhs_is_the_equations_of_motion(params, solve_calls):
     rng = random.Random(7)
     for _ in range(200):
         s = PhaseState(*(rng.uniform(-1.5, 1.5) for _ in range(4)))
-        got = rhs(0.0, (s.x, s.y, s.vx, s.vy))
+        got = rhs((s.x, s.y, s.vx, s.vy))
         want = (*equations_of_motion(p, s), jacobi_drift_rate(p, s))
         assert [v.hex() for v in got] == [v.hex() for v in want]
 
@@ -418,46 +436,122 @@ def test_stepper_rhs_is_the_equations_of_motion(params, solve_calls):
 def test_quadrature_rides_along_without_changing_the_steps():
     # y' = -y with the quadrature q' = y: q = 1 - exp(-t), and the state
     # alone reaches fun and the event, whose zero is at y = 1/2
-    def decay(t, y):
+    def decay(y):
         assert len(y) == 1
         return [-y[0]]
 
-    def half(t, y):
+    def half(y):
         assert len(y) == 1
         return y[0] - 0.5
 
-    half.direction = -1.0
     t_eval = np.linspace(0.0, 1.0, 41)
-    plain = dop853.solve_ivp(decay, (0.0, 1.0), [1.0], t_eval=t_eval,
-                             rtol=1e-12, atol=1e-12, events=(half,))
-    sol = dop853.solve_ivp(lambda t, y: [*decay(t, y), y[0]], (0.0, 1.0),
-                           [1.0], t_eval=t_eval, rtol=1e-12, atol=1e-12,
-                           events=(half,))
+    plain, plain_t, plain_y = _solve(decay, (0.0, 1.0), [1.0], t_eval=t_eval,
+                                     rtol=1e-12, atol=1e-12, events=(half,))
+    sol, t, y = _solve(lambda y: [*decay(y), y[0]], (0.0, 1.0), [1.0],
+                       t_eval=t_eval, rtol=1e-12, atol=1e-12, events=(half,))
     assert sol.status == plain.status == 1
-    assert sol.t_events == plain.t_events
+    assert sol.event == plain.event
     assert sol.nfev == plain.nfev
-    (t, y), (plain_t, plain_y) = _arrays(sol), _arrays(plain)
     assert np.array_equal(t, plain_t)
     assert y.shape == (2, len(t))
     assert np.array_equal(y[:1], plain_y)
     assert np.abs(y[1] - (1.0 - np.exp(-t))).max() < 1e-10
 
 
+def test_only_an_event_falling_through_zero_ends_the_run():
+    # y' = -y from 1: `rising` crosses zero upward at t = ln 1.25 and the
+    # run goes on; `falling` crosses downward at t = ln 2 and ends it, at
+    # the time of SciPy's terminal event with direction -1
+    def decay(y):
+        return [-y[0]]
+
+    def rising(y):
+        return 0.8 - y[0]
+
+    def falling(y):
+        return y[0] - 0.5
+
+    kwargs = dict(t_eval=np.linspace(0.0, 1.0, 11), rtol=1e-12, atol=1e-12,
+                  events=(rising, falling))
+    sol, t, _ = _solve(decay, (0.0, 1.0), [1.0], **kwargs)
+    assert sol.status == 1
+    index, time = sol.event
+    assert index == 1
+    assert abs(time - math.log(2.0)) < 1e-10
+    assert t.max() <= time
+    ref = _scipy_reference(decay, (0.0, 1.0), [1.0], **kwargs)
+    assert [len(ts) for ts in ref.t_events] == [0, 1]
+    assert time == pytest.approx(ref.t_events[1][0], rel=1e-12, abs=0.0)
+    assert (ref.status, ref.nfev) == (sol.status, sol.nfev)
+    # alone, the rising event lets the run reach the end of the span
+    sol, t, _ = _solve(decay, (0.0, 1.0), [1.0], **{**kwargs,
+                                                     "events": (rising,)})
+    assert (sol.status, sol.event) == (0, None)
+    assert t[-1] == 1.0
+
+
+def test_samples_arrive_once_each_in_time_order_as_the_steps_go():
+    # each sample of an oscillator's five periods is handed over once, in
+    # time order, right after the step that holds it: the calls of fun
+    # made before each sample grow with it, and no sample waits for the
+    # end of the run
+    calls = []
+
+    def oscillator(y):
+        calls.append(None)
+        return [y[1], -y[0]]
+
+    arrivals = []
+    t_eval = np.linspace(0.0, 10.0 * math.pi, 101)
+    sol = dop853.solve_ivp(
+        oscillator, (0.0, 10.0 * math.pi), [1.0, 0.0], t_eval=t_eval,
+        sample=lambda t, v: arrivals.append((t, len(calls))),
+        rtol=1e-12, atol=1e-12)
+    assert sol.status == 0
+    assert [t for t, _ in arrivals] == t_eval.tolist()
+    made = [n for _, n in arrivals]
+    assert made == sorted(made)
+    assert made[0] < made[len(made) // 2] < made[-1] == sol.nfev
+
+
+def test_overflowed_error_norm_is_the_plain_norm_scaled():
+    # where the squares of the error terms overflow, the norm is the one
+    # of the terms scaled by a power of two, scaled back
+    def plain(h_abs, terms, n):
+        err5 = sum(e * e for e in terms[::2])
+        err3 = sum(e * e for e in terms[1::2])
+        return h_abs * err5 / math.sqrt((err5 + 0.01 * err3) * n)
+
+    rng = random.Random(3)
+    for _ in range(100):
+        terms = [rng.uniform(-1.0, 1.0) for _ in range(8)]
+        h_abs = rng.uniform(1e-3, 1.0)
+        want = plain(h_abs, terms, 4)
+        assert dop853._overflowed_norm(h_abs, terms, 4) == pytest.approx(
+            want, rel=1e-14)
+        huge = [math.ldexp(e, 700) for e in terms]
+        assert math.isinf(sum(e * e for e in huge))
+        assert dop853._overflowed_norm(math.ldexp(h_abs, -700), huge,
+                                       4) == pytest.approx(want, rel=1e-14)
+    assert math.isnan(dop853._overflowed_norm(1.0, [math.inf, 1.0], 1))
+    assert math.isnan(dop853._overflowed_norm(1.0, [math.nan, 1.0], 1))
+
+
 def test_step_failure_reports_its_cause():
     # y' = y^2 from y(0) = 1 blows up at t = 1, before the end of the span
     t_eval = np.linspace(0.0, 2.0, 21)
-    sol = dop853.solve_ivp(lambda t, y: [y[0] * y[0]], (0.0, 2.0), [1.0],
-                           t_eval=t_eval, rtol=1e-9, atol=1e-9)
+    sol, t, y = _solve(lambda y: [y[0] * y[0]], (0.0, 2.0), [1.0],
+                       t_eval=t_eval, rtol=1e-9, atol=1e-9)
     assert sol.status == -1
-    assert sol.message == ("Required step size is less than spacing "
-                           "between numbers.")
-    t, y = _arrays(sol)
+    assert sol.event is None
+    assert dop853.STEP_FAILURE == ("Required step size is less than "
+                                   "spacing between numbers.")
     # the steps close on the pole to within 2e-10 before they fail, so
     # the last sample may be the one at t = 1, where y is already huge
     assert t.max() <= 1.0
     before = t < 1.0
     assert np.allclose(y[0][before], 1.0 / (1.0 - t[before]), rtol=1e-6)
-    ref = _scipy_reference(lambda t, y: [y[0] * y[0]], (0.0, 2.0), [1.0],
+    ref = _scipy_reference(lambda y: [y[0] * y[0]], (0.0, 2.0), [1.0],
                            t_eval=t_eval, rtol=1e-9, atol=1e-9)
     assert (ref.status, ref.nfev) == (sol.status, sol.nfev)
 
@@ -470,15 +564,15 @@ def test_nan_step_size_is_a_step_failure(y0, rtol):
     # long after the run should have ended, so a hang fails the test
     calls = 0
 
-    def oscillator(t, y):
+    def oscillator(y):
         nonlocal calls
         calls += 1
         if calls > 20_000:
             raise RuntimeError("the stepper did not stop")
         return [y[1], -y[0]]
 
-    sol = dop853.solve_ivp(oscillator, (0.0, 1.0), y0, t_eval=[0.0, 1.0],
-                           rtol=rtol, atol=1e-9)
-    assert sol.status == -1
-    t, _ = _arrays(sol)
+    sol, t, _ = _solve(oscillator, (0.0, 1.0), y0, t_eval=[0.0, 1.0],
+                       rtol=rtol, atol=1e-9)
+    assert (sol.status, sol.steps) == (-1, 0)
+    # no step was taken, so no sample was handed over
     assert len(t) == 0

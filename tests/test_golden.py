@@ -126,6 +126,14 @@ JOBS = [
                         "1", "--job.sample_dt", "0.1"], None),
     ("orbit-no-output", ["integrate", "--config", "job.json", "--output",
                          None], CFG_ORBIT),
+    # 1e-90 from the radiating primary the squared error terms overflow;
+    # the steps fall toward it until they are below 10 ulp of t, short of
+    # a 1e-300 guard: step-failure
+    ("orbit-near-primary", ["integrate", "--system.mu", "0.01",
+                            "--system.w1", "0", "--job.x", "-0.01",
+                            "--job.y", "1e-90", "--job.vx", "0", "--job.vy",
+                            "0", "--job.t_end", "1", "--job.sample_dt",
+                            "0.1", "--job.collision_guard", "1e-300"], None),
     ("zvc", ["zvc", "--system.mu", "0.1", "--system.w1", "0",
              "--job.level_c", "3.5", "--job.xmin=-1.5", "--job.xmax", "1.5",
              "--job.ymin=-1.5", "--job.ymax", "1.5", "--job.resolution",

@@ -269,32 +269,6 @@ def _write_table(cfg: JobConfig, columns: tuple[str, ...], rows) -> None:
             fh.write(lines[kinds] % row)
 
 
-def read_table(path: str) -> tuple[list[str], list[dict]]:
-    """Read back a CSV file written by this module.
-
-    Returns the header and one dict per row; numeric cells come back as
-    floats and empty cells as ``None``.
-    """
-    import csv
-
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        columns = next(reader)
-        rows = []
-        for record in reader:
-            row: dict = {}
-            for key, cell in zip(columns, record):
-                if cell == "":
-                    row[key] = None
-                else:
-                    try:
-                        row[key] = float(cell)
-                    except ValueError:
-                        row[key] = cell
-            rows.append(row)
-    return columns, rows
-
-
 def _point_row(point) -> tuple:
     # an EquilibriumPoint's cells; + 0.0 turns -0.0 into 0.0 for
     # _write_table
@@ -306,7 +280,7 @@ def run_equilibria(cfg: JobConfig) -> int:
     """Write the rows of ``equilibria.triangular_points``."""
     from .equilibria import triangular_points
 
-    points = triangular_points(cfg.system, **cfg.args)
+    points = triangular_points(cfg.system)
     _write_table(cfg, ("branch", "method", "x", "y", "residual_norm"),
                  map(_point_row, points))
     return 0
@@ -423,10 +397,7 @@ def run_sweep(cfg: JobConfig) -> int:
 # None where the job's library call has the default
 _JOBS = {
     "equilibria": (run_equilibria,
-                   "locate the triangular equilibrium points", {
-        "job.tol": (float, None),
-        "job.max_iter": (int, None),
-    }),
+                   "locate the triangular equilibrium points", {}),
     "integrate": (run_integrate, "propagate a trajectory", {
         "job.x": (float, _REQUIRED),
         "job.y": (float, _REQUIRED),
@@ -456,8 +427,6 @@ _JOBS = {
         "job.count": (int, _REQUIRED),
         "job.spacing": (str, "geometric"),
         "job.branch": (str, None),
-        "job.tol": (float, None),
-        "job.max_iter": (int, None),
     }),
 }
 

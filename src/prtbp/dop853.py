@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import sys
-from array import array
 from bisect import bisect_right
 from typing import NamedTuple
 
@@ -227,7 +226,8 @@ def solve_ivp(fun, t_span, y0, t_eval, sample, rtol, atol, events=()):
     y0 : sequence of float
         Initial state.
     t_eval : sequence of float
-        Increasing output times inside ``t_span``.
+        Increasing output times inside ``t_span``, read where they are:
+        bisected and sliced, not copied.
     sample : callable
         ``sample(t, v)`` receives each output time reached, in order, and
         the states and then the quadratures there, as soon as the step
@@ -247,7 +247,6 @@ def solve_ivp(fun, t_span, y0, t_eval, sample, rtol, atol, events=()):
     rtol = max(rtol, 100 * EPS)
     y = [float(v) for v in y0]
     n = len(y)
-    t_eval = array("d", t_eval)
 
     f = fun(y)
     # the quadratures of the rates past the state, from 0

@@ -110,7 +110,13 @@ def integrate(p: SystemParams, s0: PhaseState, t_end: float,
     rtol, atol : float
         Integrator tolerances.
     collision_guard, escape_radius : float
-        Termination radii; crossing either one ends the run early.
+        Termination radii; crossing either one ends the run early. A
+        collision is found only where the steps resolve the fall: a run
+        whose steps drop below 10 ulp of t before it reaches the guard
+        ends in ``step-failure``, not ``collision``. So a guard below
+        the distance the stepper can resolve near a primary reads
+        ``step-failure``, as a start 1e-90 from the radiating primary
+        with a guard of 1e-300 does.
 
     Returns
     -------

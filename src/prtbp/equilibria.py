@@ -35,6 +35,9 @@ EPS_VALIDITY = 0.1
 #: Below this the base abscissa counts as degenerate for the relative forms.
 _DEGENERATE_X0 = 1e-9
 
+#: Residual norm below which Newton stops, and its iteration budget.
+_NEWTON_TOL = 1e-12
+_NEWTON_MAX_ITER = 50
 _MAX_NEWTON_STEP = 0.25
 _MAX_HALVINGS = 20
 
@@ -49,8 +52,9 @@ _ARC_CORRECTIONS = 8
 _ARC_MIN_COS = 0.9
 #: Secant iterations on det J when a fold is bracketed.
 _FOLD_SECANT_ITER = 60
-#: Residual norm of the arc points, fixed so that the fold does not move
-#: with a sweep's own tolerance.
+#: Residual norm of the arc points. It equals Newton's but is set apart:
+#: the fold's secant reads det J at these points, so a more exact fold
+#: may need a tighter arc alone.
 _ARC_TOL = 1e-12
 
 
@@ -60,15 +64,6 @@ def _branch_sign(branch: Branch) -> float:
     if branch == "L5":
         return -1.0
     raise ValueError(f"branch must be 'L4' or 'L5', got {branch!r}")
-
-
-def _check_newton_args(tol: float, max_iter: int) -> None:
-    # the options of refine_equilibrium, also checked by callers that
-    # must reject them before their first refinement
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
-    if not max_iter >= 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 
 
 class PerturbationTerms(_Record):
@@ -269,44 +264,42 @@ def limiting_case_point(p: SystemParams, case: str, branch: Branch
 
 
 def refine_equilibrium(p: SystemParams, guess: tuple[float, float],
-                       tol: float = 1e-12, max_iter: int = 50,
                        guard: float = COLLISION_GUARD) -> EquilibriumPoint:
     """Damped Newton refinement of a triangular-point guess.
 
     Iterates on the rest-state residual with its closed-form Jacobian
-    until its norm drops below ``tol``. The Newton step is clamped and
-    halved (up to 20 times) whenever it fails to decrease the residual,
-    which keeps the iteration from wandering off from poor guesses; a
-    guess outside the convergence basin exhausts the iteration budget and
-    raises instead of silently returning a far-away answer. The point
-    returned lies on the guess's side of y = 0 (above it for a guess on
-    it), and is labelled by that side.
+    until its norm drops below 1e-12, the one stopping rule of every
+    refined point. The Newton step is clamped and halved (up to 20 times)
+    whenever it fails to decrease the residual, which keeps the iteration
+    from wandering off from poor guesses; a guess outside the convergence
+    basin exhausts the budget of 50 iterations and raises instead of
+    silently returning a far-away answer. The point returned lies on the
+    guess's side of y = 0 (above it for a guess on it), and is labelled
+    by that side.
 
     Raises
     ------
     ValueError
-        ``tol`` is not finite and > 0, ``max_iter`` is below 1, ``guess``
-        is not finite, or ``guard`` is not finite and >= 0; the message
-        names the argument.
+        ``guess`` is not finite, or ``guard`` is not finite and >= 0; the
+        message names the argument.
     SingularityError
         The guess lies within ``guard`` of a primary, or, with a guard of
         0, so near one that the residual divides by zero; a Newton probe
         there is skipped like one inside the guard.
     ConvergenceError
-        Tolerance not reached within ``max_iter`` iterations, a residual
+        Residual norm 1e-12 not reached within 50 iterations, a residual
         norm that is not finite, or convergence on y = 0 or beyond it,
         off the guess's side; carries the last iterate and its residual
         norm.
     SingularJacobianError
         The Jacobian is singular to working precision.
     """
-    _check_newton_args(tol, max_iter)
     _, rest = _family_kernel(p, "w1", guard)
     x, y = float(guess[0]), float(guess[1])
     if not (-math.inf < x < math.inf and -math.inf < y < math.inf):
         raise ValueError(f"guess must be finite, got {tuple(guess)}")
     return _refined(*_newton(rest, (p.mu, p.q1, p.a2, p.w1, p.n, p.delta),
-                             x, y, tol, max_iter, -1.0 if y < 0.0 else 1.0))
+                             x, y, -1.0 if y < 0.0 else 1.0))
 
 
 def _refined(x: float, y: float, rnorm: float) -> EquilibriumPoint:
@@ -315,23 +308,24 @@ def _refined(x: float, y: float, rnorm: float) -> EquilibriumPoint:
                             method=METHOD_REFINED, residual_norm=rnorm)
 
 
-def _newton(rest, c: tuple, x: float, y: float, tol: float, max_iter: int,
+def _newton(rest, c: tuple, x: float, y: float,
             sign: float) -> tuple[float, float, float]:
     # the Newton loop of refine_equilibrium on the rest state of a
     # _family_kernel at the constants c, from (x, y), whose arguments the
     # callers check: the refined (x, y), on the side of y = 0 of sign, and
     # its residual norm
-    res, jac, _ = rest(x, y, c, tol)
+    res, jac, _ = rest(x, y, c, _NEWTON_TOL)
     rnorm = math.hypot(*res)
     if not rnorm < math.inf:
-        # NaN fails rnorm >= tol too; later norms are taken only if smaller
+        # NaN fails rnorm >= _NEWTON_TOL too; later norms are taken only
+        # if smaller
         raise ConvergenceError(f"residual norm {rnorm} is not finite", x=x,
                                y=y, residual_norm=rnorm, iterations=0)
     iterations = 0
-    while rnorm >= tol:
-        if iterations >= max_iter:
+    while rnorm >= _NEWTON_TOL:
+        if iterations >= _NEWTON_MAX_ITER:
             raise ConvergenceError(
-                f"no convergence after {max_iter} iterations; last iterate "
+                f"no convergence after {iterations} iterations; last iterate "
                 f"({x}, {y}) has residual norm {rnorm:.3e}",
                 x=x, y=y, residual_norm=rnorm, iterations=iterations)
         j11, j12, j21, j22 = jac
@@ -354,7 +348,7 @@ def _newton(rest, c: tuple, x: float, y: float, tol: float, max_iter: int,
             yt = y + damping * sy
             damping *= 0.5
             try:
-                rt, jt, _ = rest(xt, yt, c, tol)
+                rt, jt, _ = rest(xt, yt, c, _NEWTON_TOL)
             except SingularityError:
                 continue
             rtnorm = math.hypot(*rt)
@@ -373,14 +367,13 @@ def _newton(rest, c: tuple, x: float, y: float, tol: float, max_iter: int,
     return x, y, rnorm
 
 
-def triangular_points(p: SystemParams, tol: float = 1e-12,
-                      max_iter: int = 50) -> list[EquilibriumPoint]:
+def triangular_points(p: SystemParams) -> list[EquilibriumPoint]:
     """Both triangular points, L4 then L5, by every route ``p`` admits:
     the base point, the analytic one unless degenerate, the refined point
     and each case of ``CASES`` whose conditions ``p`` meets. The refined
     point is the last row of ``follow_branch`` over w1 in {0, p.w1}, so a
-    branch that folds before p.w1 has none. Raises what
-    ``refine_equilibrium`` raises."""
+    branch that folds before p.w1 has none; it stops by the one rule of
+    ``refine_equilibrium``. Raises what ``refine_equilibrium`` raises."""
     points = []
     for branch in BRANCHES:
         points.append(_point(p, *_base_coords(p.mu, p.delta, branch),
@@ -389,8 +382,7 @@ def triangular_points(p: SystemParams, tol: float = 1e-12,
             points.append(analytic_triangular_point(p, branch))
         except DegenerateFormulaError:
             pass
-        refined = _solve_grid(p, "w1", sorted({0.0, p.w1}), branch, tol,
-                              max_iter)[1][-1]
+        refined = _solve_grid(p, "w1", sorted({0.0, p.w1}), branch)[1][-1]
         if isinstance(refined, Exception):
             raise refined
         if isinstance(refined, tuple):
@@ -421,8 +413,7 @@ class SweepRow(NamedTuple):
 
 
 def follow_branch(base: SystemParams, variable: str, grid,
-                  branch: Branch = "L4", tol: float = 1e-12,
-                  max_iter: int = 50
+                  branch: Branch = "L4"
                   ) -> tuple[list[SweepRow], tuple[float, ...]]:
     """Follow the analytic and refined points over a parameter grid.
 
@@ -437,18 +428,19 @@ def follow_branch(base: SystemParams, variable: str, grid,
     anchor, refine from the cubic in the variable through the four
     nearest solved points: arc points and rows refined before them. A
     refined point must end on the branch's side of y = 0, and an analytic
-    point lie there, as in :func:`triangular_points`.
+    point lie there, as in :func:`triangular_points`; Newton stops below a
+    residual norm of 1e-12 within 50 iterations, as in
+    :func:`refine_equilibrium`.
 
     Returns the rows and the folds found, toward the grid's start then its
-    end. Raises ``ValueError`` naming ``variable``, ``grid``, ``branch``,
-    ``tol`` or ``max_iter``, before any solve.
+    end. Raises ``ValueError`` naming ``variable``, ``grid`` or ``branch``,
+    before any solve.
     """
     grid = list(grid)
     pairs = list(zip(grid, grid[1:]))
     if not (all(a <= b for a, b in pairs) or all(a >= b for a, b in pairs)):
         raise ValueError("grid must be non-decreasing or non-increasing")
-    analytic, outcomes, folds = _solve_grid(base, variable, grid, branch,
-                                            tol, max_iter)
+    analytic, outcomes, folds = _solve_grid(base, variable, grid, branch)
     rows = []
     for value, xy, out in zip(grid, analytic, outcomes):
         xa, ya = (None, None) if isinstance(out, str) or xy is None else xy
@@ -464,16 +456,15 @@ def follow_branch(base: SystemParams, variable: str, grid,
 
 
 def _solve_grid(base: SystemParams, variable: str, grid: list,
-                branch: Branch, tol: float, max_iter: int):
+                branch: Branch):
     # the analytic (x, y) or None and the outcome (a status, the refined
     # (x, y, residual norm) or the error of its solve) of each grid value,
-    # and the folds in the grid, after checking variable, branch, tol and
-    # max_iter; the callers check the grid. Every solve goes through one
+    # and the folds in the grid, after checking variable and branch; the
+    # callers check the grid. Every solve goes through one
     # kernel, and a row takes its system's constants from the kernel's
     # at(value), not from a SystemParams
     at, rest = _family_kernel(base, variable, COLLISION_GUARD)
     sign = _branch_sign(branch)
-    _check_newton_args(tol, max_iter)
     fields = _family_fields(base, variable)
     n = len(grid)
     analytic = [None] * n
@@ -502,7 +493,7 @@ def _solve_grid(base: SystemParams, variable: str, grid: list,
             xy = None
         seed = seed or xy or _base_coords(c[0], c[5], branch)
         try:
-            outcomes[i] = _newton(rest, c, *seed, tol, max_iter, sign)
+            outcomes[i] = _newton(rest, c, *seed, sign)
         except (ConvergenceError, SingularityError) as exc:
             outcomes[i] = exc
             return False
@@ -650,10 +641,10 @@ def _walk(rest, point: tuple[float, float], start: float, stop: float):
     ``rest`` is the family kernel of ``_correct`` and ``point`` is near a
     solution of the rest-state equations at ``start``; it is first
     corrected onto the branch. Every arc point solves them to
-    ``_ARC_TOL``, whatever tolerance ``point`` was refined to. The branch
-    is followed by pseudo-arclength steps toward ``stop`` until det J
-    changes sign; the fold is then located by a secant on det J along the
-    arc (the Illinois variant of regula falsi, which keeps the bracket).
+    ``_ARC_TOL``. The branch is followed by pseudo-arclength steps toward
+    ``stop`` until det J changes sign; the fold is then located by a
+    secant on det J along the arc (the Illinois variant of regula falsi,
+    which keeps the bracket).
 
     Returns the points (x, y, lam) accepted before the fold and the fold,
     which may lie beyond ``stop``; None when the walk passes ``stop``

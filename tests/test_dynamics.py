@@ -514,6 +514,32 @@ def test_samples_arrive_once_each_in_time_order_as_the_steps_go():
     assert made[0] < made[len(made) // 2] < made[-1] == sol.nfev
 
 
+class _Unlisted:
+    # a grid that can be bisected and sliced but not iterated, as a copy
+    # into a new array would iterate it
+    def __init__(self, values):
+        self._values = list(values)
+
+    def __len__(self):
+        return len(self._values)
+
+    def __getitem__(self, index):
+        return self._values[index]
+
+    def __iter__(self):
+        raise AssertionError("the output grid was copied")
+
+
+def test_output_grid_is_read_in_place():
+    t_eval = _Unlisted(i / 10.0 for i in range(11))
+    arrivals = []
+    sol = dop853.solve_ivp(
+        lambda y: [y[1], -y[0]], (0.0, 1.0), [1.0, 0.0], t_eval=t_eval,
+        sample=lambda t, v: arrivals.append(t), rtol=1e-9, atol=1e-9)
+    assert sol.status == 0
+    assert arrivals == [i / 10.0 for i in range(11)]
+
+
 def test_overflowed_error_norm_is_the_plain_norm_scaled():
     # where the squares of the error terms overflow, the norm is the one
     # of the terms scaled by a power of two, scaled back

@@ -17,8 +17,8 @@ from typing import Literal, NamedTuple
 
 from .errors import (ConvergenceError, DegenerateFormulaError,
                      SingularityError, SingularJacobianError)
-from .model import (COLLISION_GUARD, SystemParams, _family_fields,
-                    _family_kernel, _Record, _state_kernel)
+from .model import (SystemParams, _family_fields, _family_kernel, _Record,
+                    _state_kernel)
 
 Branch = Literal["L4", "L5"]
 BRANCHES: tuple[Branch, Branch] = ("L4", "L5")
@@ -143,8 +143,7 @@ def analytic_epsilons(p: SystemParams, branch: Branch) -> PerturbationTerms:
     return PerturbationTerms(eps1=eps1, eps2=eps2, x0=x0, y0=y0)
 
 
-def equilibrium_residual(p: SystemParams, x: float, y: float,
-                         guard: float = COLLISION_GUARD
+def equilibrium_residual(p: SystemParams, x: float, y: float
                          ) -> tuple[float, float]:
     """Rest-state accelerations at (x, y); zero exactly at an equilibrium.
 
@@ -152,7 +151,7 @@ def equilibrium_residual(p: SystemParams, x: float, y: float,
     ``equations_of_motion`` evaluated with zero velocity. Raises what
     :func:`prtbp.model.amended_potential` raises.
     """
-    _, gx, gy, fx, fy = _state_kernel(p, guard)(x, y, 0.0, 0.0)
+    _, gx, gy, fx, fy = _state_kernel(p)(x, y, 0.0, 0.0)
     return gx + fx, gy + fy
 
 
@@ -263,8 +262,8 @@ def limiting_case_point(p: SystemParams, case: str, branch: Branch
     return _point(p, *_formula(method, branch, x, y), branch, method)
 
 
-def refine_equilibrium(p: SystemParams, guess: tuple[float, float],
-                       guard: float = COLLISION_GUARD) -> EquilibriumPoint:
+def refine_equilibrium(p: SystemParams, guess: tuple[float, float]
+                       ) -> EquilibriumPoint:
     """Damped Newton refinement of a triangular-point guess.
 
     Iterates on the rest-state residual with its closed-form Jacobian
@@ -280,12 +279,10 @@ def refine_equilibrium(p: SystemParams, guess: tuple[float, float],
     Raises
     ------
     ValueError
-        ``guess`` is not finite, or ``guard`` is not finite and >= 0; the
-        message names the argument.
+        ``guess`` is not two finite real numbers; the message names it.
     SingularityError
-        The guess lies within ``guard`` of a primary, or, with a guard of
-        0, so near one that the residual divides by zero; a Newton probe
-        there is skipped like one inside the guard.
+        The guess lies within ``COLLISION_GUARD`` of a primary; a Newton
+        probe there is skipped.
     ConvergenceError
         Residual norm 1e-12 not reached within 50 iterations, a residual
         norm that is not finite, or convergence on y = 0 or beyond it,
@@ -294,10 +291,16 @@ def refine_equilibrium(p: SystemParams, guess: tuple[float, float],
     SingularJacobianError
         The Jacobian is singular to working precision.
     """
-    _, rest = _family_kernel(p, "w1", guard)
-    x, y = float(guess[0]), float(guess[1])
+    try:
+        x, y = guess
+    except (TypeError, ValueError):
+        x = y = None
+    if not (isinstance(x, (int, float)) and isinstance(y, (int, float))):
+        raise ValueError(f"guess must be two real numbers, got {guess!r}")
+    x, y = float(x), float(y)
     if not (-math.inf < x < math.inf and -math.inf < y < math.inf):
-        raise ValueError(f"guess must be finite, got {tuple(guess)}")
+        raise ValueError(f"guess must be finite, got {guess!r}")
+    _, rest = _family_kernel(p, "w1")
     return _refined(*_newton(rest, (p.mu, p.q1, p.a2, p.w1, p.n, p.delta),
                              x, y, -1.0 if y < 0.0 else 1.0))
 
@@ -463,7 +466,7 @@ def _solve_grid(base: SystemParams, variable: str, grid: list,
     # callers check the grid. Every solve goes through one
     # kernel, and a row takes its system's constants from the kernel's
     # at(value), not from a SystemParams
-    at, rest = _family_kernel(base, variable, COLLISION_GUARD)
+    at, rest = _family_kernel(base, variable)
     sign = _branch_sign(branch)
     fields = _family_fields(base, variable)
     n = len(grid)

@@ -18,7 +18,8 @@ class DegenerateFormulaError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """The iterative refinement failed to reach the requested tolerance.
+    """The Newton refinement failed its one stopping rule: a residual
+    norm below 1e-12 within 50 iterations, on its side of y = 0.
 
     Attributes
     ----------

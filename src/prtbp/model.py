@@ -15,7 +15,9 @@ import math
 
 from .errors import SingularityError
 
-#: Default closest allowed approach to either primary, in separation units.
+#: Closest approach to either primary, in separation units, at which the
+#: library evaluates a point: the one radius of every function, and the
+#: default of ``integrate``'s ``collision_guard``.
 COLLISION_GUARD = 1e-6
 
 #: Default escape radius measured from the radiating primary.
@@ -270,19 +272,13 @@ def _radii(p: SystemParams):
                          sqrt((x + mu - 1.0) * (x + mu - 1.0) + y * y))
 
 
-def _check_guard_arg(guard: float) -> None:
-    # the guard argument of every public entry point, checked where it is
-    # bound to a kernel; the per-point kernels trust theirs
-    if not 0.0 <= guard < math.inf:
-        raise ValueError(f"guard must be finite and >= 0, got {guard}")
-
-
-def _level_kernel(p: SystemParams, level_c: float, guard: float):
+def _level_kernel(p: SystemParams, level_c: float):
     # f(x, y) = 2*U1 - level_c, one curve's values at single points: the
     # system's constants are bound once, and U1 has the bits of
     # _state_kernel's, by the same operations in the same order. A point
-    # within the guard is NaN, and so is one on a primary when the guard
-    # is 0, where U1 divides by zero
+    # within COLLISION_GUARD is NaN; outside it no denominator is below
+    # 2e-18, so none divides by zero
+    guard = COLLISION_GUARD
     mu = p.mu
     rotation = 0.5 * p.n * p.n
     radiating = (1.0 - mu) * p.q1
@@ -297,22 +293,18 @@ def _level_kernel(p: SystemParams, level_c: float, guard: float):
         r2 = sqrt((xm - 1.0) * (xm - 1.0) + yy)
         if r1 < guard or r2 < guard:
             return nan
-        try:
-            return 2.0 * (rotation * (x * x + yy) + radiating / r1
-                          + mu / r2 + oblate / (2.0 * (r2 * r2 * r2))
-                          ) - level_c
-        except ZeroDivisionError:
-            return nan
+        return 2.0 * (rotation * (x * x + yy) + radiating / r1
+                      + mu / r2 + oblate / (2.0 * (r2 * r2 * r2))) - level_c
 
     return level
 
 
-def _state_kernel(p: SystemParams, guard: float):
+def _state_kernel(p: SystemParams, guard: float = COLLISION_GUARD):
     # state(x, y, vx, vy) -> (U1, gx, gy, fx, fy) from one derivation of
     # the radii, the system's constants bound once. A point within the
     # guard raises SingularityError, and so does one so near a primary
-    # that a term divides by zero; a guard of 0 admits every other point
-    _check_guard_arg(guard)
+    # that a term divides by zero, which only a guard below ~1e-65 admits:
+    # integrate's, which it checks, and the 0 of its stage probes
     mu = p.mu
     n = p.n
     nn = n * n
@@ -368,7 +360,7 @@ def _family_fields(base: SystemParams, variable: str) -> dict:
             drag: getattr(base, drag)}
 
 
-def _family_kernel(base: SystemParams, variable: str, guard: float):
+def _family_kernel(base: SystemParams, variable: str):
     # (at, rest). at(lam) -> c = (mu, q1, a2, w1, n, delta): the fields of
     # SystemParams(**{**fields, variable: lam}), bit for bit, lam trusted
     # to lie in the family's domain. rest(x, y, c, tol=None) -> ((rx, ry),
@@ -376,12 +368,14 @@ def _family_kernel(base: SystemParams, variable: str, guard: float):
     # c, its Jacobian J and its derivative in lam, from one derivation of
     # the radii; R has the bits of _state_kernel's at vx = vy = 0, and a
     # point raises what it raises. Given Newton's tol, the derivative in
-    # lam is None, and so is J where |R| < tol. The variable, one of w1,
-    # a2, q1 and mu, and the guard are checked here, where they are bound
+    # lam is None, and so is J where |R| < tol. A point within
+    # COLLISION_GUARD raises SingularityError; outside it no denominator
+    # is below 1e-30, so none divides by zero. The variable, one of w1,
+    # a2, q1 and mu, is checked here, where it is bound
     if variable not in ("w1", "a2", "q1", "mu"):
         raise ValueError(f"variable must be 'w1', 'a2', 'q1' or 'mu', got "
                          f"{variable!r}")
-    _check_guard_arg(guard)
+    guard = COLLISION_GUARD
     fields = _family_fields(base, variable)
     cd = fields.get("cd")
     sqrt = math.sqrt
@@ -410,19 +404,15 @@ def _family_kernel(base: SystemParams, variable: str, guard: float):
         r13 = r1sq * r1
         r23 = r2sq * r2
         r25 = r23 * r2sq
-        try:
-            gx = (nn * x - radiating * xm / r13 - mu * xp / r23
-                  - oblate_grad * xp / r25)
-            gy = (nn * y - radiating * y / r13 - mu * y / r23
-                  - oblate_grad * y / r25)
-            # gx holds -k1 xm - k2 xp - k3 xp with k = c / r^m (m = 3, 3,
-            # 5), and d(-c a / r^m)/da = -c / r^m + m c a^2 / r^(m+2)
-            k1 = radiating / r13
-            k2 = mu / r23
-            k3 = oblate_grad / (r2sq * r2sq * r2)
-        except ZeroDivisionError:
-            raise SingularityError(f"point ({x}, {y}) is too near a primary "
-                                   f"to evaluate (r1={r1}, r2={r2})") from None
+        gx = (nn * x - radiating * xm / r13 - mu * xp / r23
+              - oblate_grad * xp / r25)
+        gy = (nn * y - radiating * y / r13 - mu * y / r23
+              - oblate_grad * y / r25)
+        # gx holds -k1 xm - k2 xp - k3 xp with k = c / r^m (m = 3, 3, 5),
+        # and d(-c a / r^m)/da = -c / r^m + m c a^2 / r^(m+2)
+        k1 = radiating / r13
+        k2 = mu / r23
+        k3 = oblate_grad / (r2sq * r2sq * r2)
         # the drag at rest, (fx, fy) = w1 n (y, -(x + mu)) / r1^2, with the
         # signed zeros of _state_kernel's at vx = vy = 0
         fx = fy = 0.0
@@ -485,8 +475,7 @@ def _hessian_bound(p: SystemParams, r1: float, r2: float) -> float:
             + 6.0 * p.mu * p.a2 / (r2 * r2 * r2 * r2 * r2))
 
 
-def amended_potential(p: SystemParams, x: float, y: float,
-                      guard: float = COLLISION_GUARD) -> float:
+def amended_potential(p: SystemParams, x: float, y: float) -> float:
     """Amended potential of the rotating frame.
 
     U1 = (n^2/2)(x^2+y^2) + (1-mu) q1 / r1 + mu / r2 + mu A2 / (2 r2^3)
@@ -495,25 +484,20 @@ def amended_potential(p: SystemParams, x: float, y: float,
 
     Raises
     ------
-    ValueError
-        If ``guard`` is not finite and >= 0.
     SingularityError
-        If the point lies within ``guard`` of either primary, or so near
-        one (r1 < ~1.4e-108, r2 < ~1.9e-65) that a term divides by zero.
+        If the point lies within ``COLLISION_GUARD`` of either primary.
     """
-    return _state_kernel(p, guard)(x, y, 0.0, 0.0)[0]
+    return _state_kernel(p)(x, y, 0.0, 0.0)[0]
 
 
-def conservative_gradient(p: SystemParams, x: float, y: float,
-                          guard: float = COLLISION_GUARD) -> AccelVector:
+def conservative_gradient(p: SystemParams, x: float, y: float) -> AccelVector:
     """Gradient of the amended potential, (dU1/dx, dU1/dy), in closed form;
     raises what :func:`amended_potential` raises."""
-    _, gx, gy, _, _ = _state_kernel(p, guard)(x, y, 0.0, 0.0)
+    _, gx, gy, _, _ = _state_kernel(p)(x, y, 0.0, 0.0)
     return AccelVector(gx, gy)
 
 
-def drag_acceleration(p: SystemParams, s: PhaseState,
-                      guard: float = COLLISION_GUARD) -> AccelVector:
+def drag_acceleration(p: SystemParams, s: PhaseState) -> AccelVector:
     """Poynting-Robertson drag acceleration at a phase-space state.
 
     Both components are linear in the drag strength w1 and vanish
@@ -521,12 +505,11 @@ def drag_acceleration(p: SystemParams, s: PhaseState,
     azimuthal pair (+w1 n y / r1^2, -w1 n (x+mu) / r1^2). Raises what
     :func:`amended_potential` raises.
     """
-    _, _, _, fx, fy = _state_kernel(p, guard)(s.x, s.y, s.vx, s.vy)
+    _, _, _, fx, fy = _state_kernel(p)(s.x, s.y, s.vx, s.vy)
     return AccelVector(fx, fy)
 
 
-def equations_of_motion(p: SystemParams, s: PhaseState,
-                        guard: float = COLLISION_GUARD
+def equations_of_motion(p: SystemParams, s: PhaseState
                         ) -> tuple[float, float, float, float]:
     """Rotating-frame state derivative (dx/dt, dy/dt, dvx/dt, dvy/dt).
 
@@ -537,31 +520,29 @@ def equations_of_motion(p: SystemParams, s: PhaseState,
         dvx/dt =  2 n vy + dU1/dx + Fx
         dvy/dt = -2 n vx + dU1/dy + Fy
     """
-    _, gx, gy, fx, fy = _state_kernel(p, guard)(s.x, s.y, s.vx, s.vy)
+    _, gx, gy, fx, fy = _state_kernel(p)(s.x, s.y, s.vx, s.vy)
     ax = 2.0 * p.n * s.vy + gx + fx
     ay = -2.0 * p.n * s.vx + gy + fy
     return s.vx, s.vy, ax, ay
 
 
-def jacobi_constant(p: SystemParams, s: PhaseState,
-                    guard: float = COLLISION_GUARD) -> float:
+def jacobi_constant(p: SystemParams, s: PhaseState) -> float:
     """Jacobi integral C = 2*U1 - vx^2 - vy^2.
 
     Conserved exactly when w1 = 0; with drag it evolves at the rate given
     by :func:`jacobi_drift_rate`. Raises what :func:`amended_potential`
     raises.
     """
-    u = _state_kernel(p, guard)(s.x, s.y, s.vx, s.vy)[0]
+    u = _state_kernel(p)(s.x, s.y, s.vx, s.vy)[0]
     return 2.0 * u - s.vx * s.vx - s.vy * s.vy
 
 
-def jacobi_drift_rate(p: SystemParams, s: PhaseState,
-                      guard: float = COLLISION_GUARD) -> float:
+def jacobi_drift_rate(p: SystemParams, s: PhaseState) -> float:
     """Instantaneous rate of change of the Jacobi integral.
 
     dC/dt = -2 (vx Fx + vy Fy), where (Fx, Fy) is the drag acceleration.
     Identically zero when w1 = 0 or at rest. Raises what
     :func:`amended_potential` raises.
     """
-    _, _, _, fx, fy = _state_kernel(p, guard)(s.x, s.y, s.vx, s.vy)
+    _, _, _, fx, fy = _state_kernel(p)(s.x, s.y, s.vx, s.vy)
     return -2.0 * (s.vx * fx + s.vy * fy)

@@ -108,8 +108,7 @@ class ZeroVelocityCurve(_Record):
         object.__setattr__(self, "work", {} if work is None else work)
 
 
-def _certifier(p: SystemParams, level_c: float, guard: float, gap_x: float,
-               gap_y: float):
+def _certifier(p: SystemParams, level_c: float, gap_x: float, gap_y: float):
     """The test of what f provably does on a block of one curve.
 
     The returned ``certify(xlo, xhi, ylo, yhi)`` judges the block
@@ -118,8 +117,8 @@ def _certifier(p: SystemParams, level_c: float, guard: float, gap_x: float,
     (hx, hy), Taylor's theorem bounds |f - f(c)| by the slack
     |fx| hx + |fy| hy + M (hx^2 + hy^2) / 2, where M bounds the norm of
     f's Hessian at the block's nearest distances to the primaries. Both
-    verdicts need both nearest distances beyond twice the guard, so no
-    node lies within it, and R = 1e-12 (2*U1(c) + |C| + slack) bounds
+    verdicts need both nearest distances beyond twice ``COLLISION_GUARD``,
+    so no node lies within it, and R = 1e-12 (2*U1(c) + |C| + slack) bounds
     the rounding of f at every node.
 
     It returns ``_ONE_SIGNED`` when |f(c)| exceeds the slack by more than
@@ -132,6 +131,7 @@ def _certifier(p: SystemParams, level_c: float, guard: float, gap_x: float,
     returns 0.
     """
     # a centre is never within the guard of a block that gets that far
+    guard = COLLISION_GUARD
     state = _state_kernel(p, guard)
     mu = p.mu
     hypot = math.hypot
@@ -370,8 +370,7 @@ def _polish(level, xa: float, ya: float, xb: float, yb: float, fa: float,
 
 
 def zero_velocity_curve(p: SystemParams, level_c: float, window: Window,
-                        resolution: int,
-                        guard: float = COLLISION_GUARD) -> ZeroVelocityCurve:
+                        resolution: int) -> ZeroVelocityCurve:
     """Extract the zero-velocity curve 2*U1 = level_c inside a window.
 
     Parameters
@@ -384,8 +383,6 @@ def zero_velocity_curve(p: SystemParams, level_c: float, window: Window,
         (xmin, xmax, ymin, ymax) finite extent of the sampling grid.
     resolution : int
         Number of grid nodes per axis, a whole number from 16 to 4096.
-    guard : float
-        Finite collision radius >= 0 about each primary.
 
     Returns
     -------
@@ -413,12 +410,10 @@ def zero_velocity_curve(p: SystemParams, level_c: float, window: Window,
     work = {"grid_nodes": n * n, "nodes_evaluated": 0,
             "blocks_certified": 0, "active_cells": 0, "vertices": 0,
             "polish_probes": 0, "polish_bisections": 0, "blocks_scanned": 0}
-    level = _level_kernel(p, level_c, guard)
+    level = _level_kernel(p, level_c)
     # the least node gap per axis: rounding leaves the gaps a few ulps
-    # apart. The certifier binds the state kernel, which checks the guard
-    # before any node is evaluated
-    certify = _certifier(p, level_c, guard,
-                         min(b - a for a, b in zip(xs, xs[1:])),
+    # apart
+    certify = _certifier(p, level_c, min(b - a for a, b in zip(xs, xs[1:])),
                          min(b - a for a, b in zip(ys, ys[1:])))
     cells, values = _active_cells(p, level, certify, xs, ys, work)
 

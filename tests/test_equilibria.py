@@ -371,29 +371,32 @@ def test_refine_converges_from_rough_guess():
 
 
 def test_refine_skips_a_probe_inside_the_guard(monkeypatch):
-    """From (0.525, 0.375) the first full Newton step of mu = 0.1 lands
-    0.296 from the smaller primary, inside a guard of 0.3. That probe is
-    skipped like one that fails to decrease the residual, and the halved
-    step goes on to L4."""
+    """The kernel raises SingularityError at a probe inside the guard.
+    Here it raises at the first trial probe from (0.525, 0.375) at
+    mu = 0.1, the full Newton step. That probe is skipped like one that
+    fails to decrease the residual, and the halved step goes on to L4."""
     kernel = equilibria._family_kernel
-    skipped = []
+    probes, skipped = [], []
 
-    def spied_kernel(p, variable, guard):
-        at, rest = kernel(p, variable, guard)
+    def spied_kernel(p, variable):
+        at, rest = kernel(p, variable)
 
         def spied(*args):
-            try:
-                return rest(*args)
-            except SingularityError:
+            # the first call is the guess's own residual
+            probes.append(args)
+            if len(probes) == 2:
                 skipped.append(args)
-                raise
+                raise SingularityError("inside the guard")
+            return rest(*args)
 
         return at, spied
 
     monkeypatch.setattr(equilibria, "_family_kernel", spied_kernel)
-    point = refine_equilibrium(SystemParams(mu=0.1), (0.525, 0.375),
-                               guard=0.3)
+    point = refine_equilibrium(SystemParams(mu=0.1), (0.525, 0.375))
     assert len(skipped) == 1
+    (x0, y0, *_), (x1, y1, *_), (x2, y2, *_) = probes[:3]
+    assert (x2 - x0, y2 - y0) == pytest.approx(
+        (0.5 * (x1 - x0), 0.5 * (y1 - y0)), rel=1e-12)
     assert point.label == "L4"
     assert point.x == pytest.approx(0.4, abs=1e-12)
     assert point.y == pytest.approx(SQRT3_2, abs=1e-12)
@@ -412,16 +415,10 @@ def test_refine_far_guess_raises():
 
 def test_refine_validation():
     p = SystemParams(mu=0.1)
-    for guess in [(math.nan, SQRT3_2), (0.4, math.inf)]:
+    for guess in [(math.nan, SQRT3_2), (0.4, math.inf), (0.4, 0.8, 9),
+                  ("0.4", "0.8")]:
         with pytest.raises(ValueError, match="guess"):
             refine_equilibrium(p, guess)
-
-
-@pytest.mark.parametrize("guard", [math.nan, -1.0, math.inf])
-def test_refine_checks_its_guard(guard):
-    p = SystemParams(mu=0.1, w1=0.0)
-    with pytest.raises(ValueError, match="guard must be finite and >= 0"):
-        refine_equilibrium(p, (0.4, 0.86), guard=guard)
 
 
 def test_refine_label_follows_sign():
@@ -589,8 +586,8 @@ def test_sweep_rows_mostly_stop_at_their_seed(system, variable, start, stop,
     kernel = equilibria._family_kernel
     calls = []
 
-    def counted_kernel(p, variable, guard):
-        at, rest = kernel(p, variable, guard)
+    def counted_kernel(p, variable):
+        at, rest = kernel(p, variable)
 
         def counted(*args):
             calls.append(args)

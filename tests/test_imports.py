@@ -14,6 +14,7 @@ loaded.
 from __future__ import annotations
 
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -162,6 +163,66 @@ HOMES = {
     "dynamics": ("Trajectory", "integrate", "jacobi_audit"),
     "zvc": ("ZeroVelocityCurve", "zero_velocity_curve"),
 }
+
+# the parameter names of each public callable, so that a new option shows
+# up here; None for an exception that keeps its builtin base's constructor
+PARAMETERS = {
+    "AccelVector": ("ax", "ay"),
+    "ConfigError": None,
+    "ConvergenceError": ("message", "x", "y", "residual_norm",
+                         "iterations"),
+    "DegenerateFormulaError": None,
+    "EquilibriumPoint": ("x", "y", "label", "method", "residual_norm"),
+    "GrainProperties": ("radius_a", "density_rho", "efficiency_chi"),
+    "PerturbationTerms": ("eps1", "eps2", "x0", "y0"),
+    "PhaseState": ("x", "y", "vx", "vy", "t"),
+    "SingularJacobianError": ("message", "x", "y", "residual_norm",
+                              "iterations"),
+    "SingularityError": None,
+    "SweepRow": ("value", "x_analytic", "y_analytic", "x_refined",
+                 "y_refined", "err_norm", "status"),
+    "SystemParams": ("mu", "q1", "a2", "cd", "w1"),
+    "Trajectory": ("params", "sample_values", "drift_values", "termination",
+                   "rhs_calls", "steps", "rejected_steps", "message",
+                   "event_time"),
+    "ZeroVelocityCurve": ("level_c", "segments", "work"),
+    "amended_potential": ("p", "x", "y"),
+    "analytic_epsilons": ("p", "branch"),
+    "analytic_triangular_point": ("p", "branch"),
+    "conservative_gradient": ("p", "x", "y"),
+    "drag_acceleration": ("p", "s"),
+    "drag_coefficient": ("mu", "q1", "cd"),
+    "equations_of_motion": ("p", "s"),
+    "equilibrium_residual": ("p", "x", "y"),
+    "follow_branch": ("base", "variable", "grid", "branch"),
+    "integrate": ("p", "s0", "t_end", "sample_dt", "rtol", "atol",
+                  "collision_guard", "escape_radius"),
+    "jacobi_audit": ("traj",),
+    "jacobi_constant": ("p", "s"),
+    "jacobi_drift_rate": ("p", "s"),
+    "limiting_case_point": ("p", "case", "branch"),
+    "mass_reduction_from_grain": ("grain",),
+    "mean_motion": ("a2",),
+    "oblateness_from_radii": ("equatorial", "polar", "separation"),
+    "refine_equilibrium": ("p", "guess"),
+    "triangular_points": ("p",),
+    "zero_velocity_curve": ("p", "level_c", "window", "resolution"),
+}
+
+
+def _parameters(obj):
+    # inspect cannot read a builtin exception's constructor on every
+    # Python version
+    if isinstance(obj, type) and issubclass(obj, BaseException) \
+            and not hasattr(obj.__init__, "__code__"):
+        return None
+    return tuple(inspect.signature(obj).parameters)
+
+
+def test_public_callables_take_the_pinned_parameters():
+    found = {name: _parameters(getattr(prtbp, name))
+             for name in prtbp.__all__ if callable(getattr(prtbp, name))}
+    assert found == PARAMETERS
 
 
 def test_public_names_are_the_objects_of_their_modules():

@@ -237,55 +237,44 @@ def test_amended_potential_guard():
         amended_potential(p, 0.9, 0.0)
     with pytest.raises(SingularityError):
         amended_potential(p, -0.1, 1e-8)
-    with pytest.raises(SingularityError):
-        amended_potential(p, 0.9, 1e-3, guard=1e-2)
     amended_potential(p, 0.9, 1e-3)
 
 
-# the primary at (1-mu, 0) of mu = 0.01, where an unchecked guard divides
-# by zero, and a point 1e-110 from the one at (-mu, 0), where r1^3
-# underflows to 0
+# the primary at (1-mu, 0) of mu = 0.01, where a term divides by zero,
+# and a point 1e-110 from the one at (-mu, 0), where r1^3 underflows to 0
 AT_PRIMARY = (0.99, 0.0)
 R1_CUBED_UNDERFLOWS = (-0.01, 1e-110)
 
-# every public function with a guard, called at (x, y)
-GUARDED = {
-    "amended_potential":
-        lambda p, g, x, y: amended_potential(p, x, y, g),
-    "conservative_gradient":
-        lambda p, g, x, y: conservative_gradient(p, x, y, g),
-    "drag_acceleration": lambda p, g, x, y: drag_acceleration(
-        p, PhaseState(x, y, 0.1, -0.2), g),
-    "equations_of_motion": lambda p, g, x, y: equations_of_motion(
-        p, PhaseState(x, y, 0.1, -0.2), g),
-    "jacobi_constant": lambda p, g, x, y: jacobi_constant(
-        p, PhaseState(x, y, 0.1, -0.2), g),
-    "jacobi_drift_rate": lambda p, g, x, y: jacobi_drift_rate(
-        p, PhaseState(x, y, 0.1, -0.2), g),
-    "equilibrium_residual":
-        lambda p, g, x, y: equilibrium_residual(p, x, y, g),
-    "refine_equilibrium":
-        lambda p, g, x, y: refine_equilibrium(p, (x, y), guard=g),
+# every public function that evaluates the model at one point (x, y)
+ONE_SHOTS = {
+    "amended_potential": amended_potential,
+    "conservative_gradient": conservative_gradient,
+    "drag_acceleration": lambda p, x, y: drag_acceleration(
+        p, PhaseState(x, y, 0.1, -0.2)),
+    "equations_of_motion": lambda p, x, y: equations_of_motion(
+        p, PhaseState(x, y, 0.1, -0.2)),
+    "jacobi_constant": lambda p, x, y: jacobi_constant(
+        p, PhaseState(x, y, 0.1, -0.2)),
+    "jacobi_drift_rate": lambda p, x, y: jacobi_drift_rate(
+        p, PhaseState(x, y, 0.1, -0.2)),
+    "equilibrium_residual": equilibrium_residual,
+    "refine_equilibrium": lambda p, x, y: refine_equilibrium(p, (x, y)),
 }
 
 
-@pytest.mark.parametrize("guard", [math.nan, -1.0, math.inf])
-@pytest.mark.parametrize("name", GUARDED)
-def test_public_functions_check_their_guard(name, guard):
-    p = SystemParams(mu=0.01, q1=0.98, w1=1e-3)
-    with pytest.raises(ValueError, match="guard must be finite and >= 0"):
-        GUARDED[name](p, guard, *AT_PRIMARY)
-
-
 @pytest.mark.parametrize("name, point", [
-    *((name, AT_PRIMARY) for name in GUARDED),
-    *((name, R1_CUBED_UNDERFLOWS) for name in GUARDED),
-], ids=[*GUARDED, *(f"{name}-r1-cubed-underflows" for name in GUARDED)])
+    *((name, AT_PRIMARY) for name in ONE_SHOTS),
+    *((name, R1_CUBED_UNDERFLOWS) for name in ONE_SHOTS),
+], ids=[*ONE_SHOTS, *(f"{name}-r1-cubed-underflows" for name in ONE_SHOTS)])
 def test_zero_guard_at_a_primary_raises_singularity_error(name, point):
-    # a guard of 0 admits a point where a term divides by zero
+    """The state kernel of integrate's right-hand side, bound with a guard
+    of 0, raises where a term divides by zero; every one-shot function
+    refuses the same point as within COLLISION_GUARD."""
     p = SystemParams(mu=0.01, q1=0.98, w1=1e-3)
     with pytest.raises(SingularityError, match="too near a primary"):
-        GUARDED[name](p, 0.0, *point)
+        _state_kernel(p, 0.0)(*point, 0.1, -0.2)
+    with pytest.raises(SingularityError, match="within 1e-06"):
+        ONE_SHOTS[name](p, *point)
 
 
 def test_amended_potential_duplicate_evaluation():
@@ -522,7 +511,7 @@ def test_arrays_of_points_are_rejected():
 
 def _jacobian(p, x, y):
     # the rest Jacobian of p, as the family kernel over w1 gives it
-    at, rest = _family_kernel(p, "w1", 0.0)
+    at, rest = _family_kernel(p, "w1")
     return rest(x, y, at(p.w1))[1]
 
 
@@ -603,48 +592,45 @@ def test_family_kernel_has_the_bits_of_the_state_kernel(variable, spec):
     the SystemParams of that value, and R of the family kernel is its
     rest-state residual by _state_kernel, at random points, on the axis
     (y = +-0) and at the domain's ends, also in Newton's mode, which adds
-    J only where |R| reaches tol; a point within the guard or too near a
-    primary raises the same error."""
+    J only where |R| reaches tol; a point within the guard raises the
+    same error."""
     base = FAMILY_BASES[spec]
     rng = np.random.default_rng(7)
     points = [*rng.uniform(-1.5, 1.5, (40, 2)), (0.4, 0.0), (0.4, -0.0),
               (-0.03, 1e-110)]
-    for guard in (1e-6, 0.0):
-        at, rest = _family_kernel(base, variable, guard)
-        for value in FAMILY_VALUES[variable]:
-            p = _family_system(base, variable, value)
-            c = at(value)
-            assert (_bits(c) == _bits((p.mu, p.q1, p.a2, p.w1, p.n,
-                                       p.delta))).all()
-            state = _state_kernel(p, guard)
-            for x, y in points:
-                x, y = float(x), float(y)
-                try:
-                    _, gx, gy, fx, fy = state(x, y, 0.0, 0.0)
-                except SingularityError as exc:
-                    with pytest.raises(SingularityError) as caught:
-                        rest(x, y, c)
-                    assert str(caught.value) == str(exc)
-                    continue
-                residual, jac, _ = rest(x, y, c)
-                assert (_bits(residual) == _bits((gx + fx, gy + fy))).all()
-                # Newton's mode: the same R, J only where |R| >= tol
-                tol = math.hypot(*residual) * 2.0 ** rng.choice([-1, 1])
-                r, j, lam = rest(x, y, c, tol)
-                assert (_bits(r) == _bits(residual)).all() and lam is None
-                assert j == (jac if tol <= math.hypot(*r) else None)
+    at, rest = _family_kernel(base, variable)
+    for value in FAMILY_VALUES[variable]:
+        p = _family_system(base, variable, value)
+        c = at(value)
+        assert (_bits(c) == _bits((p.mu, p.q1, p.a2, p.w1, p.n,
+                                   p.delta))).all()
+        state = _state_kernel(p)
+        for x, y in points:
+            x, y = float(x), float(y)
+            try:
+                _, gx, gy, fx, fy = state(x, y, 0.0, 0.0)
+            except SingularityError as exc:
+                with pytest.raises(SingularityError) as caught:
+                    rest(x, y, c)
+                assert str(caught.value) == str(exc)
+                continue
+            residual, jac, _ = rest(x, y, c)
+            assert (_bits(residual) == _bits((gx + fx, gy + fy))).all()
+            # Newton's mode: the same R, J only where |R| >= tol
+            tol = math.hypot(*residual) * 2.0 ** rng.choice([-1, 1])
+            r, j, lam = rest(x, y, c, tol)
+            assert (_bits(r) == _bits(residual)).all() and lam is None
+            assert j == (jac if tol <= math.hypot(*r) else None)
 
 
-@pytest.mark.parametrize("variable, guard, message", [
-    ("cd", 1e-6, "variable must be 'w1', 'a2', 'q1' or 'mu', got 'cd'"),
-    ("w1", math.nan, "guard must be finite and >= 0"),
-], ids=["variable", "guard"])
+@pytest.mark.parametrize("variable, message", [
+    ("cd", "variable must be 'w1', 'a2', 'q1' or 'mu', got 'cd'"),
+], ids=["variable"])
 def test_family_kernel_checks_its_arguments_where_it_is_bound(
-        variable, guard, message):
-    # before any point is evaluated, as _state_kernel checks its guard
+        variable, message):
+    # before any point is evaluated
     with pytest.raises(ValueError, match=re.escape(message)):
-        _family_kernel(SystemParams(mu=0.1, q1=0.98, w1=1e-3), variable,
-                       guard)
+        _family_kernel(SystemParams(mu=0.1, q1=0.98, w1=1e-3), variable)
 
 
 @pytest.mark.parametrize("spec", FAMILY_BASES)
@@ -656,7 +642,7 @@ def test_family_kernel_derivative_matches_central_differences(variable,
     cd and n's on A2, against a central difference of the residual
     through SystemParams, near L4 and L5 and off them."""
     base = FAMILY_BASES[spec]
-    at, rest = _family_kernel(base, variable, 0.0)
+    at, rest = _family_kernel(base, variable)
     h = 1e-6 * value
     plus, minus = (_family_system(base, variable, value + d)
                    for d in (h, -h))

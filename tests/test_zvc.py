@@ -33,30 +33,30 @@ C_L4 = jacobi_constant(CLASSICAL, PhaseState(0.4, SQRT3_2, 0.0, 0.0))
 WIDE = (-1.5, 1.5, -1.5, 1.5)
 
 
-def _scalar_level(p, level_c, guard):
+def _scalar_level(p, level_c):
     def f(x, y):
         try:
-            return 2.0 * amended_potential(p, x, y, guard) - level_c
+            return 2.0 * amended_potential(p, x, y) - level_c
         except SingularityError:
             return math.nan
     return f
 
 
-def _polish_edge(p, level_c, guard, pa, pb, fa, fb):
+def _polish_edge(p, level_c, pa, pb, fa, fb):
     """One edge polished alone by the extraction's polish."""
     work = {"polish_probes": 0, "polish_bisections": 0}
-    return _polish(_level_kernel(p, level_c, guard), *pa, *pb, fa, fb,
+    return _polish(_level_kernel(p, level_c), *pa, *pb, fa, fb,
                    _BAND * abs(level_c), work)
 
 
-def _numpy_level(p, x, y, level_c, guard):
+def _numpy_level(p, x, y, level_c):
     # f = 2*U1 - C at each point of the arrays, NaN within the guard of a
     # primary
-    f = _scalar_level(p, level_c, guard)
+    f = _scalar_level(p, level_c)
     return np.array([f(a, b) for a, b in zip(x.tolist(), y.tolist())])
 
 
-def _numpy_polish(p, level_c, guard, xa, ya, xb, yb, fa, fb):
+def _numpy_polish(p, level_c, xa, ya, xb, yb, fa, fb):
     """The earlier polish: 46 NumPy bisections of every edge at once.
 
     A probe inside the guard gives NaN, which fails ``f < 0`` and so
@@ -67,7 +67,7 @@ def _numpy_polish(p, level_c, guard, xa, ya, xb, yb, fa, fb):
     lo, hi = np.zeros_like(fa), np.ones_like(fa)
     for _ in range(46):
         s = 0.5 * (lo + hi)
-        f = _numpy_level(p, xa + s * dx, ya + s * dy, level_c, guard)
+        f = _numpy_level(p, xa + s * dx, ya + s * dy, level_c)
         same = (f < 0.0) == neg
         lo = np.where(same, s, lo)
         hi = np.where(same, hi, s)
@@ -78,21 +78,20 @@ def _numpy_polish(p, level_c, guard, xa, ya, xb, yb, fa, fb):
             np.where(at_a, ya, np.where(at_b, yb, y)))
 
 
-def _numpy_polish_edge(p, level_c, guard, pa, pb, fa, fb):
+def _numpy_polish_edge(p, level_c, pa, pb, fa, fb):
     """One edge polished alone, as a one-edge batch of the NumPy pass."""
-    x, y = _numpy_polish(p, level_c, guard,
-                         *np.array([[*pa, *pb, fa, fb]]).T)
+    x, y = _numpy_polish(p, level_c, *np.array([[*pa, *pb, fa, fb]]).T)
     return float(x[0]), float(y[0])
 
 
-def _brentq_edge(p, level_c, guard, pa, pb, fa, fb):
+def _brentq_edge(p, level_c, pa, pb, fa, fb):
     """Scalar polish with SciPy's bracketed solver at xtol = 1e-13."""
     from scipy.optimize import brentq
     if fa == 0.0:
         return pa
     if fb == 0.0:
         return pb
-    f = _scalar_level(p, level_c, guard)
+    f = _scalar_level(p, level_c)
 
     def g(s):
         return f(pa[0] + s * (pb[0] - pa[0]), pa[1] + s * (pb[1] - pa[1]))
@@ -104,7 +103,7 @@ def _brentq_edge(p, level_c, guard, pa, pb, fa, fb):
     return (pa[0] + s * (pb[0] - pa[0]), pa[1] + s * (pb[1] - pa[1]))
 
 
-def _reference_curve(p, level_c, window, resolution, guard=COLLISION_GUARD,
+def _reference_curve(p, level_c, window, resolution,
                      polish=_polish_edge) -> ZeroVelocityCurve:
     """Scalar extraction: one Python visit per grid node and per cell.
 
@@ -113,7 +112,7 @@ def _reference_curve(p, level_c, window, resolution, guard=COLLISION_GUARD,
     quadtree pass, which evaluates only the nodes it cannot certify, must
     reproduce this curve exactly.
     """
-    f = _scalar_level(p, level_c, guard)
+    f = _scalar_level(p, level_c)
     xmin, xmax, ymin, ymax = window
     nx = ny = resolution
     xs = [xmin + (xmax - xmin) * i / (nx - 1) for i in range(nx)]
@@ -132,7 +131,7 @@ def _reference_curve(p, level_c, window, resolution, guard=COLLISION_GUARD,
             else:
                 pa, pb = (xs[i], ys[j]), (xs[i], ys[j + 1])
                 fa, fb = vals[j][i], vals[j + 1][i]
-            cache[key] = polish(p, level_c, guard, pa, pb, fa, fb)
+            cache[key] = polish(p, level_c, pa, pb, fa, fb)
         return cache[key]
 
     for j in range(ny - 1):
@@ -184,18 +183,6 @@ def test_window_and_resolution_validation():
         with pytest.raises(ValueError, match=name):
             zero_velocity_curve(CLASSICAL, level, window, resolution)
 
-
-@pytest.mark.parametrize("guard", [math.nan, -1.0, math.inf])
-def test_guard_validation(guard, monkeypatch):
-    """The guard is checked once, where the certifier binds the state
-    kernel, before any node is evaluated."""
-    def no_nodes(*args):
-        raise AssertionError("a node was evaluated")
-
-    monkeypatch.setattr(prtbp.zvc, "_active_cells", no_nodes)
-    p = SystemParams(mu=0.1, w1=0.0)
-    with pytest.raises(ValueError, match="guard must be finite and >= 0"):
-        zero_velocity_curve(p, 3.5, (-1.5, 1.5, -1.5, 1.5), 64, guard=guard)
 
 
 def test_level_outside_range_gives_empty_curve():
@@ -355,9 +342,9 @@ def test_polish_matches_brentq(p, level, window, resolution):
     # stop anywhere in that band
     excess = []
 
-    def both(p, level_c, guard, pa, pb, fa, fb):
-        v = _polish_edge(p, level_c, guard, pa, pb, fa, fb)
-        w = _brentq_edge(p, level_c, guard, pa, pb, fa, fb)
+    def both(p, level_c, pa, pb, fa, fb):
+        v = _polish_edge(p, level_c, pa, pb, fa, fb)
+        w = _brentq_edge(p, level_c, pa, pb, fa, fb)
         band = 4.0 * np.finfo(float).eps * abs(level_c) / abs(fb - fa)
         excess.append(math.dist(v, w) / math.dist(pa, pb) - band)
         return v
@@ -413,14 +400,14 @@ def test_polish_bisects_after_a_probe_inside_the_guard():
     fa, fb = 2.0 * ua - level, 2.0 * ub - level
     assert fa / (fa - fb) == 0.8
     work = {"polish_probes": 0, "polish_bisections": 0}
-    x, y = _polish(_level_kernel(EQUAL, level, COLLISION_GUARD), *pa, *pb,
-                   fa, fb, _BAND * abs(level), work)
+    x, y = _polish(_level_kernel(EQUAL, level), *pa, *pb, fa, fb,
+                   _BAND * abs(level), work)
     assert work["polish_bisections"] >= 1
     assert work["polish_probes"] <= 46
     assert x < -0.5 and y == 0.0
     assert abs(2.0 * amended_potential(EQUAL, x, y) - level) <= 1e-13
     assert math.dist((x, y), _numpy_polish_edge(
-        EQUAL, level, COLLISION_GUARD, pa, pb, fa, fb)) <= 1e-13
+        EQUAL, level, pa, pb, fa, fb)) <= 1e-13
 
 
 def test_nodes_on_both_primaries_are_masked():
@@ -434,9 +421,6 @@ def test_nodes_on_both_primaries_are_masked():
     assert len(pts) > 0
     assert np.all(np.isfinite(pts))
     assert curve == _reference_curve(EQUAL, 3.6, window, 17)
-    # with no guard the potential divides by zero at those nodes, which
-    # count as within the guard all the same
-    assert zero_velocity_curve(EQUAL, 3.6, window, 17, guard=0.0) == curve
 
 
 @FIXTURES
@@ -447,9 +431,9 @@ def test_vertices_match_the_numpy_bisection(p, level, window, resolution):
     # test_polish_matches_brentq)
     excess = []
 
-    def both(p, level_c, guard, pa, pb, fa, fb):
-        v = _polish_edge(p, level_c, guard, pa, pb, fa, fb)
-        w = _numpy_polish_edge(p, level_c, guard, pa, pb, fa, fb)
+    def both(p, level_c, pa, pb, fa, fb):
+        v = _polish_edge(p, level_c, pa, pb, fa, fb)
+        w = _numpy_polish_edge(p, level_c, pa, pb, fa, fb)
         band = 4.0 * np.finfo(float).eps * abs(level_c) / abs(fb - fa)
         excess.append(math.dist(v, w) - 1e-13 - band * math.dist(pa, pb))
         return v
@@ -515,8 +499,7 @@ def test_no_monotone_verdict_at_l4():
     x4 = 0.5 - CLASSICAL.mu
     for level in (C_L4, C_L4 + 1e-4):
         for h in (1e-2, 1e-4, 1e-6):
-            certify = _certifier(CLASSICAL, level, COLLISION_GUARD, h / 8,
-                                 h / 8)
+            certify = _certifier(CLASSICAL, level, h / 8, h / 8)
             verdict = certify(x4 - h, x4 + h, SQRT3_2 - h, SQRT3_2 + h)
             assert verdict in (0, _ONE_SIGNED)
 
@@ -539,8 +522,8 @@ def _kernel_values(monkeypatch, p, level, window, resolution):
     at block centres (level 0)."""
     seen = []
 
-    def recording_kernel(p, level_c, guard):
-        f = _level_kernel(p, level_c, guard)
+    def recording_kernel(p, level_c):
+        f = _level_kernel(p, level_c)
 
         def level(x, y):
             v = f(x, y)
@@ -557,7 +540,7 @@ def _assert_public_bits(p, seen):
     # repr round-trips every float, so equal reprs are equal bits
     assert seen
     for level_c, x, y, v in seen:
-        public = _scalar_level(p, level_c, COLLISION_GUARD)(x, y)
+        public = _scalar_level(p, level_c)(x, y)
         assert repr(v) == repr(public), (level_c, x, y)
 
 
@@ -576,19 +559,18 @@ def test_kernel_has_the_public_bits_on_random_windows(monkeypatch):
 
 
 def test_kernel_is_nan_within_the_guard_and_on_a_primary():
-    f = _level_kernel(EQUAL, 3.0, COLLISION_GUARD)
-    public = _scalar_level(EQUAL, 3.0, COLLISION_GUARD)
+    f = _level_kernel(EQUAL, 3.0)
+    public = _scalar_level(EQUAL, 3.0)
     # 5e-7 and 2e-6 from the primary at (-1/2, 0)
     assert math.isnan(f(-0.5 + 5e-7, 0.0))
     assert math.isnan(public(-0.5 + 5e-7, 0.0))
     assert repr(f(-0.5 + 2e-6, 0.0)) == repr(public(-0.5 + 2e-6, 0.0))
-    # with no guard U1 divides by zero on a primary: the public function
-    # raises SingularityError there, and the kernel gives NaN instead
-    with pytest.raises(SingularityError, match="too near a primary"):
-        amended_potential(EQUAL, -0.5, 0.0, guard=0.0)
-    g = _level_kernel(EQUAL, 3.0, 0.0)
-    assert math.isnan(g(-0.5, 0.0)) and math.isnan(g(0.5, 0.0))
-    assert repr(g(0.0, 0.0)) == repr(f(0.0, 0.0))
+    # on either primary, where the public function raises
+    # SingularityError, the kernel gives NaN
+    for x in (-0.5, 0.5):
+        with pytest.raises(SingularityError, match="within"):
+            amended_potential(EQUAL, x, 0.0)
+        assert math.isnan(f(x, 0.0))
 
 
 def test_one_signed_window_evaluates_no_node():
@@ -605,8 +587,8 @@ def test_one_signed_window_evaluates_no_node():
 def _random_blocks(rng, draws):
     """Random blocks of random grids, each with a level set from a node
     near the block, so many blocks sit close to the curve or to a
-    primary: (p, level, guard, xs, ys, i0, i1, j0, j1, verdict), with
-    the verdict of the curve's block certificate."""
+    primary: (p, level, xs, ys, i0, i1, j0, j1, verdict), with the
+    verdict of the curve's block certificate."""
     for _ in range(draws):
         p, _, window, resolution = _random_case(rng)
         resolution = 4 * resolution
@@ -619,18 +601,17 @@ def _random_blocks(rng, draws):
         i0 = rng.randrange(resolution - size)
         j0 = rng.randrange(resolution - size)
         i1, j1 = i0 + size, j0 + size
-        guard = rng.choice((COLLISION_GUARD, 1e-3, 0.05))
         try:
             near = 2.0 * amended_potential(
-                p, xs[min(i1 + 1, resolution - 1)], ys[j0], guard)
+                p, xs[min(i1 + 1, resolution - 1)], ys[j0])
         except SingularityError:
             continue
         level = near * (1.0 + rng.choice((1e-2, 1e-4, -1e-4, -1e-2)))
-        certify = _certifier(p, level, guard,
+        certify = _certifier(p, level,
                              min(b - a for a, b in zip(xs, xs[1:])),
                              min(b - a for a, b in zip(ys, ys[1:])))
         verdict = certify(xs[i0], xs[i1], ys[j0], ys[j1])
-        yield p, level, guard, xs, ys, i0, i1, j0, j1, verdict
+        yield p, level, xs, ys, i0, i1, j0, j1, verdict
 
 
 def test_certified_blocks_are_one_signed():
@@ -638,7 +619,7 @@ def test_certified_blocks_are_one_signed():
     at all of its nodes, each more than twice the guard from both
     primaries."""
     passed = failed = 0
-    for p, level, guard, xs, ys, i0, i1, j0, j1, verdict in _random_blocks(
+    for p, level, xs, ys, i0, i1, j0, j1, verdict in _random_blocks(
             random.Random(2024), 400):
         if verdict != _ONE_SIGNED:
             failed += 1
@@ -648,8 +629,8 @@ def test_certified_blocks_are_one_signed():
         sign = 2.0 * amended_potential(p, cx, cy) - level > 0.0
         for y in ys[j0:j1 + 1]:
             for x in xs[i0:i1 + 1]:
-                assert min(_radii(p)(x, y)) > 2.0 * guard
-                f = 2.0 * amended_potential(p, x, y, guard) - level
+                assert min(_radii(p)(x, y)) > 2.0 * COLLISION_GUARD
+                f = 2.0 * amended_potential(p, x, y) - level
                 assert f != 0.0 and (f > 0.0) == sign
     assert passed > 50 and failed > 50
 
@@ -660,7 +641,7 @@ def test_monotone_blocks_change_sign_once():
     node, each node more than twice the guard from both primaries: so
     each line changes sign at most once."""
     passed = failed = 0
-    for p, level, guard, xs, ys, i0, i1, j0, j1, verdict in _random_blocks(
+    for p, level, xs, ys, i0, i1, j0, j1, verdict in _random_blocks(
             random.Random(2025), 400):
         if abs(verdict) not in (_ALONG_X, _ALONG_Y):
             failed += 1
@@ -668,8 +649,8 @@ def test_monotone_blocks_change_sign_once():
         passed += 1
         for y in ys[j0:j1 + 1]:
             for x in xs[i0:i1 + 1]:
-                assert min(_radii(p)(x, y)) > 2.0 * guard
-        grid = [[2.0 * amended_potential(p, x, y, guard) - level
+                assert min(_radii(p)(x, y)) > 2.0 * COLLISION_GUARD
+        grid = [[2.0 * amended_potential(p, x, y) - level
                  for x in xs[i0:i1 + 1]] for y in ys[j0:j1 + 1]]
         lines = grid if abs(verdict) == _ALONG_X else list(zip(*grid))
         for line in lines:
